@@ -90,6 +90,8 @@ class CalibratedOutput:
     repairs_applied: tuple[str, ...]
     final_shot_count: int
     transcript: tuple[dict, ...] = field(default=())
+    # ids of the context examples as retrieved, before any context-length eviction
+    example_ids: tuple[str, ...] = ()
 
 
 def _value_from_mapping(obj, key: str, case_insensitive: bool = False) -> str | None:
@@ -142,7 +144,7 @@ def _balanced_objects(text: str) -> list[str]:
 def _try_strict(text: str, key: str) -> str | None:
     try:
         return _value_from_mapping(json.loads(text), key)
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
 
 
@@ -150,7 +152,7 @@ def _try_embedded(text: str, key: str) -> str | None:
     for span in _balanced_objects(text):
         try:
             value = _value_from_mapping(json.loads(span), key)
-        except ValueError:
+        except (ValueError, RecursionError):
             continue
         if value is not None:
             return value
@@ -163,7 +165,8 @@ def _try_tolerant(text: str, key: str) -> str | None:
         for loader in (json.loads, ast.literal_eval):
             try:
                 obj = loader(span)
-            except (ValueError, SyntaxError, MemoryError, RecursionError):
+            # the exceptions ast.literal_eval documents for malformed input
+            except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
                 continue
             value = _value_from_mapping(obj, key, case_insensitive=True)
             if value is not None:
@@ -213,15 +216,6 @@ def extract_payload(
     raise FormatError(f"no strategy extracted a {key!r} value", raw_text)
 
 
-def retrieve_examples(
-    store: Store, task: str, query: str, n: int, strategy: RetrievalStrategy
-) -> list[MoleculeRecord]:
-    """Strategy dispatch shared by the calibration loop and the CLI."""
-    if task == "mol2cap":
-        return retrieve_mol2cap(store, query, n, strategy)
-    return retrieve_cap2mol(store, query, n, strategy)
-
-
 def calibrated_query(
     client: ChatClient,
     store: Store | None,
@@ -245,9 +239,11 @@ def calibrated_query(
     if n > 0:
         if store is None or strategy is None:
             raise ValueError("n > 0 requires a store and a retrieval strategy")
-        examples: list[MoleculeRecord] = retrieve_examples(store, task, query, n, strategy)
+        retrieve = retrieve_mol2cap if task == "mol2cap" else retrieve_cap2mol
+        examples: list[MoleculeRecord] = retrieve(store, query, n, strategy)
     else:
         examples = []
+    example_ids = tuple(rec.id for rec in examples)
 
     transcript: list[dict] = []
     charged = 0
@@ -315,4 +311,5 @@ def calibrated_query(
             repairs_applied=repairs,
             final_shot_count=len(examples),
             transcript=tuple(transcript),
+            example_ids=example_ids,
         )

@@ -25,7 +25,6 @@ from molrag.calibration import (
     CalibrationFailure,
     CalibrationPolicy,
     calibrated_query,
-    retrieve_examples,
 )
 from molrag.fingerprint import FingerprintParams
 from molrag.llm import BackendConfig, ChatClient, ReplayBackend
@@ -290,22 +289,12 @@ def cmd_query(user_input, store, task, n_shots, strategy, seed, backend, replay,
     client = _make_client(config)
     policy = CalibrationPolicy(max_error_allowance=config.max_error_allowance)
 
-    examples_used: list[str] = []
-    if config.n_shots > 0:
-        try:
-            examples_used = [
-                rec.id
-                for rec in retrieve_examples(
-                    db, config.task, user_input, config.n_shots, config.strategy
-                )
-            ]
-        except StoreError as exc:
-            raise click.ClickException(str(exc))
-
     try:
         result = calibrated_query(
             client, db, tmpl, user_input, config.n_shots, policy, config.task, config.strategy
         )
+    except StoreError as exc:
+        raise click.ClickException(str(exc))
     except CalibrationFailure as fail:
         transcript_path = Path(config.out_path or ".") / "calibration_failure.json"
         transcript_path.parent.mkdir(parents=True, exist_ok=True)
@@ -319,7 +308,7 @@ def cmd_query(user_input, store, task, n_shots, strategy, seed, backend, replay,
     payload = {
         "input": user_input,
         "output": result.value,
-        "examples_used": examples_used,
+        "examples_used": list(result.example_ids),
         "query_count": result.query_count,
         "final_shot_count": result.final_shot_count,
         "repairs_applied": list(result.repairs_applied),

@@ -3,7 +3,8 @@
 Each atom starts from a local-invariant identifier; every expansion round
 rehashes an atom's identifier together with the sorted (bond order, neighbor
 identifier) pairs, capturing its circular environment one bond further out.
-All identifiers from all rounds fold modulo ``nbits`` into one bit set.
+All identifiers from all rounds fold modulo ``nbits`` into one bitmap, held
+as a Python int so Dice similarity is one AND plus a popcount.
 
 Identifiers are 64-bit FNV-1a hashes over a fixed byte encoding (offset basis
 0xcbf29ce484222325, prime 0x100000001b3), so fingerprints are byte-identical
@@ -12,6 +13,7 @@ across runs and platforms.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from molrag.smiles.canon import atom_invariant
@@ -76,32 +78,74 @@ class FingerprintParams:
             raise ValueError("nbits must be a power of two >= 64")
 
 
-@dataclass(frozen=True)
 class MorganFingerprint:
-    bits: frozenset[int]
-    nbits: int
-    radius: int
+    """A folded fingerprint: bit ``i`` of the ``bitmap`` int is set when some
+    environment folds to index ``i``; ``count`` caches its popcount.
 
-    def __post_init__(self) -> None:
-        if any(b < 0 or b >= self.nbits for b in self.bits):
-            raise ValueError("bit index out of range")
+    Immutable and compared by value. ``bits`` rebuilds the index set on demand;
+    it is not stored.
+    """
+
+    __slots__ = ("bitmap", "count", "nbits", "radius")
+
+    def __init__(self, bits: Iterable[int], nbits: int, radius: int) -> None:
+        bitmap = 0
+        for bit in bits:
+            if bit < 0 or bit >= nbits:
+                raise ValueError("bit index out of range")
+            bitmap |= 1 << bit
+        self._init(bitmap, nbits, radius)
+
+    def _init(self, bitmap: int, nbits: int, radius: int) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "bitmap", bitmap)
+        setattr_(self, "count", bitmap.bit_count())
+        setattr_(self, "nbits", nbits)
+        setattr_(self, "radius", radius)
+
+    @classmethod
+    def _from_bitmap(cls, bitmap: int, nbits: int, radius: int) -> "MorganFingerprint":
+        fp = cls.__new__(cls)
+        fp._init(bitmap, nbits, radius)
+        return fp
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"MorganFingerprint is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return MorganFingerprint._from_bitmap, (self.bitmap, self.nbits, self.radius)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MorganFingerprint):
+            return NotImplemented
+        return (self.bitmap, self.nbits, self.radius) == (other.bitmap, other.nbits, other.radius)
+
+    def __hash__(self) -> int:
+        return hash((self.bitmap, self.nbits, self.radius))
+
+    def __repr__(self) -> str:
+        return f"MorganFingerprint(bits={sorted(self.bits)}, nbits={self.nbits}, radius={self.radius})"
+
+    @property
+    def bits(self) -> frozenset[int]:
+        out = []
+        rest = self.bitmap
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length() - 1)
+            rest ^= low
+        return frozenset(out)
 
     def to_hex(self) -> str:
         """Hex-encoded bitmap, lowest bit index first."""
-        raw = bytearray(self.nbits // 8)
-        for bit in self.bits:
-            raw[bit // 8] |= 1 << (bit % 8)
-        return bytes(raw).hex()
+        return self.bitmap.to_bytes(self.nbits // 8, "little").hex()
 
     @classmethod
     def from_hex(cls, text: str, nbits: int, radius: int) -> "MorganFingerprint":
         raw = bytes.fromhex(text)
         if len(raw) != nbits // 8:
             raise ValueError("bitmap length does not match nbits")
-        bits = frozenset(
-            i for i in range(nbits) if raw[i // 8] & (1 << (i % 8))
-        )
-        return cls(bits=bits, nbits=nbits, radius=radius)
+        return cls._from_bitmap(int.from_bytes(raw, "little"), nbits, radius)
 
 
 def morgan_environments(
@@ -128,8 +172,10 @@ def morgan_environments(
 
 def morgan_fingerprint(mol: Molecule, params: FingerprintParams | None = None) -> MorganFingerprint:
     params = params or FingerprintParams()
-    bits = frozenset(ident % params.nbits for _, _, ident in morgan_environments(mol, params))
-    return MorganFingerprint(bits=bits, nbits=params.nbits, radius=params.radius)
+    bitmap = 0
+    for _, _, ident in morgan_environments(mol, params):
+        bitmap |= 1 << (ident % params.nbits)
+    return MorganFingerprint._from_bitmap(bitmap, params.nbits, params.radius)
 
 
 def dice_similarity(a: MorganFingerprint, b: MorganFingerprint) -> float:
@@ -138,6 +184,7 @@ def dice_similarity(a: MorganFingerprint, b: MorganFingerprint) -> float:
         raise ParamMismatch(
             f"fingerprint params differ: ({a.nbits}, r{a.radius}) vs ({b.nbits}, r{b.radius})"
         )
-    if not a.bits and not b.bits:
+    total = a.count + b.count
+    if not total:
         raise DegenerateInput("both fingerprints are empty")
-    return 2.0 * len(a.bits & b.bits) / (len(a.bits) + len(b.bits))
+    return 2.0 * (a.bitmap & b.bitmap).bit_count() / total

@@ -159,6 +159,8 @@ def parse_smiles(text: str) -> Molecule:
     if st.open_rings:
         digits = sorted(st.open_rings)
         raise UnmatchedRingClosure(f"ring closure(s) {digits} opened but never closed")
+    if not st.atoms:
+        raise UnknownToken("SMILES contains no atoms")
     return Molecule(atoms=tuple(st.atoms), bonds=tuple(st.bonds), source_text=source)
 
 

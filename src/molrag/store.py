@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 import json
 import random
 from dataclasses import dataclass
@@ -218,7 +219,7 @@ def _graph_excluder(store: Store, query_smiles: str):
 
     def excluded(pos: int) -> bool:
         rec_fp = store.records[pos].fingerprint
-        if rec_fp is None or rec_fp.bits != query_fp.bits:
+        if rec_fp is None or rec_fp.bitmap != query_fp.bitmap:
             return False
         return molecules_equal(query_mol, store.molecule(pos))
 
@@ -253,11 +254,17 @@ def retrieve_mol2cap(
     _, query_fp, excluded = _graph_excluder(store, query_smiles)
 
     if strategy.kind == "morgan_fts":
-        scored = sorted(
-            range(len(store.records)),
-            key=lambda pos: (-dice_similarity(query_fp, store.records[pos].fingerprint), pos),
-        )
-        return _collect(scored, excluded, n, store.records)
+        # Only a record whose bitmap equals the query's can be excluded (an
+        # isomorphic graph has the same fingerprint). Such records score Dice
+        # 1.0, which no other record reaches, so they lead the ranking, and the
+        # top n + (their count) always holds the first n survivors.
+        scored = [
+            (-dice_similarity(query_fp, rec.fingerprint), pos)
+            for pos, rec in enumerate(store.records)
+        ]
+        same = sum(1 for rec in store.records if rec.fingerprint.bitmap == query_fp.bitmap)
+        top = heapq.nsmallest(n + same, scored)
+        return _collect((pos for _, pos in top), excluded, n, store.records)
     if strategy.kind == "bm25_smiles_chargram":
         ranked = bm25.top_n(store.smiles_index, query_smiles, len(store.records))
         return _collect((pos for pos, _ in ranked), excluded, n, store.records)

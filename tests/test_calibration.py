@@ -16,7 +16,7 @@ from molrag.calibration import (
 from molrag.llm import BackendError, ChatClient, ScriptedBackend
 from molrag.prompt import default_template
 from molrag.smiles import is_valid_smiles
-from molrag.store import RetrievalStrategy
+from molrag.store import RetrievalStrategy, retrieve_mol2cap
 
 GOOD_CAPTION = '{"caption": "A molecule description."}'
 GARBAGE = "Apologies, that request falls outside what may be described."
@@ -88,6 +88,41 @@ class TestExtraction:
             extract_payload(GARBAGE, "mol2cap")
         assert err.value.raw_text == GARBAGE
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 3000, '{"caption": ' + "[" * 3000 + "]", "{" * 1200, "{{}}", "{[]: 1}"],
+        ids=["deep-list", "deep-list-in-object", "deep-braces", "set-of-dict", "list-key"],
+    )
+    def test_pathological_nesting_is_a_format_error(self, text):
+        # deep nesting once raised RecursionError, and unhashable literal keys TypeError
+        with pytest.raises(FormatError):
+            extract_payload(text, "cap2mol")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=120),
+            st.text(alphabet='[]{}():,"\'0a ', max_size=120),
+            # nesting past the recursion limit (which Hypothesis raises while
+            # a test runs); deep braces are left to the fixed cases above,
+            # because brace scanning is quadratic in the nesting depth
+            st.builds(
+                lambda prefix, opener, depth, core: prefix + opener * depth + core,
+                st.sampled_from(["", '{"caption": ', '{"molecule": ']),
+                st.sampled_from(["[", "("]),
+                st.integers(min_value=1000, max_value=5000),
+                st.text(alphabet='[]{}"a:1', max_size=10),
+            ),
+        ),
+        st.sampled_from(["mol2cap", "cap2mol"]),
+    )
+    def test_extraction_is_total(self, text, task):
+        try:
+            result = extract_payload(text, task)
+        except FormatError:
+            return
+        assert isinstance(result.value, str) and result.value
+
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=120))
     def test_cap2mol_pattern_soundness(self, text):
@@ -116,6 +151,9 @@ class TestLoop:
         )
         assert out.final_shot_count == 3  # n - 2 per the eviction rule
         assert out.query_count <= CalibrationPolicy().max_error_allowance
+        # the ids are those retrieved, before eviction
+        retrieved = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("morgan_fts"))
+        assert out.example_ids == tuple(rec.id for rec in retrieved)
 
     def test_perpetual_garbage_exhausts_allowance(self, corpus_store):
         client = make_client([GARBAGE])

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import defaultdict
 
@@ -25,6 +26,17 @@ FNV_ABC = 16654208175385433931
 
 # frozen regression anchor: byte-stable across runs and platforms
 CCO_BITS_R2_2048 = frozenset([254, 259, 551, 694, 1087, 1270, 1351, 1519, 2027])
+# the fingerprints.jsonl line for CCO as format version 1 stores it; frozen
+CCO_HEX_R2_2048 = (
+    "0000000000000000000000000000000000000000000000000000000000000040"
+    "0800000000000000000000000000000000000000000000000000000000000000"
+    "0000000080000000000000000000000000000000000040000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000080000000000000000000000000000000000000000000004000"
+    "0000000000000000800000000000000000000000000000000000000000800000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000080000"
+)
 
 
 def fp(text: str, radius: int = 2, nbits: int = 2048) -> MorganFingerprint:
@@ -91,6 +103,41 @@ class TestMorgan:
         again = MorganFingerprint.from_hex(original.to_hex(), original.nbits, original.radius)
         assert again == original
 
+    def test_frozen_hex_stable(self):
+        assert fp("CCO").to_hex() == CCO_HEX_R2_2048
+        assert MorganFingerprint.from_hex(CCO_HEX_R2_2048, 2048, 2).bits == CCO_BITS_R2_2048
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_hex_roundtrip_random_bits(self, data):
+        nbits = data.draw(st.sampled_from([64, 128, 256, 512, 1024, 2048]))
+        bits = data.draw(st.frozensets(st.integers(min_value=0, max_value=nbits - 1)))
+        original = MorganFingerprint(bits, nbits, 2)
+        text = original.to_hex()
+        assert len(text) == nbits // 4
+        # lowest bit index first: bit i lives in byte i // 8 at position i % 8
+        raw = bytes.fromhex(text)
+        assert {i for i in range(nbits) if raw[i // 8] >> (i % 8) & 1} == bits
+        again = MorganFingerprint.from_hex(text, nbits, 2)
+        assert again == original
+        assert again.bits == bits
+        assert again.count == len(bits)
+
+    def test_hex_length_checked(self):
+        with pytest.raises(ValueError):
+            MorganFingerprint.from_hex("00" * 8, 2048, 2)
+
+    def test_value_semantics(self):
+        a = MorganFingerprint(frozenset({3, 70}), 128, 2)
+        assert a == MorganFingerprint([70, 3], 128, 2)
+        assert hash(a) == hash(MorganFingerprint(frozenset({3, 70}), 128, 2))
+        assert a != MorganFingerprint(frozenset({3, 70}), 128, 1)
+        assert pickle.loads(pickle.dumps(a)) == a
+        with pytest.raises(AttributeError):
+            a.bitmap = 0
+        with pytest.raises(ValueError):
+            MorganFingerprint(frozenset({128}), 128, 2)
+
 
 class TestDice:
     def test_self_similarity(self, corpus_records):
@@ -135,6 +182,17 @@ class TestDice:
         sim = dice_similarity(a, b)
         assert sim == dice_similarity(b, a)
         assert 0.0 <= sim <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.frozensets(st.integers(min_value=0, max_value=2047), max_size=120),
+        st.frozensets(st.integers(min_value=0, max_value=2047), min_size=1, max_size=120),
+    )
+    def test_equals_set_arithmetic(self, bits_a, bits_b):
+        # the popcount form must give the same float as the set form, bit for bit
+        a = MorganFingerprint(bits_a, 2048, 2)
+        b = MorganFingerprint(bits_b, 2048, 2)
+        assert dice_similarity(a, b) == 2 * len(bits_a & bits_b) / (len(bits_a) + len(bits_b))
 
     def test_fragment_containment_lower_bound(self, corpus_records):
         # a chain fragment's environments are a subset of the longer chain's

@@ -289,6 +289,15 @@ class TestReport:
         for column in ("ROUGE-1", "ROUGE-L", "METEOR", "Text2Mol"):
             assert column in cap_table
 
+    def test_atomless_smiles_score_as_invalid(self):
+        # "." once parsed to an empty molecule, and two empty fingerprints
+        # made Morgan FTS raise DegenerateInput
+        report = build_report(pairs([(".", "."), ("..", "CCO"), ("CCO", "CCO")]), "cap2mol", {})
+        assert report["counts"]["valid"] == 1
+        assert report["counts"]["parseable"] == 1
+        assert report["metrics"]["validity"] == pytest.approx(1 / 3)
+        assert report["metrics"]["morgan_fts"] == pytest.approx(1 / 3)
+
     def test_empty_pairs_rejected(self):
         with pytest.raises(EmptyInput):
             build_report([], "cap2mol", {})

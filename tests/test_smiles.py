@@ -105,6 +105,8 @@ class TestParser:
         mol = parse_smiles("[Na+].[Cl-]")
         assert len(mol.atoms) == 2
         assert not mol.bonds
+        # stray separators are harmless once there is an atom
+        assert [len(parse_smiles(t)) for t in ("C.", ".C", "C..C")] == [1, 1, 2]
 
     def test_percent_ring_closure(self):
         mol = parse_smiles("C%12CCCC%12")
@@ -141,6 +143,8 @@ class TestParser:
             ("C=.C", UnknownToken),
             ("", UnknownToken),
             ("   ", UnknownToken),
+            (".", UnknownToken),
+            ("..", UnknownToken),
             ("[Cx]", InvalidBracketAtom),
             ("[]", InvalidBracketAtom),
             ("[C", InvalidBracketAtom),
@@ -298,6 +302,7 @@ class TestValidity:
     def test_parse_failure_is_invalid(self):
         assert not is_valid_smiles("C1CC")
         assert not is_valid_smiles("")
+        assert not is_valid_smiles(".")
 
     def test_bracket_atoms_exempt(self):
         assert is_valid_smiles("[CH5]")

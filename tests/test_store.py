@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from molrag.store import (
     EmptyStore,
     IoFailure,
     MissingColumn,
+    MoleculeRecord,
     ParseFailure,
     RetrievalStrategy,
     StoreIntegrityError,
@@ -49,6 +51,13 @@ class TestIngest:
         records, report = load_chebi_tsv(path)
         assert len(records) == 1
         assert report.quarantined[0].reason == "empty caption"
+
+    def test_atomless_smiles_quarantined(self, tmp_path):
+        path = write_tsv(tmp_path / "dots.tsv", ["1\t.\tdot", "2\t..\tdots", "3\tC.\tfine"])
+        records, report = load_chebi_tsv(path)
+        assert [r.id for r in records] == ["3"]
+        assert [q.line_number for q in report.quarantined] == [2, 3]
+        assert all(q.reason.startswith("UnknownToken") for q in report.quarantined)
 
     def test_short_row_quarantined(self, tmp_path):
         path = write_tsv(tmp_path / "short.tsv", ["1\tCC", "2\tCC\tfine"])
@@ -135,6 +144,8 @@ class TestMol2CapRetrieval:
     def test_query_parse_failure(self, corpus_store):
         with pytest.raises(ParseFailure):
             retrieve_mol2cap(corpus_store, "C1CC", 3, RetrievalStrategy("morgan_fts"))
+        with pytest.raises(ParseFailure):
+            retrieve_mol2cap(corpus_store, ".", 3, RetrievalStrategy("morgan_fts"))
 
     def test_self_exclusion(self, corpus_store):
         # ethanol is a stored record; it must never come back for itself
@@ -186,6 +197,45 @@ class TestMol2CapRetrieval:
                 for rec in retrieve_mol2cap(corpus_store, query, 5, RetrievalStrategy("morgan_fts"))
             ]
             assert got == expected
+
+    def test_top_n_matches_full_sort_with_many_exclusions(self, corpus_records):
+        # The query graph is stored 16 times in different atom orders, and
+        # heptane..undecane share octane's bitmap (Dice 1.0) without sharing
+        # its graph, so the exclusions and the exact ties both outnumber n.
+        query = "Cc1ccc(O)cc1N"
+        orders = [
+            query, "Nc1cc(O)ccc1C", "Oc1ccc(C)c(N)c1", "c1(C)ccc(O)cc1N",
+            "c1cc(O)cc(N)c1C", "Cc1c(N)cc(O)cc1", "Oc1cc(N)c(C)cc1", "c1c(O)ccc(C)c1N",
+        ]
+        copies = orders + [text.replace("1", "2") for text in orders]
+        assert all(molecules_equal(parse_smiles(query), parse_smiles(c)) for c in copies)
+        rng = random.Random(5)
+        smiles = copies + ["C" * k for k in range(7, 12)] + [r.smiles for r in corpus_records[:40]]
+        rng.shuffle(smiles)
+        store = build_store(
+            [MoleculeRecord(id=str(i), smiles=s, caption=f"c{i}") for i, s in enumerate(smiles)]
+        )
+        octane = morgan_fingerprint(parse_smiles("CCCCCCCC"), store.fp_params)
+        assert morgan_fingerprint(parse_smiles("C" * 11), store.fp_params) == octane
+
+        def full_sort(text, n):
+            query_mol = parse_smiles(text)
+            query_fp = morgan_fingerprint(query_mol, store.fp_params)
+            order = sorted(
+                range(len(store)),
+                key=lambda pos: (-dice_similarity(query_fp, store.records[pos].fingerprint), pos),
+            )
+            kept = [
+                store.records[pos].id
+                for pos in order
+                if not molecules_equal(query_mol, parse_smiles(store.records[pos].smiles))
+            ]
+            return kept[:n]
+
+        for text in (query, "OC1=CC=C(C)C(N)=C1", "CCCCCCCC", corpus_records[3].smiles):
+            for n in (1, 5, 15, 16, 17, len(store) - 1, len(store), len(store) + 3):
+                got = retrieve_mol2cap(store, text, n, RetrievalStrategy("morgan_fts"))
+                assert [r.id for r in got] == full_sort(text, n), (text, n)
 
     def test_random_seeded_deterministic(self, corpus_store):
         one = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("random", seed=42))
