@@ -107,19 +107,26 @@ def build_index(
         doc_lengths.append(len(tokens))
         for term, tf in sorted(Counter(tokens).items()):
             postings.setdefault(term, []).append((doc_id, tf))
+    return _make_index(postings, doc_lengths, params, tokenizer_mode)
 
-    doc_count = len(docs)
-    avgdl = sum(doc_lengths) / doc_count
-    idf = {
-        term: math.log(1.0 + (doc_count - len(plist) + 0.5) / (len(plist) + 0.5))
-        for term, plist in postings.items()
-    }
+
+def _make_index(
+    postings: dict[str, list[tuple[int, int]]],
+    doc_lengths: list[int],
+    params: Bm25Params,
+    tokenizer_mode: str,
+) -> Bm25Index:
+    """Derive the document count, avgdl and IDF table from postings and lengths."""
+    doc_count = len(doc_lengths)
     return Bm25Index(
         postings=postings,
         doc_lengths=doc_lengths,
-        avgdl=avgdl,
+        avgdl=sum(doc_lengths) / doc_count if doc_count else 0.0,
         doc_count=doc_count,
-        idf=idf,
+        idf={
+            term: math.log(1.0 + (doc_count - len(plist) + 0.5) / (len(plist) + 0.5))
+            for term, plist in postings.items()
+        },
         params=params,
         tokenizer_mode=tokenizer_mode,
     )
@@ -227,20 +234,11 @@ def load_index(path) -> Bm25Index:
 
     postings = {term: [(d, tf) for d, tf in plist] for term, plist in body["postings"].items()}
     doc_lengths = list(body["doc_lengths"])
-    doc_count = header["doc_count"]
-    if doc_count != len(doc_lengths):
+    if header["doc_count"] != len(doc_lengths):
         raise Bm25FormatError("doc_count does not match doc_lengths")
-    avgdl = sum(doc_lengths) / doc_count if doc_count else 0.0
-    idf = {
-        term: math.log(1.0 + (doc_count - len(plist) + 0.5) / (len(plist) + 0.5))
-        for term, plist in postings.items()
-    }
-    return Bm25Index(
-        postings=postings,
-        doc_lengths=doc_lengths,
-        avgdl=avgdl,
-        doc_count=doc_count,
-        idf=idf,
-        params=Bm25Params(k1=header["k1"], b=header["b"]),
-        tokenizer_mode=header["tokenizer_mode"],
+    return _make_index(
+        postings,
+        doc_lengths,
+        Bm25Params(k1=header["k1"], b=header["b"]),
+        header["tokenizer_mode"],
     )

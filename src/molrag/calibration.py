@@ -19,9 +19,11 @@ from molrag.llm import BackendError, ChatClient
 from molrag.prompt import PromptTemplate, build_prompt, drop_longest_example
 from molrag.smiles import is_valid_smiles
 from molrag.store import (
+    TASKS,
     MoleculeRecord,
     RetrievalStrategy,
     Store,
+    TaskSpec,
     retrieve_cap2mol,
     retrieve_mol2cap,
 )
@@ -37,8 +39,6 @@ DEFAULT_STRATEGIES = (
     STRATEGY_TOLERANT,
     STRATEGY_PATTERN,
 )
-
-_REQUIRED_KEY = {"mol2cap": "caption", "cap2mol": "molecule"}
 
 # Characters that may appear in a SMILES string; used by the pattern fallback.
 _SMILES_CHARS = re.compile(r"[A-Za-z0-9@+\-\[\]\(\)=#$%/\\.:*]+")
@@ -56,10 +56,14 @@ class FormatError(Exception):
 class CalibrationFailure(Exception):
     """Error allowance exhausted (or examples could not shrink any further)."""
 
-    def __init__(self, message: str, attempts: list[dict], last_raw_text: str) -> None:
+    def __init__(
+        self, message: str, attempts: list[dict], last_raw_text: str, query_count: int
+    ) -> None:
         super().__init__(message)
         self.attempts = attempts
         self.last_raw_text = last_raw_text
+        # allowance-charged queries made before giving up
+        self.query_count = query_count
 
 
 @dataclass(frozen=True)
@@ -174,8 +178,8 @@ def _try_tolerant(text: str, key: str) -> str | None:
     return None
 
 
-def _try_pattern(text: str, task: str) -> str | None:
-    if task == "cap2mol":
+def _try_pattern(text: str, output_field: str) -> str | None:
+    if output_field == "smiles":
         candidates = sorted(_SMILES_CHARS.findall(text), key=len, reverse=True)
         for cand in candidates:
             stripped = cand.strip(".")
@@ -191,11 +195,17 @@ def _try_pattern(text: str, task: str) -> str | None:
 
 
 _STRATEGY_FUNCS = {
-    STRATEGY_STRICT: lambda text, key, task: _try_strict(text, key),
-    STRATEGY_EMBEDDED: lambda text, key, task: _try_embedded(text, key),
-    STRATEGY_TOLERANT: lambda text, key, task: _try_tolerant(text, key),
-    STRATEGY_PATTERN: lambda text, key, task: _try_pattern(text, task),
+    STRATEGY_STRICT: lambda text, spec: _try_strict(text, spec.answer_key),
+    STRATEGY_EMBEDDED: lambda text, spec: _try_embedded(text, spec.answer_key),
+    STRATEGY_TOLERANT: lambda text, spec: _try_tolerant(text, spec.answer_key),
+    STRATEGY_PATTERN: lambda text, spec: _try_pattern(text, spec.output_field),
 }
+
+
+def _task_spec(task: str) -> TaskSpec:
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    return TASKS[task]
 
 
 def extract_payload(
@@ -206,14 +216,12 @@ def extract_payload(
     A pure function of its inputs. Raises :class:`FormatError` when every
     strategy fails.
     """
-    if task not in _REQUIRED_KEY:
-        raise ValueError(f"unknown task {task!r}")
-    key = _REQUIRED_KEY[task]
+    spec = _task_spec(task)
     for name in strategies:
-        value = _STRATEGY_FUNCS[name](raw_text, key, task)
+        value = _STRATEGY_FUNCS[name](raw_text, spec)
         if value is not None:
             return ExtractionResult(value=value, strategy=name)
-    raise FormatError(f"no strategy extracted a {key!r} value", raw_text)
+    raise FormatError(f"no strategy extracted a {spec.answer_key!r} value", raw_text)
 
 
 def calibrated_query(
@@ -234,8 +242,7 @@ def calibrated_query(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if task not in _REQUIRED_KEY:
-        raise ValueError(f"unknown task {task!r}")
+    _task_spec(task)
     if n > 0:
         if store is None or strategy is None:
             raise ValueError("n > 0 requires a store and a retrieval strategy")
@@ -257,6 +264,7 @@ def calibrated_query(
                     f"error allowance ({policy.max_error_allowance}) exhausted",
                     transcript,
                     last_raw,
+                    charged,
                 )
             charged += 1
         exempt_next = False
@@ -274,6 +282,7 @@ def calibrated_query(
                         "prompt exceeds the length limit even with zero examples",
                         transcript,
                         last_raw,
+                        charged,
                     ) from err
                 examples = drop_longest_example(template, examples)
                 exempt_next = True
@@ -281,7 +290,7 @@ def calibrated_query(
             if err.kind == "auth":
                 raise
             raise CalibrationFailure(
-                f"backend failed ({err.kind})", transcript, last_raw
+                f"backend failed ({err.kind})", transcript, last_raw, charged
             ) from err
 
         last_raw = result.raw_text

@@ -10,6 +10,8 @@ Configuration precedence: command-line flags > --config file > defaults.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import sys
 import threading
@@ -27,43 +29,26 @@ from molrag.calibration import (
     calibrated_query,
 )
 from molrag.fingerprint import FingerprintParams
-from molrag.llm import BackendConfig, ChatClient, ReplayBackend
+from molrag.llm import BackendConfig, BackendError, ChatClient, MissingFixture, ReplayBackend
 from molrag.metrics import STATUS_FAILED, STATUS_OK, EvalPair, build_report, render_table
 from molrag.prompt import PromptTemplate, default_template, load_template
 from molrag.smiles import is_valid_smiles
 from molrag.store import (
+    STRATEGY_KINDS,
+    TASKS,
+    MoleculeRecord,
     RetrievalStrategy,
     Store,
     StoreError,
     build_store,
     load_chebi_tsv,
     load_store,
+    resolve_strategy,
     save_store,
 )
 
 DEFAULT_GRID_SHOTS = (0, 1, 2, 5, 10)
 DEFAULT_GRID_STRATEGIES = ("random", "bm25", "morgan_fts")
-
-_STRATEGY_ALIASES = {
-    "mol2cap": {"bm25": "bm25_smiles_chargram"},
-    "cap2mol": {"bm25": "bm25_caption"},
-}
-_DEFAULT_STRATEGY = {"mol2cap": "morgan_fts", "cap2mol": "bm25_caption"}
-
-
-_TASK_STRATEGIES = {
-    "mol2cap": ("morgan_fts", "bm25_smiles_chargram", "random"),
-    "cap2mol": ("bm25_caption", "random"),
-}
-
-
-def _resolve_strategy(task: str, name: str | None, seed: int | None) -> RetrievalStrategy:
-    kind = name or _DEFAULT_STRATEGY[task]
-    kind = _STRATEGY_ALIASES[task].get(kind, kind)
-    if kind not in _TASK_STRATEGIES[task]:
-        raise click.ClickException(f"strategy {kind!r} does not apply to task {task!r}")
-    return RetrievalStrategy(kind=kind, seed=seed if kind == "random" else None)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -100,47 +85,38 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _pick(flag, cfg: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
+# Settings with a default other than None; flags and the --config file override them.
+_DEFAULTS = {"n_shots": 2, "seed": 0, "concurrency": 4, "max_retries": 3, "max_error_allowance": 5}
 
 
-def _make_run_config(task, cfg_file, store, n_shots, strategy, seed, backend, replay,
-                     template, out, concurrency, max_retries, allowance, limit) -> RunConfig:
-    cfg = _load_config_file(cfg_file)
-    task = _pick(task, cfg, "task", None)
-    if task not in ("mol2cap", "cap2mol"):
-        raise click.ClickException("--task must be mol2cap or cap2mol")
-    backend_path = _pick(backend, cfg, "backend", None)
-    backend_cfg = None
-    if backend_path:
-        backend_cfg = BackendConfig(**_load_config_file(backend_path))
-    seed = _pick(seed, cfg, "seed", 0)
+def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
+    """Layer the command's flags over the --config file over the defaults."""
+    settings = {**_DEFAULTS, **_load_config_file(cfg_file)}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    task = settings.get("task")
+    if task not in TASKS:
+        raise click.ClickException(f"--task must be one of {', '.join(TASKS)}")
+    if not settings.get("store"):
+        raise click.ClickException("--store is required")
     try:
+        backend = settings.get("backend")
         return RunConfig(
-            store_path=_pick(store, cfg, "store", None) or _fail("--store is required"),
+            store_path=settings["store"],
             task=task,
-            n_shots=_pick(n_shots, cfg, "n_shots", 2),
-            strategy=_resolve_strategy(task, _pick(strategy, cfg, "strategy", None), seed),
-            template_path=_pick(template, cfg, "template", None),
-            out_path=_pick(out, cfg, "out", None),
-            seed=seed,
-            concurrency=_pick(concurrency, cfg, "concurrency", 4),
-            max_retries=_pick(max_retries, cfg, "max_retries", 3),
-            max_error_allowance=_pick(allowance, cfg, "max_error_allowance", 5),
-            replay_path=_pick(replay, cfg, "replay", None),
-            backend=backend_cfg,
-            limit=_pick(limit, cfg, "limit", None),
+            n_shots=settings["n_shots"],
+            strategy=resolve_strategy(task, settings.get("strategy"), settings["seed"]),
+            template_path=settings.get("template"),
+            out_path=settings.get("out"),
+            seed=settings["seed"],
+            concurrency=settings["concurrency"],
+            max_retries=settings["max_retries"],
+            max_error_allowance=settings["max_error_allowance"],
+            replay_path=settings.get("replay"),
+            backend=BackendConfig(**_load_config_file(backend)) if backend else None,
+            limit=settings.get("limit"),
         )
     except ValueError as exc:
         raise click.ClickException(str(exc))
-
-
-def _fail(message: str):
-    raise click.ClickException(message)
 
 
 def _make_client(config: RunConfig) -> ChatClient:
@@ -193,7 +169,17 @@ def _dump_json(path: Path, payload) -> None:
     )
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends a command on a store, fatal backend or replay error with a one-line message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (StoreError, BackendError, MissingFixture) as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="molrag")
 def main() -> None:
     """Retrieval-augmented molecule-caption translation toolkit."""
@@ -223,7 +209,7 @@ def cmd_ingest(tsv_path, out_store, radius, nbits, k1, b_param, split) -> None:
             split=split,
         )
         save_store(store, out_store)
-    except (StoreError, ValueError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo(
         json.dumps(
@@ -248,13 +234,9 @@ def cmd_ingest(tsv_path, out_store, radius, nbits, k1, b_param, split) -> None:
 
 _SHARED_OPTIONS = [
     click.option("--store", type=click.Path(), default=None, help="Store directory."),
-    click.option("--task", type=click.Choice(["mol2cap", "cap2mol"]), default=None),
+    click.option("--task", type=click.Choice(list(TASKS)), default=None),
     click.option("--n-shots", type=int, default=None),
-    click.option(
-        "--strategy",
-        type=click.Choice(["morgan_fts", "bm25", "bm25_caption", "bm25_smiles_chargram", "random"]),
-        default=None,
-    ),
+    click.option("--strategy", type=click.Choice([*STRATEGY_KINDS, "bm25"]), default=None),
     click.option("--seed", type=int, default=None),
     click.option("--backend", type=click.Path(), default=None, help="Backend config JSON."),
     click.option("--replay", type=click.Path(), default=None, help="Replay fixture JSONL."),
@@ -262,7 +244,7 @@ _SHARED_OPTIONS = [
     click.option("--out", type=click.Path(), default=None),
     click.option("--concurrency", type=int, default=None),
     click.option("--max-retries", type=int, default=None),
-    click.option("--max-error-allowance", "allowance", type=int, default=None),
+    click.option("--max-error-allowance", type=int, default=None),
     click.option("--config", "cfg_file", type=click.Path(), default=None),
 ]
 
@@ -276,15 +258,10 @@ def _shared_options(fn):
 @main.command("query")
 @click.argument("user_input")
 @_shared_options
-def cmd_query(user_input, store, task, n_shots, strategy, seed, backend, replay, template,
-              out, concurrency, max_retries, allowance, cfg_file) -> None:
+def cmd_query(user_input, cfg_file, **flags) -> None:
     """Run one retrieval-prompt-calibrate round trip and print the result."""
-    config = _make_run_config(task, cfg_file, store, n_shots, strategy, seed, backend,
-                              replay, template, out, concurrency, max_retries, allowance, None)
-    try:
-        db = load_store(config.store_path)
-    except StoreError as exc:
-        raise click.ClickException(str(exc))
+    config = _make_run_config(cfg_file, flags)
+    db = load_store(config.store_path)
     tmpl = _load_prompt_template(config)
     client = _make_client(config)
     policy = CalibrationPolicy(max_error_allowance=config.max_error_allowance)
@@ -293,8 +270,6 @@ def cmd_query(user_input, store, task, n_shots, strategy, seed, backend, replay,
         result = calibrated_query(
             client, db, tmpl, user_input, config.n_shots, policy, config.task, config.strategy
         )
-    except StoreError as exc:
-        raise click.ClickException(str(exc))
     except CalibrationFailure as fail:
         transcript_path = Path(config.out_path or ".") / "calibration_failure.json"
         transcript_path.parent.mkdir(parents=True, exist_ok=True)
@@ -314,7 +289,7 @@ def cmd_query(user_input, store, task, n_shots, strategy, seed, backend, replay,
         "repairs_applied": list(result.repairs_applied),
         "strategy": config.strategy.kind,
     }
-    if config.task == "cap2mol":
+    if TASKS[config.task].output_field == "smiles":
         payload["output_is_valid"] = is_valid_smiles(result.value)
     click.echo(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
 
@@ -324,16 +299,17 @@ def cmd_query(user_input, store, task, n_shots, strategy, seed, backend, replay,
 # ---------------------------------------------------------------------------
 
 
-def _process_item(index, record, config, db, tmpl, client, policy) -> dict:
-    if config.task == "mol2cap":
-        query, reference = record.smiles, record.caption
-    else:
-        query, reference = record.caption, record.smiles
+def _process_item(index, record, config, db, tmpl, client, policy, stop) -> dict | None:
+    """One checkpoint row; None when a fatal backend error has stopped the run."""
+    if stop.is_set():
+        return None
+    spec = TASKS[config.task]
+    query = getattr(record, spec.input_field)
     row = {
         "index": index,
         "id": record.id,
         "input": query,
-        "reference": reference,
+        "reference": getattr(record, spec.output_field),
     }
     try:
         result = calibrated_query(
@@ -350,12 +326,16 @@ def _process_item(index, record, config, db, tmpl, client, policy) -> dict:
         row.update(
             prediction="",
             status=STATUS_FAILED,
-            query_count=config.max_error_allowance,
+            query_count=fail.query_count,
             final_shot_count=None,
             repairs_applied=[],
             attempts=fail.attempts,
             last_raw_text=fail.last_raw_text,
         )
+    except (BackendError, MissingFixture):
+        # every later item would fail the same way: start no more of them
+        stop.set()
+        raise
     return row
 
 
@@ -369,49 +349,84 @@ def _read_checkpoint(path: Path) -> dict[int, dict]:
     return done
 
 
-def run_evaluation(config: RunConfig, test_tsv: str, out_dir: Path) -> dict:
-    """Full pipeline over a test TSV; returns the report dict."""
+def _check_resumable(path: Path, manifest: dict) -> None:
+    """Refuse to mix checkpoint rows written under another config, test file or store."""
+    try:
+        old = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(
+            f"{path.parent} holds checkpoint rows but no readable manifest.json ({exc}); "
+            "use another --out"
+        )
+    differ = sorted(k for k in old.keys() | manifest.keys() if old.get(k) != manifest.get(k))
+    if differ:
+        raise click.ClickException(
+            f"{path.parent} holds rows of a run with a different {', '.join(differ)}; "
+            "use another --out"
+        )
+
+
+def _load_run_inputs(
+    config: RunConfig, test_tsv: str
+) -> tuple[Store, PromptTemplate, list[MoleculeRecord], dict]:
+    """Load the store, template and test records once for every cell of a command.
+
+    The dict names the test file and the store for the manifest.
+    """
     db = load_store(config.store_path)
     tmpl = _load_prompt_template(config)
-    client = _make_client(config)
-    policy = CalibrationPolicy(max_error_allowance=config.max_error_allowance)
-
     records, ingest_report = load_chebi_tsv(test_tsv)
     if config.limit:
         records = records[: config.limit]
     if not records:
         raise click.ClickException(f"no usable rows in {test_tsv}")
+    sources = {
+        "test_file": str(test_tsv),
+        "test_sha256": hashlib.sha256(Path(test_tsv).read_bytes()).hexdigest(),
+        "quarantined_rows": len(ingest_report.quarantined),
+        "store_path": str(config.store_path),
+        "store_manifest_sha256": db.manifest_sha256,
+    }
+    return db, tmpl, records, sources
 
+
+def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
+                   records: list[MoleculeRecord], sources: dict, out_dir: Path) -> dict:
+    """Evaluate one cell over loaded test records; returns the report dict.
+
+    Rows already in ``out_dir/items.jsonl`` are kept, not re-queried, when the
+    manifest there equals this run's.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = _config_echo(config, db, tmpl)
-    manifest = dict(echo)
-    manifest.update(
-        test_file=str(test_tsv),
-        store_path=str(config.store_path),
-        items=len(records),
-        quarantined_rows=len(ingest_report.quarantined),
-    )
-    _dump_json(out_dir / "manifest.json", manifest)
-
+    manifest = {**echo, **sources, "items": len(records)}
     items_path = out_dir / "items.jsonl"
     done = _read_checkpoint(items_path)
-    todo = [i for i in range(len(records)) if i not in done]
+    if done:
+        _check_resumable(out_dir / "manifest.json", manifest)
+    _dump_json(out_dir / "manifest.json", manifest)
 
-    write_lock = threading.Lock()
+    client = _make_client(config)
+    policy = CalibrationPolicy(max_error_allowance=config.max_error_allowance)
+    stop = threading.Event()
+    todo = [i for i in range(len(records)) if i not in done]
     with open(items_path, "a", encoding="utf-8") as sink:
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            futures = {
-                pool.submit(
-                    _process_item, i, records[i], config, db, tmpl, client, policy
-                ): i
+            futures = [
+                pool.submit(_process_item, i, records[i], config, db, tmpl, client, policy, stop)
                 for i in todo
-            }
-            for future in as_completed(futures):
-                row = future.result()
-                with write_lock:
+            ]
+            try:
+                for future in as_completed(futures):
+                    row = future.result()
+                    if row is None:
+                        continue
                     sink.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
                     sink.flush()
-                done[row["index"]] = row
+                    done[row["index"]] = row
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
 
     rows = [done[i] for i in sorted(done) if i < len(records)]
     with open(items_path, "w", encoding="utf-8") as sink:
@@ -436,16 +451,11 @@ def run_evaluation(config: RunConfig, test_tsv: str, out_dir: Path) -> dict:
 @click.argument("test_tsv", type=click.Path(exists=True, dir_okay=False))
 @click.option("--limit", type=int, default=None, help="Evaluate only the first N items.")
 @_shared_options
-def cmd_evaluate(test_tsv, limit, store, task, n_shots, strategy, seed, backend, replay,
-                 template, out, concurrency, max_retries, allowance, cfg_file) -> None:
+def cmd_evaluate(test_tsv, cfg_file, **flags) -> None:
     """Evaluate the pipeline on a test split and write metric reports."""
-    config = _make_run_config(task, cfg_file, store, n_shots, strategy, seed, backend,
-                              replay, template, out, concurrency, max_retries, allowance, limit)
+    config = _make_run_config(cfg_file, flags)
     out_dir = Path(config.out_path or "molrag-eval")
-    try:
-        report = run_evaluation(config, test_tsv, out_dir)
-    except StoreError as exc:
-        raise click.ClickException(str(exc))
+    report = run_evaluation(config, *_load_run_inputs(config, test_tsv), out_dir)
     click.echo(render_table(report))
     click.echo(f"reports written to {out_dir}")
 
@@ -463,12 +473,9 @@ def cmd_evaluate(test_tsv, limit, store, task, n_shots, strategy, seed, backend,
               show_default=True, help="Comma-separated strategy names.")
 @click.option("--limit", type=int, default=None)
 @_shared_options
-def cmd_ablate(test_tsv, grid_shots, grid_strategies, limit, store, task, n_shots, strategy,
-               seed, backend, replay, template, out, concurrency, max_retries, allowance,
-               cfg_file) -> None:
+def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None:
     """Run the n-shot x strategy grid and write a consolidated comparison."""
-    base = _make_run_config(task, cfg_file, store, n_shots, strategy, seed, backend,
-                            replay, template, out, concurrency, max_retries, allowance, limit)
+    base = _make_run_config(cfg_file, flags)
     try:
         shots = [int(x) for x in grid_shots.split(",") if x.strip() != ""]
         strategies = [x.strip() for x in grid_strategies.split(",") if x.strip()]
@@ -476,31 +483,25 @@ def cmd_ablate(test_tsv, grid_shots, grid_strategies, limit, store, task, n_shot
         raise click.ClickException(f"bad grid spec: {exc}")
 
     out_dir = Path(base.out_path or "molrag-ablation")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cells = []
-    for n, strat_name in product(shots, strategies):
-        cell_dir = out_dir / f"cell_{base.task}_n{n}_{strat_name}"
-        report_path = cell_dir / "report.json"
-        if report_path.exists():
-            report = json.loads(report_path.read_text(encoding="utf-8"))
-        else:
-            cell_cfg = RunConfig(
-                store_path=base.store_path,
-                task=base.task,
+    grid = []
+    for n, name in product(shots, strategies):
+        try:
+            cell = dataclasses.replace(
+                base,
                 n_shots=n,
-                strategy=_resolve_strategy(base.task, strat_name, base.seed),
-                template_path=base.template_path,
-                out_path=str(cell_dir),
-                seed=base.seed,
-                concurrency=base.concurrency,
-                max_retries=base.max_retries,
-                max_error_allowance=base.max_error_allowance,
-                replay_path=base.replay_path,
-                backend=base.backend,
-                limit=base.limit,
+                strategy=resolve_strategy(base.task, name, base.seed),
+                out_path=str(out_dir / f"cell_{base.task}_n{n}_{name}"),
             )
-            report = run_evaluation(cell_cfg, test_tsv, cell_dir)
-        cells.append({"n_shots": n, "strategy": strat_name, "report": report})
+        except ValueError as exc:
+            raise click.ClickException(str(exc))
+        grid.append((n, name, cell))
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    inputs = _load_run_inputs(base, test_tsv)
+    cells = []
+    for n, name, cell in grid:
+        report = run_evaluation(cell, *inputs, Path(cell.out_path))
+        cells.append({"n_shots": n, "strategy": name, "report": report})
 
     comparison = {
         "task": base.task,
@@ -546,10 +547,7 @@ def _comparison_table(comparison: dict) -> str:
 @click.option("--store", "store_path", type=click.Path(exists=True), required=True)
 def cmd_inspect_store(store_path) -> None:
     """Print a persisted store's manifest and basic statistics."""
-    try:
-        db = load_store(store_path)
-    except StoreError as exc:
-        raise click.ClickException(str(exc))
+    db = load_store(store_path)
     payload = {
         "record_count": len(db),
         "split": db.split,

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from molrag.store import MoleculeRecord
+from molrag.store import TASKS, MoleculeRecord
 
 MOLECULE_MASK = "[MOLECULE_MASK]"
 CAPTION_MASK = "[CAPTION_MASK]"
-
-TASKS = ("mol2cap", "cap2mol")
-_REQUIRED_KEY = {"mol2cap": "caption", "cap2mol": "molecule"}
+# the zero-shot example: each field shows only its mask
+_MASKED = MoleculeRecord(id="", smiles=MOLECULE_MASK, caption=CAPTION_MASK)
 
 _SECTIONS = ("role", "task", "example_format", "output_instruction", "user")
 
@@ -61,16 +60,17 @@ class PromptTemplate:
             )
         if "{{query}}" not in self.user_format:
             raise TemplateSlotMissing(f"{self.source}: user section needs {{{{query}}}}")
-        key = _REQUIRED_KEY[self.task]
-        other = _REQUIRED_KEY["cap2mol" if self.task == "mol2cap" else "mol2cap"]
-        if f'"{key}"' not in self.output_instruction or f'"{other}"' in self.output_instruction:
+        key = self.required_key
+        named = [spec.answer_key for spec in TASKS.values()
+                 if f'"{spec.answer_key}"' in self.output_instruction]
+        if named != [key]:
             raise TemplateSlotMissing(
                 f"{self.source}: output_instruction must name exactly the key \"{key}\""
             )
 
     @property
     def required_key(self) -> str:
-        return _REQUIRED_KEY[self.task]
+        return TASKS[self.task].answer_key
 
 
 def parse_template(text: str, task: str, source: str = "<memory>") -> PromptTemplate:
@@ -133,33 +133,26 @@ def _fill(pattern: str, values: dict[str, str]) -> str:
     return _SLOT_RE.sub(lambda m: values.get(m.group(1), m.group(0)), pattern)
 
 
-def _render_example(template: PromptTemplate, index: int, inp: str, out: str) -> str:
-    return _fill(
-        template.example_format, {"index": str(index), "input": inp, "output": out}
-    )
+def _render_examples(template: PromptTemplate, records: list[MoleculeRecord]) -> list[str]:
+    spec = TASKS[template.task]
+    return [
+        _fill(
+            template.example_format,
+            {
+                "index": str(index),
+                "input": getattr(rec, spec.input_field),
+                "output": getattr(rec, spec.output_field),
+            },
+        )
+        for index, rec in enumerate(records, start=1)
+    ]
 
 
-def _example_pair(task: str, record: MoleculeRecord) -> tuple[str, str]:
-    if task == "mol2cap":
-        return record.smiles, record.caption
-    return record.caption, record.smiles
-
-
-def _assemble(
+def build_prompt(
     template: PromptTemplate, query: str, examples: list[MoleculeRecord]
 ) -> ChatPrompt:
-    task = template.task
-    if examples:
-        rendered = [
-            _render_example(template, i + 1, *_example_pair(task, rec))
-            for i, rec in enumerate(examples)
-        ]
-        examples_block = "\n\n".join(rendered)
-    else:
-        masks = (
-            (MOLECULE_MASK, CAPTION_MASK) if task == "mol2cap" else (CAPTION_MASK, MOLECULE_MASK)
-        )
-        examples_block = _render_example(template, 1, *masks)
+    """System + user prompt for the template's task; empty examples = zero-shot."""
+    examples_block = "\n\n".join(_render_examples(template, examples or [_MASKED]))
 
     system_text = (
         f"## role\n{template.role_identification}\n\n"
@@ -176,32 +169,6 @@ def _assemble(
     )
 
 
-def build_mol2cap_prompt(
-    template: PromptTemplate, query_smiles: str, examples: list[MoleculeRecord]
-) -> ChatPrompt:
-    """System + user prompt for molecule captioning; empty examples = zero-shot."""
-    if template.task != "mol2cap":
-        raise TemplateSlotMissing(f"{template.source}: template is for {template.task}")
-    return _assemble(template, query_smiles, examples)
-
-
-def build_cap2mol_prompt(
-    template: PromptTemplate, query_caption: str, examples: list[MoleculeRecord]
-) -> ChatPrompt:
-    """System + user prompt for molecule generation; empty examples = zero-shot."""
-    if template.task != "cap2mol":
-        raise TemplateSlotMissing(f"{template.source}: template is for {template.task}")
-    return _assemble(template, query_caption, examples)
-
-
-def build_prompt(
-    template: PromptTemplate, query: str, examples: list[MoleculeRecord]
-) -> ChatPrompt:
-    if template.task == "mol2cap":
-        return build_mol2cap_prompt(template, query, examples)
-    return build_cap2mol_prompt(template, query, examples)
-
-
 def drop_longest_example(
     template: PromptTemplate, examples: list[MoleculeRecord]
 ) -> list[MoleculeRecord]:
@@ -209,10 +176,7 @@ def drop_longest_example(
     lower-ranked (later) one. Remaining examples keep their order."""
     if not examples:
         raise NoExamplesLeft("no examples left to drop")
-    lengths = [
-        len(_render_example(template, i + 1, *_example_pair(template.task, rec)))
-        for i, rec in enumerate(examples)
-    ]
+    lengths = [len(text) for text in _render_examples(template, examples)]
     longest = max(lengths)
     victim = max(i for i, length in enumerate(lengths) if length == longest)
     return examples[:victim] + examples[victim + 1 :]

@@ -58,7 +58,24 @@ class StoreIntegrityError(StoreError):
     """Persisted store failed checksum or manifest validation."""
 
 
-STRATEGY_KINDS = ("morgan_fts", "bm25_caption", "bm25_smiles_chargram", "random")
+@dataclass(frozen=True)
+class TaskSpec:
+    """What one translation direction reads, answers and retrieves with."""
+
+    input_field: str  # the MoleculeRecord field a query is taken from
+    output_field: str  # the MoleculeRecord field a prediction is compared with
+    answer_key: str  # the JSON key the model answers under
+    strategies: tuple[str, ...]  # retrieval kinds that apply; the first is the default
+    bm25: str  # the kind the CLI name "bm25" stands for
+
+
+TASKS = {
+    "mol2cap": TaskSpec("smiles", "caption", "caption",
+                        ("morgan_fts", "bm25_smiles_chargram", "random"), "bm25_smiles_chargram"),
+    "cap2mol": TaskSpec("caption", "smiles", "molecule",
+                        ("bm25_caption", "random"), "bm25_caption"),
+}
+STRATEGY_KINDS = tuple(dict.fromkeys(kind for spec in TASKS.values() for kind in spec.strategies))
 
 
 @dataclass(frozen=True)
@@ -71,6 +88,19 @@ class RetrievalStrategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "random" and self.seed is None:
             raise ValueError("random strategy requires a seed")
+
+
+def resolve_strategy(task: str, name: str | None, seed: int) -> RetrievalStrategy:
+    """The strategy a CLI name selects for ``task``; None selects the task's default."""
+    spec = TASKS[task]
+    kind = spec.bm25 if name == "bm25" else name or spec.strategies[0]
+    _require_applicable(task, kind)
+    return RetrievalStrategy(kind=kind, seed=seed if kind == "random" else None)
+
+
+def _require_applicable(task: str, kind: str) -> None:
+    if kind not in TASKS[task].strategies:
+        raise ValueError(f"strategy {kind!r} does not apply to task {task!r}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +188,7 @@ class Store:
         caption_index: bm25.Bm25Index,
         smiles_index: bm25.Bm25Index,
         split: str = "train",
+        manifest_sha256: str | None = None,
     ) -> None:
         self.records = records
         self.fp_params = fp_params
@@ -165,6 +196,8 @@ class Store:
         self.caption_index = caption_index
         self.smiles_index = smiles_index
         self.split = split
+        # digest of the manifest a persisted store was loaded from; None when built in memory
+        self.manifest_sha256 = manifest_sha256
         self._mol_cache: dict[int, Molecule] = {}
 
     def __len__(self) -> int:
@@ -223,7 +256,34 @@ def _graph_excluder(store: Store, query_smiles: str):
             return False
         return molecules_equal(query_mol, store.molecule(pos))
 
-    return query_mol, query_fp, excluded
+    return query_fp, excluded
+
+
+def _check_request(store: Store, task: str, n: int, strategy: RetrievalStrategy) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not store.records:
+        raise EmptyStore("store holds no records")
+    _require_applicable(task, strategy.kind)
+
+
+def _ranked(store: Store, query: str, n: int, strategy: RetrievalStrategy, query_fp=None):
+    """Record positions in rank order; for morgan_fts, only the prefix n results can need."""
+    if strategy.kind == "random":
+        return random.Random(strategy.seed).sample(range(len(store)), len(store))
+    if strategy.kind == "morgan_fts":
+        # Only a record whose bitmap equals the query's can be excluded (an
+        # isomorphic graph has the same fingerprint). Such records score Dice
+        # 1.0, which no other record reaches, so they lead the ranking, and the
+        # top n + (their count) always holds the first n survivors.
+        scored = [
+            (-dice_similarity(query_fp, rec.fingerprint), pos)
+            for pos, rec in enumerate(store.records)
+        ]
+        same = sum(1 for rec in store.records if rec.fingerprint.bitmap == query_fp.bitmap)
+        return [pos for _, pos in heapq.nsmallest(n + same, scored)]
+    index = store.caption_index if strategy.kind == "bm25_caption" else store.smiles_index
+    return [pos for pos, _ in bm25.top_n(index, query, len(store))]
 
 
 def _collect(order, excluded, n: int, records) -> list[MoleculeRecord]:
@@ -247,32 +307,10 @@ def retrieve_mol2cap(
     draws without replacement from a seeded generator. A record whose graph
     equals the query is never returned.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not store.records:
-        raise EmptyStore("store holds no records")
-    _, query_fp, excluded = _graph_excluder(store, query_smiles)
-
-    if strategy.kind == "morgan_fts":
-        # Only a record whose bitmap equals the query's can be excluded (an
-        # isomorphic graph has the same fingerprint). Such records score Dice
-        # 1.0, which no other record reaches, so they lead the ranking, and the
-        # top n + (their count) always holds the first n survivors.
-        scored = [
-            (-dice_similarity(query_fp, rec.fingerprint), pos)
-            for pos, rec in enumerate(store.records)
-        ]
-        same = sum(1 for rec in store.records if rec.fingerprint.bitmap == query_fp.bitmap)
-        top = heapq.nsmallest(n + same, scored)
-        return _collect((pos for _, pos in top), excluded, n, store.records)
-    if strategy.kind == "bm25_smiles_chargram":
-        ranked = bm25.top_n(store.smiles_index, query_smiles, len(store.records))
-        return _collect((pos for pos, _ in ranked), excluded, n, store.records)
-    if strategy.kind == "random":
-        rng = random.Random(strategy.seed)
-        order = rng.sample(range(len(store.records)), len(store.records))
-        return _collect(order, excluded, n, store.records)
-    raise ValueError(f"strategy {strategy.kind!r} does not apply to Mol2Cap retrieval")
+    _check_request(store, "mol2cap", n, strategy)
+    query_fp, excluded = _graph_excluder(store, query_smiles)
+    order = _ranked(store, query_smiles, n, strategy, query_fp)
+    return _collect(order, excluded, n, store.records)
 
 
 def retrieve_cap2mol(
@@ -285,22 +323,12 @@ def retrieve_cap2mol(
     When no query term is indexed, the lowest-position records fill the list
     with score zero (documented degenerate behavior).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not store.records:
-        raise EmptyStore("store holds no records")
+    _check_request(store, "cap2mol", n, strategy)
 
     def excluded(pos: int) -> bool:
         return store.records[pos].caption == query_caption
 
-    if strategy.kind == "bm25_caption":
-        ranked = bm25.top_n(store.caption_index, query_caption, len(store.records))
-        return _collect((pos for pos, _ in ranked), excluded, n, store.records)
-    if strategy.kind == "random":
-        rng = random.Random(strategy.seed)
-        order = rng.sample(range(len(store.records)), len(store.records))
-        return _collect(order, excluded, n, store.records)
-    raise ValueError(f"strategy {strategy.kind!r} does not apply to Cap2Mol retrieval")
+    return _collect(_ranked(store, query_caption, n, strategy), excluded, n, store.records)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +398,8 @@ def load_store(directory) -> Store:
     if not manifest_path.exists():
         raise IoFailure(f"no store manifest at {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest_bytes = manifest_path.read_bytes()
+        manifest = json.loads(manifest_bytes)
     except (OSError, ValueError) as exc:
         raise StoreIntegrityError(f"unreadable manifest: {exc}") from exc
     if manifest.get("format_version") != STORE_FORMAT_VERSION:
@@ -405,5 +434,6 @@ def load_store(directory) -> Store:
     caption_index = bm25.load_index(directory / _CAPTION_INDEX_FILE)
     smiles_index = bm25.load_index(directory / _SMILES_INDEX_FILE)
     return Store(
-        records, fp_params, bm25_params, caption_index, smiles_index, split=manifest["split"]
+        records, fp_params, bm25_params, caption_index, smiles_index, split=manifest["split"],
+        manifest_sha256=hashlib.sha256(manifest_bytes).hexdigest(),
     )

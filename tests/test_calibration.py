@@ -173,6 +173,15 @@ class TestLoop:
         assert err.value.last_raw_text == GARBAGE
         assert len(err.value.attempts) == 5
 
+    @pytest.mark.parametrize(
+        "script, charged",
+        [(["malformed_response"], 1), ([GARBAGE, "malformed_response"], 2), ([GARBAGE], 5)],
+    )
+    def test_failure_carries_charged_query_count(self, corpus_store, script, charged):
+        with pytest.raises(CalibrationFailure) as err:
+            run(script, n=1, store=corpus_store)
+        assert err.value.query_count == charged
+
     def test_format_error_then_success_consumes_allowance(self, corpus_store):
         out = run([GARBAGE, GOOD_CAPTION], n=1, store=corpus_store)
         assert out.query_count == 2

@@ -1,11 +1,24 @@
 import json
 import socket
+import threading
 
 import pytest
 from click.testing import CliRunner
 
-from molrag.cli import main, run_evaluation, RunConfig, _resolve_strategy
-from molrag.store import save_store
+from molrag import cli
+from molrag.calibration import CalibrationPolicy
+from molrag.cli import main, run_evaluation, RunConfig, _process_item
+from molrag.llm import BackendError, ChatClient, ReplayBackend, ScriptedBackend
+from molrag.prompt import default_template
+from molrag.store import (
+    STRATEGY_KINDS,
+    TASKS,
+    build_store,
+    load_chebi_tsv,
+    load_store,
+    resolve_strategy,
+    save_store,
+)
 
 REPLAY_M2C = "replay_eval_mol2cap.jsonl"
 REPLAY_C2M = "replay_eval_cap2mol.jsonl"
@@ -141,6 +154,36 @@ class TestQuery:
         assert result.exit_code != 0
 
 
+class TestStrategyNames:
+    def test_default_and_bm25_resolve_to_table_kinds(self):
+        expected = {
+            "mol2cap": ("morgan_fts", "bm25_smiles_chargram"),
+            "cap2mol": ("bm25_caption", "bm25_caption"),
+        }
+        for task, spec in TASKS.items():
+            default = resolve_strategy(task, None, 0).kind
+            bm25 = resolve_strategy(task, "bm25", 0).kind
+            assert (default, bm25) == expected[task] == (spec.strategies[0], spec.bm25)
+            assert default in spec.strategies and bm25 in spec.strategies
+        assert resolve_strategy("mol2cap", "random", 7).seed == 7
+        assert resolve_strategy("mol2cap", "morgan_fts", 7).seed is None
+
+    def test_strategy_choices_are_table_kinds_plus_bm25(self):
+        for name in ("query", "evaluate", "ablate"):
+            option = next(p for p in main.commands[name].params if p.name == "strategy")
+            assert sorted(option.type.choices) == sorted([*STRATEGY_KINDS, "bm25"])
+        kinds = {kind for spec in TASKS.values() for kind in spec.strategies}
+        assert set(STRATEGY_KINDS) == kinds
+
+    def test_strategy_of_other_task_fails(self, runner, data_dir, store_dir, tmp_path):
+        args = eval_args(data_dir, store_dir, tmp_path / "x")
+        args[args.index("--strategy") + 1] = "bm25_caption"
+        result = runner.invoke(main, args)
+        assert result.exit_code != 0
+        assert "does not apply to task 'mol2cap'" in result.output
+        assert not (tmp_path / "x").exists()
+
+
 class TestEvaluate:
     def test_replay_runs_are_byte_identical(self, runner, data_dir, store_dir, tmp_path):
         for out in ("run_a", "run_b"):
@@ -248,7 +291,7 @@ class TestEvaluate:
             store_path=str(store_dir),
             task="mol2cap",
             n_shots=2,
-            strategy=_resolve_strategy("mol2cap", "morgan_fts", None),
+            strategy=resolve_strategy("mol2cap", "morgan_fts", 0),
             template_path=None,
             out_path=None,
             seed=0,
@@ -259,11 +302,159 @@ class TestEvaluate:
             backend=None,
             limit=10,
         )
-        report = run_evaluation(config, str(data_dir / "test_items.tsv"), tmp_path / "offline")
+        records, _ = load_chebi_tsv(data_dir / "test_items.tsv")
+        report = run_evaluation(
+            config,
+            load_store(store_dir),
+            default_template("mol2cap"),
+            records[: config.limit],
+            {},
+            tmp_path / "offline",
+        )
         assert report["counts"]["items"] == 10
 
 
+    @pytest.mark.parametrize("change", ["n_shots", "test_order", "store"])
+    def test_stale_resume_refused(self, runner, data_dir, corpus_records, tmp_path, change):
+        store = tmp_path / "store"
+        save_store(build_store(corpus_records), store)
+        tsv = tmp_path / "test.tsv"
+        lines = (data_dir / "test_items.tsv").read_text(encoding="utf-8").splitlines(True)
+        tsv.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        args = eval_args(data_dir, store, out, extra=("--limit", "5"))
+        args[1] = str(tsv)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        before = (out / "items.jsonl").read_bytes()
+
+        if change == "n_shots":
+            args[args.index("--n-shots") + 1] = "0"
+            key = "n_shots"
+        elif change == "test_order":
+            tsv.write_text(lines[0] + "".join(reversed(lines[1:])), encoding="utf-8")
+            key = "test_sha256"
+        else:
+            save_store(build_store(corpus_records[1:]), store)
+            key = "store_manifest_sha256"
+        result = runner.invoke(main, args)
+        assert result.exit_code != 0
+        assert key in result.output
+        assert (out / "items.jsonl").read_bytes() == before
+
+    def test_checkpoint_without_manifest_refused(self, runner, data_dir, store_dir, tmp_path):
+        out = tmp_path / "orphan"
+        out.mkdir()
+        (out / "items.jsonl").write_text('{"index": 0}\n', encoding="utf-8")
+        result = runner.invoke(main, eval_args(data_dir, store_dir, out))
+        assert result.exit_code != 0
+        assert "no readable manifest.json" in result.output
+
+    def test_fatal_backend_error_stops_run(self, runner, data_dir, store_dir, tmp_path,
+                                           monkeypatch):
+        calls = []
+        send = ReplayBackend.send
+
+        def counting_send(self, prompt):
+            calls.append(1)
+            return send(self, prompt)
+
+        monkeypatch.setattr(ReplayBackend, "send", counting_send)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "fatal"
+        args = eval_args(data_dir, store_dir, out, extra=("--concurrency", "2"))
+        args[args.index("--replay") + 1] = str(empty)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert result.output.startswith("Error: no fixture entry")
+        assert result.output.count("\n") == 1
+        assert 1 <= len(calls) <= 2
+        assert (out / "items.jsonl").read_text(encoding="utf-8") == ""
+
+    def test_item_rows(self, corpus_store, test_records):
+        config = RunConfig(
+            store_path="unused",
+            task="mol2cap",
+            n_shots=1,
+            strategy=resolve_strategy("mol2cap", None, 0),
+            template_path=None,
+            out_path=None,
+            seed=0,
+            concurrency=1,
+            max_retries=0,
+            max_error_allowance=5,
+            replay_path="unused",
+            backend=None,
+        )
+        policy = CalibrationPolicy(max_error_allowance=5)
+        tmpl = default_template("mol2cap")
+
+        def row(script, stop):
+            client = ChatClient(ScriptedBackend(script), max_retries=0, backoff_base=0.0)
+            return _process_item(0, test_records[0], config, corpus_store, tmpl, client, policy,
+                                 stop)
+
+        # a failed item records the queries it was charged, not the allowance
+        failed = row(["malformed_response"], threading.Event())
+        assert failed["status"] == "calibration_failed" and failed["query_count"] == 1
+        assert failed["input"] == test_records[0].smiles
+        assert failed["reference"] == test_records[0].caption
+        # an auth error stops the run: this item raises, later ones do not start
+        stop = threading.Event()
+        with pytest.raises(BackendError):
+            row(["auth"], stop)
+        assert stop.is_set()
+        assert row(['{"caption": "x"}'], stop) is None
+
+
 class TestAblate:
+    def test_grid_loads_inputs_once(self, runner, data_dir, store_dir, tmp_path, monkeypatch):
+        calls = {"load_store": 0, "load_chebi_tsv": 0}
+        for name in calls:
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        result = runner.invoke(
+            main,
+            [
+                "ablate", str(data_dir / "test_items.tsv"),
+                "--store", str(store_dir),
+                "--task", "mol2cap",
+                "--grid-shots", "0,1",
+                "--grid-strategies", "random,morgan_fts",
+                "--limit", "10",
+                "--replay", str(data_dir / REPLAY_GRID),
+                "--out", str(tmp_path / "grid"),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert calls == {"load_store": 1, "load_chebi_tsv": 1}
+
+    def test_grid_with_inapplicable_strategy_runs_no_cell(self, runner, data_dir, store_dir,
+                                                          tmp_path):
+        out = tmp_path / "grid"
+        result = runner.invoke(
+            main,
+            [
+                "ablate", str(data_dir / "test_items.tsv"),
+                "--store", str(store_dir),
+                "--task", "cap2mol",
+                "--grid-shots", "0",
+                "--grid-strategies", "random,morgan_fts",
+                "--replay", str(data_dir / REPLAY_GRID),
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code != 0
+        assert "does not apply to task 'cap2mol'" in result.output
+        assert not out.exists()
+
     def test_two_by_two_grid(self, runner, data_dir, store_dir, tmp_path):
         out = tmp_path / "grid"
         result = runner.invoke(

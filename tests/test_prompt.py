@@ -7,8 +7,6 @@ from molrag.prompt import (
     MOLECULE_MASK,
     NoExamplesLeft,
     TemplateSlotMissing,
-    build_cap2mol_prompt,
-    build_mol2cap_prompt,
     build_prompt,
     default_template,
     drop_longest_example,
@@ -81,23 +79,23 @@ class TestTemplateParsing:
 
 class TestAssembly:
     def test_zero_shot_masks(self):
-        p = build_mol2cap_prompt(default_template("mol2cap"), "CCO", [])
+        p = build_prompt(default_template("mol2cap"), "CCO", [])
         assert CAPTION_MASK in p.system_text
         assert MOLECULE_MASK in p.system_text
         assert p.example_count == 0
 
-        p = build_cap2mol_prompt(default_template("cap2mol"), "some text", [])
+        p = build_prompt(default_template("cap2mol"), "some text", [])
         assert MOLECULE_MASK in p.system_text
         assert CAPTION_MASK in p.system_text
 
     def test_masks_absent_with_examples(self):
-        p = build_mol2cap_prompt(default_template("mol2cap"), "CCO", [record(1)])
+        p = build_prompt(default_template("mol2cap"), "CCO", [record(1)])
         assert CAPTION_MASK not in p.system_text
         assert MOLECULE_MASK not in p.system_text
 
     def test_example_count_and_order(self):
         examples = [record(i, smiles=f"{'C' * (i + 1)}O") for i in range(3)]
-        p = build_mol2cap_prompt(default_template("mol2cap"), "CCO", examples)
+        p = build_prompt(default_template("mol2cap"), "CCO", examples)
         assert p.example_count == 3
         positions = [p.system_text.index(f"Input: {'C' * (i + 1)}O") for i in range(3)]
         assert positions == sorted(positions)  # most similar (rank 1) first
@@ -105,31 +103,27 @@ class TestAssembly:
     def test_examples_verbatim(self):
         caption = 'A caption with "quotes", tabs\tand unicode α.'
         smiles = "C[C@@H](N)C(=O)O"
-        p = build_mol2cap_prompt(default_template("mol2cap"), "CCO", [record(1, smiles, caption)])
+        p = build_prompt(default_template("mol2cap"), "CCO", [record(1, smiles, caption)])
         assert caption in p.system_text
         assert smiles in p.system_text
 
     def test_four_blocks_in_order(self):
-        p = build_mol2cap_prompt(default_template("mol2cap"), "CCO", [record(1)])
+        p = build_prompt(default_template("mol2cap"), "CCO", [record(1)])
         delimiters = [m.group(0) for m in re.finditer(r"^## \w+", p.system_text, re.M)]
         assert delimiters == ["## role", "## task", "## examples", "## output_instruction"]
 
     def test_ten_examples(self):
         examples = [record(i) for i in range(10)]
-        p = build_cap2mol_prompt(default_template("cap2mol"), "text", examples)
+        p = build_prompt(default_template("cap2mol"), "text", examples)
         assert p.example_count == 10
         assert p.system_text.count("Example ") == 10
 
     def test_byte_identical_across_calls(self):
         examples = [record(1), record(2, "CC", "Ethane.")]
-        a = build_mol2cap_prompt(default_template("mol2cap"), "CCO", examples)
-        b = build_mol2cap_prompt(default_template("mol2cap"), "CCO", examples)
+        a = build_prompt(default_template("mol2cap"), "CCO", examples)
+        b = build_prompt(default_template("mol2cap"), "CCO", examples)
         assert a.system_text == b.system_text
         assert a.user_text == b.user_text
-
-    def test_task_mismatch_rejected(self):
-        with pytest.raises(TemplateSlotMissing):
-            build_mol2cap_prompt(default_template("cap2mol"), "CCO", [])
 
     def test_golden_snapshots(self, data_dir, corpus_records):
         cases = {
@@ -153,7 +147,7 @@ class TestTokenEstimate:
         assert estimate_tokens("x" * 301) == 101
 
     def test_prompt_estimate_positive(self):
-        p = build_mol2cap_prompt(default_template("mol2cap"), "C", [])
+        p = build_prompt(default_template("mol2cap"), "C", [])
         assert p.token_estimate >= 1
         assert p.token_estimate == estimate_tokens(p.system_text) + estimate_tokens(p.user_text)
 
