@@ -32,10 +32,6 @@ class EmptyCorpus(Bm25Error):
     pass
 
 
-class DocIdOutOfRange(Bm25Error, IndexError):
-    pass
-
-
 class Bm25FormatError(Bm25Error):
     """Persisted index file is corrupt or has an unsupported version."""
 
@@ -136,23 +132,6 @@ def _term_score(index: Bm25Index, tf: int, doc_id: int, term: str) -> float:
     k1, b = index.params.k1, index.params.b
     norm = k1 * (1.0 - b + b * index.doc_lengths[doc_id] / index.avgdl)
     return index.idf[term] * tf * (k1 + 1.0) / (tf + norm)
-
-
-def score(index: Bm25Index, query_tokens: list[str], doc_id: int) -> float:
-    """BM25 score of one document; the sum runs over query positions."""
-    if not 0 <= doc_id < index.doc_count:
-        raise DocIdOutOfRange(f"doc_id {doc_id} not in [0, {index.doc_count})")
-    total = 0.0
-    tf_cache: dict[str, int] = {}
-    for term in query_tokens:
-        if term not in index.idf:
-            continue
-        if term not in tf_cache:
-            tf_cache[term] = dict(index.postings[term]).get(doc_id, 0)
-        tf = tf_cache[term]
-        if tf:
-            total += _term_score(index, tf, doc_id, term)
-    return total
 
 
 def top_n(index: Bm25Index, query: str, n: int) -> list[tuple[int, float]]:

@@ -33,16 +33,11 @@ STRATEGY_EMBEDDED = "embedded_json"
 STRATEGY_TOLERANT = "tolerant_json"
 STRATEGY_PATTERN = "pattern_fallback"
 
-DEFAULT_STRATEGIES = (
-    STRATEGY_STRICT,
-    STRATEGY_EMBEDDED,
-    STRATEGY_TOLERANT,
-    STRATEGY_PATTERN,
-)
-
 # Characters that may appear in a SMILES string; used by the pattern fallback.
 _SMILES_CHARS = re.compile(r"[A-Za-z0-9@+\-\[\]\(\)=#$%/\\.:*]+")
 _CAPTION_LABEL = re.compile(r"caption\W{0,3}[:=]\s*(.+?)\s*(?:$|\n)", re.IGNORECASE)
+# The characters that move a brace scan; the text between them leaves its state as it is.
+_SCAN_MARKS = re.compile(r'["\\{}]')
 
 
 class FormatError(Exception):
@@ -69,16 +64,10 @@ class CalibrationFailure(Exception):
 @dataclass(frozen=True)
 class CalibrationPolicy:
     max_error_allowance: int = 5
-    correction_strategies: tuple[str, ...] = DEFAULT_STRATEGIES
 
     def __post_init__(self) -> None:
         if self.max_error_allowance < 1:
             raise ValueError("max_error_allowance must be positive")
-        if not self.correction_strategies:
-            raise ValueError("at least one correction strategy must be enabled")
-        for name in self.correction_strategies:
-            if name not in DEFAULT_STRATEGIES:
-                raise ValueError(f"unknown correction strategy {name!r}")
 
 
 @dataclass(frozen=True)
@@ -111,71 +100,54 @@ def _value_from_mapping(obj, key: str, case_insensitive: bool = False) -> str | 
 
 
 def _balanced_objects(text: str) -> list[str]:
-    """Every balanced {...} span in appearance order, string-aware."""
+    """The balanced {...} spans of a string-aware brace scan, in appearance order.
+
+    A scan starts, outside any string, at the first "{" and ends at the "}"
+    that closes it; the next scan starts at the first "{" after that span,
+    or after the start of a scan that never closed. One right-to-left pass
+    over the quotes, backslashes and braces records where a scan entering
+    each of them outside a string would close, so each start is looked up in
+    O(1) and the whole search is linear in the length of the text.
+    """
+    marks = [m.start() for m in _SCAN_MARKS.finditer(text)]
+    n = len(marks)
+    # close[k]: the mark at which a scan entering mark k outside a string meets one "}"
+    # more than it met "{", or None; in_string and after_backslash: the same for a scan
+    # entering mark k + 1 inside a string, and just after a backslash inside one
+    close: list[int | None] = [None] * (n + 1)
+    in_string = after_backslash = None
+    for k in range(n - 1, -1, -1):
+        ch, out = text[marks[k]], close[k + 1]
+        if ch == '"':
+            close[k], string_k = in_string, out
+        elif ch == "\\":
+            # inside a string a backslash escapes the next character, a mark or not
+            escapes_mark = k + 1 < n and marks[k + 1] == marks[k] + 1
+            close[k], string_k = out, after_backslash if escapes_mark else in_string
+        elif ch == "}":
+            close[k], string_k = k, in_string
+        else:  # "{"
+            close[k], string_k = (None if out is None else close[out + 1]), in_string
+        in_string, after_backslash = string_k, in_string
     spans = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i] != "{":
-            i += 1
-            continue
-        depth = 0
-        in_string = False
-        escaped = False
-        for j in range(i, n):
-            ch = text[j]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    spans.append(text[i : j + 1])
-                    i = j
-                    break
-        i += 1
+    k = 0
+    while k < n:
+        end = close[k + 1] if text[marks[k]] == "{" else None
+        if end is None:
+            k += 1
+        else:
+            spans.append(text[marks[k] : marks[end] + 1])
+            k = end + 1
     return spans
 
 
-def _try_strict(text: str, key: str) -> str | None:
+def _decoded(loader, text: str):
+    """``loader(text)``, or None when the text is not a literal the loader reads."""
     try:
-        return _value_from_mapping(json.loads(text), key)
-    except (ValueError, RecursionError):
+        return loader(text)
+    # the exceptions ast.literal_eval documents for malformed input, and deep nesting
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
         return None
-
-
-def _try_embedded(text: str, key: str) -> str | None:
-    for span in _balanced_objects(text):
-        try:
-            value = _value_from_mapping(json.loads(span), key)
-        except (ValueError, RecursionError):
-            continue
-        if value is not None:
-            return value
-    return None
-
-
-def _try_tolerant(text: str, key: str) -> str | None:
-    candidates = [text.strip()] + _balanced_objects(text)
-    for span in candidates:
-        for loader in (json.loads, ast.literal_eval):
-            try:
-                obj = loader(span)
-            # the exceptions ast.literal_eval documents for malformed input
-            except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
-                continue
-            value = _value_from_mapping(obj, key, case_insensitive=True)
-            if value is not None:
-                return value
-    return None
 
 
 def _try_pattern(text: str, output_field: str) -> str | None:
@@ -194,33 +166,49 @@ def _try_pattern(text: str, output_field: str) -> str | None:
     return None
 
 
-_STRATEGY_FUNCS = {
-    STRATEGY_STRICT: lambda text, spec: _try_strict(text, spec.answer_key),
-    STRATEGY_EMBEDDED: lambda text, spec: _try_embedded(text, spec.answer_key),
-    STRATEGY_TOLERANT: lambda text, spec: _try_tolerant(text, spec.answer_key),
-    STRATEGY_PATTERN: lambda text, spec: _try_pattern(text, spec.output_field),
-}
-
-
 def _task_spec(task: str) -> TaskSpec:
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     return TASKS[task]
 
 
-def extract_payload(
-    raw_text: str, task: str, strategies: tuple[str, ...] = DEFAULT_STRATEGIES
-) -> ExtractionResult:
-    """Apply correction strategies in order; return the value and which fired.
+def extract_payload(raw_text: str, task: str) -> ExtractionResult:
+    """The answer in a model reply and the strategy that found it.
 
-    A pure function of its inputs. Raises :class:`FormatError` when every
-    strategy fails.
+    Strategies, strictest first: the whole reply is JSON holding the answer
+    key (``strict_json``); a balanced {...} span is (``embedded_json``); the
+    reply or a span holds the key in any letter case, as JSON or as a Python
+    literal (``tolerant_json``); a caption label or the longest valid SMILES
+    (``pattern_fallback``). Each candidate is JSON-decoded once. A pure
+    function of its inputs; raises :class:`FormatError` when every strategy
+    fails.
     """
     spec = _task_spec(task)
-    for name in strategies:
-        value = _STRATEGY_FUNCS[name](raw_text, spec)
+    key = spec.answer_key
+    text = raw_text.strip()
+    whole = _decoded(json.loads, text)
+    # json.loads skips only JSON whitespace, so the raw reply is JSON exactly when this holds
+    if raw_text.strip(" \t\n\r") == text:
+        value = _value_from_mapping(whole, key)
         if value is not None:
-            return ExtractionResult(value=value, strategy=name)
+            return ExtractionResult(value=value, strategy=STRATEGY_STRICT)
+    spans = _balanced_objects(raw_text)
+    objects = [_decoded(json.loads, span) for span in spans]
+    for obj in objects:
+        value = _value_from_mapping(obj, key)
+        if value is not None:
+            return ExtractionResult(value=value, strategy=STRATEGY_EMBEDDED)
+    for candidate, obj in zip([text, *spans], [whole, *objects]):
+        value = _value_from_mapping(obj, key, case_insensitive=True)
+        if value is None:
+            value = _value_from_mapping(
+                _decoded(ast.literal_eval, candidate), key, case_insensitive=True
+            )
+        if value is not None:
+            return ExtractionResult(value=value, strategy=STRATEGY_TOLERANT)
+    value = _try_pattern(raw_text, spec.output_field)
+    if value is not None:
+        return ExtractionResult(value=value, strategy=STRATEGY_PATTERN)
     raise FormatError(f"no strategy extracted a {spec.answer_key!r} value", raw_text)
 
 
@@ -295,7 +283,7 @@ def calibrated_query(
 
         last_raw = result.raw_text
         try:
-            extraction = extract_payload(result.raw_text, task, policy.correction_strategies)
+            extraction = extract_payload(result.raw_text, task)
         except FormatError:
             transcript.append(
                 {

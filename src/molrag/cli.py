@@ -5,7 +5,8 @@ experiment can be re-run identically. Evaluation checkpoints per item and
 resumes from the checkpoint after an interruption. Reports contain no
 timestamps: a run against the replay backend is bit-reproducible.
 
-Configuration precedence: command-line flags > --config file > defaults.
+Configuration precedence: command-line flags > --config file > defaults;
+max_retries takes the backend JSON's value before its default.
 """
 
 from __future__ import annotations
@@ -29,7 +30,15 @@ from molrag.calibration import (
     calibrated_query,
 )
 from molrag.fingerprint import FingerprintParams
-from molrag.llm import BackendConfig, BackendError, ChatClient, MissingFixture, ReplayBackend
+from molrag.llm import (
+    BackendConfig,
+    BackendError,
+    ChatClient,
+    FixtureParseError,
+    HttpBackend,
+    MissingFixture,
+    ReplayBackend,
+)
 from molrag.metrics import STATUS_FAILED, STATUS_OK, EvalPair, build_report, render_table
 from molrag.prompt import PromptTemplate, default_template, load_template
 from molrag.smiles import is_valid_smiles
@@ -69,6 +78,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.n_shots <= 10:
             raise ValueError("n_shots must lie in 0..10")
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+        if self.max_error_allowance < 1:
+            raise ValueError("max_error_allowance must be positive")
         if self.replay_path is None and self.backend is None:
             raise ValueError("either a replay fixture or a backend config is required")
 
@@ -86,7 +101,7 @@ def _load_config_file(path: str | None) -> dict:
 
 
 # Settings with a default other than None; flags and the --config file override them.
-_DEFAULTS = {"n_shots": 2, "seed": 0, "concurrency": 4, "max_retries": 3, "max_error_allowance": 5}
+_DEFAULTS = {"n_shots": 2, "seed": 0, "concurrency": 4, "max_error_allowance": 5}
 
 
 def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
@@ -100,6 +115,7 @@ def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
         raise click.ClickException("--store is required")
     try:
         backend = settings.get("backend")
+        backend = BackendConfig(**_load_config_file(backend)) if backend else None
         return RunConfig(
             store_path=settings["store"],
             task=task,
@@ -109,25 +125,23 @@ def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
             out_path=settings.get("out"),
             seed=settings["seed"],
             concurrency=settings["concurrency"],
-            max_retries=settings["max_retries"],
+            max_retries=settings.get("max_retries", (backend or BackendConfig()).max_retries),
             max_error_allowance=settings["max_error_allowance"],
             replay_path=settings.get("replay"),
-            backend=BackendConfig(**_load_config_file(backend)) if backend else None,
+            backend=backend,
             limit=settings.get("limit"),
         )
-    except ValueError as exc:
+    # TypeError: a backend JSON key BackendConfig does not have, or a value of the wrong type
+    except (ValueError, TypeError) as exc:
         raise click.ClickException(str(exc))
 
 
 def _make_client(config: RunConfig) -> ChatClient:
     if config.replay_path:
-        return ChatClient(
-            ReplayBackend(config.replay_path),
-            max_retries=config.max_retries,
-            backoff_base=0.0,
-            concurrency_limit=config.concurrency,
-        )
-    return ChatClient.for_config(config.backend, concurrency_limit=config.concurrency)
+        backend, backoff = ReplayBackend(config.replay_path), 0.0
+    else:
+        backend, backoff = HttpBackend(config.backend), config.backend.retry_backoff_base
+    return ChatClient(backend, max_retries=config.max_retries, backoff_base=backoff)
 
 
 def _load_prompt_template(config: RunConfig) -> PromptTemplate:
@@ -175,7 +189,7 @@ class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (StoreError, BackendError, MissingFixture) as exc:
+        except (StoreError, BackendError, MissingFixture, FixtureParseError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -397,6 +411,7 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
     Rows already in ``out_dir/items.jsonl`` are kept, not re-queried, when the
     manifest there equals this run's.
     """
+    client = _make_client(config)  # a bad replay fixture fails here, before any file is written
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = _config_echo(config, db, tmpl)
     manifest = {**echo, **sources, "items": len(records)}
@@ -406,7 +421,6 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
         _check_resumable(out_dir / "manifest.json", manifest)
     _dump_json(out_dir / "manifest.json", manifest)
 
-    client = _make_client(config)
     policy = CalibrationPolicy(max_error_allowance=config.max_error_allowance)
     stop = threading.Event()
     todo = [i for i in range(len(records)) if i not in done]
@@ -469,8 +483,9 @@ def cmd_evaluate(test_tsv, cfg_file, **flags) -> None:
 @click.argument("test_tsv", type=click.Path(exists=True, dir_okay=False))
 @click.option("--grid-shots", default=",".join(str(n) for n in DEFAULT_GRID_SHOTS),
               show_default=True, help="Comma-separated n-shot values.")
-@click.option("--grid-strategies", default=",".join(DEFAULT_GRID_STRATEGIES),
-              show_default=True, help="Comma-separated strategy names.")
+@click.option("--grid-strategies", default=None,
+              help="Comma-separated strategy names.  [default: those of "
+                   f"{','.join(DEFAULT_GRID_STRATEGIES)} that apply to the task]")
 @click.option("--limit", type=int, default=None)
 @_shared_options
 def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None:
@@ -478,9 +493,13 @@ def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None
     base = _make_run_config(cfg_file, flags)
     try:
         shots = [int(x) for x in grid_shots.split(",") if x.strip() != ""]
-        strategies = [x.strip() for x in grid_strategies.split(",") if x.strip()]
     except ValueError as exc:
         raise click.ClickException(f"bad grid spec: {exc}")
+    if grid_strategies is None:
+        kinds = TASKS[base.task].strategies
+        strategies = [name for name in DEFAULT_GRID_STRATEGIES if name == "bm25" or name in kinds]
+    else:
+        strategies = [x.strip() for x in grid_strategies.split(",") if x.strip()]
 
     out_dir = Path(base.out_path or "molrag-ablation")
     grid = []

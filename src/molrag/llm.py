@@ -226,8 +226,7 @@ class ChatClient:
 
     Retries rate-limit, network and server errors with exponentially growing
     (never decreasing) delays; context-length and auth errors surface
-    immediately. At most ``max_retries + 1`` attempts are made. Concurrent
-    use is bounded by an internal semaphore.
+    immediately. At most ``max_retries + 1`` attempts are made.
     """
 
     def __init__(
@@ -235,23 +234,12 @@ class ChatClient:
         backend,
         max_retries: int = 3,
         backoff_base: float = 1.0,
-        concurrency_limit: int = 4,
         sleep=time.sleep,
     ) -> None:
         self.backend = backend
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self._sleep = sleep
-        self._gate = threading.BoundedSemaphore(concurrency_limit)
-
-    @classmethod
-    def for_config(cls, config: BackendConfig, concurrency_limit: int = 4) -> "ChatClient":
-        return cls(
-            HttpBackend(config),
-            max_retries=config.max_retries,
-            backoff_base=config.retry_backoff_base,
-            concurrency_limit=concurrency_limit,
-        )
 
     def complete(self, prompt: ChatPrompt) -> CompletionResult:
         if not prompt.system_text and not prompt.user_text:
@@ -261,8 +249,7 @@ class ChatClient:
         while True:
             attempt += 1
             try:
-                with self._gate:
-                    text, finish = self.backend.send(prompt)
+                text, finish = self.backend.send(prompt)
                 return CompletionResult(
                     raw_text=text,
                     finish_reason=finish,

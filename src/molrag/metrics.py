@@ -204,10 +204,6 @@ def morgan_fts_stats(
     return mean_all, mean_valid, valid_count
 
 
-def morgan_fts_mean(pairs: list[EvalPair], fp_params: FingerprintParams | None = None) -> float:
-    return morgan_fts_stats(pairs, fp_params)[0]
-
-
 def validity_rate(pairs: list[EvalPair]) -> float:
     if not pairs:
         return 0.0

@@ -215,7 +215,8 @@ def build_store(
     bm25_params: bm25.Bm25Params | None = None,
     split: str = "train",
 ) -> Store:
-    """Precompute fingerprints and both BM25 indices over the records."""
+    """Fingerprint every record under ``fp_params``, replacing any it carries, and build
+    both BM25 indices."""
     if not records:
         raise EmptyStore("no records to build a store from")
     fp_params = fp_params or FingerprintParams()
@@ -223,9 +224,6 @@ def build_store(
 
     enriched = []
     for rec in records:
-        if rec.fingerprint is not None and rec.fingerprint.nbits == fp_params.nbits:
-            enriched.append(rec)
-            continue
         fp = morgan_fingerprint(parse_smiles(rec.smiles), fp_params)
         enriched.append(dataclasses.replace(rec, fingerprint=fp))
 

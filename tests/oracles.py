@@ -8,9 +8,13 @@ these oracles.
 
 from __future__ import annotations
 
+import ast
+import json
 import math
+import re
 from collections import Counter
 
+from molrag.smiles import is_valid_smiles
 from molrag.smiles.model import Molecule
 
 
@@ -204,3 +208,124 @@ def levenshtein_direct(a: str, b: str) -> int:
                 table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
             )
     return table[-1][-1]
+
+
+# ---------------------------------------------------------------------------
+# Model-reply extraction by its first, quadratic formulation: every strategy
+# rescans the reply, and a brace scan restarts at every unclosed "{".
+# ---------------------------------------------------------------------------
+
+_ANSWER_KEYS = {"mol2cap": ("caption", "caption"), "cap2mol": ("molecule", "smiles")}
+_SMILES_CHARS = re.compile(r"[A-Za-z0-9@+\-\[\]\(\)=#$%/\\.:*]+")
+_CAPTION_LABEL = re.compile(r"caption\W{0,3}[:=]\s*(.+?)\s*(?:$|\n)", re.IGNORECASE)
+
+
+def _value_from_mapping(obj, key: str, case_insensitive: bool = False) -> str | None:
+    if not isinstance(obj, dict):
+        return None
+    if key in obj and isinstance(obj[key], str) and obj[key].strip():
+        return obj[key].strip()
+    if case_insensitive:
+        for k, v in obj.items():
+            if isinstance(k, str) and k.lower() == key and isinstance(v, str) and v.strip():
+                return v.strip()
+    return None
+
+
+def balanced_objects_rescan(text: str) -> list[str]:
+    """Every balanced {...} span in appearance order, string-aware."""
+    spans = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i] != "{":
+            i += 1
+            continue
+        depth = 0
+        in_string = False
+        escaped = False
+        for j in range(i, n):
+            ch = text[j]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == '"':
+                    in_string = False
+                continue
+            if ch == '"':
+                in_string = True
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    spans.append(text[i : j + 1])
+                    i = j
+                    break
+        i += 1
+    return spans
+
+
+def _try_strict(text: str, key: str) -> str | None:
+    try:
+        return _value_from_mapping(json.loads(text), key)
+    except (ValueError, RecursionError):
+        return None
+
+
+def _try_embedded(text: str, key: str) -> str | None:
+    for span in balanced_objects_rescan(text):
+        try:
+            value = _value_from_mapping(json.loads(span), key)
+        except (ValueError, RecursionError):
+            continue
+        if value is not None:
+            return value
+    return None
+
+
+def _try_tolerant(text: str, key: str) -> str | None:
+    candidates = [text.strip()] + balanced_objects_rescan(text)
+    for span in candidates:
+        for loader in (json.loads, ast.literal_eval):
+            try:
+                obj = loader(span)
+            except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+                continue
+            value = _value_from_mapping(obj, key, case_insensitive=True)
+            if value is not None:
+                return value
+    return None
+
+
+def _try_pattern(text: str, output_field: str) -> str | None:
+    if output_field == "smiles":
+        candidates = sorted(_SMILES_CHARS.findall(text), key=len, reverse=True)
+        for cand in candidates:
+            stripped = cand.strip(".")
+            if stripped and is_valid_smiles(stripped):
+                return stripped
+        return None
+    match = _CAPTION_LABEL.search(text)
+    if match:
+        value = match.group(1).strip().strip('"`“”').strip()
+        if value:
+            return value
+    return None
+
+
+def extract_payload_rescan(raw_text: str, task: str) -> tuple[str, str] | None:
+    """(value, strategy) of the first strategy that fires, or None when none does."""
+    key, output_field = _ANSWER_KEYS[task]
+    strategies = (
+        ("strict_json", lambda: _try_strict(raw_text, key)),
+        ("embedded_json", lambda: _try_embedded(raw_text, key)),
+        ("tolerant_json", lambda: _try_tolerant(raw_text, key)),
+        ("pattern_fallback", lambda: _try_pattern(raw_text, output_field)),
+    )
+    for name, attempt in strategies:
+        value = attempt()
+        if value is not None:
+            return value, name
+    return None

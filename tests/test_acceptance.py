@@ -40,7 +40,7 @@ from molrag.metrics import (
     exact_match_rate,
     levenshtein,
     levenshtein_mean,
-    morgan_fts_mean,
+    morgan_fts_stats,
     rouge_scores,
     validity_rate,
 )
@@ -241,7 +241,7 @@ def test_metric_fixtures():
 
     exact = [EvalPair("OCC", "CCO"), EvalPair("C(C)C", "CCC"), EvalPair("C%12CCCC%12", "C1CCCC1")]
     assert exact_match_rate(exact) == 1.0
-    assert morgan_fts_mean(exact) == pytest.approx(1.0)
+    assert morgan_fts_stats(exact)[0] == pytest.approx(1.0)
     assert validity_rate(exact) == 1.0
     ok("metric-fixtures (hand-worked BLEU/ROUGE/Levenshtein, EM implication)")
 

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from molrag.bm25 import (
     Bm25FormatError,
     Bm25Params,
-    DocIdOutOfRange,
     EmptyCorpus,
     build_index,
     load_index,
     save_index,
-    score,
     tokenize,
     tokenize_chargrams,
     top_n,
@@ -52,7 +50,7 @@ class TestBuild:
     def test_absent_term_no_postings(self):
         index = build_index(["a b", "b c"])
         assert "z" not in index.postings
-        assert score(index, ["z"], 0) == 0.0
+        assert top_n(index, "z", 2) == [(0, 0.0), (1, 0.0)]
 
     def test_ubiquitous_term_idf_positive(self):
         index = build_index(["a x", "a y", "a z"])
@@ -64,17 +62,13 @@ class TestBuild:
 class TestScore:
     def test_no_indexed_terms(self):
         index = build_index(["a b", "c d"])
-        assert score(index, ["zz", "qq"], 1) == 0.0
+        assert top_n(index, "zz qq", 2) == [(0, 0.0), (1, 0.0)]
 
     def test_repeated_query_positions(self):
         index = build_index(["cat sat", "dog ran"])
-        single = score(index, ["cat"], 0)
-        assert score(index, ["cat", "cat"], 0) == pytest.approx(2 * single)
-
-    def test_doc_id_out_of_range(self):
-        index = build_index(["a"])
-        with pytest.raises(DocIdOutOfRange):
-            score(index, ["a"], 5)
+        [(doc, single)] = top_n(index, "cat", 1)
+        assert doc == 0 and single > 0
+        assert top_n(index, "cat cat", 1) == [(0, pytest.approx(2 * single))]
 
     def test_matches_direct_evaluation_randomized(self):
         rng = random.Random(99)
@@ -87,10 +81,10 @@ class TestScore:
             query = rng.choices(vocab + ["zz", "qq"], k=rng.randint(1, 5))
             index = build_index(docs)
             docs_tokens = [tokenize(d) for d in docs]
-            doc_id = rng.randrange(n_docs)
-            assert score(index, query, doc_id) == pytest.approx(
-                bm25_score_direct(docs_tokens, query, doc_id), abs=1e-9
-            )
+            for doc_id, value in top_n(index, " ".join(query), n_docs):
+                assert value == pytest.approx(
+                    bm25_score_direct(docs_tokens, query, doc_id), abs=1e-9
+                )
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -104,7 +98,8 @@ class TestScore:
         doc_low = " ".join(["t"] * tf_low + [f"f{i}" for i in range(length - tf_low)])
         doc_high = " ".join(["t"] * tf_high + [f"g{i}" for i in range(length - tf_high)])
         index = build_index([doc_low, doc_high, "z z z"])
-        assert score(index, ["t"], 1) > score(index, ["t"], 0)
+        scores = dict(top_n(index, "t", 3))
+        assert scores[1] > scores[0]
 
 
 class TestTopN:

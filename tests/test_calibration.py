@@ -1,7 +1,8 @@
 import json
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from molrag.calibration import (
@@ -17,6 +18,7 @@ from molrag.llm import BackendError, ChatClient, ScriptedBackend
 from molrag.prompt import default_template
 from molrag.smiles import is_valid_smiles
 from molrag.store import RetrievalStrategy, retrieve_mol2cap
+from oracles import extract_payload_rescan
 
 GOOD_CAPTION = '{"caption": "A molecule description."}'
 GARBAGE = "Apologies, that request falls outside what may be described."
@@ -44,15 +46,10 @@ class TestPolicy:
     def test_defaults(self):
         policy = CalibrationPolicy()
         assert policy.max_error_allowance == 5
-        assert len(policy.correction_strategies) == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CalibrationPolicy(max_error_allowance=0)
-        with pytest.raises(ValueError):
-            CalibrationPolicy(correction_strategies=())
-        with pytest.raises(ValueError):
-            CalibrationPolicy(correction_strategies=("telepathy",))
 
 
 class TestExtraction:
@@ -72,12 +69,6 @@ class TestExtraction:
         # text both embedded-parseable and pattern-parseable: embedded wins
         text = 'Note {"molecule": "CCO"} and also CC(=O)O appears.'
         assert extract_payload(text, "cap2mol").strategy == "embedded_json"
-
-    def test_strategy_subset(self):
-        chatty = 'Sure: {"caption": "x"}'
-        with pytest.raises(FormatError):
-            extract_payload(chatty, "mol2cap", ("strict_json",))
-        assert extract_payload(chatty, "mol2cap", ("strict_json", "embedded_json")).value == "x"
 
     def test_pure_function(self):
         text = "Caption: something stable"
@@ -104,12 +95,11 @@ class TestExtraction:
             st.text(max_size=120),
             st.text(alphabet='[]{}():,"\'0a ', max_size=120),
             # nesting past the recursion limit (which Hypothesis raises while
-            # a test runs); deep braces are left to the fixed cases above,
-            # because brace scanning is quadratic in the nesting depth
+            # a test runs), in lists, tuples, sets and objects
             st.builds(
                 lambda prefix, opener, depth, core: prefix + opener * depth + core,
                 st.sampled_from(["", '{"caption": ', '{"molecule": ']),
-                st.sampled_from(["[", "("]),
+                st.sampled_from(["[", "(", "{", '{"caption": ', '{"molecule": {']),
                 st.integers(min_value=1000, max_value=5000),
                 st.text(alphabet='[]{}"a:1', max_size=10),
             ),
@@ -122,6 +112,42 @@ class TestExtraction:
         except FormatError:
             return
         assert isinstance(result.value, str) and result.value
+
+    # the same answer and strategy as the quadratic rescan in tests/oracles.py
+    @settings(max_examples=1000, deadline=None)
+    # an unclosed brace before a span; a "{" inside the string of a scan that never closes;
+    # escaped quotes; a backslash escaping a letter
+    @example('Note: { {"caption": "x"}', "mol2cap")
+    @example('{ "a {"molecule": "CCO"}', "cap2mol")
+    @example('{"caption": "\\"}" {"Caption": "y"}', "mol2cap")
+    @example('Answer: {"caption": "a\\nb"}', "mol2cap")
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["{", "}", '"', "\\", "'", ":", ",", "[", "]", " ", "\n", "\t", "\xa0", "\x0c",
+                 "caption", "Caption", "molecule", "MOLECULE", "CCO", "c1ccccc1", "C(=O)O",
+                 "Cl", "N#N", "x", "1", "null", '{"caption": "', '{"molecule": "', '"}',
+                 "{'Caption': '", "'}"]
+            ),
+            max_size=40,
+        ).map("".join),
+        st.sampled_from(["mol2cap", "cap2mol"]),
+    )
+    def test_matches_rescan_oracle(self, text, task):
+        try:
+            result = extract_payload(text, task)
+        except FormatError:
+            assert extract_payload_rescan(text, task) is None
+            return
+        assert (result.value, result.strategy) == extract_payload_rescan(text, task)
+
+    def test_unclosed_braces_are_linear(self):
+        # the rescan took seconds on this reply: it restarted at each of its 2,200 open braces
+        reply = '{"molecule": {' * 1100
+        start = time.perf_counter()
+        with pytest.raises(FormatError):
+            extract_payload(reply, "cap2mol")
+        assert time.perf_counter() - start < 0.5
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=120))

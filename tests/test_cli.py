@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from molrag import cli
 from molrag.calibration import CalibrationPolicy
 from molrag.cli import main, run_evaluation, RunConfig, _process_item
-from molrag.llm import BackendError, ChatClient, ReplayBackend, ScriptedBackend
+from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend, ScriptedBackend
 from molrag.prompt import default_template
 from molrag.store import (
     STRATEGY_KINDS,
@@ -373,6 +373,69 @@ class TestEvaluate:
         assert 1 <= len(calls) <= 2
         assert (out / "items.jsonl").read_text(encoding="utf-8") == ""
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-error-allowance", "0", "max_error_allowance must be positive"),
+            ("--concurrency", "0", "concurrency must be positive"),
+            ("--max-retries", "-1", "max_retries must be non-negative"),
+            ("--replay", "missing.jsonl", "cannot read fixture"),
+            ("--backend", "unknown_key.json", "'bogus'"),
+        ],
+        ids=["allowance", "concurrency", "retries", "missing-replay", "backend-key"],
+    )
+    def test_bad_setting_is_a_one_line_error(self, runner, data_dir, store_dir, tmp_path,
+                                             flag, value, message):
+        (tmp_path / "unknown_key.json").write_text('{"bogus": 1}', encoding="utf-8")
+        out = tmp_path / "out"
+        args = eval_args(data_dir, store_dir, out)
+        if flag == "--backend":
+            del args[args.index("--replay") : args.index("--replay") + 2]
+        if flag in ("--replay", "--backend"):
+            value = str(tmp_path / value)
+        result = runner.invoke(main, [*args, flag, value])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+        assert message in result.output
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "backend_json, config_file, flag, expected",
+        [
+            ({"max_retries": 0}, {"max_retries": 1}, ["--max-retries", "2"], 2),
+            ({"max_retries": 0}, {"max_retries": 1}, [], 1),
+            ({"max_retries": 0}, {}, [], 0),
+            ({}, {}, [], 3),
+        ],
+        ids=["flag", "config", "backend-json", "default"],
+    )
+    def test_max_retries_order(self, runner, data_dir, store_dir, tmp_path, monkeypatch,
+                               backend_json, config_file, flag, expected):
+        attempts = []
+
+        def unreachable(self, prompt):
+            attempts.append(1)
+            raise BackendError("network", "unreachable")
+
+        monkeypatch.setattr(HttpBackend, "send", unreachable)
+        backend = tmp_path / "backend.json"
+        backend.write_text(json.dumps({**backend_json, "retry_backoff_base": 0}), encoding="utf-8")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_file), encoding="utf-8")
+        out = tmp_path / "out"
+        args = eval_args(data_dir, store_dir, out)
+        del args[args.index("--replay") : args.index("--replay") + 2]
+        result = runner.invoke(
+            main,
+            [*args, "--backend", str(backend), "--config", str(config), "--limit", "1", *flag],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(attempts) == expected + 1
+        for name in ("manifest.json", "report.json"):
+            payload = json.loads((out / name).read_text(encoding="utf-8"))
+            assert payload.get("config", payload)["max_retries"] == expected
+
     def test_item_rows(self, corpus_store, test_records):
         config = RunConfig(
             store_path="unused",
@@ -410,6 +473,37 @@ class TestEvaluate:
 
 
 class TestAblate:
+    @pytest.mark.parametrize(
+        "task, answer, cells",
+        [
+            ("mol2cap", '{"caption": "x"}', ["random", "bm25", "morgan_fts"]),
+            ("cap2mol", '{"molecule": "CCO"}', ["random", "bm25"]),
+        ],
+    )
+    def test_default_grid_fits_the_task(self, runner, data_dir, store_dir, tmp_path,
+                                        monkeypatch, task, answer, cells):
+        monkeypatch.setattr(
+            cli, "_make_client", lambda config: ChatClient(ScriptedBackend([answer]))
+        )
+        out = tmp_path / "grid"
+        result = runner.invoke(
+            main,
+            [
+                "ablate", str(data_dir / "test_items.tsv"),
+                "--store", str(store_dir),
+                "--task", task,
+                "--grid-shots", "1",
+                "--limit", "2",
+                "--replay", "unused.jsonl",
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        comparison = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
+        assert comparison["grid"]["strategies"] == cells
+        assert [cell["strategy"] for cell in comparison["cells"]] == cells
+        assert all(cell["counts"]["calibration_failed"] == 0 for cell in comparison["cells"])
+
     def test_grid_loads_inputs_once(self, runner, data_dir, store_dir, tmp_path, monkeypatch):
         calls = {"load_store": 0, "load_chebi_tsv": 0}
         for name in calls:

@@ -15,7 +15,6 @@ from molrag.metrics import (
     exact_match_rate,
     levenshtein,
     levenshtein_mean,
-    morgan_fts_mean,
     morgan_fts_stats,
     render_table,
     rouge_scores,
@@ -174,10 +173,10 @@ class TestExactMatch:
 
 class TestMorganFts:
     def test_exact_matches_score_one(self):
-        assert morgan_fts_mean(pairs([("CCO", "OCC"), ("CC", "CC")])) == pytest.approx(1.0)
+        assert morgan_fts_stats(pairs([("CCO", "OCC"), ("CC", "CC")]))[0] == pytest.approx(1.0)
 
     def test_all_invalid_zero(self):
-        assert morgan_fts_mean(pairs([("nope(", "CCO"), ("", "CC")])) == 0.0
+        assert morgan_fts_stats(pairs([("nope(", "CCO"), ("", "CC")]))[0] == 0.0
 
     def test_cross_check_per_pair_dice(self):
         raw = [("CCO", "CCCO"), ("CC", "CCC"), ("c1ccccc1", "Cc1ccccc1"), ("xx", "CC")]
@@ -203,7 +202,7 @@ class TestValidity:
     def test_exact_match_implies_fts_and_validity(self):
         exact = pairs([("OCC", "CCO"), ("C(C)C", "CCC"), ("C%12CCCC%12", "C1CCCC1")])
         assert exact_match_rate(exact) == 1.0
-        assert morgan_fts_mean(exact) == pytest.approx(1.0)
+        assert morgan_fts_stats(exact)[0] == pytest.approx(1.0)
         assert validity_rate(exact) == 1.0
 
 
@@ -230,7 +229,7 @@ class TestFailureAccounting:
         smi = pairs([("CCO", "CCO"), ("CC", "CC")])
         smi_degraded = [smi[0], EvalPair("CC", "CC", status=STATUS_FAILED)]
         assert exact_match_rate(smi_degraded) <= exact_match_rate(smi)
-        assert morgan_fts_mean(smi_degraded) <= morgan_fts_mean(smi)
+        assert morgan_fts_stats(smi_degraded)[0] <= morgan_fts_stats(smi)[0]
         assert validity_rate(smi_degraded) <= validity_rate(smi)
 
 
@@ -250,7 +249,7 @@ class TestRanges:
             bleu_n(ps, 4),
             *rouge_scores(ps).values(),
             exact_match_rate(ps),
-            morgan_fts_mean(ps),
+            morgan_fts_stats(ps)[0],
             validity_rate(ps),
         ):
             assert 0.0 <= value <= 1.0

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from molrag.bm25 import top_n
-from molrag.fingerprint import dice_similarity, morgan_fingerprint
+from molrag.fingerprint import FingerprintParams, dice_similarity, morgan_fingerprint
 from molrag.smiles import molecules_equal, parse_smiles
 from molrag.store import (
     EmptyFile,
@@ -102,6 +102,19 @@ class TestBuild:
 
     def test_fingerprints_precomputed(self, corpus_store):
         assert all(rec.fingerprint is not None for rec in corpus_store.records)
+
+    def test_rebuild_refingerprints_under_new_params(self, corpus_records):
+        # a record's fingerprint of another radius, same nbits, was once kept
+        radius1 = build_store(list(corpus_records), FingerprintParams(radius=1))
+        rebuilt = build_store(radius1.records, FingerprintParams(radius=2))
+        fresh = build_store(list(corpus_records), FingerprintParams(radius=2))
+        assert [rec.fingerprint for rec in rebuilt.records] == [
+            rec.fingerprint for rec in fresh.records
+        ]
+        strategy = RetrievalStrategy("morgan_fts")
+        assert retrieve_mol2cap(rebuilt, "CCO", 5, strategy) == retrieve_mol2cap(
+            fresh, "CCO", 5, strategy
+        )
 
     def test_all_strategies_answer(self, corpus_store):
         for strategy in (
