@@ -84,6 +84,8 @@ class RunConfig:
             raise ValueError("max_retries must be non-negative")
         if self.max_error_allowance < 1:
             raise ValueError("max_error_allowance must be positive")
+        if self.limit is not None and self.limit < 1:
+            raise ValueError("limit must be positive")
         if self.replay_path is None and self.backend is None:
             raise ValueError("either a replay fixture or a backend config is required")
 
@@ -390,8 +392,7 @@ def _load_run_inputs(
     db = load_store(config.store_path)
     tmpl = _load_prompt_template(config)
     records, ingest_report = load_chebi_tsv(test_tsv)
-    if config.limit:
-        records = records[: config.limit]
+    records = records[: config.limit]
     if not records:
         raise click.ClickException(f"no usable rows in {test_tsv}")
     sources = {
@@ -500,6 +501,8 @@ def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None
         strategies = [name for name in DEFAULT_GRID_STRATEGIES if name == "bm25" or name in kinds]
     else:
         strategies = [x.strip() for x in grid_strategies.split(",") if x.strip()]
+    if not shots or not strategies:
+        raise click.ClickException("--grid-shots and --grid-strategies must each name a value")
 
     out_dir = Path(base.out_path or "molrag-ablation")
     grid = []
@@ -543,7 +546,7 @@ def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None
 
 def _comparison_table(comparison: dict) -> str:
     cells = comparison["cells"]
-    metric_names = sorted(cells[0]["metrics"]) if cells else []
+    metric_names = sorted(cells[0]["metrics"])
     header = ["method"] + metric_names
     rows = []
     for cell in sorted(cells, key=lambda c: (c["n_shots"], c["strategy"])):

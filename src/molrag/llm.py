@@ -128,6 +128,8 @@ class HttpBackend:
             finish = choice.get("finish_reason", "other")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendError("malformed_response", f"bad response body: {exc}") from exc
+        if not isinstance(text, str):
+            raise BackendError("malformed_response", f"reply content is {type(text).__name__}")
         if finish not in FINISH_REASONS:
             finish = "other"
         return text, finish
@@ -183,6 +185,9 @@ class ReplayBackend:
             for kind in entry.get("error_script", []):
                 if kind not in ERROR_KINDS:
                     raise FixtureParseError(f"{self.path}:{line_no}: bad error kind {kind!r}")
+            response = entry.get("response")
+            if response is not None and not isinstance(response, str):
+                raise FixtureParseError(f"{self.path}:{line_no}: response is not a string")
             self._entries[entry["digest"]] = entry
 
     def send(self, prompt: ChatPrompt) -> tuple[str, str]:

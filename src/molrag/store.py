@@ -15,6 +15,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from molrag import bm25
@@ -24,7 +25,7 @@ from molrag.fingerprint import (
     dice_similarity,
     morgan_fingerprint,
 )
-from molrag.smiles import Molecule, SmilesError, molecules_equal, parse_smiles
+from molrag.smiles import SmilesError, molecules_equal, parse_smiles
 
 STORE_FORMAT_VERSION = 1
 _REQUIRED_COLUMNS = ("CID", "SMILES", "description")
@@ -198,15 +199,9 @@ class Store:
         self.split = split
         # digest of the manifest a persisted store was loaded from; None when built in memory
         self.manifest_sha256 = manifest_sha256
-        self._mol_cache: dict[int, Molecule] = {}
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def molecule(self, pos: int) -> Molecule:
-        if pos not in self._mol_cache:
-            self._mol_cache[pos] = parse_smiles(self.records[pos].smiles)
-        return self._mol_cache[pos]
 
 
 def build_store(
@@ -236,27 +231,6 @@ def build_store(
     return Store(enriched, fp_params, bm25_params, caption_index, smiles_index, split=split)
 
 
-def _graph_excluder(store: Store, query_smiles: str):
-    """Self-exclusion test for Mol2Cap: same graph as the query.
-
-    Fingerprint equality gates the (expensive) isomorphism check; isomorphic
-    molecules always share a fingerprint, so no equal record slips through.
-    """
-    try:
-        query_mol = parse_smiles(query_smiles)
-    except SmilesError as exc:
-        raise ParseFailure(f"query SMILES does not parse: {exc}") from exc
-    query_fp = morgan_fingerprint(query_mol, store.fp_params)
-
-    def excluded(pos: int) -> bool:
-        rec_fp = store.records[pos].fingerprint
-        if rec_fp is None or rec_fp.bitmap != query_fp.bitmap:
-            return False
-        return molecules_equal(query_mol, store.molecule(pos))
-
-    return query_fp, excluded
-
-
 def _check_request(store: Store, task: str, n: int, strategy: RetrievalStrategy) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -265,34 +239,30 @@ def _check_request(store: Store, task: str, n: int, strategy: RetrievalStrategy)
     _require_applicable(task, strategy.kind)
 
 
-def _ranked(store: Store, query: str, n: int, strategy: RetrievalStrategy, query_fp=None):
-    """Record positions in rank order; for morgan_fts, only the prefix n results can need."""
+def _ranked(store: Store, query: str, limit: int, strategy: RetrievalStrategy, query_fp=None):
+    """Record positions in rank order: the first ``limit`` of them, or all for random."""
     if strategy.kind == "random":
+        # A shorter sample draws a different order, so random always ranks every record.
         return random.Random(strategy.seed).sample(range(len(store)), len(store))
     if strategy.kind == "morgan_fts":
-        # Only a record whose bitmap equals the query's can be excluded (an
-        # isomorphic graph has the same fingerprint). Such records score Dice
-        # 1.0, which no other record reaches, so they lead the ranking, and the
-        # top n + (their count) always holds the first n survivors.
         scored = [
             (-dice_similarity(query_fp, rec.fingerprint), pos)
             for pos, rec in enumerate(store.records)
         ]
-        same = sum(1 for rec in store.records if rec.fingerprint.bitmap == query_fp.bitmap)
-        return [pos for _, pos in heapq.nsmallest(n + same, scored)]
+        return [pos for _, pos in heapq.nsmallest(limit, scored)]
     index = store.caption_index if strategy.kind == "bm25_caption" else store.smiles_index
-    return [pos for pos, _ in bm25.top_n(index, query, len(store))]
+    return [pos for pos, _ in bm25.top_n(index, query, limit)]
 
 
-def _collect(order, excluded, n: int, records) -> list[MoleculeRecord]:
-    out = []
-    for pos in order:
-        if excluded(pos):
-            continue
-        out.append(records[pos])
-        if len(out) == n:
-            break
-    return out
+def _retrieve(store: Store, query: str, n: int, strategy: RetrievalStrategy,
+              excluded: set[int], query_fp=None) -> list[MoleculeRecord]:
+    """The first n records of the ranking that are not excluded.
+
+    At most len(excluded) of the first n + len(excluded) ranked positions are
+    excluded, so that prefix always holds the n best survivors.
+    """
+    order = _ranked(store, query, n + len(excluded), strategy, query_fp)
+    return list(islice((store.records[pos] for pos in order if pos not in excluded), n))
 
 
 def retrieve_mol2cap(
@@ -306,9 +276,19 @@ def retrieve_mol2cap(
     equals the query is never returned.
     """
     _check_request(store, "mol2cap", n, strategy)
-    query_fp, excluded = _graph_excluder(store, query_smiles)
-    order = _ranked(store, query_smiles, n, strategy, query_fp)
-    return _collect(order, excluded, n, store.records)
+    try:
+        query_mol = parse_smiles(query_smiles)
+    except SmilesError as exc:
+        raise ParseFailure(f"query SMILES does not parse: {exc}") from exc
+    query_fp = morgan_fingerprint(query_mol, store.fp_params)
+    # Isomorphic graphs always share a fingerprint, so bitmap equality gates
+    # the (expensive) isomorphism check without letting an equal graph through.
+    excluded = {
+        pos for pos, rec in enumerate(store.records)
+        if rec.fingerprint.bitmap == query_fp.bitmap
+        and molecules_equal(query_mol, parse_smiles(rec.smiles))
+    }
+    return _retrieve(store, query_smiles, n, strategy, excluded, query_fp)
 
 
 def retrieve_cap2mol(
@@ -322,11 +302,8 @@ def retrieve_cap2mol(
     with score zero (documented degenerate behavior).
     """
     _check_request(store, "cap2mol", n, strategy)
-
-    def excluded(pos: int) -> bool:
-        return store.records[pos].caption == query_caption
-
-    return _collect(_ranked(store, query_caption, n, strategy), excluded, n, store.records)
+    excluded = {pos for pos, rec in enumerate(store.records) if rec.caption == query_caption}
+    return _retrieve(store, query_caption, n, strategy, excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +316,8 @@ _FP_FILE = "fingerprints.jsonl"
 _CAPTION_INDEX_FILE = "captions.bm25"
 _SMILES_INDEX_FILE = "smiles.bm25"
 _MANIFEST_FILE = "manifest.json"
+_DATA_FILES = (_RECORDS_FILE, _FP_FILE, _CAPTION_INDEX_FILE, _SMILES_INDEX_FILE)
+_MANIFEST_KEYS = ("record_count", "split", "fingerprint_params", "bm25_params", "checksums")
 
 
 def _sha256(path: Path) -> str:
@@ -380,10 +359,7 @@ def save_store(store: Store, directory) -> None:
         "split": store.split,
         "fingerprint_params": {"radius": store.fp_params.radius, "nbits": store.fp_params.nbits},
         "bm25_params": {"k1": store.bm25_params.k1, "b": store.bm25_params.b},
-        "checksums": {
-            name: _sha256(directory / name)
-            for name in (_RECORDS_FILE, _FP_FILE, _CAPTION_INDEX_FILE, _SMILES_INDEX_FILE)
-        },
+        "checksums": {name: _sha256(directory / name) for name in _DATA_FILES},
     }
     with open(directory / _MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -400,14 +376,22 @@ def load_store(directory) -> Store:
         manifest = json.loads(manifest_bytes)
     except (OSError, ValueError) as exc:
         raise StoreIntegrityError(f"unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise StoreIntegrityError("manifest is not a JSON object")
     if manifest.get("format_version") != STORE_FORMAT_VERSION:
         raise StoreIntegrityError(
             f"unsupported store format version {manifest.get('format_version')!r}"
         )
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise StoreIntegrityError(f"manifest lacks {', '.join(missing)}")
 
-    for name, expected in manifest["checksums"].items():
-        actual = _sha256(directory / name)
-        if actual != expected:
+    for name in _DATA_FILES:
+        try:
+            actual = _sha256(directory / name)
+        except OSError as exc:
+            raise StoreIntegrityError(f"cannot read {name}: {exc.strerror}") from exc
+        if actual != manifest["checksums"].get(name):
             raise StoreIntegrityError(f"checksum mismatch for {name}")
 
     fpp = manifest["fingerprint_params"]

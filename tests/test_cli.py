@@ -381,8 +381,13 @@ class TestEvaluate:
             ("--max-retries", "-1", "max_retries must be non-negative"),
             ("--replay", "missing.jsonl", "cannot read fixture"),
             ("--backend", "unknown_key.json", "'bogus'"),
+            ("--limit", "0", "limit must be positive"),
+            ("--limit", "-1", "limit must be positive"),
+            ("--grid-shots", "", "must each name a value"),
+            ("--grid-strategies", ",", "must each name a value"),
         ],
-        ids=["allowance", "concurrency", "retries", "missing-replay", "backend-key"],
+        ids=["allowance", "concurrency", "retries", "missing-replay", "backend-key",
+             "limit-zero", "limit-negative", "empty-grid-shots", "empty-grid-strategies"],
     )
     def test_bad_setting_is_a_one_line_error(self, runner, data_dir, store_dir, tmp_path,
                                              flag, value, message):
@@ -393,6 +398,8 @@ class TestEvaluate:
             del args[args.index("--replay") : args.index("--replay") + 2]
         if flag in ("--replay", "--backend"):
             value = str(tmp_path / value)
+        if flag.startswith("--grid"):
+            args[0] = "ablate"
         result = runner.invoke(main, [*args, flag, value])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback

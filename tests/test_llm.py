@@ -179,6 +179,13 @@ class TestReplayBackend:
         with pytest.raises(FixtureParseError):
             ReplayBackend(path)
 
+    @pytest.mark.parametrize("response", [42, ["text"], {"caption": "x"}],
+                             ids=["number", "list", "object"])
+    def test_fixture_non_string_response(self, tmp_path, response):
+        path = self.write_fixture(tmp_path, [{"digest": "d", "response": response}])
+        with pytest.raises(FixtureParseError, match="response is not a string"):
+            ReplayBackend(path)
+
 
 class TestHttpBackend:
     def config(self) -> BackendConfig:
@@ -244,6 +251,14 @@ class TestHttpBackend:
 
     def test_malformed_body(self, monkeypatch):
         monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, {"nope": 1}))
+        with pytest.raises(BackendError) as err:
+            HttpBackend(self.config()).send(make_prompt())
+        assert err.value.kind == "malformed_response"
+
+    @pytest.mark.parametrize("content", [None, ["text"], 42], ids=["null", "list", "number"])
+    def test_non_string_content_is_malformed(self, monkeypatch, content):
+        body = {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, body))
         with pytest.raises(BackendError) as err:
             HttpBackend(self.config()).send(make_prompt())
         assert err.value.kind == "malformed_response"

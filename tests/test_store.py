@@ -211,7 +211,8 @@ class TestMol2CapRetrieval:
             ]
             assert got == expected
 
-    def test_top_n_matches_full_sort_with_many_exclusions(self, corpus_records):
+    @pytest.mark.parametrize("kind", ["morgan_fts", "bm25_smiles_chargram", "random"])
+    def test_top_n_matches_full_sort_with_many_exclusions(self, corpus_records, kind):
         # The query graph is stored 16 times in different atom orders, and
         # heptane..undecane share octane's bitmap (Dice 1.0) without sharing
         # its graph, so the exclusions and the exact ties both outnumber n.
@@ -230,25 +231,31 @@ class TestMol2CapRetrieval:
         )
         octane = morgan_fingerprint(parse_smiles("CCCCCCCC"), store.fp_params)
         assert morgan_fingerprint(parse_smiles("C" * 11), store.fp_params) == octane
+        # Under seed 2, random.sample of 2-5 of these records is not a prefix of
+        # the full sample, so a random ranking cut short fails here too.
+        strategy = RetrievalStrategy(kind, seed=2 if kind == "random" else None)
 
-        def full_sort(text, n):
-            query_mol = parse_smiles(text)
-            query_fp = morgan_fingerprint(query_mol, store.fp_params)
-            order = sorted(
+        def full_order(text):
+            if kind == "random":
+                return random.Random(2).sample(range(len(store)), len(store))
+            if kind == "bm25_smiles_chargram":
+                return [pos for pos, _ in top_n(store.smiles_index, text, len(store))]
+            query_fp = morgan_fingerprint(parse_smiles(text), store.fp_params)
+            return sorted(
                 range(len(store)),
                 key=lambda pos: (-dice_similarity(query_fp, store.records[pos].fingerprint), pos),
             )
-            kept = [
-                store.records[pos].id
-                for pos in order
-                if not molecules_equal(query_mol, parse_smiles(store.records[pos].smiles))
-            ]
-            return kept[:n]
 
         for text in (query, "OC1=CC=C(C)C(N)=C1", "CCCCCCCC", corpus_records[3].smiles):
-            for n in (1, 5, 15, 16, 17, len(store) - 1, len(store), len(store) + 3):
-                got = retrieve_mol2cap(store, text, n, RetrievalStrategy("morgan_fts"))
-                assert [r.id for r in got] == full_sort(text, n), (text, n)
+            query_mol = parse_smiles(text)
+            kept = [
+                store.records[pos].id
+                for pos in full_order(text)
+                if not molecules_equal(query_mol, parse_smiles(store.records[pos].smiles))
+            ]
+            for n in range(1, len(store) + 4):
+                got = retrieve_mol2cap(store, text, n, strategy)
+                assert [r.id for r in got] == kept[:n], (text, n)
 
     def test_random_seeded_deterministic(self, corpus_store):
         one = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("random", seed=42))
@@ -269,6 +276,31 @@ class TestCap2MolRetrieval:
             corpus_store, "zzzz qqqq wwww", 3, RetrievalStrategy("bm25_caption")
         )
         assert [rec.id for rec in results] == [rec.id for rec in corpus_store.records[:3]]
+
+    @pytest.mark.parametrize("kind", ["bm25_caption", "random"])
+    def test_top_n_matches_full_order_with_many_exclusions(self, corpus_records, kind):
+        # The query caption is stored 12 times and a near copy 6 times, so the
+        # exclusions outnumber small n and crowd the head of the BM25 ranking.
+        query = "The molecule is a primary alcohol with a chain of 5 carbon atoms."
+        captions = (
+            [query] * 12 + [query + " It is volatile."] * 6
+            + [rec.caption for rec in corpus_records[:40]]
+        )
+        random.Random(5).shuffle(captions)
+        store = build_store(
+            [MoleculeRecord(id=str(i), smiles="C" * (1 + i % 9), caption=c)
+             for i, c in enumerate(captions)]
+        )
+        strategy = RetrievalStrategy(kind, seed=2 if kind == "random" else None)
+        for text in (query, query + " It is volatile.", corpus_records[3].caption, "zzzz"):
+            if kind == "random":
+                order = random.Random(2).sample(range(len(store)), len(store))
+            else:
+                order = [pos for pos, _ in top_n(store.caption_index, text, len(store))]
+            kept = [store.records[pos].id for pos in order if store.records[pos].caption != text]
+            for n in range(1, len(store) + 4):
+                got = retrieve_cap2mol(store, text, n, strategy)
+                assert [r.id for r in got] == kept[:n], (text, n)
 
     def test_bm25_matches_exhaustive(self, corpus_store):
         query = "The molecule is a primary alcohol with a chain of 5 carbon atoms."
@@ -308,6 +340,29 @@ class TestPersistence:
         records_file.write_text(records_file.read_text() + "tampered\tC\tx\n")
         with pytest.raises(StoreIntegrityError):
             load_store(tmp_path / "store")
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("missing-file", "cannot read captions.bm25"),
+            ("list-manifest", "manifest is not a JSON object"),
+            ("no-checksums", "manifest lacks checksums"),
+        ],
+    )
+    def test_damaged_store_is_an_integrity_error(self, corpus_store, tmp_path, damage, message):
+        directory = tmp_path / "store"
+        save_store(corpus_store, directory)
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if damage == "missing-file":
+            (directory / "captions.bm25").unlink()
+        elif damage == "list-manifest":
+            manifest_path.write_text(json.dumps([manifest]), encoding="utf-8")
+        else:
+            del manifest["checksums"]
+            manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(StoreIntegrityError, match=message):
+            load_store(directory)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(IoFailure):
