@@ -3,6 +3,8 @@
 Scoring follows score(Q, D) = sum over query positions of
 IDF(q_i) * f(q_i, D) * (k1 + 1) / (f(q_i, D) + k1 * (1 - b + b * |D| / avgdl))
 with the non-negative IDF variant idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)).
+Each posting's term of that sum (its impact) is computed once, at build, and
+stored beside the posting's document id, so a query only adds impacts.
 
 The tokenizer is shared between indexing and querying. Captions are
 lowercased and split on whitespace with leading/trailing punctuation stripped
@@ -12,15 +14,18 @@ what chemical nomenclature needs. No stemming, no stop-word removal.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import string
+import sys
 import zlib
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
 _MAGIC = b"BM25"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _EDGE_PUNCT = string.punctuation
 
 
@@ -73,8 +78,17 @@ class Bm25Params:
 
 @dataclass(frozen=True)
 class Bm25Index:
-    postings: dict[str, list[tuple[int, int]]]
-    doc_lengths: list[int]
+    """An inverted index held as two parallel columns per term.
+
+    ``postings[term]`` holds the ids of the documents containing ``term`` in
+    ascending order, so its length is the term's document frequency.
+    ``impacts[term][i]`` is what one query occurrence of ``term`` adds to the
+    score of document ``postings[term][i]``.
+    """
+
+    postings: dict[str, array]
+    impacts: dict[str, array]
+    doc_lengths: array
     avgdl: float
     doc_count: int
     idf: dict[str, float]
@@ -83,6 +97,10 @@ class Bm25Index:
 
     def tokenize_query(self, text: str) -> list[str]:
         return _TOKENIZERS[self.tokenizer_mode](text)
+
+
+def _idf(doc_count: int, df: int) -> float:
+    return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
 def build_index(
@@ -96,42 +114,33 @@ def build_index(
     params = params or Bm25Params()
     tok = _TOKENIZERS[tokenizer_mode]
 
-    postings: dict[str, list[tuple[int, int]]] = {}
-    doc_lengths: list[int] = []
+    postings: dict[str, array] = {}
+    tfs: dict[str, list[int]] = {}
+    doc_lengths = array("i")
     for doc_id, doc in enumerate(docs):
         tokens = tok(doc)
         doc_lengths.append(len(tokens))
-        for term, tf in sorted(Counter(tokens).items()):
-            postings.setdefault(term, []).append((doc_id, tf))
-    return _make_index(postings, doc_lengths, params, tokenizer_mode)
+        for term, tf in Counter(tokens).items():
+            if term not in postings:
+                postings[term], tfs[term] = array("i"), []
+            postings[term].append(doc_id)
+            tfs[term].append(tf)
 
-
-def _make_index(
-    postings: dict[str, list[tuple[int, int]]],
-    doc_lengths: list[int],
-    params: Bm25Params,
-    tokenizer_mode: str,
-) -> Bm25Index:
-    """Derive the document count, avgdl and IDF table from postings and lengths."""
     doc_count = len(doc_lengths)
-    return Bm25Index(
-        postings=postings,
-        doc_lengths=doc_lengths,
-        avgdl=sum(doc_lengths) / doc_count if doc_count else 0.0,
-        doc_count=doc_count,
-        idf={
-            term: math.log(1.0 + (doc_count - len(plist) + 0.5) / (len(plist) + 0.5))
-            for term, plist in postings.items()
-        },
-        params=params,
-        tokenizer_mode=tokenizer_mode,
-    )
-
-
-def _term_score(index: Bm25Index, tf: int, doc_id: int, term: str) -> float:
-    k1, b = index.params.k1, index.params.b
-    norm = k1 * (1.0 - b + b * index.doc_lengths[doc_id] / index.avgdl)
-    return index.idf[term] * tf * (k1 + 1.0) / (tf + norm)
+    avgdl = sum(doc_lengths) / doc_count
+    k1, b = params.k1, params.b
+    # avgdl is 0 only when no document has a token, and then there are no postings.
+    norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in doc_lengths] if avgdl else []
+    idf = {term: _idf(doc_count, len(doc_ids)) for term, doc_ids in postings.items()}
+    impacts = {
+        term: array("d", [
+            idf[term] * tf * (k1 + 1.0) / (tf + norms[doc_id])
+            for doc_id, tf in zip(doc_ids, tfs[term])
+        ])
+        for term, doc_ids in postings.items()
+    }
+    return Bm25Index(postings, impacts, doc_lengths, avgdl, doc_count, idf, params,
+                     tokenizer_mode)
 
 
 def top_n(index: Bm25Index, query: str, n: int) -> list[tuple[int, float]]:
@@ -145,53 +154,96 @@ def top_n(index: Bm25Index, query: str, n: int) -> list[tuple[int, float]]:
     if index.doc_count == 0:
         raise EmptyCorpus("index holds no documents")
 
-    query_tokens = index.tokenize_query(query)
-    accum: dict[int, float] = {}
-    for term, count in Counter(query_tokens).items():
-        plist = index.postings.get(term)
-        if not plist:
+    acc = [0.0] * index.doc_count
+    for term, count in Counter(index.tokenize_query(query)).items():
+        doc_ids = index.postings.get(term)
+        if doc_ids is None:
             continue
-        for doc_id, tf in plist:
-            accum[doc_id] = accum.get(doc_id, 0.0) + count * _term_score(index, tf, doc_id, term)
+        for doc_id, impact in zip(doc_ids, index.impacts[term]):
+            acc[doc_id] += count * impact
+    # nlargest keeps the first of equal keys, and the range runs in doc_id order.
+    best = heapq.nlargest(min(n, index.doc_count), range(index.doc_count), key=acc.__getitem__)
+    return [(doc_id, acc[doc_id]) for doc_id in best]
 
-    ranked = sorted(accum.items(), key=lambda item: (-item[1], item[0]))
-    limit = min(n, index.doc_count)
-    if len(ranked) < limit:
-        matched = set(accum)
-        for doc_id in range(index.doc_count):
-            if doc_id not in matched:
-                ranked.append((doc_id, 0.0))
-                if len(ranked) >= limit:
-                    break
-    return ranked[:limit]
+
+# ---------------------------------------------------------------------------
+# Persistence. The file is the magic 'BM25', the format version (4 bytes,
+# big-endian), the header length (4 bytes, big-endian), a JSON header, then one
+# body of little-endian columns: doc_lengths (int32 x doc_count), every term's
+# doc ids (int32 x sum(df)), then every term's impacts (float64 x sum(df)),
+# terms in the header's sorted order. The header's body_crc32 covers the body.
+# ---------------------------------------------------------------------------
+
+_HEADER_TYPES = {
+    "k1": (int, float),
+    "b": (int, float),
+    "tokenizer_mode": str,
+    "doc_count": int,
+    "terms": list,
+    "df": list,
+    "body_crc32": int,
+}
+
+
+def _le_bytes(column: array) -> bytes:
+    if sys.byteorder == "big":
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
+
+
+def _le_column(typecode: str, data) -> array:
+    column = array(typecode)
+    column.frombytes(data)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
 
 
 def save_index(index: Bm25Index, path) -> None:
     """Write the versioned binary index file (magic 'BM25')."""
+    terms = sorted(index.postings)
+    doc_ids, impacts = array("i"), array("d")
+    for term in terms:
+        doc_ids.extend(index.postings[term])
+        impacts.extend(index.impacts[term])
+    body = b"".join(_le_bytes(column) for column in (index.doc_lengths, doc_ids, impacts))
     header = {
-        "version": _FORMAT_VERSION,
         "k1": index.params.k1,
         "b": index.params.b,
         "tokenizer_mode": index.tokenizer_mode,
-        "lowercased": index.tokenizer_mode == "caption",
-        "stopwords_removed": False,
         "doc_count": index.doc_count,
-    }
-    body = {
-        "doc_lengths": index.doc_lengths,
-        "postings": {term: index.postings[term] for term in sorted(index.postings)},
+        "terms": terms,
+        "df": [len(index.postings[term]) for term in terms],
+        "body_crc32": zlib.crc32(body),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body_bytes = zlib.compress(
-        json.dumps(body, sort_keys=True, separators=(",", ":")).encode(), level=6
-    )
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(_FORMAT_VERSION.to_bytes(4, "big"))
         fh.write(len(header_bytes).to_bytes(4, "big"))
         fh.write(header_bytes)
-        fh.write(len(body_bytes).to_bytes(4, "big"))
-        fh.write(body_bytes)
+        fh.write(body)
+
+
+def _check_header(header) -> None:
+    if not isinstance(header, dict):
+        raise Bm25FormatError("BM25 index header is not a JSON object")
+    for key, kind in _HEADER_TYPES.items():
+        value = header.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise Bm25FormatError(f"BM25 index header key {key!r} is missing or has the wrong type")
+    terms, df = header["terms"], header["df"]
+    if header["doc_count"] < 1:
+        raise Bm25FormatError("BM25 index header counts no documents")
+    if header["tokenizer_mode"] not in _TOKENIZERS:
+        raise Bm25FormatError(f"unknown tokenizer mode {header['tokenizer_mode']!r}")
+    if len(terms) != len(df) or not all(type(count) is int and count > 0 for count in df):
+        raise Bm25FormatError("BM25 index header 'df' is not one positive count per term")
+    if not all(isinstance(term, str) for term in terms) or any(
+        a >= b for a, b in zip(terms, terms[1:])
+    ):
+        raise Bm25FormatError("BM25 index header 'terms' are not distinct sorted strings")
 
 
 def load_index(path) -> Bm25Index:
@@ -201,23 +253,51 @@ def load_index(path) -> Bm25Index:
         raise Bm25FormatError("not a BM25 index file (bad magic)")
     version = int.from_bytes(blob[4:8], "big")
     if version != _FORMAT_VERSION:
-        raise Bm25FormatError(f"unsupported index format version {version}")
+        raise Bm25FormatError(
+            f"unsupported BM25 index format version {version} (this molrag reads "
+            f"{_FORMAT_VERSION}); re-run `molrag ingest` to rebuild it"
+        )
     hlen = int.from_bytes(blob[8:12], "big")
     try:
         header = json.loads(blob[12 : 12 + hlen])
-        blen_off = 12 + hlen
-        blen = int.from_bytes(blob[blen_off : blen_off + 4], "big")
-        body = json.loads(zlib.decompress(blob[blen_off + 4 : blen_off + 4 + blen]))
-    except (ValueError, zlib.error) as exc:
-        raise Bm25FormatError(f"corrupt BM25 index file: {exc}") from exc
+    except ValueError as exc:
+        raise Bm25FormatError(f"corrupt BM25 index header: {exc}") from exc
+    _check_header(header)
+    try:
+        params = Bm25Params(k1=header["k1"], b=header["b"])
+    except ValueError as exc:
+        raise Bm25FormatError(f"bad BM25 parameters in index header: {exc}") from exc
 
-    postings = {term: [(d, tf) for d, tf in plist] for term, plist in body["postings"].items()}
-    doc_lengths = list(body["doc_lengths"])
-    if header["doc_count"] != len(doc_lengths):
-        raise Bm25FormatError("doc_count does not match doc_lengths")
-    return _make_index(
+    body = memoryview(blob)[12 + hlen :]
+    if zlib.crc32(body) != header["body_crc32"]:
+        raise Bm25FormatError("BM25 index body fails its CRC-32 check")
+    doc_count, terms, df = header["doc_count"], header["terms"], header["df"]
+    total = sum(df)
+    if len(body) != 4 * doc_count + 12 * total:
+        raise Bm25FormatError(
+            f"BM25 index body holds {len(body)} bytes, not 4*{doc_count} + 12*{total}"
+        )
+    ids_end = 4 * (doc_count + total)
+    doc_lengths = _le_column("i", body[: 4 * doc_count])
+    doc_ids = _le_column("i", body[4 * doc_count : ids_end])
+    impacts = _le_column("d", body[ids_end:])
+    if total and (min(doc_ids) < 0 or max(doc_ids) >= doc_count):
+        raise Bm25FormatError(f"BM25 index holds a doc id outside [0, {doc_count})")
+
+    postings: dict[str, array] = {}
+    impact_columns: dict[str, array] = {}
+    start = 0
+    for term, count in zip(terms, df):
+        postings[term] = doc_ids[start : start + count]
+        impact_columns[term] = impacts[start : start + count]
+        start += count
+    return Bm25Index(
         postings,
+        impact_columns,
         doc_lengths,
-        Bm25Params(k1=header["k1"], b=header["b"]),
+        sum(doc_lengths) / doc_count,
+        doc_count,
+        {term: _idf(doc_count, count) for term, count in zip(terms, df)},
+        params,
         header["tokenizer_mode"],
     )

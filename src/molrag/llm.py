@@ -180,8 +180,14 @@ class ReplayBackend:
                 entry = json.loads(line)
             except ValueError as exc:
                 raise FixtureParseError(f"{self.path}:{line_no}: bad JSON: {exc}") from exc
+            if not isinstance(entry, dict):
+                raise FixtureParseError(f"{self.path}:{line_no}: entry is not a JSON object")
             if "digest" not in entry:
                 raise FixtureParseError(f"{self.path}:{line_no}: entry lacks a digest")
+            if not isinstance(entry["digest"], str):
+                raise FixtureParseError(f"{self.path}:{line_no}: digest is not a string")
+            if not isinstance(entry.get("error_script", []), list):
+                raise FixtureParseError(f"{self.path}:{line_no}: error_script is not a list")
             for kind in entry.get("error_script", []):
                 if kind not in ERROR_KINDS:
                     raise FixtureParseError(f"{self.path}:{line_no}: bad error kind {kind!r}")

@@ -139,19 +139,22 @@ def molecules_equal(a: Molecule, b: Molecule) -> bool:
                     return False
         return True
 
-    def extend(k: int) -> bool:
-        if k == len(order):
+    # Depth-first search with an explicit stack: one iterator over the remaining
+    # candidates per assigned atom, so a long chain cannot exhaust the recursion limit.
+    candidates = [iter(by_rank_b.get(ranks_a[order[0]], ()))]
+    while candidates:
+        i = order[len(candidates) - 1]
+        if i in mapping:  # the search below this choice failed: take it back
+            used.discard(mapping.pop(i))
+        for j in candidates[-1]:
+            if j not in used and compatible(i, j):
+                mapping[i] = j
+                used.add(j)
+                break
+        else:
+            candidates.pop()
+            continue
+        if len(candidates) == len(order):
             return True
-        i = order[k]
-        for j in by_rank_b.get(ranks_a[i], ()):
-            if j in used or not compatible(i, j):
-                continue
-            mapping[i] = j
-            used.add(j)
-            if extend(k + 1):
-                return True
-            del mapping[i]
-            used.discard(j)
-        return False
-
-    return extend(0)
+        candidates.append(iter(by_rank_b.get(ranks_a[order[len(candidates)]], ())))
+    return False

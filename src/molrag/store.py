@@ -27,7 +27,7 @@ from molrag.fingerprint import (
 )
 from molrag.smiles import SmilesError, molecules_equal, parse_smiles
 
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 _REQUIRED_COLUMNS = ("CID", "SMILES", "description")
 
 
@@ -317,7 +317,20 @@ _CAPTION_INDEX_FILE = "captions.bm25"
 _SMILES_INDEX_FILE = "smiles.bm25"
 _MANIFEST_FILE = "manifest.json"
 _DATA_FILES = (_RECORDS_FILE, _FP_FILE, _CAPTION_INDEX_FILE, _SMILES_INDEX_FILE)
-_MANIFEST_KEYS = ("record_count", "split", "fingerprint_params", "bm25_params", "checksums")
+# Every manifest value load_store reads, by dotted path, with the type it must have;
+# a dict comes before the paths inside it.
+_MANIFEST_FIELDS = (
+    ("record_count", int),
+    ("split", str),
+    ("fingerprint_params", dict),
+    ("bm25_params", dict),
+    ("checksums", dict),
+    ("fingerprint_params.radius", int),
+    ("fingerprint_params.nbits", int),
+    ("bm25_params.k1", (int, float)),
+    ("bm25_params.b", (int, float)),
+)
+_INDEX_FILES = ((_CAPTION_INDEX_FILE, "caption"), (_SMILES_INDEX_FILE, "smiles_chargram"))
 
 
 def _sha256(path: Path) -> str:
@@ -378,13 +391,20 @@ def load_store(directory) -> Store:
         raise StoreIntegrityError(f"unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise StoreIntegrityError("manifest is not a JSON object")
-    if manifest.get("format_version") != STORE_FORMAT_VERSION:
+    version = manifest.get("format_version")
+    if version != STORE_FORMAT_VERSION:
         raise StoreIntegrityError(
-            f"unsupported store format version {manifest.get('format_version')!r}"
+            f"unsupported store format version {version!r} (this molrag reads "
+            f"{STORE_FORMAT_VERSION}); re-run `molrag ingest` to rebuild the store"
         )
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise StoreIntegrityError(f"manifest lacks {', '.join(missing)}")
+    for path, kind in _MANIFEST_FIELDS:
+        value = manifest
+        for key in path.split("."):
+            if key not in value:
+                raise StoreIntegrityError(f"manifest lacks {path}")
+            value = value[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise StoreIntegrityError(f"manifest {path} has the wrong type")
 
     for name in _DATA_FILES:
         try:
@@ -394,10 +414,12 @@ def load_store(directory) -> Store:
         if actual != manifest["checksums"].get(name):
             raise StoreIntegrityError(f"checksum mismatch for {name}")
 
-    fpp = manifest["fingerprint_params"]
-    fp_params = FingerprintParams(radius=fpp["radius"], nbits=fpp["nbits"])
-    bp = manifest["bm25_params"]
-    bm25_params = bm25.Bm25Params(k1=bp["k1"], b=bp["b"])
+    fpp, bp = manifest["fingerprint_params"], manifest["bm25_params"]
+    try:
+        fp_params = FingerprintParams(radius=fpp["radius"], nbits=fpp["nbits"])
+        bm25_params = bm25.Bm25Params(k1=bp["k1"], b=bp["b"])
+    except ValueError as exc:
+        raise StoreIntegrityError(f"bad manifest parameters: {exc}") from exc
 
     rows = (directory / _RECORDS_FILE).read_text(encoding="utf-8").splitlines()
     fp_lines = (directory / _FP_FILE).read_text(encoding="utf-8").splitlines()
@@ -413,8 +435,22 @@ def load_store(directory) -> Store:
     if len(records) != manifest["record_count"]:
         raise StoreIntegrityError("record count does not match manifest")
 
-    caption_index = bm25.load_index(directory / _CAPTION_INDEX_FILE)
-    smiles_index = bm25.load_index(directory / _SMILES_INDEX_FILE)
+    indices = []
+    for name, mode in _INDEX_FILES:
+        try:
+            index = bm25.load_index(directory / name)
+        except bm25.Bm25FormatError as exc:
+            raise StoreIntegrityError(f"{name}: {exc}") from exc
+        # Impacts carry k1 and b, so an index built under other parameters would rank
+        # under values the manifest (and every run manifest) does not report.
+        if (index.params, index.doc_count, index.tokenizer_mode) != (bm25_params, len(records), mode):
+            raise StoreIntegrityError(
+                f"{name} holds {index.tokenizer_mode} BM25 over {index.doc_count} records "
+                f"with k1={index.params.k1}, b={index.params.b}; the store needs {mode} BM25 "
+                f"over {len(records)} records with k1={bm25_params.k1}, b={bm25_params.b}"
+            )
+        indices.append(index)
+    caption_index, smiles_index = indices
     return Store(
         records, fp_params, bm25_params, caption_index, smiles_index, split=manifest["split"],
         manifest_sha256=hashlib.sha256(manifest_bytes).hexdigest(),

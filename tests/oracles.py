@@ -13,6 +13,8 @@ import json
 import math
 import re
 from collections import Counter
+from dataclasses import dataclass
+from typing import Callable
 
 from molrag.smiles import is_valid_smiles
 from molrag.smiles.model import Molecule
@@ -143,6 +145,68 @@ def bm25_rank_direct(docs_tokens, query_tokens, k1=1.5, b=0.75):
         bm25_score_direct(docs_tokens, query_tokens, i, k1, b) for i in range(len(docs_tokens))
     ]
     return sorted(range(len(docs_tokens)), key=lambda i: (-scores[i], i)), scores
+
+
+# ---------------------------------------------------------------------------
+# BM25 over (doc_id, tf) postings, the way the index ranked before impacts were
+# precomputed: each posting's score is computed at query time, summed in a dict
+# and fully sorted. Scores must match the impact index bit for bit.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TfIndex:
+    postings: dict[str, list[tuple[int, int]]]
+    doc_lengths: list[int]
+    avgdl: float
+    doc_count: int
+    idf: dict[str, float]
+    k1: float
+    b: float
+    tokenize: Callable[[str], list[str]]
+
+
+def build_tf_index(docs: list[str], tokenize, k1: float = 1.5, b: float = 0.75) -> TfIndex:
+    postings: dict[str, list[tuple[int, int]]] = {}
+    doc_lengths: list[int] = []
+    for doc_id, doc in enumerate(docs):
+        tokens = tokenize(doc)
+        doc_lengths.append(len(tokens))
+        for term, tf in sorted(Counter(tokens).items()):
+            postings.setdefault(term, []).append((doc_id, tf))
+    n = len(doc_lengths)
+    idf = {
+        term: math.log(1.0 + (n - len(plist) + 0.5) / (len(plist) + 0.5))
+        for term, plist in postings.items()
+    }
+    return TfIndex(postings, doc_lengths, sum(doc_lengths) / n, n, idf, k1, b, tokenize)
+
+
+def _term_score(index: TfIndex, tf: int, doc_id: int, term: str) -> float:
+    k1, b = index.k1, index.b
+    norm = k1 * (1.0 - b + b * index.doc_lengths[doc_id] / index.avgdl)
+    return index.idf[term] * tf * (k1 + 1.0) / (tf + norm)
+
+
+def bm25_top_n_tf(index: TfIndex, query: str, n: int) -> list[tuple[int, float]]:
+    accum: dict[int, float] = {}
+    for term, count in Counter(index.tokenize(query)).items():
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        for doc_id, tf in plist:
+            accum[doc_id] = accum.get(doc_id, 0.0) + count * _term_score(index, tf, doc_id, term)
+
+    ranked = sorted(accum.items(), key=lambda item: (-item[1], item[0]))
+    limit = min(n, index.doc_count)
+    if len(ranked) < limit:
+        matched = set(accum)
+        for doc_id in range(index.doc_count):
+            if doc_id not in matched:
+                ranked.append((doc_id, 0.0))
+                if len(ranked) >= limit:
+                    break
+    return ranked[:limit]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import json
 import math
 import random
+import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from molrag.bm25 import (
@@ -17,7 +18,28 @@ from molrag.bm25 import (
     tokenize_chargrams,
     top_n,
 )
-from oracles import bm25_rank_direct, bm25_score_direct
+from oracles import bm25_rank_direct, bm25_score_direct, bm25_top_n_tf, build_tf_index
+
+_TOKENIZERS = {"caption": tokenize, "smiles_chargram": tokenize_chargrams}
+# Queries draw from a wider alphabet than documents, so some query terms are unindexed.
+_CAPTION_WORDS = ["acid", "amine", "ring", "the", "a", "is"]
+_QUERY_WORDS = _CAPTION_WORDS + ["ketone", "zz"]
+
+
+@st.composite
+def _corpus_and_query(draw):
+    mode = draw(st.sampled_from(sorted(_TOKENIZERS)))
+    if mode == "caption":
+        doc = st.lists(st.sampled_from(_CAPTION_WORDS), max_size=8).map(" ".join)
+        query = st.lists(st.sampled_from(_QUERY_WORDS), min_size=1, max_size=8).map(" ".join)
+    else:
+        doc = st.text(alphabet="CNOc1", max_size=10)
+        query = st.text(alphabet="CNOSc1", min_size=1, max_size=10)
+    docs = draw(st.lists(doc, min_size=1, max_size=12))
+    params = Bm25Params(k1=draw(st.sampled_from([0.5, 1.2, 1.5, 2.0])),
+                        b=draw(st.sampled_from([0.0, 0.5, 0.75, 1.0])))
+    n = draw(st.integers(min_value=1, max_value=len(docs) + 3))
+    return mode, docs, params, draw(query), n
 
 
 class TestTokenize:
@@ -127,6 +149,21 @@ class TestTopN:
         second = top_n(index, "primary alcohol with a chain", 10)
         assert first == second
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_corpus_and_query())
+    def test_matches_tf_postings_oracle_bit_for_bit(self, tmp_path, case):
+        # Same ids and the same float at every rank as scoring (doc_id, tf) postings at
+        # query time, before and after a save/load round trip.
+        mode, docs, params, query, n = case
+        index = build_index(docs, params, tokenizer_mode=mode)
+        save_index(index, tmp_path / "index.bm25")
+        oracle = build_tf_index(docs, _TOKENIZERS[mode], params.k1, params.b)
+        expected = [(doc, score.hex()) for doc, score in bm25_top_n_tf(oracle, query, n)]
+        for candidate in (index, load_index(tmp_path / "index.bm25")):
+            got = [(doc, score.hex()) for doc, score in top_n(candidate, query, n)]
+            assert got == expected
+
     def test_matches_exhaustive_ranking(self):
         rng = random.Random(4)
         vocab = [f"tok{i}" for i in range(25)]
@@ -175,6 +212,75 @@ class TestPersistence:
         blob[-3] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(Bm25FormatError):
+            load_index(path)
+
+    @pytest.mark.parametrize("mode, docs", [
+        ("caption", ["one two two", "two three", "four"]),
+        ("smiles_chargram", ["CCO", "c1ccccc1", "CC"]),
+    ])
+    def test_every_byte_flip_and_truncation_is_a_format_error(self, tmp_path, mode, docs):
+        path = tmp_path / "x.bm25"
+        save_index(build_index(docs, tokenizer_mode=mode), path)
+        blob = path.read_bytes()
+        header_end = 12 + int.from_bytes(blob[8:12], "big")
+        damaged = [blob[:size] for size in range(len(blob))]
+        for pos in range(len(blob)):
+            # Inverting any byte breaks the magic, the version, the header's length or
+            # its UTF-8; the body CRC also catches every single-bit change.
+            masks = [0xFF] + ([1 << bit for bit in range(8)] if pos >= header_end else [])
+            for mask in masks:
+                flipped = bytearray(blob)
+                flipped[pos] ^= mask
+                damaged.append(bytes(flipped))
+        for data in damaged:
+            path.write_bytes(data)
+            with pytest.raises(Bm25FormatError):
+                load_index(path)
+
+    def _rewrite(self, path, edit_header=lambda header: None, body=None):
+        blob = path.read_bytes()
+        header_end = 12 + int.from_bytes(blob[8:12], "big")
+        header = json.loads(blob[12:header_end])
+        body = blob[header_end:] if body is None else body
+        header["body_crc32"] = zlib.crc32(body)
+        edit_header(header)
+        header_bytes = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + len(header_bytes).to_bytes(4, "big") + header_bytes + body)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.pop("df"), "'df' is missing or has the wrong type"),
+        (lambda h: h.update(k1="1.5"), "'k1' is missing or has the wrong type"),
+        (lambda h: h.update(doc_count=True), "'doc_count' is missing or has the wrong type"),
+        (lambda h: h.update(terms=h["terms"][::-1]), "not distinct sorted strings"),
+        (lambda h: h.update(df=[0] * len(h["df"])), "not one positive count per term"),
+        (lambda h: h.update(doc_count=h["doc_count"] + 1), "body holds"),
+    ], ids=["no-df", "string-k1", "bool-doc-count", "unsorted-terms", "zero-df", "size"])
+    def test_inconsistent_header_is_a_format_error(self, tmp_path, edit, message):
+        path = tmp_path / "x.bm25"
+        save_index(build_index(["one two", "two three"]), path)
+        self._rewrite(path, edit)
+        with pytest.raises(Bm25FormatError, match=message):
+            load_index(path)
+
+    def test_doc_id_out_of_range_is_a_format_error(self, tmp_path):
+        path = tmp_path / "x.bm25"
+        save_index(build_index(["one two", "two three"]), path)
+        blob = path.read_bytes()
+        body = bytearray(blob[12 + int.from_bytes(blob[8:12], "big"):])
+        body[8:12] = (2).to_bytes(4, "little")  # the first posting's doc id, after 2 lengths
+        self._rewrite(path, body=bytes(body))
+        with pytest.raises(Bm25FormatError, match="outside"):
+            load_index(path)
+
+    def test_version_1_index_asks_for_a_re_ingest(self, tmp_path):
+        # The version 1 layout: a JSON header, then a zlib-compressed JSON body.
+        header = json.dumps({"version": 1, "k1": 1.5, "b": 0.75, "doc_count": 1,
+                             "tokenizer_mode": "caption"}).encode()
+        body = zlib.compress(json.dumps({"doc_lengths": [1], "postings": {"a": [[0, 1]]}}).encode())
+        path = tmp_path / "v1.bm25"
+        path.write_bytes(b"BM25" + (1).to_bytes(4, "big") + len(header).to_bytes(4, "big")
+                         + header + len(body).to_bytes(4, "big") + body)
+        with pytest.raises(Bm25FormatError, match="version 1 .*re-run `molrag ingest`"):
             load_index(path)
 
     def test_chargram_mode_persisted(self, tmp_path):

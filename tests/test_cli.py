@@ -1,10 +1,15 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import molrag
 from molrag import cli
 from molrag.calibration import CalibrationPolicy
 from molrag.cli import main, run_evaluation, RunConfig, _process_item
@@ -64,6 +69,25 @@ class TestIngest:
         result = runner.invoke(main, ["inspect-store", "--store", str(tmp_path / "store")])
         assert result.exit_code == 0
         assert json.loads(result.output)["record_count"] == 112
+
+    def test_store_bytes_do_not_depend_on_the_hash_seed(self, data_dir, tmp_path):
+        # Manifest checksums and the BM25 header's term order must not follow set or
+        # dict iteration order, which PYTHONHASHSEED changes between processes.
+        src = str(Path(molrag.__file__).resolve().parents[1])
+        stores = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / f"store-{seed}"
+            subprocess.run([sys.executable, "-m", "molrag.cli", "ingest",
+                            str(data_dir / "corpus.tsv"), str(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            stores.append(out)
+        names = sorted(path.name for path in stores[0].iterdir())
+        assert names == sorted(path.name for path in stores[1].iterdir())
+        assert "captions.bm25" in names and "manifest.json" in names
+        for name in names:
+            assert (stores[0] / name).read_bytes() == (stores[1] / name).read_bytes(), name
 
     def test_corrupt_file_nonzero_exit(self, runner, tmp_path):
         bad = tmp_path / "bad.tsv"

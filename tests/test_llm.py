@@ -167,6 +167,18 @@ class TestReplayBackend:
         with pytest.raises(FixtureParseError):
             ReplayBackend(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("42", "entry is not a JSON object"),
+        ('["digest"]', "entry is not a JSON object"),
+        ('{"digest": ["x"]}', "digest is not a string"),
+        ('{"digest": "d", "error_script": 5}', "error_script is not a list"),
+    ], ids=["number", "list", "list-digest", "number-script"])
+    def test_fixture_line_of_the_wrong_shape(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"digest": "ok", "response": "x"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(FixtureParseError, match=f":2: {message}"):
+            ReplayBackend(path)
+
     def test_fixture_missing_digest_field(self, tmp_path):
         path = self.write_fixture(tmp_path, [{"response": "x"}])
         with pytest.raises(FixtureParseError):

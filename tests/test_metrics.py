@@ -297,6 +297,11 @@ class TestReport:
         assert report["metrics"]["validity"] == pytest.approx(1 / 3)
         assert report["metrics"]["morgan_fts"] == pytest.approx(1 / 3)
 
+    def test_prediction_beyond_the_recursion_limit(self):
+        ring = "C1" + "C" * 1498 + "1"
+        report = build_report([EvalPair(ring, ring), EvalPair("CCO", "CCO")], "cap2mol", {})
+        assert report["metrics"]["exact_match"] == 1.0
+
     def test_empty_pairs_rejected(self):
         with pytest.raises(EmptyInput):
             build_report([], "cap2mol", {})

@@ -291,6 +291,12 @@ class TestEquality:
     def test_stereo_blind(self):
         assert molecules_equal(parse_smiles("N[C@@H](C)C(=O)O"), parse_smiles("N[C@H](C)C(=O)O"))
 
+    def test_atom_count_beyond_the_recursion_limit(self):
+        # The mapping search once recursed per atom. A 1,500-atom ring refines in one
+        # round; a 1,500-atom chain takes ~750 rounds but fails the same way.
+        ring = "C1" + "C" * 1498 + "1"
+        assert molecules_equal(parse_smiles(ring), parse_smiles(ring))
+
 
 class TestValidity:
     def test_simple_valid(self):

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from molrag.bm25 import top_n
+from molrag.bm25 import Bm25Params, build_index, save_index, top_n
 from molrag.fingerprint import FingerprintParams, dice_similarity, morgan_fingerprint
 from molrag.smiles import molecules_equal, parse_smiles
 from molrag.store import (
@@ -347,6 +348,13 @@ class TestPersistence:
             ("missing-file", "cannot read captions.bm25"),
             ("list-manifest", "manifest is not a JSON object"),
             ("no-checksums", "manifest lacks checksums"),
+            ("empty-fingerprint-params", "manifest lacks fingerprint_params.radius"),
+            ("list-checksums", "manifest checksums has the wrong type"),
+            ("string-k1", "manifest bm25_params.k1 has the wrong type"),
+            ("version-1", r"version 1 \(this molrag reads 2\); re-run `molrag ingest`"),
+            ("index-k1", "captions.bm25 holds caption BM25 over 112 records with k1=2.0"),
+            ("index-doc-count", "captions.bm25 holds caption BM25 over 3 records"),
+            ("index-mode", "captions.bm25 holds smiles_chargram BM25"),
         ],
     )
     def test_damaged_store_is_an_integrity_error(self, corpus_store, tmp_path, damage, message):
@@ -354,13 +362,30 @@ class TestPersistence:
         save_store(corpus_store, directory)
         manifest_path = directory / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        captions = [rec.caption for rec in corpus_store.records]
+        rebuilt_index = {
+            "index-k1": lambda: build_index(captions, Bm25Params(k1=2.0)),
+            "index-doc-count": lambda: build_index(captions[:3]),
+            "index-mode": lambda: build_index(captions, tokenizer_mode="smiles_chargram"),
+        }
+        edited_manifest = {
+            "list-manifest": lambda: [manifest],
+            "no-checksums": lambda: {k: v for k, v in manifest.items() if k != "checksums"},
+            "empty-fingerprint-params": lambda: {**manifest, "fingerprint_params": {}},
+            "list-checksums": lambda: {**manifest, "checksums": []},
+            "string-k1": lambda: {**manifest, "bm25_params": {"k1": "x"}},
+            "version-1": lambda: {**manifest, "format_version": 1},
+        }
         if damage == "missing-file":
             (directory / "captions.bm25").unlink()
-        elif damage == "list-manifest":
-            manifest_path.write_text(json.dumps([manifest]), encoding="utf-8")
-        else:
-            del manifest["checksums"]
+        elif damage in rebuilt_index:
+            # A checksummed index that disagrees with the manifest's parameters.
+            save_index(rebuilt_index[damage](), directory / "captions.bm25")
+            digest = hashlib.sha256((directory / "captions.bm25").read_bytes()).hexdigest()
+            manifest["checksums"]["captions.bm25"] = digest
             manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        else:
+            manifest_path.write_text(json.dumps(edited_manifest[damage]()), encoding="utf-8")
         with pytest.raises(StoreIntegrityError, match=message):
             load_store(directory)
 
