@@ -13,15 +13,17 @@ config files, logs or error messages.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
+import re
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from molrag.prompt import ChatPrompt
 
@@ -39,14 +41,20 @@ RETRYABLE_KINDS = frozenset({"rate_limited", "network", "server"})
 
 FINISH_REASONS = ("stop", "length", "content_filter", "other")
 
+# delta-seconds form of Retry-After (RFC 9110 section 10.2.3); an HTTP-date is ignored
+_DELTA_SECONDS = re.compile(r"\s*([0-9]+)\s*")
+
 
 class BackendError(Exception):
+    """A failed backend call; ``retry_after`` is the server's requested wait in seconds."""
+
     def __init__(self, kind: str, message: str) -> None:
         if kind not in ERROR_KINDS:
             raise ValueError(f"unknown backend error kind {kind!r}")
         super().__init__(f"[{kind}] {message}")
         self.kind = kind
         self.message = message
+        self.retry_after: float | None = None
 
 
 class MissingFixture(Exception):
@@ -92,7 +100,11 @@ def prompt_digest(prompt: ChatPrompt) -> str:
 
 
 class HttpBackend:
-    """One chat-completion POST per send; no retry logic of its own."""
+    """One chat-completion POST per send, on a fresh connection; no retry logic of its own.
+
+    ``urllib.request`` honours the ``HTTP(S)_PROXY``/``NO_PROXY`` variables and
+    verifies TLS against the system trust store (``SSL_CERT_FILE`` overrides it).
+    """
 
     def __init__(self, config: BackendConfig) -> None:
         self.config = config
@@ -112,21 +124,31 @@ class HttpBackend:
                 {"role": "user", "content": prompt.user_text},
             ],
         }
+        data = json.dumps(body).encode("utf-8")
         try:
-            resp = requests.post(
-                cfg.endpoint_url, json=body, headers=headers, timeout=cfg.request_timeout
-            )
-        except requests.RequestException as exc:
+            request = urllib.request.Request(cfg.endpoint_url, data, headers, method="POST")
+            try:
+                with urllib.request.urlopen(request, timeout=cfg.request_timeout) as resp:
+                    status, reply_headers, raw = resp.status, resp.headers, resp.read()
+            except urllib.error.HTTPError as exc:
+                with exc:
+                    status, reply_headers, raw = exc.code, exc.headers, exc.read()
+        # OSError covers URLError and timeouts; ValueError is a URL urllib cannot parse
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise BackendError("network", f"request failed: {type(exc).__name__}") from exc
 
-        if resp.status_code != 200:
-            raise _classify_http_error(resp)
+        if status != 200:
+            err = _classify_http_error(status, raw)
+            if status in (429, 503):
+                err.retry_after = _retry_after_seconds(
+                    reply_headers.get("Retry-After"), cfg.request_timeout
+                )
+            raise err
         try:
-            payload = resp.json()
-            choice = payload["choices"][0]
+            choice = json.loads(raw)["choices"][0]
             text = choice["message"]["content"]
             finish = choice.get("finish_reason", "other")
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise BackendError("malformed_response", f"bad response body: {exc}") from exc
         if not isinstance(text, str):
             raise BackendError("malformed_response", f"reply content is {type(text).__name__}")
@@ -135,25 +157,33 @@ class HttpBackend:
         return text, finish
 
 
-def _classify_http_error(resp) -> BackendError:
+def _classify_http_error(status: int, raw: bytes) -> BackendError:
+    """Map a non-200 reply to an error kind; without an ``error`` object, by status alone."""
     code = ""
-    message = f"HTTP {resp.status_code}"
+    message = f"HTTP {status}"
     try:
-        err = resp.json().get("error", {})
+        err = json.loads(raw).get("error")
+    except (ValueError, AttributeError, RecursionError):
+        err = None
+    if isinstance(err, dict):
         code = str(err.get("code", ""))
         if err.get("message"):
-            message = f"HTTP {resp.status_code}: {err['message']}"
-    except ValueError:
-        pass
+            message = f"HTTP {status}: {err['message']}"
     if code == "context_length_exceeded" or "maximum context length" in message.lower():
         return BackendError("context_length_exceeded", message)
-    if resp.status_code in (401, 403):
-        return BackendError("auth", f"HTTP {resp.status_code}: authentication failed")
-    if resp.status_code == 429:
+    if status in (401, 403):
+        return BackendError("auth", f"HTTP {status}: authentication failed")
+    if status == 429:
         return BackendError("rate_limited", message)
-    if resp.status_code >= 500:
+    if status >= 500:
         return BackendError("server", message)
     return BackendError("malformed_response", message)
+
+
+def _retry_after_seconds(value: str | None, cap: float) -> float | None:
+    """Seconds a delta-seconds ``Retry-After`` asks for, at most ``cap``; else None."""
+    match = _DELTA_SECONDS.fullmatch(value) if value else None
+    return min(float(match.group(1)), cap) if match else None
 
 
 class ReplayBackend:
@@ -215,29 +245,13 @@ class ReplayBackend:
         return entry["response"], entry.get("finish_reason", "stop")
 
 
-class ScriptedBackend:
-    """In-memory backend for tests: a list of error kinds and/or response texts."""
-
-    def __init__(self, script: list) -> None:
-        self.script = list(script)
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def send(self, prompt: ChatPrompt) -> tuple[str, str]:
-        with self._lock:
-            step = self.script[min(self.calls, len(self.script) - 1)]
-            self.calls += 1
-        if isinstance(step, str) and step in ERROR_KINDS:
-            raise BackendError(step, f"scripted {step}")
-        return step, "stop"
-
-
 class ChatClient:
     """Retry-aware chat client over any backend.
 
     Retries rate-limit, network and server errors with exponentially growing
-    (never decreasing) delays; context-length and auth errors surface
-    immediately. At most ``max_retries + 1`` attempts are made.
+    (never decreasing) delays, waiting longer when the error carries a longer
+    ``retry_after``; context-length and auth errors surface immediately. At
+    most ``max_retries + 1`` attempts are made.
     """
 
     def __init__(
@@ -270,6 +284,7 @@ class ChatClient:
             except BackendError as err:
                 if err.kind in RETRYABLE_KINDS and attempt <= self.max_retries:
                     delay = self.backoff_base * (2 ** (attempt - 1))
+                    delay = max(delay, err.retry_after or 0.0)
                     log.warning(
                         "backend %s on attempt %d/%d; retrying in %.2fs",
                         err.kind,

@@ -33,7 +33,7 @@ from molrag.fingerprint import (
     morgan_environments,
     morgan_fingerprint,
 )
-from molrag.llm import ChatClient, ScriptedBackend
+from molrag.llm import ChatClient
 from molrag.metrics import (
     EvalPair,
     bleu_n,
@@ -47,6 +47,7 @@ from molrag.metrics import (
 from molrag.prompt import CAPTION_MASK, MOLECULE_MASK, build_prompt, default_template
 from molrag.smiles import molecules_equal, parse_smiles, write_smiles
 from molrag.store import RetrievalStrategy, load_chebi_tsv, retrieve_mol2cap, save_store
+from backends import ScriptedBackend
 from oracles import all_environment_signatures, bm25_rank_direct
 from test_metrics import (
     CAPTION_PAIRS,

@@ -14,10 +14,11 @@ from molrag.calibration import (
     calibrated_query,
     extract_payload,
 )
-from molrag.llm import BackendError, ChatClient, ScriptedBackend
+from molrag.llm import BackendError, ChatClient
 from molrag.prompt import default_template
 from molrag.smiles import is_valid_smiles
 from molrag.store import RetrievalStrategy, retrieve_mol2cap
+from backends import ScriptedBackend
 from oracles import extract_payload_rescan
 
 GOOD_CAPTION = '{"caption": "A molecule description."}'

@@ -13,7 +13,7 @@ import molrag
 from molrag import cli
 from molrag.calibration import CalibrationPolicy
 from molrag.cli import main, run_evaluation, RunConfig, _process_item
-from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend, ScriptedBackend
+from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend
 from molrag.prompt import default_template
 from molrag.store import (
     STRATEGY_KINDS,
@@ -24,6 +24,7 @@ from molrag.store import (
     resolve_strategy,
     save_store,
 )
+from backends import ScriptedBackend
 
 REPLAY_M2C = "replay_eval_mol2cap.jsonl"
 REPLAY_C2M = "replay_eval_cap2mol.jsonl"
@@ -88,6 +89,17 @@ class TestIngest:
         assert "captions.bm25" in names and "manifest.json" in names
         for name in names:
             assert (stores[0] / name).read_bytes() == (stores[1] / name).read_bytes(), name
+
+    def test_import_loads_no_third_party_http_client(self):
+        # `ingest` sends no request, and the chat client needs only the standard library.
+        src = str(Path(molrag.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        check = ("import sys, molrag.cli; "
+                 "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-c", check], env=env, check=True,
+                                capture_output=True, text=True, timeout=60)
+        assert result.stdout.strip() == "[]"
 
     def test_corrupt_file_nonzero_exit(self, runner, tmp_path):
         bad = tmp_path / "bad.tsv"

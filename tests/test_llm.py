@@ -1,10 +1,15 @@
 import json
 import logging
+import socket
+import time
 
 import pytest
-import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molrag.llm import (
+    ERROR_KINDS,
+    FINISH_REASONS,
     BackendConfig,
     BackendError,
     ChatClient,
@@ -12,10 +17,10 @@ from molrag.llm import (
     HttpBackend,
     MissingFixture,
     ReplayBackend,
-    ScriptedBackend,
     prompt_digest,
 )
 from molrag.prompt import ChatPrompt
+from backends import ChatServer, ScriptedBackend, completion
 
 
 def make_prompt(system="system text", user="user text") -> ChatPrompt:
@@ -26,18 +31,6 @@ def make_client(backend, **kwargs) -> ChatClient:
     kwargs.setdefault("backoff_base", 0.0)
     kwargs.setdefault("sleep", lambda s: None)
     return ChatClient(backend, **kwargs)
-
-
-class FakeResponse:
-    def __init__(self, status_code: int, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
 
 
 class TestDigest:
@@ -199,37 +192,79 @@ class TestReplayBackend:
             ReplayBackend(path)
 
 
+@pytest.fixture()
+def chat_server():
+    server = ChatServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture(scope="module")
+def shared_chat_server():
+    server = ChatServer()
+    yield server
+    server.close()
+
+
+def free_port() -> int:
+    """A loopback port nothing listens on once this returns."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["error", "code", "message", "choices", "content"]) | st.text(max_size=4),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=8,
+)
+reply_bodies = (
+    st.binary(max_size=48)
+    | json_values.map(lambda value: json.dumps(value).encode("utf-8"))
+    | st.builds(
+        lambda content, finish: {"choices": [{"message": {"content": content},
+                                              "finish_reason": finish}]},
+        json_values,
+        json_values,
+    )
+    | st.builds(lambda code, message: {"error": {"code": code, "message": message}},
+                json_values, json_values)
+)
+retry_after_values = (
+    st.none()
+    | st.integers(0, 10**30).map(str)
+    | st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), max_size=12)
+)
+
+
 class TestHttpBackend:
-    def config(self) -> BackendConfig:
-        return BackendConfig(endpoint_url="https://example.test/v1/chat", max_retries=2)
+    def config(self, server, request_timeout=5.0) -> BackendConfig:
+        return BackendConfig(endpoint_url=server.url, max_retries=2,
+                             request_timeout=request_timeout)
 
-    def test_request_shape_and_success(self, monkeypatch):
-        seen = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen.update(url=url, body=json, headers=headers, timeout=timeout)
-            return FakeResponse(
-                200,
-                {
-                    "choices": [
-                        {"message": {"content": "hello"}, "finish_reason": "stop"}
-                    ]
-                },
-            )
-
-        monkeypatch.setattr(requests, "post", fake_post)
+    def test_request_shape_and_success(self, chat_server, monkeypatch):
+        chat_server.reset((200, completion("hello")))
         monkeypatch.setenv("MOLRAG_API_KEY", "sk-test-key")
-        backend = HttpBackend(self.config())
+        backend = HttpBackend(self.config(chat_server))
         text, finish = backend.send(make_prompt("sys", "usr"))
         assert (text, finish) == ("hello", "stop")
-        assert seen["url"] == "https://example.test/v1/chat"
-        assert seen["body"]["messages"] == [
+        [(method, path, headers, raw)] = chat_server.requests
+        assert (method, path) == ("POST", "/v1/chat/completions")
+        body = json.loads(raw)
+        assert raw == json.dumps(body).encode("utf-8")
+        assert body["messages"] == [
             {"role": "system", "content": "sys"},
             {"role": "user", "content": "usr"},
         ]
-        assert seen["body"]["model"] == "gpt-3.5-turbo"
-        assert "max_tokens" in seen["body"] and "temperature" in seen["body"]
-        assert seen["headers"]["Authorization"] == "Bearer sk-test-key"
+        assert body["model"] == "gpt-3.5-turbo"
+        assert "max_tokens" in body and "temperature" in body
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer sk-test-key"
 
     @pytest.mark.parametrize(
         "status,payload,kind",
@@ -244,64 +279,136 @@ class TestHttpBackend:
             (400, {"error": {"code": "bad_request", "message": "nope"}}, "malformed_response"),
         ],
     )
-    def test_error_mapping(self, monkeypatch, status, payload, kind):
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **k: FakeResponse(status, payload)
-        )
+    def test_error_mapping(self, chat_server, status, payload, kind):
+        chat_server.reset((status, payload))
         with pytest.raises(BackendError) as err:
-            HttpBackend(self.config()).send(make_prompt())
+            HttpBackend(self.config(chat_server)).send(make_prompt())
         assert err.value.kind == kind
 
-    def test_network_error(self, monkeypatch):
-        def boom(*a, **k):
-            raise requests.ConnectionError("nope")
-
-        monkeypatch.setattr(requests, "post", boom)
+    @pytest.mark.parametrize(
+        "status,raw,kind",
+        [
+            (502, b'{"error": "upstream timed out"}', "server"),
+            (500, b'["x"]', "server"),
+            (502, b"null", "server"),
+            (429, b'"slow"', "rate_limited"),
+            (502, b"[" * 5000, "server"),
+        ],
+        ids=["error-string", "list", "null", "string", "deep-nesting"],
+    )
+    def test_error_body_without_error_object_is_classified_by_status(
+        self, chat_server, status, raw, kind
+    ):
+        chat_server.reset((status, raw))
         with pytest.raises(BackendError) as err:
-            HttpBackend(self.config()).send(make_prompt())
+            HttpBackend(self.config(chat_server)).send(make_prompt())
+        assert err.value.kind == kind
+        assert err.value.message == f"HTTP {status}"
+
+    def test_network_error(self):
+        config = BackendConfig(endpoint_url=f"http://127.0.0.1:{free_port()}/v1/chat")
+        with pytest.raises(BackendError) as err:
+            HttpBackend(config).send(make_prompt())
         assert err.value.kind == "network"
 
-    def test_malformed_body(self, monkeypatch):
-        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, {"nope": 1}))
+    @pytest.mark.parametrize("url", ["not a url", "http://127.0.0.1:port/v1/chat"],
+                             ids=["no-scheme", "bad-port"])
+    def test_unusable_url_is_a_network_error(self, url):
         with pytest.raises(BackendError) as err:
-            HttpBackend(self.config()).send(make_prompt())
+            HttpBackend(BackendConfig(endpoint_url=url)).send(make_prompt())
+        assert err.value.kind == "network"
+
+    def test_stall_past_the_timeout_is_a_network_error(self, chat_server):
+        chat_server.reset((200, completion("too late")))
+        chat_server.stall = 5.0
+        started = time.monotonic()
+        with pytest.raises(BackendError) as err:
+            HttpBackend(self.config(chat_server, request_timeout=0.2)).send(make_prompt())
+        assert err.value.kind == "network"
+        assert time.monotonic() - started < 4.0
+
+    def test_malformed_body(self, chat_server):
+        chat_server.reset((200, {"nope": 1}))
+        with pytest.raises(BackendError) as err:
+            HttpBackend(self.config(chat_server)).send(make_prompt())
+        assert err.value.kind == "malformed_response"
+
+    @pytest.mark.parametrize("raw", [b'{"choices": "\xff"}', b"[" * 5000],
+                             ids=["non-utf8", "deep-nesting"])
+    def test_undecodable_body_is_malformed(self, chat_server, raw):
+        chat_server.reset((200, raw))
+        with pytest.raises(BackendError) as err:
+            HttpBackend(self.config(chat_server)).send(make_prompt())
         assert err.value.kind == "malformed_response"
 
     @pytest.mark.parametrize("content", [None, ["text"], 42], ids=["null", "list", "number"])
-    def test_non_string_content_is_malformed(self, monkeypatch, content):
-        body = {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
-        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, body))
+    def test_non_string_content_is_malformed(self, chat_server, content):
+        chat_server.reset((200, completion(content)))
         with pytest.raises(BackendError) as err:
-            HttpBackend(self.config()).send(make_prompt())
+            HttpBackend(self.config(chat_server)).send(make_prompt())
         assert err.value.kind == "malformed_response"
 
-    def test_api_key_never_logged(self, monkeypatch, caplog):
+    def test_api_key_never_logged(self, chat_server, monkeypatch, caplog):
         secret = "sk-do-not-leak-8841"
         monkeypatch.setenv("MOLRAG_API_KEY", secret)
-        calls = {"n": 0}
-
-        def flaky_post(url, json=None, headers=None, timeout=None):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                return FakeResponse(429, {"error": {"message": "slow down"}})
-            return FakeResponse(
-                200, {"choices": [{"message": {"content": "ok"}, "finish_reason": "stop"}]}
-            )
-
-        monkeypatch.setattr(requests, "post", flaky_post)
+        slow_down = (429, {"error": {"message": "slow down"}})
+        chat_server.reset(slow_down, slow_down, (200, completion("ok")))
         client = ChatClient(
-            HttpBackend(self.config()), max_retries=3, backoff_base=0.0, sleep=lambda s: None
+            HttpBackend(self.config(chat_server)), max_retries=3, backoff_base=0.0,
+            sleep=lambda s: None,
         )
         with caplog.at_level(logging.DEBUG):
             result = client.complete(make_prompt())
         assert result.attempt_count == 3
+        assert all(headers["Authorization"] == f"Bearer {secret}"
+                   for _, _, headers, _ in chat_server.requests)
         for record in caplog.records:
             assert secret not in record.getMessage()
 
-    def test_api_key_not_in_error_text(self, monkeypatch):
+    def test_api_key_not_in_error_text(self, chat_server, monkeypatch):
         secret = "sk-never-show-this"
         monkeypatch.setenv("MOLRAG_API_KEY", secret)
-        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(500, None))
+        chat_server.reset((500, None))
         with pytest.raises(BackendError) as err:
-            HttpBackend(self.config()).send(make_prompt())
+            HttpBackend(self.config(chat_server)).send(make_prompt())
         assert secret not in str(err.value)
+
+    @pytest.mark.parametrize(
+        "status,retry_after,delays",
+        [
+            (429, "3", [3.0]),
+            (503, " 2 ", [2.0]),
+            (429, "0", [0.5]),
+            (503, "600", [5.0]),
+            (429, "Wed, 21 Oct 2015 07:28:00 GMT", [0.5]),
+            (429, "-1", [0.5]),
+            (500, "3", [0.5]),
+        ],
+        ids=["rate-limited", "unavailable", "shorter-than-backoff", "capped-at-timeout",
+             "http-date", "negative", "not-429-or-503"],
+    )
+    def test_retry_after_lengthens_the_wait(self, chat_server, status, retry_after, delays):
+        chat_server.reset((status, None, {"Retry-After": retry_after}), (200, completion("ok")))
+        slept = []
+        client = ChatClient(
+            HttpBackend(self.config(chat_server)), max_retries=2, backoff_base=0.5,
+            sleep=slept.append,
+        )
+        assert client.complete(make_prompt()).raw_text == "ok"
+        assert slept == delays
+
+    @settings(max_examples=150, deadline=None)
+    @given(status=st.integers(200, 599), body=reply_bodies, retry_after=retry_after_values)
+    def test_send_raises_only_backend_errors(self, shared_chat_server, status, body,
+                                             retry_after):
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        shared_chat_server.reset((status, body, headers))
+        config = self.config(shared_chat_server)
+        try:
+            text, finish = HttpBackend(config).send(make_prompt())
+        except BackendError as err:
+            assert err.kind in ERROR_KINDS
+            assert err.retry_after is None or 0.0 <= err.retry_after <= config.request_timeout
+        else:
+            assert status == 200
+            assert isinstance(text, str) and finish in FINISH_REASONS
