@@ -21,6 +21,7 @@ import re
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,15 +100,28 @@ def prompt_digest(prompt: ChatPrompt) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Leaves every 3xx reply an ``HTTPError`` instead of following it.
+
+    Following would send the bearer key on to the ``Location`` host, or turn the
+    POST into a body-less GET that cannot return a completion.
+    """
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
 class HttpBackend:
     """One chat-completion POST per send, on a fresh connection; no retry logic of its own.
 
     ``urllib.request`` honours the ``HTTP(S)_PROXY``/``NO_PROXY`` variables and
     verifies TLS against the system trust store (``SSL_CERT_FILE`` overrides it).
+    Redirects are not followed: a 3xx reply is a ``malformed_response`` error.
     """
 
     def __init__(self, config: BackendConfig) -> None:
         self.config = config
+        self._opener = urllib.request.build_opener(_NoRedirect)
 
     def send(self, prompt: ChatPrompt) -> tuple[str, str]:
         cfg = self.config
@@ -126,16 +140,23 @@ class HttpBackend:
         }
         data = json.dumps(body).encode("utf-8")
         try:
+            # urllib also opens file:, data: and ftp: URLs, whose replies carry no status
+            if urllib.parse.urlsplit(cfg.endpoint_url).scheme not in ("http", "https"):
+                raise BackendError("network", "endpoint_url is not an http(s) URL")
             request = urllib.request.Request(cfg.endpoint_url, data, headers, method="POST")
             try:
-                with urllib.request.urlopen(request, timeout=cfg.request_timeout) as resp:
+                with self._opener.open(request, timeout=cfg.request_timeout) as resp:
                     status, reply_headers, raw = resp.status, resp.headers, resp.read()
             except urllib.error.HTTPError as exc:
                 with exc:
                     status, reply_headers, raw = exc.code, exc.headers, exc.read()
         # OSError covers URLError and timeouts; ValueError is a URL urllib cannot parse
         except (OSError, http.client.HTTPException, ValueError) as exc:
-            raise BackendError("network", f"request failed: {type(exc).__name__}") from exc
+            name = type(exc).__name__
+            # a URLError wraps the refused connection, DNS or TLS failure that caused it
+            if isinstance(getattr(exc, "reason", None), BaseException):
+                name += f"({type(exc.reason).__name__})"
+            raise BackendError("network", f"request failed: {name}") from exc
 
         if status != 200:
             err = _classify_http_error(status, raw)

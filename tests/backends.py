@@ -102,5 +102,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    # recorded too, so a POST that a client turned into a GET on redirect shows up
+    do_GET = do_POST  # noqa: N815
+
     def log_message(self, format, *args) -> None:  # noqa: A002 (signature is fixed)
         pass

@@ -310,9 +310,29 @@ class TestHttpBackend:
         with pytest.raises(BackendError) as err:
             HttpBackend(config).send(make_prompt())
         assert err.value.kind == "network"
+        assert err.value.message == "request failed: URLError(ConnectionRefusedError)"
 
-    @pytest.mark.parametrize("url", ["not a url", "http://127.0.0.1:port/v1/chat"],
-                             ids=["no-scheme", "bad-port"])
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, chat_server, monkeypatch, status):
+        monkeypatch.setenv("MOLRAG_API_KEY", "sk-stays-home")
+        elsewhere = ChatServer()
+        try:
+            elsewhere.reset((200, completion("moved")))
+            chat_server.reset((status, None, {"Location": elsewhere.url}))
+            with pytest.raises(BackendError) as err:
+                HttpBackend(self.config(chat_server)).send(make_prompt())
+            assert err.value.kind == "malformed_response"
+            assert err.value.message == f"HTTP {status}"
+            assert len(chat_server.requests) == 1
+            assert elsewhere.requests == []
+        finally:
+            elsewhere.close()
+
+    @pytest.mark.parametrize(
+        "url",
+        ["not a url", "http://127.0.0.1:port/v1/chat", "data:,x", "file:///dev/null"],
+        ids=["no-scheme", "bad-port", "data", "file"],
+    )
     def test_unusable_url_is_a_network_error(self, url):
         with pytest.raises(BackendError) as err:
             HttpBackend(BackendConfig(endpoint_url=url)).send(make_prompt())
