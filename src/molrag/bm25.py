@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 _MAGIC = b"BM25"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _EDGE_PUNCT = string.punctuation
 
 
@@ -171,7 +171,8 @@ def top_n(index: Bm25Index, query: str, n: int) -> list[tuple[int, float]]:
 # big-endian), the header length (4 bytes, big-endian), a JSON header, then one
 # body of little-endian columns: doc_lengths (int32 x doc_count), every term's
 # doc ids (int32 x sum(df)), then every term's impacts (float64 x sum(df)),
-# terms in the header's sorted order. The header's body_crc32 covers the body.
+# terms in the header's sorted order. It ends with a CRC-32 (4 bytes,
+# big-endian) of every byte before it, so the header is covered too.
 # ---------------------------------------------------------------------------
 
 _HEADER_TYPES = {
@@ -181,7 +182,6 @@ _HEADER_TYPES = {
     "doc_count": int,
     "terms": list,
     "df": list,
-    "body_crc32": int,
 }
 
 
@@ -215,15 +215,15 @@ def save_index(index: Bm25Index, path) -> None:
         "doc_count": index.doc_count,
         "terms": terms,
         "df": [len(index.postings[term]) for term in terms],
-        "body_crc32": zlib.crc32(body),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_FORMAT_VERSION.to_bytes(4, "big"))
-        fh.write(len(header_bytes).to_bytes(4, "big"))
-        fh.write(header_bytes)
-        fh.write(body)
+        for part in (_MAGIC, _FORMAT_VERSION.to_bytes(4, "big"),
+                     len(header_bytes).to_bytes(4, "big"), header_bytes, body):
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(crc.to_bytes(4, "big"))
 
 
 def _check_header(header) -> None:
@@ -257,9 +257,12 @@ def load_index(path) -> Bm25Index:
             f"unsupported BM25 index format version {version} (this molrag reads "
             f"{_FORMAT_VERSION}); re-run `molrag ingest` to rebuild it"
         )
+    content = memoryview(blob)[:-4]
+    if len(blob) < 16 or zlib.crc32(content) != int.from_bytes(blob[-4:], "big"):
+        raise Bm25FormatError("BM25 index file fails its CRC-32 check")
     hlen = int.from_bytes(blob[8:12], "big")
     try:
-        header = json.loads(blob[12 : 12 + hlen])
+        header = json.loads(bytes(content[12 : 12 + hlen]))
     except ValueError as exc:
         raise Bm25FormatError(f"corrupt BM25 index header: {exc}") from exc
     _check_header(header)
@@ -268,9 +271,7 @@ def load_index(path) -> Bm25Index:
     except ValueError as exc:
         raise Bm25FormatError(f"bad BM25 parameters in index header: {exc}") from exc
 
-    body = memoryview(blob)[12 + hlen :]
-    if zlib.crc32(body) != header["body_crc32"]:
-        raise Bm25FormatError("BM25 index body fails its CRC-32 check")
+    body = content[12 + hlen :]
     doc_count, terms, df = header["doc_count"], header["terms"], header["df"]
     total = sum(df)
     if len(body) != 4 * doc_count + 12 * total:

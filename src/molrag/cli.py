@@ -169,11 +169,8 @@ def _config_echo(config: RunConfig, store: Store, template: PromptTemplate) -> d
         "store": {
             "record_count": len(store),
             "split": store.split,
-            "fingerprint_params": {
-                "radius": store.fp_params.radius,
-                "nbits": store.fp_params.nbits,
-            },
-            "bm25_params": {"k1": store.bm25_params.k1, "b": store.bm25_params.b},
+            "fingerprint_params": dataclasses.asdict(store.fp_params),
+            "bm25_params": dataclasses.asdict(store.bm25_params),
         },
     }
 
@@ -573,8 +570,8 @@ def cmd_inspect_store(store_path) -> None:
     payload = {
         "record_count": len(db),
         "split": db.split,
-        "fingerprint_params": {"radius": db.fp_params.radius, "nbits": db.fp_params.nbits},
-        "bm25_params": {"k1": db.bm25_params.k1, "b": db.bm25_params.b},
+        "fingerprint_params": dataclasses.asdict(db.fp_params),
+        "bm25_params": dataclasses.asdict(db.bm25_params),
         "caption_vocabulary": len(db.caption_index.postings),
         "smiles_trigram_vocabulary": len(db.smiles_index.postings),
         "mean_caption_tokens": db.caption_index.avgdl,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from molrag.fingerprint import FingerprintParams, dice_similarity, morgan_fingerprint
 from molrag.smiles import SmilesError, is_valid_smiles, molecules_equal, parse_smiles
@@ -298,7 +298,7 @@ def build_report(
         "not_computed": _NOT_COMPUTED[task],
         "counts": counts,
         "config": config,
-        "fingerprint_params": {"radius": fp_params.radius, "nbits": fp_params.nbits},
+        "fingerprint_params": asdict(fp_params),
     }
 
 

@@ -1,6 +1,6 @@
-"""SMILES parsing, serialization, canonical ranking and validity."""
+"""SMILES parsing, graph equality and validity."""
 
-from molrag.smiles.canon import canonical_rank, invariant_sequence, molecules_equal
+from molrag.smiles.canon import invariant_sequence, molecules_equal
 from molrag.smiles.model import (
     Atom,
     Bond,
@@ -15,7 +15,6 @@ from molrag.smiles.model import (
 )
 from molrag.smiles.parser import parse_smiles
 from molrag.smiles.validity import is_valid_smiles
-from molrag.smiles.writer import write_smiles
 
 __all__ = [
     "Atom",
@@ -28,10 +27,8 @@ __all__ = [
     "UnbalancedParenthesis",
     "UnknownToken",
     "UnmatchedRingClosure",
-    "canonical_rank",
     "invariant_sequence",
     "is_valid_smiles",
     "molecules_equal",
     "parse_smiles",
-    "write_smiles",
 ]

@@ -1,10 +1,9 @@
-"""Canonical atom ranking and graph equality.
+"""Refinement ranks and graph equality.
 
 Ranking works by iterative neighborhood refinement: atoms start from a local
 invariant tuple and are repeatedly re-partitioned by the sorted multiset of
-(bond order, neighbor rank) pairs until the partition stabilises. Remaining
-ties are split one atom at a time (lowest-ranked class first) followed by
-re-refinement, which yields a total order usable for deterministic output.
+(bond order, neighbor rank) pairs until the partition stabilises. Atoms that
+stay tied are left tied; equality resolves them by searching for a mapping.
 
 Stereochemistry is deliberately excluded from invariants and equality.
 """
@@ -34,31 +33,31 @@ def _dense_ranks(keys: list) -> list[int]:
     return [order[key] for key in keys]
 
 
-def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
-    """Refine ranks until the partition stops splitting."""
-    n = len(mol)
+def _neighbor_profiles(mol: Molecule, ranks: list[int]) -> list[tuple]:
+    """Each atom's sorted (bond order, neighbor rank) pairs."""
+    return [
+        tuple(sorted((bond.order.value, ranks[j]) for j, bond in mol.neighbors(i)))
+        for i in range(len(mol))
+    ]
+
+
+def refined_ranks(mol: Molecule) -> list[int]:
+    """Ranks refined until the partition stops splitting.
+
+    Isomorphic molecules map corresponding atoms to equal ranks, so the
+    sorted rank profile is an isomorphism invariant.
+    """
+    ranks = _dense_ranks([atom_invariant(mol, i) for i in range(len(mol))])
     while True:
-        keys = [
-            (
-                ranks[i],
-                tuple(sorted((bond.order.value, ranks[j]) for j, bond in mol.neighbors(i))),
-            )
-            for i in range(n)
-        ]
-        new_ranks = _dense_ranks(keys)
+        new_ranks = _dense_ranks(list(zip(ranks, _neighbor_profiles(mol, ranks))))
         if new_ranks == ranks:
             return ranks
         ranks = new_ranks
 
 
-def refined_ranks(mol: Molecule) -> list[int]:
-    """Stable refinement ranks, before any artificial tie-breaking.
-
-    Isomorphic molecules map corresponding atoms to equal ranks, so the
-    sorted rank profile is an isomorphism invariant.
-    """
-    initial = [atom_invariant(mol, i) for i in range(len(mol))]
-    return _refine(mol, _dense_ranks(initial))
+def _invariant_sequence(mol: Molecule, ranks: list[int]) -> tuple:
+    invariants = [atom_invariant(mol, i) for i in range(len(mol))]
+    return tuple(sorted(zip(ranks, invariants, _neighbor_profiles(mol, ranks))))
 
 
 def invariant_sequence(mol: Molecule) -> tuple:
@@ -67,36 +66,7 @@ def invariant_sequence(mol: Molecule) -> tuple:
     Each entry couples an atom's refined rank with its local invariant and
     its sorted (bond order, neighbor rank) profile.
     """
-    ranks = refined_ranks(mol)
-    entries = [
-        (
-            ranks[i],
-            atom_invariant(mol, i),
-            tuple(sorted((bond.order.value, ranks[j]) for j, bond in mol.neighbors(i))),
-        )
-        for i in range(len(mol))
-    ]
-    return tuple(sorted(entries))
-
-
-def canonical_rank(mol: Molecule) -> list[int]:
-    """Assign each atom a distinct rank in 0..len(mol)-1.
-
-    Ties surviving refinement are broken by promoting the lowest-index atom of
-    the lowest-ranked tied class, then re-refining, until the partition is
-    discrete.
-    """
-    n = len(mol)
-    ranks = refined_ranks(mol)
-    while len(set(ranks)) < n:
-        counts: dict[int, list[int]] = {}
-        for i, r in enumerate(ranks):
-            counts.setdefault(r, []).append(i)
-        tied_rank = min(r for r, members in counts.items() if len(members) > 1)
-        chosen = min(counts[tied_rank])
-        keys = [(r, 0 if i == chosen else 1) for i, r in enumerate(ranks)]
-        ranks = _refine(mol, _dense_ranks(keys))
-    return ranks
+    return _invariant_sequence(mol, refined_ranks(mol))
 
 
 def _bond_signature(bond: Bond) -> int:
@@ -106,19 +76,19 @@ def _bond_signature(bond: Bond) -> int:
 def molecules_equal(a: Molecule, b: Molecule) -> bool:
     """Graph isomorphism (stereo-blind), for the exact-match metric.
 
-    Compares refined invariant sequences first, then verifies by searching
-    for an explicit atom mapping constrained to equal refinement classes and
-    consistent bond sets.
+    Refines each molecule once and compares the invariant sequences built from
+    those ranks, then verifies by searching for an explicit atom mapping
+    constrained to equal refinement classes and consistent bond sets.
     """
     if len(a) != len(b) or len(a.bonds) != len(b.bonds):
         return False
     if len(a) == 0:
         return True
-    if invariant_sequence(a) != invariant_sequence(b):
-        return False
-
     ranks_a = refined_ranks(a)
     ranks_b = refined_ranks(b)
+    if _invariant_sequence(a, ranks_a) != _invariant_sequence(b, ranks_b):
+        return False
+
     by_rank_b: dict[int, list[int]] = {}
     for j, r in enumerate(ranks_b):
         by_rank_b.setdefault(r, []).append(j)

@@ -1,4 +1,4 @@
-"""Molecular graph data model shared by the SMILES parser, writer and metrics."""
+"""Molecular graph data model shared by the SMILES parser, equality and metrics."""
 
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ WILDCARD = "*"
 # Elements eligible for the lowercase aromatic form.
 AROMATIC_ELIGIBLE = frozenset({"B", "C", "N", "O", "P", "S", "Se", "As"})
 
-# Atoms writable outside brackets, and their standard maximum valence.
+# Atoms allowed outside brackets, and their standard maximum valence.
 ORGANIC_SUBSET = frozenset({"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"})
 MAX_VALENCE = {
     "B": 3,
@@ -107,7 +107,7 @@ class Bond:
     """An undirected edge between two atom indices.
 
     The stereo marker (``/`` or ``\\``) is retained verbatim but plays no role
-    in canonical ranking, fingerprints or equality.
+    in refinement ranks, fingerprints or equality.
     """
 
     a: int

@@ -35,6 +35,9 @@ _BOND_SYMBOLS = {
     ":": BondOrder.AROMATIC,
 }
 
+# ASCII only: str.isdigit also accepts digits such as "²" that int() rejects.
+_DIGITS = frozenset("0123456789")
+
 # Lowercase forms allowed outside brackets.
 _AROMATIC_ORGANIC = frozenset({"b", "c", "n", "o", "p", "s"})
 
@@ -133,7 +136,7 @@ def parse_smiles(text: str) -> Molecule:
             pos += 1
             continue
 
-        if ch.isdigit() or ch == "%":
+        if ch in _DIGITS or ch == "%":
             pos = _ring_closure(st, text, pos)
             continue
 
@@ -189,11 +192,18 @@ def _add_atom(st: _State, atom: Atom) -> None:
     st.prev_atom = idx
 
 
+def _digit_run(text: str, i: int) -> int:
+    """End of the run of ASCII digits that starts at ``i``."""
+    while i < len(text) and text[i] in _DIGITS:
+        i += 1
+    return i
+
+
 def _ring_closure(st: _State, text: str, pos: int) -> int:
     if st.prev_atom is None:
         raise UnmatchedRingClosure(f"ring closure digit before any atom at position {pos}")
     if text[pos] == "%":
-        if pos + 2 >= len(text) or not (text[pos + 1].isdigit() and text[pos + 2].isdigit()):
+        if pos + 2 >= len(text) or not (text[pos + 1] in _DIGITS and text[pos + 2] in _DIGITS):
             raise UnmatchedRingClosure(f"'%' not followed by two digits at position {pos}")
         digit = int(text[pos + 1 : pos + 3])
         pos += 3
@@ -259,9 +269,7 @@ def _bracket_atom(st: _State, text: str, pos: int) -> int:
 
     # isotope
     isotope: int | None = None
-    j = i
-    while j < m and body[j].isdigit():
-        j += 1
+    j = _digit_run(body, i)
     if j > i:
         isotope = int(body[i:j])
         i = j
@@ -308,9 +316,7 @@ def _bracket_atom(st: _State, text: str, pos: int) -> int:
     explicit_h: int | None = None
     if i < m and body[i] == "H":
         i += 1
-        j = i
-        while j < m and body[j].isdigit():
-            j += 1
+        j = _digit_run(body, i)
         explicit_h = int(body[i:j]) if j > i else 1
         i = j
 
@@ -323,9 +329,7 @@ def _bracket_atom(st: _State, text: str, pos: int) -> int:
         while i < m and body[i] == symbol:
             count += 1
             i += 1
-        j = i
-        while j < m and body[j].isdigit():
-            j += 1
+        j = _digit_run(body, i)
         if j > i:
             if count > 1:
                 raise err("charge mixes repeated signs with digits")
@@ -337,9 +341,7 @@ def _bracket_atom(st: _State, text: str, pos: int) -> int:
     # atom-map class: parsed and discarded
     if i < m and body[i] == ":":
         i += 1
-        j = i
-        while j < m and body[j].isdigit():
-            j += 1
+        j = _digit_run(body, i)
         if j == i:
             raise err("':' not followed by a class number")
         i = j

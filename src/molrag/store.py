@@ -353,13 +353,7 @@ def save_store(store: Store, directory) -> None:
 
     fp_path = directory / _FP_FILE
     with open(fp_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            json.dumps(
-                {"radius": store.fp_params.radius, "nbits": store.fp_params.nbits},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        fh.write(json.dumps(dataclasses.asdict(store.fp_params), sort_keys=True) + "\n")
         for rec in store.records:
             fh.write(rec.fingerprint.to_hex() + "\n")
 
@@ -370,8 +364,8 @@ def save_store(store: Store, directory) -> None:
         "format_version": STORE_FORMAT_VERSION,
         "record_count": len(store.records),
         "split": store.split,
-        "fingerprint_params": {"radius": store.fp_params.radius, "nbits": store.fp_params.nbits},
-        "bm25_params": {"k1": store.bm25_params.k1, "b": store.bm25_params.b},
+        "fingerprint_params": dataclasses.asdict(store.fp_params),
+        "bm25_params": dataclasses.asdict(store.bm25_params),
         "checksums": {name: _sha256(directory / name) for name in _DATA_FILES},
     }
     with open(directory / _MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as fh:
@@ -424,7 +418,7 @@ def load_store(directory) -> Store:
     rows = (directory / _RECORDS_FILE).read_text(encoding="utf-8").splitlines()
     fp_lines = (directory / _FP_FILE).read_text(encoding="utf-8").splitlines()
     fp_header = json.loads(fp_lines[0])
-    if fp_header != {"radius": fp_params.radius, "nbits": fp_params.nbits}:
+    if fp_header != dataclasses.asdict(fp_params):
         raise StoreIntegrityError("fingerprint file params disagree with manifest")
 
     records: list[MoleculeRecord] = []

@@ -17,7 +17,24 @@ from dataclasses import dataclass
 from typing import Callable
 
 from molrag.smiles import is_valid_smiles
-from molrag.smiles.model import Molecule
+from molrag.smiles.model import Bond, Molecule
+
+
+# ---------------------------------------------------------------------------
+# Atom permutation: an isomorphic copy of a molecule in another atom order.
+# ---------------------------------------------------------------------------
+
+
+def permute_molecule(mol: Molecule, perm: list[int]) -> Molecule:
+    """The same graph with atom ``i`` moved to index ``perm[i]``."""
+    atoms = [None] * len(mol)
+    for old, new in enumerate(perm):
+        atoms[new] = mol.atoms[old]
+    bonds = tuple(
+        Bond(a=perm[b.a], b=perm[b.b], order=b.order, stereo_marker=b.stereo_marker)
+        for b in mol.bonds
+    )
+    return Molecule(atoms=tuple(atoms), bonds=bonds, source_text=mol.source_text)
 
 
 # ---------------------------------------------------------------------------

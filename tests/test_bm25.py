@@ -222,13 +222,11 @@ class TestPersistence:
         path = tmp_path / "x.bm25"
         save_index(build_index(docs, tokenizer_mode=mode), path)
         blob = path.read_bytes()
-        header_end = 12 + int.from_bytes(blob[8:12], "big")
         damaged = [blob[:size] for size in range(len(blob))]
         for pos in range(len(blob)):
-            # Inverting any byte breaks the magic, the version, the header's length or
-            # its UTF-8; the body CRC also catches every single-bit change.
-            masks = [0xFF] + ([1 << bit for bit in range(8)] if pos >= header_end else [])
-            for mask in masks:
+            # The trailing CRC-32 covers the header as well as the body, so it
+            # catches every single-bit change anywhere in the file.
+            for mask in [0xFF] + [1 << bit for bit in range(8)]:
                 flipped = bytearray(blob)
                 flipped[pos] ^= mask
                 damaged.append(bytes(flipped))
@@ -238,14 +236,27 @@ class TestPersistence:
                 load_index(path)
 
     def _rewrite(self, path, edit_header=lambda header: None, body=None):
+        """Rewrite an index file with an edited header or body and a matching CRC."""
         blob = path.read_bytes()
         header_end = 12 + int.from_bytes(blob[8:12], "big")
         header = json.loads(blob[12:header_end])
-        body = blob[header_end:] if body is None else body
-        header["body_crc32"] = zlib.crc32(body)
+        body = blob[header_end:-4] if body is None else body
         edit_header(header)
         header_bytes = json.dumps(header).encode()
-        path.write_bytes(blob[:8] + len(header_bytes).to_bytes(4, "big") + header_bytes + body)
+        content = blob[:8] + len(header_bytes).to_bytes(4, "big") + header_bytes + body
+        path.write_bytes(content + zlib.crc32(content).to_bytes(4, "big"))
+
+    def test_header_byte_flip_is_a_format_error(self, tmp_path):
+        # Flipping the low bit of the 5 in "k1":1.5 leaves valid JSON that reads k1=1.4.
+        path = tmp_path / "x.bm25"
+        save_index(build_index(["one two", "two three"]), path)
+        blob = bytearray(path.read_bytes())
+        pos = blob.index(b'"k1":1.5') + len(b'"k1":1.')
+        blob[pos] ^= 1
+        assert b'"k1":1.4' in blob
+        path.write_bytes(bytes(blob))
+        with pytest.raises(Bm25FormatError, match="CRC-32"):
+            load_index(path)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda h: h.pop("df"), "'df' is missing or has the wrong type"),
@@ -266,7 +277,7 @@ class TestPersistence:
         path = tmp_path / "x.bm25"
         save_index(build_index(["one two", "two three"]), path)
         blob = path.read_bytes()
-        body = bytearray(blob[12 + int.from_bytes(blob[8:12], "big"):])
+        body = bytearray(blob[12 + int.from_bytes(blob[8:12], "big"):-4])
         body[8:12] = (2).to_bytes(4, "little")  # the first posting's doc id, after 2 lengths
         self._rewrite(path, body=bytes(body))
         with pytest.raises(Bm25FormatError, match="outside"):
@@ -281,6 +292,19 @@ class TestPersistence:
         path.write_bytes(b"BM25" + (1).to_bytes(4, "big") + len(header).to_bytes(4, "big")
                          + header + len(body).to_bytes(4, "big") + body)
         with pytest.raises(Bm25FormatError, match="version 1 .*re-run `molrag ingest`"):
+            load_index(path)
+
+    def test_version_2_index_asks_for_a_re_ingest(self, tmp_path):
+        # The version 2 layout: the body's CRC-32 sat in the JSON header and no
+        # trailer covered the header.
+        body = (1).to_bytes(4, "little") + (0).to_bytes(4, "little") + b"\0" * 8
+        header = json.dumps({"k1": 1.5, "b": 0.75, "tokenizer_mode": "caption",
+                             "doc_count": 1, "terms": ["a"], "df": [1],
+                             "body_crc32": zlib.crc32(body)}).encode()
+        path = tmp_path / "v2.bm25"
+        path.write_bytes(b"BM25" + (2).to_bytes(4, "big") + len(header).to_bytes(4, "big")
+                         + header + body)
+        with pytest.raises(Bm25FormatError, match="version 2 .*re-run `molrag ingest`"):
             load_index(path)
 
     def test_chargram_mode_persisted(self, tmp_path):

@@ -17,8 +17,7 @@ from molrag.fingerprint import (
     morgan_fingerprint,
 )
 from molrag.smiles import parse_smiles
-from oracles import all_environment_signatures
-from test_smiles import permute_molecule
+from oracles import all_environment_signatures, permute_molecule
 
 # FNV-1a 64 reference vectors (offset basis for empty input, published test value)
 FNV_EMPTY = 14695981039346656037

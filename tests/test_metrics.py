@@ -2,12 +2,13 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from molrag.fingerprint import FingerprintParams, dice_similarity, morgan_fingerprint
 from molrag.metrics import (
     STATUS_FAILED,
+    STATUS_OK,
     EmptyInput,
     EvalPair,
     bleu_n,
@@ -256,6 +257,10 @@ class TestRanges:
         assert levenshtein_mean(ps) >= 0.0
 
 
+_SMILESISH = "CcNnOoSs[]()=#$123%+-@H/\\.*Clr "
+_RING_1100 = "C1" + "C" * 1098 + "1"
+
+
 class TestReport:
     def test_structure_and_na_fields(self):
         report = build_report(pairs(SMILES_PAIRS), "cap2mol", {"n_shots": 2})
@@ -301,6 +306,26 @@ class TestReport:
         ring = "C1" + "C" * 1498 + "1"
         report = build_report([EvalPair(ring, ring), EvalPair("CCO", "CCO")], "cap2mol", {})
         assert report["metrics"]["exact_match"] == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                EvalPair,
+                st.text(alphabet=_SMILESISH, max_size=25),
+                st.text(alphabet=_SMILESISH, max_size=25),
+                st.sampled_from([STATUS_OK, STATUS_FAILED]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from(["mol2cap", "cap2mol"]),
+    )
+    # Past the recursion limit; a ring refines in one round, so this stays fast.
+    @example([EvalPair(_RING_1100, _RING_1100)], "cap2mol")
+    def test_build_report_never_raises(self, evaluated, task):
+        report = build_report(evaluated, task, {})
+        assert report["counts"]["items"] == len(evaluated)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(EmptyInput):
