@@ -91,7 +91,6 @@ class Bm25Index:
     doc_lengths: array
     avgdl: float
     doc_count: int
-    idf: dict[str, float]
     params: Bm25Params
     tokenizer_mode: str = "caption"
 
@@ -139,8 +138,7 @@ def build_index(
         ])
         for term, doc_ids in postings.items()
     }
-    return Bm25Index(postings, impacts, doc_lengths, avgdl, doc_count, idf, params,
-                     tokenizer_mode)
+    return Bm25Index(postings, impacts, doc_lengths, avgdl, doc_count, params, tokenizer_mode)
 
 
 def top_n(index: Bm25Index, query: str, n: int) -> list[tuple[int, float]]:
@@ -298,7 +296,6 @@ def load_index(path) -> Bm25Index:
         doc_lengths,
         sum(doc_lengths) / doc_count,
         doc_count,
-        {term: _idf(doc_count, count) for term, count in zip(terms, df)},
         params,
         header["tokenizer_mode"],
     )

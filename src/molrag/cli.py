@@ -169,8 +169,8 @@ def _config_echo(config: RunConfig, store: Store, template: PromptTemplate) -> d
         "store": {
             "record_count": len(store),
             "split": store.split,
-            "fingerprint_params": dataclasses.asdict(store.fp_params),
-            "bm25_params": dataclasses.asdict(store.bm25_params),
+            "fingerprint_params": dataclasses.asdict(FingerprintParams()),
+            "bm25_params": dataclasses.asdict(bm25.Bm25Params()),
         },
     }
 
@@ -206,24 +206,14 @@ def main() -> None:
 @main.command("ingest")
 @click.argument("tsv_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_store", type=click.Path(file_okay=False))
-@click.option("--radius", type=int, default=2, show_default=True)
-@click.option("--nbits", type=int, default=2048, show_default=True)
-@click.option("--k1", type=float, default=1.5, show_default=True)
-@click.option("--b", "b_param", type=float, default=0.75, show_default=True)
 @click.option("--split", default="train", show_default=True)
-def cmd_ingest(tsv_path, out_store, radius, nbits, k1, b_param, split) -> None:
-    """Load a molecule-caption TSV, build indices and persist the store."""
-    try:
-        records, report = load_chebi_tsv(tsv_path)
-        store = build_store(
-            records,
-            FingerprintParams(radius=radius, nbits=nbits),
-            bm25.Bm25Params(k1=k1, b=b_param),
-            split=split,
-        )
-        save_store(store, out_store)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+def cmd_ingest(tsv_path, out_store, split) -> None:
+    """Load a molecule-caption TSV, build indices and persist the store.
+
+    Fingerprints are Morgan, radius 2, 2,048 bits; BM25 uses k1 1.5 and b 0.75.
+    """
+    records, report = load_chebi_tsv(tsv_path)
+    save_store(build_store(records, split=split), out_store)
     click.echo(
         json.dumps(
             {
@@ -453,7 +443,7 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
         EvalPair(prediction=row["prediction"], reference=row["reference"], status=row["status"])
         for row in rows
     ]
-    report = build_report(pairs, config.task, echo, db.fp_params)
+    report = build_report(pairs, config.task, echo)
     _dump_json(out_dir / "report.json", report)
     (out_dir / "report.txt").write_text(render_table(report), encoding="utf-8")
     return report
@@ -570,8 +560,8 @@ def cmd_inspect_store(store_path) -> None:
     payload = {
         "record_count": len(db),
         "split": db.split,
-        "fingerprint_params": dataclasses.asdict(db.fp_params),
-        "bm25_params": dataclasses.asdict(db.bm25_params),
+        "fingerprint_params": dataclasses.asdict(FingerprintParams()),
+        "bm25_params": dataclasses.asdict(bm25.Bm25Params()),
         "caption_vocabulary": len(db.caption_index.postings),
         "smiles_trigram_vocabulary": len(db.smiles_index.postings),
         "mean_caption_tokens": db.caption_index.avgdl,

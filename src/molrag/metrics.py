@@ -177,30 +177,22 @@ def exact_match_rate(pairs: list[EvalPair]) -> float:
     return hits / len(pairs)
 
 
-def morgan_fts_stats(
-    pairs: list[EvalPair], fp_params: FingerprintParams | None = None
-) -> tuple[float, float, int]:
+def morgan_fts_stats(pairs: list[EvalPair]) -> tuple[float, float, int]:
     """(mean over all pairs with unparseable counting 0, mean over parseable
     pairs only, parseable pair count)."""
     if not pairs:
         return 0.0, 0.0, 0
-    fp_params = fp_params or FingerprintParams()
     total = 0.0
-    valid_total = 0.0
     valid_count = 0
     for pair in pairs:
         pred = _parse_or_none(pair.effective_prediction)
         ref = _parse_or_none(pair.reference)
         if pred is None or ref is None:
             continue
-        sim = dice_similarity(
-            morgan_fingerprint(pred, fp_params), morgan_fingerprint(ref, fp_params)
-        )
-        total += sim
-        valid_total += sim
+        total += dice_similarity(morgan_fingerprint(pred), morgan_fingerprint(ref))
         valid_count += 1
     mean_all = total / len(pairs)
-    mean_valid = valid_total / valid_count if valid_count else 0.0
+    mean_valid = total / valid_count if valid_count else 0.0
     return mean_all, mean_valid, valid_count
 
 
@@ -250,18 +242,12 @@ _TABLE_COLUMNS = {
 }
 
 
-def build_report(
-    pairs: list[EvalPair],
-    task: str,
-    config: dict,
-    fp_params: FingerprintParams | None = None,
-) -> dict:
+def build_report(pairs: list[EvalPair], task: str, config: dict) -> dict:
     """MetricReport as a plain JSON-ready dict; pure function of its inputs."""
     if task not in _TABLE_COLUMNS:
         raise ValueError(f"unknown task {task!r}")
     if not pairs:
         raise EmptyInput("no pairs to score")
-    fp_params = fp_params or FingerprintParams()
 
     failed = sum(1 for p in pairs if p.status == STATUS_FAILED)
     metrics: dict[str, float] = {}
@@ -279,7 +265,7 @@ def build_report(
         metrics["bleu4"] = bleu_n(pairs, 4, mode="smiles")
         metrics["levenshtein"] = levenshtein_mean(pairs)
         metrics["exact_match"] = exact_match_rate(pairs)
-        mean_all, mean_valid, valid_count = morgan_fts_stats(pairs, fp_params)
+        mean_all, mean_valid, valid_count = morgan_fts_stats(pairs)
         metrics["morgan_fts"] = mean_all
         metrics["morgan_fts_valid_only"] = mean_valid
         metrics["validity"] = validity_rate(pairs)
@@ -298,7 +284,7 @@ def build_report(
         "not_computed": _NOT_COMPUTED[task],
         "counts": counts,
         "config": config,
-        "fingerprint_params": asdict(fp_params),
+        "fingerprint_params": asdict(FingerprintParams()),
     }
 
 

@@ -267,11 +267,17 @@ def _bracket_atom(st: _State, text: str, pos: int) -> int:
     def err(msg: str) -> InvalidBracketAtom:
         return InvalidBracketAtom(f"{msg} in bracket atom {text[start : end + 1]!r}")
 
+    def number(i: int, j: int) -> int:
+        try:
+            return int(body[i:j])
+        except ValueError as exc:  # past the interpreter's integer-string digit limit
+            raise err(f"{j - i}-digit number") from exc
+
     # isotope
     isotope: int | None = None
     j = _digit_run(body, i)
     if j > i:
-        isotope = int(body[i:j])
+        isotope = number(i, j)
         i = j
 
     # element symbol
@@ -317,7 +323,7 @@ def _bracket_atom(st: _State, text: str, pos: int) -> int:
     if i < m and body[i] == "H":
         i += 1
         j = _digit_run(body, i)
-        explicit_h = int(body[i:j]) if j > i else 1
+        explicit_h = number(i, j) if j > i else 1
         i = j
 
     # charge: +, -, ++, --, +2, -3
@@ -333,7 +339,7 @@ def _bracket_atom(st: _State, text: str, pos: int) -> int:
         if j > i:
             if count > 1:
                 raise err("charge mixes repeated signs with digits")
-            charge = sign * int(body[i:j])
+            charge = sign * number(i, j)
             i = j
         else:
             charge = sign * count

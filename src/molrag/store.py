@@ -4,7 +4,10 @@ Ingest reads the ChEBI-20 TSV layout (header ``CID<TAB>SMILES<TAB>description``)
 quarantining rather than failing on malformed rows. The built store holds one
 BM25 index over captions, one over SMILES character 3-grams, and a Morgan
 fingerprint per record, and serves top-n context examples per retrieval
-strategy with the query's own pair excluded.
+strategy with the query's own pair excluded. Every store fingerprints and
+ranks under the default ``FingerprintParams()`` (radius 2, 2,048 bits) and
+``bm25.Bm25Params()`` (k1 1.5, b 0.75), so neither the store nor its files
+carry those parameters.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from molrag.fingerprint import (
 )
 from molrag.smiles import SmilesError, molecules_equal, parse_smiles
 
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
 _REQUIRED_COLUMNS = ("CID", "SMILES", "description")
 
 
@@ -135,7 +138,7 @@ def load_chebi_tsv(path) -> tuple[list[MoleculeRecord], IngestReport]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -178,57 +181,35 @@ def load_chebi_tsv(path) -> tuple[list[MoleculeRecord], IngestReport]:
     return records, report
 
 
+@dataclass(eq=False)
 class Store:
     """Immutable retrieval database over molecule-caption records."""
 
-    def __init__(
-        self,
-        records: list[MoleculeRecord],
-        fp_params: FingerprintParams,
-        bm25_params: bm25.Bm25Params,
-        caption_index: bm25.Bm25Index,
-        smiles_index: bm25.Bm25Index,
-        split: str = "train",
-        manifest_sha256: str | None = None,
-    ) -> None:
-        self.records = records
-        self.fp_params = fp_params
-        self.bm25_params = bm25_params
-        self.caption_index = caption_index
-        self.smiles_index = smiles_index
-        self.split = split
-        # digest of the manifest a persisted store was loaded from; None when built in memory
-        self.manifest_sha256 = manifest_sha256
+    records: list[MoleculeRecord]
+    caption_index: bm25.Bm25Index
+    smiles_index: bm25.Bm25Index
+    split: str = "train"
+    # digest of the manifest a persisted store was loaded from; None when built in memory
+    manifest_sha256: str | None = None
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-def build_store(
-    records: list[MoleculeRecord],
-    fp_params: FingerprintParams | None = None,
-    bm25_params: bm25.Bm25Params | None = None,
-    split: str = "train",
-) -> Store:
-    """Fingerprint every record under ``fp_params``, replacing any it carries, and build
-    both BM25 indices."""
+def build_store(records: list[MoleculeRecord], *, split: str = "train") -> Store:
+    """Fingerprint every record, replacing any fingerprint it carries, and build both
+    BM25 indices, all under the default parameters."""
     if not records:
         raise EmptyStore("no records to build a store from")
-    fp_params = fp_params or FingerprintParams()
-    bm25_params = bm25_params or bm25.Bm25Params()
-
-    enriched = []
-    for rec in records:
-        fp = morgan_fingerprint(parse_smiles(rec.smiles), fp_params)
-        enriched.append(dataclasses.replace(rec, fingerprint=fp))
-
-    caption_index = bm25.build_index(
-        [rec.caption for rec in enriched], bm25_params, tokenizer_mode="caption"
-    )
+    enriched = [
+        dataclasses.replace(rec, fingerprint=morgan_fingerprint(parse_smiles(rec.smiles)))
+        for rec in records
+    ]
+    caption_index = bm25.build_index([rec.caption for rec in enriched], tokenizer_mode="caption")
     smiles_index = bm25.build_index(
-        [rec.smiles for rec in enriched], bm25_params, tokenizer_mode="smiles_chargram"
+        [rec.smiles for rec in enriched], tokenizer_mode="smiles_chargram"
     )
-    return Store(enriched, fp_params, bm25_params, caption_index, smiles_index, split=split)
+    return Store(enriched, caption_index, smiles_index, split=split)
 
 
 def _check_request(store: Store, task: str, n: int, strategy: RetrievalStrategy) -> None:
@@ -280,7 +261,7 @@ def retrieve_mol2cap(
         query_mol = parse_smiles(query_smiles)
     except SmilesError as exc:
         raise ParseFailure(f"query SMILES does not parse: {exc}") from exc
-    query_fp = morgan_fingerprint(query_mol, store.fp_params)
+    query_fp = morgan_fingerprint(query_mol)
     # Isomorphic graphs always share a fingerprint, so bitmap equality gates
     # the (expensive) isomorphism check without letting an equal graph through.
     excluded = {
@@ -308,7 +289,8 @@ def retrieve_cap2mol(
 
 # ---------------------------------------------------------------------------
 # Persistence: a store directory with manifest, records TSV, fingerprint file
-# and the two BM25 index files. Checksums are verified on load.
+# (one hex bitmap per record, no header) and the two BM25 index files.
+# Checksums are verified on load.
 # ---------------------------------------------------------------------------
 
 _RECORDS_FILE = "records.tsv"
@@ -317,18 +299,11 @@ _CAPTION_INDEX_FILE = "captions.bm25"
 _SMILES_INDEX_FILE = "smiles.bm25"
 _MANIFEST_FILE = "manifest.json"
 _DATA_FILES = (_RECORDS_FILE, _FP_FILE, _CAPTION_INDEX_FILE, _SMILES_INDEX_FILE)
-# Every manifest value load_store reads, by dotted path, with the type it must have;
-# a dict comes before the paths inside it.
+# Every manifest value load_store reads, with the type it must have.
 _MANIFEST_FIELDS = (
     ("record_count", int),
     ("split", str),
-    ("fingerprint_params", dict),
-    ("bm25_params", dict),
     ("checksums", dict),
-    ("fingerprint_params.radius", int),
-    ("fingerprint_params.nbits", int),
-    ("bm25_params.k1", (int, float)),
-    ("bm25_params.b", (int, float)),
 )
 _INDEX_FILES = ((_CAPTION_INDEX_FILE, "caption"), (_SMILES_INDEX_FILE, "smiles_chargram"))
 
@@ -353,7 +328,6 @@ def save_store(store: Store, directory) -> None:
 
     fp_path = directory / _FP_FILE
     with open(fp_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(dataclasses.asdict(store.fp_params), sort_keys=True) + "\n")
         for rec in store.records:
             fh.write(rec.fingerprint.to_hex() + "\n")
 
@@ -364,8 +338,6 @@ def save_store(store: Store, directory) -> None:
         "format_version": STORE_FORMAT_VERSION,
         "record_count": len(store.records),
         "split": store.split,
-        "fingerprint_params": dataclasses.asdict(store.fp_params),
-        "bm25_params": dataclasses.asdict(store.bm25_params),
         "checksums": {name: _sha256(directory / name) for name in _DATA_FILES},
     }
     with open(directory / _MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as fh:
@@ -391,14 +363,11 @@ def load_store(directory) -> Store:
             f"unsupported store format version {version!r} (this molrag reads "
             f"{STORE_FORMAT_VERSION}); re-run `molrag ingest` to rebuild the store"
         )
-    for path, kind in _MANIFEST_FIELDS:
-        value = manifest
-        for key in path.split("."):
-            if key not in value:
-                raise StoreIntegrityError(f"manifest lacks {path}")
-            value = value[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise StoreIntegrityError(f"manifest {path} has the wrong type")
+    for key, kind in _MANIFEST_FIELDS:
+        if key not in manifest:
+            raise StoreIntegrityError(f"manifest lacks {key}")
+        if not isinstance(manifest[key], kind) or isinstance(manifest[key], bool):
+            raise StoreIntegrityError(f"manifest {key} has the wrong type")
 
     for name in _DATA_FILES:
         try:
@@ -408,27 +377,18 @@ def load_store(directory) -> Store:
         if actual != manifest["checksums"].get(name):
             raise StoreIntegrityError(f"checksum mismatch for {name}")
 
-    fpp, bp = manifest["fingerprint_params"], manifest["bm25_params"]
-    try:
-        fp_params = FingerprintParams(radius=fpp["radius"], nbits=fpp["nbits"])
-        bm25_params = bm25.Bm25Params(k1=bp["k1"], b=bp["b"])
-    except ValueError as exc:
-        raise StoreIntegrityError(f"bad manifest parameters: {exc}") from exc
-
     rows = (directory / _RECORDS_FILE).read_text(encoding="utf-8").splitlines()
     fp_lines = (directory / _FP_FILE).read_text(encoding="utf-8").splitlines()
-    fp_header = json.loads(fp_lines[0])
-    if fp_header != dataclasses.asdict(fp_params):
-        raise StoreIntegrityError("fingerprint file params disagree with manifest")
-
+    morgan = FingerprintParams()
     records: list[MoleculeRecord] = []
-    for row, hex_line in zip(rows[1:], fp_lines[1:]):
+    for row, hex_line in zip(rows[1:], fp_lines):
         cid, smiles, caption = row.split("\t", 2)
-        fp = MorganFingerprint.from_hex(hex_line, fp_params.nbits, fp_params.radius)
+        fp = MorganFingerprint.from_hex(hex_line, morgan.nbits, morgan.radius)
         records.append(MoleculeRecord(id=cid, smiles=smiles, caption=caption, fingerprint=fp))
     if len(records) != manifest["record_count"]:
         raise StoreIntegrityError("record count does not match manifest")
 
+    params = bm25.Bm25Params()
     indices = []
     for name, mode in _INDEX_FILES:
         try:
@@ -436,16 +396,16 @@ def load_store(directory) -> Store:
         except bm25.Bm25FormatError as exc:
             raise StoreIntegrityError(f"{name}: {exc}") from exc
         # Impacts carry k1 and b, so an index built under other parameters would rank
-        # under values the manifest (and every run manifest) does not report.
-        if (index.params, index.doc_count, index.tokenizer_mode) != (bm25_params, len(records), mode):
+        # under values other than the defaults that every run manifest reports.
+        if (index.params, index.doc_count, index.tokenizer_mode) != (params, len(records), mode):
             raise StoreIntegrityError(
                 f"{name} holds {index.tokenizer_mode} BM25 over {index.doc_count} records "
                 f"with k1={index.params.k1}, b={index.params.b}; the store needs {mode} BM25 "
-                f"over {len(records)} records with k1={bm25_params.k1}, b={bm25_params.b}"
+                f"over {len(records)} records with k1={params.k1}, b={params.b}"
             )
         indices.append(index)
     caption_index, smiles_index = indices
     return Store(
-        records, fp_params, bm25_params, caption_index, smiles_index, split=manifest["split"],
+        records, caption_index, smiles_index, split=manifest["split"],
         manifest_sha256=hashlib.sha256(manifest_bytes).hexdigest(),
     )

@@ -107,6 +107,8 @@ class TestExtraction:
         ),
         st.sampled_from(["mol2cap", "cap2mol"]),
     )
+    # the pattern fallback once let a parser ValueError out on a long bracket-atom digit run
+    @example("the answer is [" + "1" * 5000 + "C]", "cap2mol")
     def test_extraction_is_total(self, text, task):
         try:
             result = extract_payload(text, task)

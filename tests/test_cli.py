@@ -108,6 +108,31 @@ class TestIngest:
         assert result.exit_code != 0
         assert "column" in result.output.lower()
 
+    def test_parameter_options_are_gone(self, runner, data_dir, tmp_path):
+        # every store fingerprints and ranks under the one default setting
+        out = tmp_path / "store"
+        result = runner.invoke(main, ["ingest", str(data_dir / "corpus.tsv"), str(out),
+                                      "--radius", "3"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--radius" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "evaluate"])
+    def test_undecodable_tsv_is_a_one_line_error(self, runner, data_dir, store_dir, tmp_path,
+                                                 command):
+        # evaluate once ended in a UnicodeDecodeError traceback
+        latin = tmp_path / "latin1.tsv"
+        latin.write_bytes("CID\tSMILES\tdescription\n1\tCCO\t\u00e9thanol\n".encode("latin-1"))
+        if command == "ingest":
+            args = ["ingest", str(latin), str(tmp_path / "store")]
+        else:
+            args = eval_args(data_dir, store_dir, tmp_path / "out")
+            args[1] = str(latin)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert result.output.startswith("Error: cannot read ") and result.output.count("\n") == 1
+
     def test_quarantine_reported(self, runner, tmp_path):
         mixed = tmp_path / "mixed.tsv"
         mixed.write_text(

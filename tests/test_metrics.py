@@ -188,7 +188,7 @@ class TestMorganFts:
                 morgan_fingerprint(parse_smiles(pred), params),
                 morgan_fingerprint(parse_smiles(ref), params),
             )
-        mean_all, mean_valid, n_valid = morgan_fts_stats(pairs(raw), params)
+        mean_all, mean_valid, n_valid = morgan_fts_stats(pairs(raw))
         assert mean_all == pytest.approx(expected_sum / 4)
         assert mean_valid == pytest.approx(expected_sum / 3)
         assert n_valid == 3
@@ -323,6 +323,8 @@ class TestReport:
     )
     # Past the recursion limit; a ring refines in one round, so this stays fast.
     @example([EvalPair(_RING_1100, _RING_1100)], "cap2mol")
+    # a digit run past int()'s limit once raised ValueError out of the SMILES parser
+    @example([EvalPair("[" + "1" * 5000 + "C]", "CCO")], "cap2mol")
     def test_build_report_never_raises(self, evaluated, task):
         report = build_report(evaluated, task, {})
         assert report["counts"]["items"] == len(evaluated)

@@ -155,6 +155,10 @@ class TestParser:
     @example("[²C]")
     @example("[CH²]")
     @example("[C+²]")
+    # digit runs past int()'s limit once raised ValueError
+    @example("[" + "1" * 5000 + "C]")
+    @example("[CH" + "1" * 5000 + "]")
+    @example("[C+" + "1" * 5000 + "]")
     def test_parser_totality(self, text):
         try:
             mol = parse_smiles(text)

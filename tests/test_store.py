@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -106,9 +107,17 @@ class TestBuild:
 
     def test_rebuild_refingerprints_under_new_params(self, corpus_records):
         # a record's fingerprint of another radius, same nbits, was once kept
-        radius1 = build_store(list(corpus_records), FingerprintParams(radius=1))
-        rebuilt = build_store(radius1.records, FingerprintParams(radius=2))
-        fresh = build_store(list(corpus_records), FingerprintParams(radius=2))
+        radius1 = FingerprintParams(radius=1)
+        carried = [
+            dataclasses.replace(
+                rec, fingerprint=morgan_fingerprint(parse_smiles(rec.smiles), radius1)
+            )
+            for rec in corpus_records
+        ]
+        rebuilt = build_store(carried)
+        fresh = build_store(list(corpus_records))
+        for old, new in zip(carried, rebuilt.records):
+            assert (old.fingerprint.radius, new.fingerprint.radius) == (1, 2)
         assert [rec.fingerprint for rec in rebuilt.records] == [
             rec.fingerprint for rec in fresh.records
         ]
@@ -185,7 +194,7 @@ class TestMol2CapRetrieval:
 
     def test_morgan_matches_exhaustive_dice(self, corpus_store):
         assert len(corpus_store) >= 100
-        params = corpus_store.fp_params
+        params = FingerprintParams()
         for query in ("CCCCCO", "Oc1ccc(C)cc1", "NCCO"):
             query_fp = morgan_fingerprint(parse_smiles(query), params)
             query_mol = parse_smiles(query)
@@ -230,8 +239,8 @@ class TestMol2CapRetrieval:
         store = build_store(
             [MoleculeRecord(id=str(i), smiles=s, caption=f"c{i}") for i, s in enumerate(smiles)]
         )
-        octane = morgan_fingerprint(parse_smiles("CCCCCCCC"), store.fp_params)
-        assert morgan_fingerprint(parse_smiles("C" * 11), store.fp_params) == octane
+        octane = morgan_fingerprint(parse_smiles("CCCCCCCC"), FingerprintParams())
+        assert morgan_fingerprint(parse_smiles("C" * 11), FingerprintParams()) == octane
         # Under seed 2, random.sample of 2-5 of these records is not a prefix of
         # the full sample, so a random ranking cut short fails here too.
         strategy = RetrievalStrategy(kind, seed=2 if kind == "random" else None)
@@ -241,7 +250,7 @@ class TestMol2CapRetrieval:
                 return random.Random(2).sample(range(len(store)), len(store))
             if kind == "bm25_smiles_chargram":
                 return [pos for pos, _ in top_n(store.smiles_index, text, len(store))]
-            query_fp = morgan_fingerprint(parse_smiles(text), store.fp_params)
+            query_fp = morgan_fingerprint(parse_smiles(text), FingerprintParams())
             return sorted(
                 range(len(store)),
                 key=lambda pos: (-dice_similarity(query_fp, store.records[pos].fingerprint), pos),
@@ -348,10 +357,9 @@ class TestPersistence:
             ("missing-file", "cannot read captions.bm25"),
             ("list-manifest", "manifest is not a JSON object"),
             ("no-checksums", "manifest lacks checksums"),
-            ("empty-fingerprint-params", "manifest lacks fingerprint_params.radius"),
             ("list-checksums", "manifest checksums has the wrong type"),
-            ("string-k1", "manifest bm25_params.k1 has the wrong type"),
-            ("version-1", r"version 1 \(this molrag reads 2\); re-run `molrag ingest`"),
+            ("version-1", r"version 1 \(this molrag reads 3\); re-run `molrag ingest`"),
+            ("version-2", r"version 2 \(this molrag reads 3\); re-run `molrag ingest`"),
             ("index-k1", "captions.bm25 holds caption BM25 over 112 records with k1=2.0"),
             ("index-doc-count", "captions.bm25 holds caption BM25 over 3 records"),
             ("index-mode", "captions.bm25 holds smiles_chargram BM25"),
@@ -371,10 +379,12 @@ class TestPersistence:
         edited_manifest = {
             "list-manifest": lambda: [manifest],
             "no-checksums": lambda: {k: v for k, v in manifest.items() if k != "checksums"},
-            "empty-fingerprint-params": lambda: {**manifest, "fingerprint_params": {}},
             "list-checksums": lambda: {**manifest, "checksums": []},
-            "string-k1": lambda: {**manifest, "bm25_params": {"k1": "x"}},
             "version-1": lambda: {**manifest, "format_version": 1},
+            # what a format-2 store's manifest held
+            "version-2": lambda: {**manifest, "format_version": 2,
+                                  "fingerprint_params": {"nbits": 2048, "radius": 2},
+                                  "bm25_params": {"b": 0.75, "k1": 1.5}},
         }
         if damage == "missing-file":
             (directory / "captions.bm25").unlink()
@@ -388,6 +398,14 @@ class TestPersistence:
             manifest_path.write_text(json.dumps(edited_manifest[damage]()), encoding="utf-8")
         with pytest.raises(StoreIntegrityError, match=message):
             load_store(directory)
+
+    def test_format_3_files(self, corpus_store, tmp_path):
+        save_store(corpus_store, tmp_path / "store")
+        manifest = json.loads((tmp_path / "store" / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest) == ["checksums", "format_version", "record_count", "split"]
+        assert manifest["format_version"] == 3
+        fp_lines = (tmp_path / "store" / "fingerprints.jsonl").read_text().splitlines()
+        assert fp_lines == [rec.fingerprint.to_hex() for rec in corpus_store.records]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(IoFailure):
