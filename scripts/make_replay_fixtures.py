@@ -12,13 +12,15 @@ default templates, retrieval behavior or fixture corpora change:
 import json
 from pathlib import Path
 
-from molrag.calibration import CalibrationFailure, CalibrationPolicy, calibrated_query
+from molrag.calibration import CalibrationFailure, calibrated_query
 from molrag.llm import BackendError, ChatClient, prompt_digest
 from molrag.prompt import default_template
 from molrag.store import RetrievalStrategy, build_store, load_chebi_tsv
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 SEED = 0
+# the default of `molrag evaluate --max-error-allowance`
+MAX_ERROR_ALLOWANCE = 5
 
 # cap2mol garbage must contain no token that parses as a valid molecule
 GARBAGE_TEXT = "Unable. Unknown. Unclear. Unavailable for this request."
@@ -109,12 +111,11 @@ def run_session(task: str, items, store, n_shots: int, strategy: RetrievalStrate
     template = default_template(task)
     backend = FabricatingBackend(task, make_planner(task, items, n_shots))
     client = ChatClient(backend, max_retries=3, backoff_base=0.0, sleep=lambda s: None)
-    policy = CalibrationPolicy()
     failures = 0
     for rec in items:
         query = rec.smiles if task == "mol2cap" else rec.caption
         try:
-            calibrated_query(client, store, template, query, n_shots, policy, task, strategy)
+            calibrated_query(client, store, template, query, n_shots, MAX_ERROR_ALLOWANCE, strategy)
         except CalibrationFailure:
             failures += 1
     return backend.entries, failures

@@ -2,7 +2,8 @@
 
 Scoring follows score(Q, D) = sum over query positions of
 IDF(q_i) * f(q_i, D) * (k1 + 1) / (f(q_i, D) + k1 * (1 - b + b * |D| / avgdl))
-with the non-negative IDF variant idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)).
+with the non-negative IDF variant idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)),
+at the one setting every index uses: k1 = ``K1`` and b = ``B``.
 Each posting's term of that sum (its impact) is computed once, at build, and
 stored beside the posting's document id, so a query only adds impacts.
 
@@ -23,6 +24,9 @@ import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+
+K1 = 1.5
+B = 0.75
 
 _MAGIC = b"BM25"
 _FORMAT_VERSION = 3
@@ -65,18 +69,6 @@ _TOKENIZERS = {"caption": tokenize, "smiles_chargram": tokenize_chargrams}
 
 
 @dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.5
-    b: float = 0.75
-
-    def __post_init__(self) -> None:
-        if self.k1 <= 0:
-            raise ValueError("k1 must be positive")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class Bm25Index:
     """An inverted index held as two parallel columns per term.
 
@@ -91,7 +83,6 @@ class Bm25Index:
     doc_lengths: array
     avgdl: float
     doc_count: int
-    params: Bm25Params
     tokenizer_mode: str = "caption"
 
     def tokenize_query(self, text: str) -> list[str]:
@@ -102,15 +93,12 @@ def _idf(doc_count: int, df: int) -> float:
     return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
-def build_index(
-    docs: list[str], params: Bm25Params | None = None, tokenizer_mode: str = "caption"
-) -> Bm25Index:
+def build_index(docs: list[str], tokenizer_mode: str = "caption") -> Bm25Index:
     """Index a caption corpus. Raises EmptyCorpus on an empty document list."""
     if not docs:
         raise EmptyCorpus("cannot index an empty corpus")
     if tokenizer_mode not in _TOKENIZERS:
         raise ValueError(f"unknown tokenizer mode {tokenizer_mode!r}")
-    params = params or Bm25Params()
     tok = _TOKENIZERS[tokenizer_mode]
 
     postings: dict[str, array] = {}
@@ -127,18 +115,17 @@ def build_index(
 
     doc_count = len(doc_lengths)
     avgdl = sum(doc_lengths) / doc_count
-    k1, b = params.k1, params.b
     # avgdl is 0 only when no document has a token, and then there are no postings.
-    norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in doc_lengths] if avgdl else []
+    norms = [K1 * (1.0 - B + B * dl / avgdl) for dl in doc_lengths] if avgdl else []
     idf = {term: _idf(doc_count, len(doc_ids)) for term, doc_ids in postings.items()}
     impacts = {
         term: array("d", [
-            idf[term] * tf * (k1 + 1.0) / (tf + norms[doc_id])
+            idf[term] * tf * (K1 + 1.0) / (tf + norms[doc_id])
             for doc_id, tf in zip(doc_ids, tfs[term])
         ])
         for term, doc_ids in postings.items()
     }
-    return Bm25Index(postings, impacts, doc_lengths, avgdl, doc_count, params, tokenizer_mode)
+    return Bm25Index(postings, impacts, doc_lengths, avgdl, doc_count, tokenizer_mode)
 
 
 def top_n(index: Bm25Index, query: str, n: int) -> list[tuple[int, float]]:
@@ -207,8 +194,8 @@ def save_index(index: Bm25Index, path) -> None:
         impacts.extend(index.impacts[term])
     body = b"".join(_le_bytes(column) for column in (index.doc_lengths, doc_ids, impacts))
     header = {
-        "k1": index.params.k1,
-        "b": index.params.b,
+        "k1": K1,
+        "b": B,
         "tokenizer_mode": index.tokenizer_mode,
         "doc_count": index.doc_count,
         "terms": terms,
@@ -264,10 +251,13 @@ def load_index(path) -> Bm25Index:
     except ValueError as exc:
         raise Bm25FormatError(f"corrupt BM25 index header: {exc}") from exc
     _check_header(header)
-    try:
-        params = Bm25Params(k1=header["k1"], b=header["b"])
-    except ValueError as exc:
-        raise Bm25FormatError(f"bad BM25 parameters in index header: {exc}") from exc
+    # Impacts carry k1 and b, so an index built under other values would rank
+    # under values other than the ones every run manifest reports.
+    if (header["k1"], header["b"]) != (K1, B):
+        raise Bm25FormatError(
+            f"BM25 index was built with k1={header['k1']}, b={header['b']} (this molrag "
+            f"ranks with k1={K1}, b={B}); re-run `molrag ingest` to rebuild it"
+        )
 
     body = content[12 + hlen :]
     doc_count, terms, df = header["doc_count"], header["terms"], header["df"]
@@ -296,6 +286,5 @@ def load_index(path) -> Bm25Index:
         doc_lengths,
         sum(doc_lengths) / doc_count,
         doc_count,
-        params,
         header["tokenizer_mode"],
     )

@@ -62,15 +62,6 @@ class CalibrationFailure(Exception):
 
 
 @dataclass(frozen=True)
-class CalibrationPolicy:
-    max_error_allowance: int = 5
-
-    def __post_init__(self) -> None:
-        if self.max_error_allowance < 1:
-            raise ValueError("max_error_allowance must be positive")
-
-
-@dataclass(frozen=True)
 class ExtractionResult:
     value: str
     strategy: str
@@ -218,11 +209,10 @@ def calibrated_query(
     template: PromptTemplate,
     query: str,
     n: int,
-    policy: CalibrationPolicy,
-    task: str,
+    max_error_allowance: int,
     strategy: RetrievalStrategy | None = None,
 ) -> CalibratedOutput:
-    """Run the full validate-repair-requery loop for one item.
+    """Run the full validate-repair-requery loop for one item of ``template.task``.
 
     ``query_count`` counts allowance-charged queries; re-queries forced by a
     context-length error are exempt (and bounded by the initial shot count),
@@ -230,7 +220,9 @@ def calibrated_query(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    _task_spec(task)
+    if max_error_allowance < 1:
+        raise ValueError("max_error_allowance must be positive")
+    task = template.task
     if n > 0:
         if store is None or strategy is None:
             raise ValueError("n > 0 requires a store and a retrieval strategy")
@@ -247,9 +239,9 @@ def calibrated_query(
 
     while True:
         if not exempt_next:
-            if charged >= policy.max_error_allowance:
+            if charged >= max_error_allowance:
                 raise CalibrationFailure(
-                    f"error allowance ({policy.max_error_allowance}) exhausted",
+                    f"error allowance ({max_error_allowance}) exhausted",
                     transcript,
                     last_raw,
                     charged,

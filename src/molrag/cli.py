@@ -24,11 +24,7 @@ from pathlib import Path
 import click
 
 from molrag import __version__, bm25
-from molrag.calibration import (
-    CalibrationFailure,
-    CalibrationPolicy,
-    calibrated_query,
-)
+from molrag.calibration import CalibrationFailure, calibrated_query
 from molrag.fingerprint import FingerprintParams
 from molrag.llm import (
     BackendConfig,
@@ -40,7 +36,7 @@ from molrag.llm import (
     ReplayBackend,
 )
 from molrag.metrics import STATUS_FAILED, STATUS_OK, EvalPair, build_report, render_table
-from molrag.prompt import PromptTemplate, default_template, load_template
+from molrag.prompt import PromptError, PromptTemplate, default_template, load_template
 from molrag.smiles import is_valid_smiles
 from molrag.store import (
     STRATEGY_KINDS,
@@ -170,9 +166,16 @@ def _config_echo(config: RunConfig, store: Store, template: PromptTemplate) -> d
             "record_count": len(store),
             "split": store.split,
             "fingerprint_params": dataclasses.asdict(FingerprintParams()),
-            "bm25_params": dataclasses.asdict(bm25.Bm25Params()),
+            "bm25_params": {"k1": bm25.K1, "b": bm25.B},
         },
     }
+
+
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.ClickException(f"cannot create directory {path}: {exc.strerror}")
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -183,12 +186,13 @@ def _dump_json(path: Path, payload) -> None:
 
 
 class _Group(click.Group):
-    """Ends a command on a store, fatal backend or replay error with a one-line message."""
+    """Ends a command on a store, template, fatal backend or replay error with a one-line
+    message."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (StoreError, BackendError, MissingFixture, FixtureParseError) as exc:
+        except (StoreError, PromptError, BackendError, MissingFixture, FixtureParseError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -267,15 +271,15 @@ def cmd_query(user_input, cfg_file, **flags) -> None:
     db = load_store(config.store_path)
     tmpl = _load_prompt_template(config)
     client = _make_client(config)
-    policy = CalibrationPolicy(max_error_allowance=config.max_error_allowance)
 
     try:
         result = calibrated_query(
-            client, db, tmpl, user_input, config.n_shots, policy, config.task, config.strategy
+            client, db, tmpl, user_input, config.n_shots, config.max_error_allowance,
+            config.strategy,
         )
     except CalibrationFailure as fail:
         transcript_path = Path(config.out_path or ".") / "calibration_failure.json"
-        transcript_path.parent.mkdir(parents=True, exist_ok=True)
+        _make_dir(transcript_path.parent)
         _dump_json(
             transcript_path,
             {"attempts": fail.attempts, "last_raw_text": fail.last_raw_text},
@@ -302,7 +306,7 @@ def cmd_query(user_input, cfg_file, **flags) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _process_item(index, record, config, db, tmpl, client, policy, stop) -> dict | None:
+def _process_item(index, record, config, db, tmpl, client, stop) -> dict | None:
     """One checkpoint row; None when a fatal backend error has stopped the run."""
     if stop.is_set():
         return None
@@ -316,7 +320,7 @@ def _process_item(index, record, config, db, tmpl, client, policy, stop) -> dict
     }
     try:
         result = calibrated_query(
-            client, db, tmpl, query, config.n_shots, policy, config.task, config.strategy
+            client, db, tmpl, query, config.n_shots, config.max_error_allowance, config.strategy
         )
         row.update(
             prediction=result.value,
@@ -400,7 +404,7 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
     manifest there equals this run's.
     """
     client = _make_client(config)  # a bad replay fixture fails here, before any file is written
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     echo = _config_echo(config, db, tmpl)
     manifest = {**echo, **sources, "items": len(records)}
     items_path = out_dir / "items.jsonl"
@@ -409,13 +413,12 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
         _check_resumable(out_dir / "manifest.json", manifest)
     _dump_json(out_dir / "manifest.json", manifest)
 
-    policy = CalibrationPolicy(max_error_allowance=config.max_error_allowance)
     stop = threading.Event()
     todo = [i for i in range(len(records)) if i not in done]
     with open(items_path, "a", encoding="utf-8") as sink:
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
             futures = [
-                pool.submit(_process_item, i, records[i], config, db, tmpl, client, policy, stop)
+                pool.submit(_process_item, i, records[i], config, db, tmpl, client, stop)
                 for i in todo
             ]
             try:
@@ -505,8 +508,9 @@ def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None
             raise click.ClickException(str(exc))
         grid.append((n, name, cell))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # a bad store, template or test file fails here, before --out is created
     inputs = _load_run_inputs(base, test_tsv)
+    _make_dir(out_dir)
     cells = []
     for n, name, cell in grid:
         report = run_evaluation(cell, *inputs, Path(cell.out_path))
@@ -561,7 +565,7 @@ def cmd_inspect_store(store_path) -> None:
         "record_count": len(db),
         "split": db.split,
         "fingerprint_params": dataclasses.asdict(FingerprintParams()),
-        "bm25_params": dataclasses.asdict(bm25.Bm25Params()),
+        "bm25_params": {"k1": bm25.K1, "b": bm25.B},
         "caption_vocabulary": len(db.caption_index.postings),
         "smiles_trigram_vocabulary": len(db.smiles_index.postings),
         "mean_caption_tokens": db.caption_index.avgdl,

@@ -101,7 +101,11 @@ def parse_template(text: str, task: str, source: str = "<memory>") -> PromptTemp
 
 def load_template(path, task: str) -> PromptTemplate:
     path = Path(path)
-    return parse_template(path.read_text(encoding="utf-8"), task, source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PromptError(f"cannot read template {path}: {exc}") from exc
+    return parse_template(text, task, source=str(path))
 
 
 def default_template(task: str) -> PromptTemplate:

@@ -104,22 +104,15 @@ class Atom:
 
 @dataclass(frozen=True)
 class Bond:
-    """An undirected edge between two atom indices.
-
-    The stereo marker (``/`` or ``\\``) is retained verbatim but plays no role
-    in refinement ranks, fingerprints or equality.
-    """
+    """An undirected edge between two atom indices."""
 
     a: int
     b: int
     order: BondOrder = BondOrder.SINGLE
-    stereo_marker: str | None = None
 
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError("bond endpoints must be distinct")
-        if self.stereo_marker not in (None, "/", "\\"):
-            raise ValueError(f"bad stereo marker {self.stereo_marker!r}")
 
     @property
     def key(self) -> tuple[int, int]:
@@ -136,7 +129,7 @@ class Bond:
 
 @dataclass(frozen=True)
 class Molecule:
-    """Immutable molecular graph: atoms, bonds and the text it came from.
+    """Immutable molecular graph: atoms and bonds.
 
     Disconnected components (dot-separated SMILES) are permitted. The parser
     guarantees there are no self-loops and no duplicate edges.
@@ -144,7 +137,6 @@ class Molecule:
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
-    source_text: str = ""
     _adjacency: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )

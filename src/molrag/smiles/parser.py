@@ -3,8 +3,8 @@
 Covers the Daylight grammar minus reaction syntax: organic-subset atoms,
 bracket atoms, single/double/triple/quadruple/aromatic bonds, directional
 bond markers, branches, ring closures (digit and ``%nn``) and dot-separated
-fragments. Chirality tokens ``@``/``@@`` and atom-map classes are consumed
-and discarded.
+fragments. A directional marker ``/`` or ``\\`` reads as a single bond;
+chirality tokens ``@``/``@@`` and atom-map classes are consumed and discarded.
 """
 
 from __future__ import annotations
@@ -43,34 +43,15 @@ _AROMATIC_ORGANIC = frozenset({"b", "c", "n", "o", "p", "s"})
 
 
 @dataclass
-class _PendingBond:
-    order: BondOrder | None = None
-    stereo: str | None = None
-
-    @property
-    def present(self) -> bool:
-        return self.order is not None or self.stereo is not None
-
-    def clear(self) -> None:
-        self.order = None
-        self.stereo = None
-
-
-@dataclass
-class _RingOpening:
-    atom: int
-    order: BondOrder | None
-    stereo: str | None
-
-
-@dataclass
 class _State:
     atoms: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
     bond_keys: set[tuple[int, int]] = field(default_factory=set)
     prev_atom: int | None = None
-    pending: _PendingBond = field(default_factory=_PendingBond)
-    open_rings: dict[int, _RingOpening] = field(default_factory=dict)
+    # the order of the bond symbol read since the last atom or ring closure, if any
+    pending: BondOrder | None = None
+    # ring digit -> (opening atom, the bond order written at the opening, if any)
+    open_rings: dict[int, tuple[int, BondOrder | None]] = field(default_factory=dict)
     # (atom to return to, atom count at open) per '('
     branch_stack: list[tuple[int, int]] = field(default_factory=list)
 
@@ -81,7 +62,6 @@ def parse_smiles(text: str) -> Molecule:
     Raises a typed :class:`~molrag.smiles.model.SmilesError` subclass on any
     grammar violation; never crashes on malformed input.
     """
-    source = text
     text = text.strip()
     if not text:
         raise UnknownToken("empty SMILES string")
@@ -94,31 +74,30 @@ def parse_smiles(text: str) -> Molecule:
         ch = text[pos]
 
         if ch == ".":
-            if st.pending.present:
+            if st.pending is not None:
                 raise UnknownToken(f"bond symbol before fragment separator at position {pos}")
             st.prev_atom = None
             pos += 1
             continue
 
         if ch in _BOND_SYMBOLS:
-            if st.pending.order is not None:
+            if st.pending is not None:
                 raise UnknownToken(f"two consecutive bond symbols at position {pos}")
-            st.pending.order = _BOND_SYMBOLS[ch]
+            st.pending = _BOND_SYMBOLS[ch]
             pos += 1
             continue
 
         if ch in "/\\":
-            if st.pending.order is not None and st.pending.order is not BondOrder.SINGLE:
+            if st.pending is not None and st.pending is not BondOrder.SINGLE:
                 raise UnknownToken(f"stereo marker on non-single bond at position {pos}")
-            st.pending.order = BondOrder.SINGLE
-            st.pending.stereo = ch
+            st.pending = BondOrder.SINGLE
             pos += 1
             continue
 
         if ch == "(":
             if st.prev_atom is None:
                 raise UnbalancedParenthesis(f"branch opened before any atom at position {pos}")
-            if st.pending.present:
+            if st.pending is not None:
                 raise UnknownToken(f"bond symbol before '(' at position {pos}")
             st.branch_stack.append((st.prev_atom, len(st.atoms)))
             pos += 1
@@ -127,7 +106,7 @@ def parse_smiles(text: str) -> Molecule:
         if ch == ")":
             if not st.branch_stack:
                 raise UnbalancedParenthesis(f"')' without matching '(' at position {pos}")
-            if st.pending.present:
+            if st.pending is not None:
                 raise EmptyBranch(f"branch ends with a dangling bond at position {pos}")
             parent, count_at_open = st.branch_stack.pop()
             if len(st.atoms) == count_at_open:
@@ -155,7 +134,7 @@ def parse_smiles(text: str) -> Molecule:
 
         raise UnknownToken(f"unexpected character {ch!r} at position {pos}")
 
-    if st.pending.present:
+    if st.pending is not None:
         raise UnknownToken("SMILES ends with a dangling bond symbol")
     if st.branch_stack:
         raise UnbalancedParenthesis(f"{len(st.branch_stack)} branch(es) left open at end of input")
@@ -164,31 +143,31 @@ def parse_smiles(text: str) -> Molecule:
         raise UnmatchedRingClosure(f"ring closure(s) {digits} opened but never closed")
     if not st.atoms:
         raise UnknownToken("SMILES contains no atoms")
-    return Molecule(atoms=tuple(st.atoms), bonds=tuple(st.bonds), source_text=source)
+    return Molecule(atoms=tuple(st.atoms), bonds=tuple(st.bonds))
 
 
-def _add_bond(st: _State, a: int, b: int, order: BondOrder, stereo: str | None) -> None:
+def _add_bond(st: _State, a: int, b: int, order: BondOrder) -> None:
     key = (a, b) if a < b else (b, a)
     if a == b:
         raise UnmatchedRingClosure("ring closed onto its opening atom")
     if key in st.bond_keys:
         raise UnmatchedRingClosure(f"ring closure duplicates the bond between atoms {key}")
     st.bond_keys.add(key)
-    st.bonds.append(Bond(a=a, b=b, order=order, stereo_marker=stereo))
+    st.bonds.append(Bond(a=a, b=b, order=order))
 
 
 def _add_atom(st: _State, atom: Atom) -> None:
     idx = len(st.atoms)
     st.atoms.append(atom)
     if st.prev_atom is not None:
-        if st.pending.order is not None:
-            order = st.pending.order
+        if st.pending is not None:
+            order = st.pending
         elif st.atoms[st.prev_atom].aromatic and atom.aromatic:
             order = BondOrder.AROMATIC
         else:
             order = BondOrder.SINGLE
-        _add_bond(st, st.prev_atom, idx, order, st.pending.stereo)
-    st.pending.clear()
+        _add_bond(st, st.prev_atom, idx, order)
+    st.pending = None
     st.prev_atom = idx
 
 
@@ -213,27 +192,26 @@ def _ring_closure(st: _State, text: str, pos: int) -> int:
 
     opening = st.open_rings.pop(digit, None)
     if opening is None:
-        st.open_rings[digit] = _RingOpening(
-            atom=st.prev_atom, order=st.pending.order, stereo=st.pending.stereo
-        )
+        st.open_rings[digit] = (st.prev_atom, st.pending)
     else:
-        a, b = opening.atom, st.prev_atom
+        a, opening_order = opening
+        b = st.prev_atom
         if (
-            opening.order is not None
-            and st.pending.order is not None
-            and opening.order is not st.pending.order
+            opening_order is not None
+            and st.pending is not None
+            and opening_order is not st.pending
         ):
             raise UnmatchedRingClosure(
                 f"conflicting bond orders on ring closure {digit}"
             )
-        order = st.pending.order or opening.order
+        order = st.pending or opening_order
         if order is None:
             if st.atoms[a].aromatic and st.atoms[b].aromatic:
                 order = BondOrder.AROMATIC
             else:
                 order = BondOrder.SINGLE
-        _add_bond(st, a, b, order, st.pending.stereo or opening.stereo)
-    st.pending.clear()
+        _add_bond(st, a, b, order)
+    st.pending = None
     return pos
 
 

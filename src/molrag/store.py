@@ -4,15 +4,14 @@ Ingest reads the ChEBI-20 TSV layout (header ``CID<TAB>SMILES<TAB>description``)
 quarantining rather than failing on malformed rows. The built store holds one
 BM25 index over captions, one over SMILES character 3-grams, and a Morgan
 fingerprint per record, and serves top-n context examples per retrieval
-strategy with the query's own pair excluded. Every store fingerprints and
-ranks under the default ``FingerprintParams()`` (radius 2, 2,048 bits) and
-``bm25.Bm25Params()`` (k1 1.5, b 0.75), so neither the store nor its files
-carry those parameters.
+strategy with the query's own pair excluded. Every store fingerprints under
+the default ``FingerprintParams()`` (radius 2, 2,048 bits) and ranks with
+``bm25.K1`` and ``bm25.B``, so neither the store nor its files carry those
+parameters.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import heapq
 import json
@@ -112,7 +111,6 @@ class MoleculeRecord:
     id: str
     smiles: str
     caption: str
-    fingerprint: MorganFingerprint | None = None
 
 
 @dataclass(frozen=True)
@@ -186,6 +184,7 @@ class Store:
     """Immutable retrieval database over molecule-caption records."""
 
     records: list[MoleculeRecord]
+    fingerprints: list[MorganFingerprint]  # one per record, in record order
     caption_index: bm25.Bm25Index
     smiles_index: bm25.Bm25Index
     split: str = "train"
@@ -197,19 +196,16 @@ class Store:
 
 
 def build_store(records: list[MoleculeRecord], *, split: str = "train") -> Store:
-    """Fingerprint every record, replacing any fingerprint it carries, and build both
-    BM25 indices, all under the default parameters."""
+    """Fingerprint every record and build both BM25 indices, all under the default
+    parameters."""
     if not records:
         raise EmptyStore("no records to build a store from")
-    enriched = [
-        dataclasses.replace(rec, fingerprint=morgan_fingerprint(parse_smiles(rec.smiles)))
-        for rec in records
-    ]
-    caption_index = bm25.build_index([rec.caption for rec in enriched], tokenizer_mode="caption")
+    fingerprints = [morgan_fingerprint(parse_smiles(rec.smiles)) for rec in records]
+    caption_index = bm25.build_index([rec.caption for rec in records], tokenizer_mode="caption")
     smiles_index = bm25.build_index(
-        [rec.smiles for rec in enriched], tokenizer_mode="smiles_chargram"
+        [rec.smiles for rec in records], tokenizer_mode="smiles_chargram"
     )
-    return Store(enriched, caption_index, smiles_index, split=split)
+    return Store(list(records), fingerprints, caption_index, smiles_index, split=split)
 
 
 def _check_request(store: Store, task: str, n: int, strategy: RetrievalStrategy) -> None:
@@ -227,8 +223,8 @@ def _ranked(store: Store, query: str, limit: int, strategy: RetrievalStrategy, q
         return random.Random(strategy.seed).sample(range(len(store)), len(store))
     if strategy.kind == "morgan_fts":
         scored = [
-            (-dice_similarity(query_fp, rec.fingerprint), pos)
-            for pos, rec in enumerate(store.records)
+            (-dice_similarity(query_fp, fp), pos)
+            for pos, fp in enumerate(store.fingerprints)
         ]
         return [pos for _, pos in heapq.nsmallest(limit, scored)]
     index = store.caption_index if strategy.kind == "bm25_caption" else store.smiles_index
@@ -265,9 +261,9 @@ def retrieve_mol2cap(
     # Isomorphic graphs always share a fingerprint, so bitmap equality gates
     # the (expensive) isomorphism check without letting an equal graph through.
     excluded = {
-        pos for pos, rec in enumerate(store.records)
-        if rec.fingerprint.bitmap == query_fp.bitmap
-        and molecules_equal(query_mol, parse_smiles(rec.smiles))
+        pos for pos, fp in enumerate(store.fingerprints)
+        if fp.bitmap == query_fp.bitmap
+        and molecules_equal(query_mol, parse_smiles(store.records[pos].smiles))
     }
     return _retrieve(store, query_smiles, n, strategy, excluded, query_fp)
 
@@ -318,7 +314,10 @@ def _sha256(path: Path) -> str:
 
 def save_store(store: Store, directory) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create store directory {directory}: {exc.strerror}") from exc
 
     records_path = directory / _RECORDS_FILE
     with open(records_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -328,8 +327,8 @@ def save_store(store: Store, directory) -> None:
 
     fp_path = directory / _FP_FILE
     with open(fp_path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in store.records:
-            fh.write(rec.fingerprint.to_hex() + "\n")
+        for fp in store.fingerprints:
+            fh.write(fp.to_hex() + "\n")
 
     bm25.save_index(store.caption_index, directory / _CAPTION_INDEX_FILE)
     bm25.save_index(store.smiles_index, directory / _SMILES_INDEX_FILE)
@@ -381,31 +380,28 @@ def load_store(directory) -> Store:
     fp_lines = (directory / _FP_FILE).read_text(encoding="utf-8").splitlines()
     morgan = FingerprintParams()
     records: list[MoleculeRecord] = []
+    fingerprints: list[MorganFingerprint] = []
     for row, hex_line in zip(rows[1:], fp_lines):
         cid, smiles, caption = row.split("\t", 2)
-        fp = MorganFingerprint.from_hex(hex_line, morgan.nbits, morgan.radius)
-        records.append(MoleculeRecord(id=cid, smiles=smiles, caption=caption, fingerprint=fp))
+        records.append(MoleculeRecord(id=cid, smiles=smiles, caption=caption))
+        fingerprints.append(MorganFingerprint.from_hex(hex_line, morgan.nbits, morgan.radius))
     if len(records) != manifest["record_count"]:
         raise StoreIntegrityError("record count does not match manifest")
 
-    params = bm25.Bm25Params()
     indices = []
     for name, mode in _INDEX_FILES:
         try:
             index = bm25.load_index(directory / name)
         except bm25.Bm25FormatError as exc:
             raise StoreIntegrityError(f"{name}: {exc}") from exc
-        # Impacts carry k1 and b, so an index built under other parameters would rank
-        # under values other than the defaults that every run manifest reports.
-        if (index.params, index.doc_count, index.tokenizer_mode) != (params, len(records), mode):
+        if (index.doc_count, index.tokenizer_mode) != (len(records), mode):
             raise StoreIntegrityError(
-                f"{name} holds {index.tokenizer_mode} BM25 over {index.doc_count} records "
-                f"with k1={index.params.k1}, b={index.params.b}; the store needs {mode} BM25 "
-                f"over {len(records)} records with k1={params.k1}, b={params.b}"
+                f"{name} holds {index.tokenizer_mode} BM25 over {index.doc_count} records; "
+                f"the store needs {mode} BM25 over {len(records)} records"
             )
         indices.append(index)
     caption_index, smiles_index = indices
     return Store(
-        records, caption_index, smiles_index, split=manifest["split"],
+        records, fingerprints, caption_index, smiles_index, split=manifest["split"],
         manifest_sha256=hashlib.sha256(manifest_bytes).hexdigest(),
     )

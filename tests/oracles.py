@@ -30,11 +30,8 @@ def permute_molecule(mol: Molecule, perm: list[int]) -> Molecule:
     atoms = [None] * len(mol)
     for old, new in enumerate(perm):
         atoms[new] = mol.atoms[old]
-    bonds = tuple(
-        Bond(a=perm[b.a], b=perm[b.b], order=b.order, stereo_marker=b.stereo_marker)
-        for b in mol.bonds
-    )
-    return Molecule(atoms=tuple(atoms), bonds=bonds, source_text=mol.source_text)
+    bonds = tuple(Bond(a=perm[b.a], b=perm[b.b], order=b.order) for b in mol.bonds)
+    return Molecule(atoms=tuple(atoms), bonds=bonds)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from click.testing import CliRunner
 from molrag.bm25 import build_index, tokenize, top_n
 from molrag.calibration import (
     CalibrationFailure,
-    CalibrationPolicy,
     calibrated_query,
     extract_payload,
 )
@@ -195,27 +194,27 @@ def test_retrieval_determinism(corpus_store, tmp_path):
 
 def test_calibration_state_machine(corpus_store):
     template = default_template("mol2cap")
-    policy = CalibrationPolicy()
+    allowance = 5
     strategy = RetrievalStrategy("morgan_fts")
     good = '{"caption": "A compound."}'
 
     def client(script):
         return ChatClient(ScriptedBackend(script), max_retries=3, backoff_base=0, sleep=lambda s: None)
 
-    out = calibrated_query(client([good]), corpus_store, template, "CCO", 3, policy, "mol2cap", strategy)
+    out = calibrated_query(client([good]), corpus_store, template, "CCO", 3, allowance, strategy)
     assert out.query_count == 1 and out.final_shot_count == 3
 
     out = calibrated_query(
         client(["context_length_exceeded", "context_length_exceeded", good]),
-        corpus_store, template, "CCO", 5, policy, "mol2cap", strategy,
+        corpus_store, template, "CCO", 5, allowance, strategy,
     )
     assert out.final_shot_count == 3  # n - 2
 
     garbage_client = client(["Apologies, that cannot be described here."])
     backend = garbage_client.backend
     with pytest.raises(CalibrationFailure):
-        calibrated_query(garbage_client, corpus_store, template, "CCO", 2, policy, "mol2cap", strategy)
-    assert backend.calls == policy.max_error_allowance
+        calibrated_query(garbage_client, corpus_store, template, "CCO", 2, allowance, strategy)
+    assert backend.calls == allowance
 
     fixture = json.loads((DATA / "chatty_responses.json").read_text())
     assert len(fixture) == 15

@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from molrag.bm25 import (
+    B,
+    K1,
     Bm25FormatError,
-    Bm25Params,
     EmptyCorpus,
     _idf,
     build_index,
@@ -37,10 +38,20 @@ def _corpus_and_query(draw):
         doc = st.text(alphabet="CNOc1", max_size=10)
         query = st.text(alphabet="CNOSc1", min_size=1, max_size=10)
     docs = draw(st.lists(doc, min_size=1, max_size=12))
-    params = Bm25Params(k1=draw(st.sampled_from([0.5, 1.2, 1.5, 2.0])),
-                        b=draw(st.sampled_from([0.0, 0.5, 0.75, 1.0])))
     n = draw(st.integers(min_value=1, max_value=len(docs) + 3))
-    return mode, docs, params, draw(query), n
+    return mode, docs, draw(query), n
+
+
+def rewrite_index(path, edit_header=lambda header: None, body=None):
+    """Rewrite an index file with an edited header or body and a matching CRC."""
+    blob = path.read_bytes()
+    header_end = 12 + int.from_bytes(blob[8:12], "big")
+    header = json.loads(blob[12:header_end])
+    body = blob[header_end:-4] if body is None else body
+    edit_header(header)
+    header_bytes = json.dumps(header).encode()
+    content = blob[:8] + len(header_bytes).to_bytes(4, "big") + header_bytes + body
+    path.write_bytes(content + zlib.crc32(content).to_bytes(4, "big"))
 
 
 class TestTokenize:
@@ -159,10 +170,10 @@ class TestTopN:
     def test_matches_tf_postings_oracle_bit_for_bit(self, tmp_path, case):
         # Same ids and the same float at every rank as scoring (doc_id, tf) postings at
         # query time, before and after a save/load round trip.
-        mode, docs, params, query, n = case
-        index = build_index(docs, params, tokenizer_mode=mode)
+        mode, docs, query, n = case
+        index = build_index(docs, tokenizer_mode=mode)
         save_index(index, tmp_path / "index.bm25")
-        oracle = build_tf_index(docs, _TOKENIZERS[mode], params.k1, params.b)
+        oracle = build_tf_index(docs, _TOKENIZERS[mode], K1, B)
         expected = [(doc, score.hex()) for doc, score in bm25_top_n_tf(oracle, query, n)]
         for candidate in (index, load_index(tmp_path / "index.bm25")):
             got = [(doc, score.hex()) for doc, score in top_n(candidate, query, n)]
@@ -192,7 +203,6 @@ class TestPersistence:
         again = load_index(path)
         assert again.postings == index.postings
         assert again.doc_lengths == index.doc_lengths
-        assert again.params == index.params
         assert top_n(again, "alcohol chain", 5) == top_n(index, "alcohol chain", 5)
 
     def test_deterministic_bytes(self, tmp_path):
@@ -238,17 +248,6 @@ class TestPersistence:
             with pytest.raises(Bm25FormatError):
                 load_index(path)
 
-    def _rewrite(self, path, edit_header=lambda header: None, body=None):
-        """Rewrite an index file with an edited header or body and a matching CRC."""
-        blob = path.read_bytes()
-        header_end = 12 + int.from_bytes(blob[8:12], "big")
-        header = json.loads(blob[12:header_end])
-        body = blob[header_end:-4] if body is None else body
-        edit_header(header)
-        header_bytes = json.dumps(header).encode()
-        content = blob[:8] + len(header_bytes).to_bytes(4, "big") + header_bytes + body
-        path.write_bytes(content + zlib.crc32(content).to_bytes(4, "big"))
-
     def test_header_byte_flip_is_a_format_error(self, tmp_path):
         # Flipping the low bit of the 5 in "k1":1.5 leaves valid JSON that reads k1=1.4.
         path = tmp_path / "x.bm25"
@@ -272,8 +271,18 @@ class TestPersistence:
     def test_inconsistent_header_is_a_format_error(self, tmp_path, edit, message):
         path = tmp_path / "x.bm25"
         save_index(build_index(["one two", "two three"]), path)
-        self._rewrite(path, edit)
+        rewrite_index(path, edit)
         with pytest.raises(Bm25FormatError, match=message):
+            load_index(path)
+
+    @pytest.mark.parametrize("key", ["k1", "b"])
+    def test_other_k1_or_b_asks_for_a_re_ingest(self, tmp_path, key):
+        # Impacts are computed under K1 and B, so a header naming other values
+        # describes an index that top_n would rank under the wrong setting.
+        path = tmp_path / "x.bm25"
+        save_index(build_index(["one two", "two three"]), path)
+        rewrite_index(path, lambda h: h.update({key: 2.0}))
+        with pytest.raises(Bm25FormatError, match=f"{key}=2.0.*re-run `molrag ingest`"):
             load_index(path)
 
     def test_doc_id_out_of_range_is_a_format_error(self, tmp_path):
@@ -282,7 +291,7 @@ class TestPersistence:
         blob = path.read_bytes()
         body = bytearray(blob[12 + int.from_bytes(blob[8:12], "big"):-4])
         body[8:12] = (2).to_bytes(4, "little")  # the first posting's doc id, after 2 lengths
-        self._rewrite(path, body=bytes(body))
+        rewrite_index(path, body=bytes(body))
         with pytest.raises(Bm25FormatError, match="outside"):
             load_index(path)
 
@@ -316,13 +325,3 @@ class TestPersistence:
         again = load_index(tmp_path / "s.bm25")
         assert again.tokenizer_mode == "smiles_chargram"
         assert top_n(again, "CCO", 2) == top_n(index, "CCO", 2)
-
-
-class TestParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Bm25Params(k1=0)
-        with pytest.raises(ValueError):
-            Bm25Params(b=1.5)
-        defaults = Bm25Params()
-        assert defaults.k1 == 1.5 and defaults.b == 0.75

@@ -9,11 +9,11 @@ from molrag.calibration import (
     STRATEGY_PATTERN,
     CalibratedOutput,
     CalibrationFailure,
-    CalibrationPolicy,
     FormatError,
     calibrated_query,
     extract_payload,
 )
+from molrag.cli import _make_run_config
 from molrag.llm import BackendError, ChatClient
 from molrag.prompt import default_template
 from molrag.smiles import is_valid_smiles
@@ -23,13 +23,14 @@ from oracles import extract_payload_rescan
 
 GOOD_CAPTION = '{"caption": "A molecule description."}'
 GARBAGE = "Apologies, that request falls outside what may be described."
+ALLOWANCE = 5
 
 
 def make_client(script) -> ChatClient:
     return ChatClient(ScriptedBackend(script), max_retries=3, backoff_base=0.0, sleep=lambda s: None)
 
 
-def run(script, n, store=None, policy=None, task="mol2cap"):
+def run(script, n, store=None, task="mol2cap", allowance=ALLOWANCE):
     strategy = RetrievalStrategy("morgan_fts") if task == "mol2cap" else RetrievalStrategy("bm25_caption")
     return calibrated_query(
         make_client(script),
@@ -37,20 +38,19 @@ def run(script, n, store=None, policy=None, task="mol2cap"):
         default_template(task),
         "CCO" if task == "mol2cap" else "An alcohol caption.",
         n,
-        policy or CalibrationPolicy(),
-        task,
+        allowance,
         strategy if n > 0 else None,
     )
 
 
 class TestPolicy:
     def test_defaults(self):
-        policy = CalibrationPolicy()
-        assert policy.max_error_allowance == 5
+        config = _make_run_config(None, {"task": "mol2cap", "store": "s", "replay": "r"})
+        assert config.max_error_allowance == ALLOWANCE
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CalibrationPolicy(max_error_allowance=0)
+        with pytest.raises(ValueError, match="max_error_allowance must be positive"):
+            run([GOOD_CAPTION], n=0, allowance=0)
 
 
 class TestExtraction:
@@ -179,7 +179,7 @@ class TestLoop:
             store=corpus_store,
         )
         assert out.final_shot_count == 3  # n - 2 per the eviction rule
-        assert out.query_count <= CalibrationPolicy().max_error_allowance
+        assert out.query_count <= ALLOWANCE
         # the ids are those retrieved, before eviction
         retrieved = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("morgan_fts"))
         assert out.example_ids == tuple(rec.id for rec in retrieved)
@@ -194,11 +194,10 @@ class TestLoop:
                 default_template("mol2cap"),
                 "CCO",
                 2,
-                CalibrationPolicy(),
-                "mol2cap",
+                ALLOWANCE,
                 RetrievalStrategy("morgan_fts"),
             )
-        assert backend.calls == CalibrationPolicy().max_error_allowance
+        assert backend.calls == ALLOWANCE
         assert err.value.last_raw_text == GARBAGE
         assert len(err.value.attempts) == 5
 
@@ -243,11 +242,10 @@ class TestLoop:
                 default_template("mol2cap"),
                 "CCO",
                 n,
-                CalibrationPolicy(),
-                "mol2cap",
+                ALLOWANCE,
                 RetrievalStrategy("morgan_fts"),
             )
-        assert backend.calls <= CalibrationPolicy().max_error_allowance + n
+        assert backend.calls <= ALLOWANCE + n
 
     def test_monotone_eviction(self, corpus_store):
         # shot count never increases across the transcript

@@ -11,7 +11,6 @@ from click.testing import CliRunner
 
 import molrag
 from molrag import cli
-from molrag.calibration import CalibrationPolicy
 from molrag.cli import main, run_evaluation, RunConfig, _process_item
 from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend
 from molrag.prompt import default_template
@@ -55,6 +54,24 @@ def eval_args(data_dir, store_dir, out, task="mol2cap", replay=REPLAY_M2C, extra
         "--out", str(out),
         *extra,
     ]
+
+
+def command_args(command, data_dir, store_dir, out):
+    """query, evaluate or ablate on the fixture store and replay files, writing to out."""
+    args = eval_args(data_dir, store_dir, out)
+    args[0] = command
+    if command == "query":
+        args[1] = "CCCCCO"
+    return args
+
+
+def assert_one_line_error(result, *parts):
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert "Traceback" not in result.output
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+    for part in parts:
+        assert part in result.output
 
 
 class TestIngest:
@@ -519,13 +536,11 @@ class TestEvaluate:
             replay_path="unused",
             backend=None,
         )
-        policy = CalibrationPolicy(max_error_allowance=5)
         tmpl = default_template("mol2cap")
 
         def row(script, stop):
             client = ChatClient(ScriptedBackend(script), max_retries=0, backoff_base=0.0)
-            return _process_item(0, test_records[0], config, corpus_store, tmpl, client, policy,
-                                 stop)
+            return _process_item(0, test_records[0], config, corpus_store, tmpl, client, stop)
 
         # a failed item records the queries it was charged, not the allowance
         failed = row(["malformed_response"], threading.Event())
@@ -685,3 +700,48 @@ class TestAblate:
             assert result.exit_code == 0, result.output
             outputs.append((out / "comparison.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestBadPaths:
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "cannot read template"),
+        ("not-utf8", "cannot read template"),
+        ("no-sections", "missing section(s)"),
+    ], ids=["missing", "not-utf8", "no-sections"])
+    @pytest.mark.parametrize("command", ["query", "evaluate", "ablate"])
+    def test_bad_template_is_a_one_line_error(self, runner, data_dir, store_dir, tmp_path,
+                                              command, case, message):
+        # each case once ended in a FileNotFoundError, UnicodeDecodeError or
+        # TemplateSlotMissing traceback, and ablate had already created --out
+        template = tmp_path / f"{case}.tmpl"
+        if case == "not-utf8":
+            template.write_bytes("## role\n\u00e9\n".encode("latin-1"))
+        elif case == "no-sections":
+            template.write_text("## role\nYou are a chemist.\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = command_args(command, data_dir, store_dir, out)
+        result = runner.invoke(main, [*args, "--template", str(template)])
+        assert_one_line_error(result, str(template), message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "query", "evaluate", "ablate"])
+    def test_output_path_that_cannot_be_a_directory_is_a_one_line_error(
+        self, runner, data_dir, store_dir, tmp_path, monkeypatch, command
+    ):
+        # ingest once ended in a NotADirectoryError traceback, the others in FileExistsError
+        blocker = tmp_path / "file"
+        blocker.write_text("x", encoding="utf-8")
+        if command == "ingest":
+            out = blocker / "store"
+            args = ["ingest", str(data_dir / "corpus.tsv"), str(out)]
+            message = f"cannot create store directory {out}"
+        else:
+            out = blocker
+            args = command_args(command, data_dir, store_dir, out)
+            message = f"cannot create directory {out}"
+        # query writes under --out only the transcript of a failed calibration
+        monkeypatch.setattr(cli, "_make_client", lambda config: ChatClient(
+            ScriptedBackend(["no answer here"]), max_retries=0, backoff_base=0.0))
+        result = runner.invoke(main, args)
+        assert_one_line_error(result, message)
+        assert blocker.read_text(encoding="utf-8") == "x"

@@ -1,11 +1,10 @@
-import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
 
-from molrag.bm25 import Bm25Params, build_index, save_index, top_n
+from molrag.bm25 import build_index, save_index, top_n
 from molrag.fingerprint import FingerprintParams, dice_similarity, morgan_fingerprint
 from molrag.smiles import molecules_equal, parse_smiles
 from molrag.store import (
@@ -24,6 +23,7 @@ from molrag.store import (
     retrieve_mol2cap,
     save_store,
 )
+from test_bm25 import rewrite_index
 
 
 def write_tsv(path, rows, header="CID\tSMILES\tdescription"):
@@ -103,28 +103,10 @@ class TestBuild:
             build_store([])
 
     def test_fingerprints_precomputed(self, corpus_store):
-        assert all(rec.fingerprint is not None for rec in corpus_store.records)
-
-    def test_rebuild_refingerprints_under_new_params(self, corpus_records):
-        # a record's fingerprint of another radius, same nbits, was once kept
-        radius1 = FingerprintParams(radius=1)
-        carried = [
-            dataclasses.replace(
-                rec, fingerprint=morgan_fingerprint(parse_smiles(rec.smiles), radius1)
-            )
-            for rec in corpus_records
+        assert corpus_store.fingerprints == [
+            morgan_fingerprint(parse_smiles(rec.smiles), FingerprintParams())
+            for rec in corpus_store.records
         ]
-        rebuilt = build_store(carried)
-        fresh = build_store(list(corpus_records))
-        for old, new in zip(carried, rebuilt.records):
-            assert (old.fingerprint.radius, new.fingerprint.radius) == (1, 2)
-        assert [rec.fingerprint for rec in rebuilt.records] == [
-            rec.fingerprint for rec in fresh.records
-        ]
-        strategy = RetrievalStrategy("morgan_fts")
-        assert retrieve_mol2cap(rebuilt, "CCO", 5, strategy) == retrieve_mol2cap(
-            fresh, "CCO", 5, strategy
-        )
 
     def test_all_strategies_answer(self, corpus_store):
         for strategy in (
@@ -201,14 +183,14 @@ class TestMol2CapRetrieval:
             scored = sorted(
                 range(len(corpus_store.records)),
                 key=lambda pos: (
-                    -dice_similarity(query_fp, corpus_store.records[pos].fingerprint),
+                    -dice_similarity(query_fp, corpus_store.fingerprints[pos]),
                     pos,
                 ),
             )
             expected = []
             for pos in scored:
                 rec = corpus_store.records[pos]
-                if rec.fingerprint.bits == query_fp.bits and molecules_equal(
+                if corpus_store.fingerprints[pos].bits == query_fp.bits and molecules_equal(
                     query_mol, parse_smiles(rec.smiles)
                 ):
                     continue
@@ -253,7 +235,7 @@ class TestMol2CapRetrieval:
             query_fp = morgan_fingerprint(parse_smiles(text), FingerprintParams())
             return sorted(
                 range(len(store)),
-                key=lambda pos: (-dice_similarity(query_fp, store.records[pos].fingerprint), pos),
+                key=lambda pos: (-dice_similarity(query_fp, store.fingerprints[pos]), pos),
             )
 
         for text in (query, "OC1=CC=C(C)C(N)=C1", "CCCCCCCC", corpus_records[3].smiles):
@@ -360,7 +342,7 @@ class TestPersistence:
             ("list-checksums", "manifest checksums has the wrong type"),
             ("version-1", r"version 1 \(this molrag reads 3\); re-run `molrag ingest`"),
             ("version-2", r"version 2 \(this molrag reads 3\); re-run `molrag ingest`"),
-            ("index-k1", "captions.bm25 holds caption BM25 over 112 records with k1=2.0"),
+            ("index-k1", "captions.bm25: BM25 index was built with k1=2.0, b=0.75"),
             ("index-doc-count", "captions.bm25 holds caption BM25 over 3 records"),
             ("index-mode", "captions.bm25 holds smiles_chargram BM25"),
         ],
@@ -371,10 +353,12 @@ class TestPersistence:
         manifest_path = directory / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         captions = [rec.caption for rec in corpus_store.records]
-        rebuilt_index = {
-            "index-k1": lambda: build_index(captions, Bm25Params(k1=2.0)),
-            "index-doc-count": lambda: build_index(captions[:3]),
-            "index-mode": lambda: build_index(captions, tokenizer_mode="smiles_chargram"),
+        rewritten_index = {
+            "index-k1": lambda path: rewrite_index(path, lambda h: h.update(k1=2.0)),
+            "index-doc-count": lambda path: save_index(build_index(captions[:3]), path),
+            "index-mode": lambda path: save_index(
+                build_index(captions, tokenizer_mode="smiles_chargram"), path
+            ),
         }
         edited_manifest = {
             "list-manifest": lambda: [manifest],
@@ -388,9 +372,9 @@ class TestPersistence:
         }
         if damage == "missing-file":
             (directory / "captions.bm25").unlink()
-        elif damage in rebuilt_index:
-            # A checksummed index that disagrees with the manifest's parameters.
-            save_index(rebuilt_index[damage](), directory / "captions.bm25")
+        elif damage in rewritten_index:
+            # A checksummed index that disagrees with the store or with bm25.K1.
+            rewritten_index[damage](directory / "captions.bm25")
             digest = hashlib.sha256((directory / "captions.bm25").read_bytes()).hexdigest()
             manifest["checksums"]["captions.bm25"] = digest
             manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
@@ -405,7 +389,7 @@ class TestPersistence:
         assert sorted(manifest) == ["checksums", "format_version", "record_count", "split"]
         assert manifest["format_version"] == 3
         fp_lines = (tmp_path / "store" / "fingerprints.jsonl").read_text().splitlines()
-        assert fp_lines == [rec.fingerprint.to_hex() for rec in corpus_store.records]
+        assert fp_lines == [fp.to_hex() for fp in corpus_store.fingerprints]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(IoFailure):
