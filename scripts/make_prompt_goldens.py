@@ -18,7 +18,7 @@ SEPARATOR = "\n<<<USER>>>\n"
 def main() -> None:
     golden = DATA_DIR / "golden"
     golden.mkdir(parents=True, exist_ok=True)
-    records, _ = load_chebi_tsv(DATA_DIR / "corpus.tsv")
+    records, _, _ = load_chebi_tsv(DATA_DIR / "corpus.tsv")
 
     cases = {
         "mol2cap_2shot.txt": ("mol2cap", "CCO", records[:2]),

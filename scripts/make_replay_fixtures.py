@@ -131,9 +131,9 @@ def write_fixture(path: Path, entries: dict[str, dict]) -> None:
 
 
 def main() -> None:
-    corpus, _ = load_chebi_tsv(DATA_DIR / "corpus.tsv")
-    test_items, _ = load_chebi_tsv(DATA_DIR / "test_items.tsv")
-    store = build_store(corpus)
+    corpus, molecules, _ = load_chebi_tsv(DATA_DIR / "corpus.tsv")
+    test_items, _, _ = load_chebi_tsv(DATA_DIR / "test_items.tsv")
+    store = build_store(corpus, molecules)
 
     entries, failures = run_session(
         "mol2cap", test_items, store, 2, RetrievalStrategy("morgan_fts")

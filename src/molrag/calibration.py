@@ -13,6 +13,8 @@ from __future__ import annotations
 import ast
 import json
 import re
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 from molrag.llm import BackendError, ChatClient
@@ -141,6 +143,18 @@ def _decoded(loader, text: str):
         return None
 
 
+# catch_warnings swaps the process-wide warning filters; worker threads take turns at it
+_QUIET_LOCK = threading.Lock()
+
+
+def _literal_eval_quiet(text: str):
+    """``ast.literal_eval`` without the warnings its compile step raises for escapes
+    Python does not define, such as ``'\\C'`` (one per reply on Python 3.12)."""
+    with _QUIET_LOCK, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ast.literal_eval(text)
+
+
 def _try_pattern(text: str, output_field: str) -> str | None:
     if output_field == "smiles":
         candidates = sorted(_SMILES_CHARS.findall(text), key=len, reverse=True)
@@ -193,7 +207,7 @@ def extract_payload(raw_text: str, task: str) -> ExtractionResult:
         value = _value_from_mapping(obj, key, case_insensitive=True)
         if value is None:
             value = _value_from_mapping(
-                _decoded(ast.literal_eval, candidate), key, case_insensitive=True
+                _decoded(_literal_eval_quiet, candidate), key, case_insensitive=True
             )
         if value is not None:
             return ExtractionResult(value=value, strategy=STRATEGY_TOLERANT)

@@ -216,8 +216,8 @@ def cmd_ingest(tsv_path, out_store, split) -> None:
 
     Fingerprints are Morgan, radius 2, 2,048 bits; BM25 uses k1 1.5 and b 0.75.
     """
-    records, report = load_chebi_tsv(tsv_path)
-    save_store(build_store(records, split=split), out_store)
+    records, molecules, report = load_chebi_tsv(tsv_path)
+    save_store(build_store(records, molecules, split=split), out_store)
     click.echo(
         json.dumps(
             {
@@ -382,7 +382,7 @@ def _load_run_inputs(
     """
     db = load_store(config.store_path)
     tmpl = _load_prompt_template(config)
-    records, ingest_report = load_chebi_tsv(test_tsv)
+    records, _, ingest_report = load_chebi_tsv(test_tsv)
     records = records[: config.limit]
     if not records:
         raise click.ClickException(f"no usable rows in {test_tsv}")

@@ -46,7 +46,7 @@ def _encode_initial(invariant: tuple) -> bytes:
     )
 
 
-def _encode_round(prev_id: int, pairs: list[tuple[int, int]]) -> bytes:
+def _encode_round(prev_id: int, pairs: tuple[tuple[int, int], ...]) -> bytes:
     out = [b"E", prev_id.to_bytes(8, "big")]
     for order_code, nbr_id in pairs:
         out.append(order_code.to_bytes(1, "big"))
@@ -149,31 +149,56 @@ class MorganFingerprint:
 
 
 def morgan_environments(
-    mol: Molecule, params: FingerprintParams
+    mol: Molecule, params: FingerprintParams, memo: dict | None = None
 ) -> list[tuple[int, int, int]]:
     """All (atom index, round, identifier) environments up to the radius.
 
     Round 0 identifiers hash the atom's local invariant; round r identifiers
     rehash the round r-1 identifier with the sorted (bond order, neighbor
     round r-1 identifier) pairs.
+
+    ``memo`` maps each hash input (a local invariant, or a ``(prev_id, pairs)``
+    tuple) to its identifier. The identifier is a pure function of that input,
+    so one memo may serve many molecules and every radius; a caller that
+    fingerprints a batch passes one in, and each call without one gets its own.
     """
+    if memo is None:
+        memo = {}
     n = len(mol)
-    ids = [fnv1a_64(_encode_initial(atom_invariant(mol, i))) for i in range(n)]
+    ids = []
+    for i in range(n):
+        invariant = atom_invariant(mol, i)
+        ident = memo.get(invariant)
+        if ident is None:
+            ident = memo[invariant] = fnv1a_64(_encode_initial(invariant))
+        ids.append(ident)
     out = [(i, 0, ids[i]) for i in range(n)]
+    # (bond order value, neighbor index) per atom, built once for every round
+    bonded: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for bond in mol.bonds:
+        order = bond.order.value
+        bonded[bond.a].append((order, bond.b))
+        bonded[bond.b].append((order, bond.a))
     for rnd in range(1, params.radius + 1):
         nxt = []
-        for i in range(n):
-            pairs = sorted((bond.order.value, ids[j]) for j, bond in mol.neighbors(i))
-            nxt.append(fnv1a_64(_encode_round(ids[i], pairs)))
+        for prev_id, nbrs in zip(ids, bonded):
+            key = (prev_id, tuple(sorted([(order, ids[j]) for order, j in nbrs])))
+            ident = memo.get(key)
+            if ident is None:
+                ident = memo[key] = fnv1a_64(_encode_round(*key))
+            nxt.append(ident)
         ids = nxt
         out.extend((i, rnd, ids[i]) for i in range(n))
     return out
 
 
-def morgan_fingerprint(mol: Molecule, params: FingerprintParams | None = None) -> MorganFingerprint:
+def morgan_fingerprint(
+    mol: Molecule, params: FingerprintParams | None = None, memo: dict | None = None
+) -> MorganFingerprint:
+    """The folded fingerprint of ``mol``; ``memo`` is as for :func:`morgan_environments`."""
     params = params or FingerprintParams()
     bitmap = 0
-    for _, _, ident in morgan_environments(mol, params):
+    for _, _, ident in morgan_environments(mol, params, memo):
         bitmap |= 1 << (ident % params.nbits)
     return MorganFingerprint._from_bitmap(bitmap, params.nbits, params.radius)
 

@@ -13,16 +13,12 @@ config files, logs or error messages.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,30 +96,37 @@ def prompt_digest(prompt: ChatPrompt) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Leaves every 3xx reply an ``HTTPError`` instead of following it.
-
-    Following would send the bearer key on to the ``Location`` host, or turn the
-    POST into a body-less GET that cannot return a completion.
-    """
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
-
-
 class HttpBackend:
     """One chat-completion POST per send, on a fresh connection; no retry logic of its own.
 
     ``urllib.request`` honours the ``HTTP(S)_PROXY``/``NO_PROXY`` variables and
     verifies TLS against the system trust store (``SSL_CERT_FILE`` overrides it).
     Redirects are not followed: a 3xx reply is a ``malformed_response`` error.
+    The HTTP client modules load here, so commands that send nothing never import them.
     """
 
     def __init__(self, config: BackendConfig) -> None:
+        import urllib.request
+
+        class _NoRedirect(urllib.request.HTTPRedirectHandler):
+            """Leaves every 3xx reply an ``HTTPError`` instead of following it.
+
+            Following would send the bearer key on to the ``Location`` host, or turn
+            the POST into a body-less GET that cannot return a completion.
+            """
+
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                return None
+
         self.config = config
         self._opener = urllib.request.build_opener(_NoRedirect)
 
     def send(self, prompt: ChatPrompt) -> tuple[str, str]:
+        import http.client
+        import urllib.error
+        import urllib.parse
+        import urllib.request
+
         cfg = self.config
         api_key = os.environ.get(cfg.api_key_env_var, "")
         headers = {"Content-Type": "application/json"}

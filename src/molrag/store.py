@@ -27,7 +27,7 @@ from molrag.fingerprint import (
     dice_similarity,
     morgan_fingerprint,
 )
-from molrag.smiles import SmilesError, molecules_equal, parse_smiles
+from molrag.smiles import Molecule, SmilesError, molecules_equal, parse_smiles
 
 STORE_FORMAT_VERSION = 3
 _REQUIRED_COLUMNS = ("CID", "SMILES", "description")
@@ -131,8 +131,12 @@ class IngestReport:
         return self.kept / self.total_rows if self.total_rows else 0.0
 
 
-def load_chebi_tsv(path) -> tuple[list[MoleculeRecord], IngestReport]:
-    """Read a molecule-caption TSV; malformed rows are quarantined, not fatal."""
+def load_chebi_tsv(path) -> tuple[list[MoleculeRecord], list[Molecule], IngestReport]:
+    """Read a molecule-caption TSV; malformed rows are quarantined, not fatal.
+
+    Returns the kept records, the parsed molecule of each (in record order)
+    and the ingest report.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -152,6 +156,7 @@ def load_chebi_tsv(path) -> tuple[list[MoleculeRecord], IngestReport]:
     desc_last = desc_idx == len(header) - 1
 
     records: list[MoleculeRecord] = []
+    molecules: list[Molecule] = []
     quarantined: list[QuarantinedRow] = []
     total = 0
     for line_no, line in enumerate(lines[1:], start=2):
@@ -170,13 +175,14 @@ def load_chebi_tsv(path) -> tuple[list[MoleculeRecord], IngestReport]:
             quarantined.append(QuarantinedRow(line_no, "empty caption", line))
             continue
         try:
-            parse_smiles(smiles)
+            mol = parse_smiles(smiles)
         except SmilesError as exc:
             quarantined.append(QuarantinedRow(line_no, f"{type(exc).__name__}: {exc}", line))
             continue
         records.append(MoleculeRecord(id=cid, smiles=smiles, caption=caption))
+        molecules.append(mol)
     report = IngestReport(total_rows=total, kept=len(records), quarantined=tuple(quarantined))
-    return records, report
+    return records, molecules, report
 
 
 @dataclass(eq=False)
@@ -195,12 +201,21 @@ class Store:
         return len(self.records)
 
 
-def build_store(records: list[MoleculeRecord], *, split: str = "train") -> Store:
+def build_store(
+    records: list[MoleculeRecord], molecules: list[Molecule], *, split: str = "train"
+) -> Store:
     """Fingerprint every record and build both BM25 indices, all under the default
-    parameters."""
+    parameters.
+
+    ``molecules[i]`` is the parsed ``records[i].smiles``, as ``load_chebi_tsv``
+    returns it. One identifier memo serves the whole build and is dropped with it.
+    """
     if not records:
         raise EmptyStore("no records to build a store from")
-    fingerprints = [morgan_fingerprint(parse_smiles(rec.smiles)) for rec in records]
+    if len(molecules) != len(records):
+        raise ValueError(f"{len(records)} records but {len(molecules)} molecules")
+    memo: dict = {}
+    fingerprints = [morgan_fingerprint(mol, memo=memo) for mol in molecules]
     caption_index = bm25.build_index([rec.caption for rec in records], tokenizer_mode="caption")
     smiles_index = bm25.build_index(
         [rec.smiles for rec in records], tokenizer_mode="smiles_chargram"

@@ -12,10 +12,18 @@ import ast
 import json
 import math
 import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
+from molrag.fingerprint import (
+    FingerprintParams,
+    MorganFingerprint,
+    _encode_initial,
+    _encode_round,
+    fnv1a_64,
+)
 from molrag.smiles import is_valid_smiles
 from molrag.smiles.model import Bond, Molecule
 
@@ -124,6 +132,26 @@ def all_environment_signatures(mol: Molecule, radius: int):
         for i in range(len(mol)):
             out.append((i, r, environment_signature(mol, i, r)))
     return out
+
+
+def morgan_fingerprint_direct(
+    mol: Molecule, params: FingerprintParams | None = None
+) -> MorganFingerprint:
+    """The Morgan fingerprint with every identifier hashed afresh: no memo, and
+    each atom's neighbors read from the graph in every round."""
+    params = params or FingerprintParams()
+    n = len(mol)
+    ids = [fnv1a_64(_encode_initial(_local_tuple(mol, i))) for i in range(n)]
+    bits = {ident % params.nbits for ident in ids}
+    for _ in range(params.radius):
+        ids = [
+            fnv1a_64(_encode_round(
+                ids[i], sorted((bond.order.value, ids[j]) for j, bond in mol.neighbors(i))
+            ))
+            for i in range(n)
+        ]
+        bits.update(ident % params.nbits for ident in ids)
+    return MorganFingerprint(bits, params.nbits, params.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +396,9 @@ def _try_tolerant(text: str, key: str) -> str | None:
     for span in candidates:
         for loader in (json.loads, ast.literal_eval):
             try:
-                obj = loader(span)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # undefined escapes such as '\C'
+                    obj = loader(span)
             except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
                 continue
             value = _value_from_mapping(obj, key, case_insensitive=True)

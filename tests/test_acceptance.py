@@ -77,7 +77,7 @@ def test_smiles_permutation_identity():
     molecules = []
     total_rows = 0
     for src in sources:
-        records, report = load_chebi_tsv(src)
+        records, _, report = load_chebi_tsv(src)
         total_rows += report.total_rows
         molecules.extend(rec.smiles for rec in records)
     assert len(molecules) >= expected_minimum

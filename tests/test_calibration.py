@@ -1,5 +1,8 @@
 import json
+import sys
+import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from molrag.calibration import (
     STRATEGY_PATTERN,
+    STRATEGY_TOLERANT,
     CalibratedOutput,
     CalibrationFailure,
     FormatError,
@@ -143,6 +147,47 @@ class TestExtraction:
             assert extract_payload_rescan(text, task) is None
             return
         assert (result.value, result.strategy) == extract_payload_rescan(text, task)
+
+    @pytest.mark.parametrize("reply, task, value", [
+        ("{'caption': 'a \\C b'}", "mol2cap", "a \\C b"),
+        ("Sure: {'Caption': 'set \\{a\\}'}", "mol2cap", "set \\{a\\}"),
+    ], ids=["backslash-C", "backslash-brace"])
+    def test_tolerant_json_escapes_raise_no_warning(self, reply, task, value):
+        # ast.literal_eval warns on escapes Python does not define; none may reach the caller
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = extract_payload(reply, task)
+        assert (result.value, result.strategy) == (value, STRATEGY_TOLERANT)
+        assert [str(w.message) for w in caught] == []
+
+    def test_tolerant_json_is_quiet_in_worker_threads(self):
+        # Each call swaps the process-wide warning filters. Unserialised, one thread can
+        # restore "always" while another is still compiling a reply; on a copy without
+        # the lock about one round in seven let a warning through.
+        results = {}
+
+        def work(k, replies):
+            results[k] = [extract_payload(r, "mol2cap").value for r in replies]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(10):
+                replies = [f"{{'caption': 'x{round_}.{i} \\C'}}" for i in range(200)]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    threads = [threading.Thread(target=work, args=(k, replies))
+                               for k in range(6)]
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                expected = [f"x{round_}.{i} \\C" for i in range(200)]
+                assert all(results[k] == expected for k in range(6))
+                assert [str(w.message) for w in caught] == [], round_
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_unclosed_braces_are_linear(self):
         # the rescan took seconds on this reply: it restarted at each of its 2,200 open braces

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import molrag
 from molrag import cli
+from molrag import store as store_module
 from molrag.cli import main, run_evaluation, RunConfig, _process_item
 from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend
 from molrag.prompt import default_template
@@ -88,6 +89,37 @@ class TestIngest:
         assert result.exit_code == 0
         assert json.loads(result.output)["record_count"] == 112
 
+    def test_store_matches_golden_manifest(self, runner, data_dir, tmp_path):
+        # the manifest's checksums cover every data file, so this pins the store's bytes
+        out = tmp_path / "store"
+        result = runner.invoke(main, ["ingest", str(data_dir / "corpus.tsv"), str(out)])
+        assert result.exit_code == 0, result.output
+        golden = data_dir / "golden" / "store_manifest.json"
+        assert (out / "manifest.json").read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("extra_rows, reaching_parser", [
+        ("", 112),
+        # an unparseable SMILES reaches the parser; an empty caption and a short row do not
+        ("900\tC1CC\tan unclosed ring\n901\tCCO\t\n902\tCCO\n", 113),
+    ], ids=["corpus", "with-bad-rows"])
+    def test_ingest_parses_each_row_once(self, runner, data_dir, tmp_path, monkeypatch,
+                                         extra_rows, reaching_parser):
+        calls = []
+        original = store_module.parse_smiles
+
+        def counted(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(store_module, "parse_smiles", counted)
+        tsv = tmp_path / "corpus.tsv"
+        tsv.write_text((data_dir / "corpus.tsv").read_text(encoding="utf-8") + extra_rows,
+                       encoding="utf-8")
+        result = runner.invoke(main, ["ingest", str(tsv), str(tmp_path / "store")])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["ingested"] == 112
+        assert len(calls) == reaching_parser
+
     def test_store_bytes_do_not_depend_on_the_hash_seed(self, data_dir, tmp_path):
         # Manifest checksums and the BM25 header's term order must not follow set or
         # dict iteration order, which PYTHONHASHSEED changes between processes.
@@ -107,16 +139,24 @@ class TestIngest:
         for name in names:
             assert (stores[0] / name).read_bytes() == (stores[1] / name).read_bytes(), name
 
-    def test_import_loads_no_third_party_http_client(self):
-        # `ingest` sends no request, and the chat client needs only the standard library.
+    @staticmethod
+    def _loaded_by_cli_import(names: set[str]) -> str:
+        """Which of ``names`` a fresh interpreter holds after ``import molrag.cli``."""
         src = str(Path(molrag.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        check = ("import sys, molrag.cli; "
-                 "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+        check = f"import sys, molrag.cli; print(sorted(set({sorted(names)!r}) & set(sys.modules)))"
         result = subprocess.run([sys.executable, "-c", check], env=env, check=True,
                                 capture_output=True, text=True, timeout=60)
-        assert result.stdout.strip() == "[]"
+        return result.stdout.strip()
+
+    def test_import_loads_no_third_party_http_client(self):
+        # `ingest` sends no request, and the chat client needs only the standard library.
+        assert self._loaded_by_cli_import({"requests", "urllib3"}) == "[]"
+
+    def test_import_loads_no_http_client(self):
+        # only HttpBackend sends requests, so only building one loads the client modules
+        assert self._loaded_by_cli_import({"http.client", "urllib.request"}) == "[]"
 
     def test_corrupt_file_nonzero_exit(self, runner, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -380,7 +420,7 @@ class TestEvaluate:
             backend=None,
             limit=10,
         )
-        records, _ = load_chebi_tsv(data_dir / "test_items.tsv")
+        records, _, _ = load_chebi_tsv(data_dir / "test_items.tsv")
         report = run_evaluation(
             config,
             load_store(store_dir),
@@ -393,9 +433,10 @@ class TestEvaluate:
 
 
     @pytest.mark.parametrize("change", ["n_shots", "test_order", "store"])
-    def test_stale_resume_refused(self, runner, data_dir, corpus_records, tmp_path, change):
+    def test_stale_resume_refused(self, runner, data_dir, corpus_records, corpus_molecules,
+                                  tmp_path, change):
         store = tmp_path / "store"
-        save_store(build_store(corpus_records), store)
+        save_store(build_store(corpus_records, corpus_molecules), store)
         tsv = tmp_path / "test.tsv"
         lines = (data_dir / "test_items.tsv").read_text(encoding="utf-8").splitlines(True)
         tsv.write_text("".join(lines), encoding="utf-8")
@@ -413,7 +454,7 @@ class TestEvaluate:
             tsv.write_text(lines[0] + "".join(reversed(lines[1:])), encoding="utf-8")
             key = "test_sha256"
         else:
-            save_store(build_store(corpus_records[1:]), store)
+            save_store(build_store(corpus_records[1:], corpus_molecules[1:]), store)
             key = "store_manifest_sha256"
         result = runner.invoke(main, args)
         assert result.exit_code != 0

@@ -1,9 +1,10 @@
 import pickle
 import random
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from molrag.fingerprint import (
@@ -17,7 +18,7 @@ from molrag.fingerprint import (
     morgan_fingerprint,
 )
 from molrag.smiles import parse_smiles
-from oracles import all_environment_signatures, permute_molecule
+from oracles import all_environment_signatures, morgan_fingerprint_direct, permute_molecule
 
 # FNV-1a 64 reference vectors (offset basis for empty input, published test value)
 FNV_EMPTY = 14695981039346656037
@@ -36,6 +37,16 @@ CCO_HEX_R2_2048 = (
     "0000000000000000000000000000000000000000000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000080000"
 )
+
+
+CORPUS_SMILES = [
+    line.split("\t")[1]
+    for line in (Path(__file__).parent / "data" / "corpus.tsv").read_text(
+        encoding="utf-8").splitlines()[1:]
+]
+RING_1100 = "C1" + "C" * 1098 + "1"
+FRAGMENTS = "[Na+].[Cl-].CC(=O)[O-].[NH4+]"
+BRACKET_ATOMS = "[13CH3][N+](C)(C)C.[O-]c1ccccc1.[2H]O[2H].[Fe+2]"
 
 
 def fp(text: str, radius: int = 2, nbits: int = 2048) -> MorganFingerprint:
@@ -202,3 +213,44 @@ class TestDice:
         assert dice_similarity(short, longer) >= 2 * shared / (
             len(short.bits) + len(longer.bits)
         ) - 1e-12
+
+
+class TestMemo:
+    # One memo shared by a batch, as build_store shares it, must give every
+    # molecule exactly the fingerprint that hashing each identifier afresh gives.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from(CORPUS_SMILES), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([(0, 64), (1, 512), (2, 2048), (3, 1024)]),
+    )
+    @example([RING_1100, "C" * 12, RING_1100], 0, (2, 2048))
+    @example([FRAGMENTS, "CC(=O)O", FRAGMENTS], 1, (2, 2048))
+    @example([BRACKET_ATOMS, "C[N+](C)(C)C", "Oc1ccccc1"], 2, (3, 1024))
+    def test_shared_memo_matches_direct_hashing(self, smiles, seed, radius_nbits):
+        rng = random.Random(seed)
+        mols = []
+        for text in smiles:
+            mol = parse_smiles(text)
+            perm = list(range(len(mol)))
+            rng.shuffle(perm)
+            mols.append(permute_molecule(mol, perm))
+        params = FingerprintParams(*radius_nbits)
+        expected = [morgan_fingerprint_direct(mol, params) for mol in mols]
+
+        memo = {}
+        # a second pass in reverse order meets a memo that already holds every input
+        shared = [morgan_fingerprint(mol, params, memo=memo) for mol in mols + mols[::-1]]
+        assert shared == expected + expected[::-1]
+        assert [morgan_fingerprint(mol, params, memo={}) for mol in mols] == expected
+        assert [morgan_fingerprint(mol, params) for mol in mols] == expected
+
+    def test_memo_serves_every_radius(self, corpus_records):
+        # the identifier depends only on the hash input, not on the round or radius
+        mols = [parse_smiles(rec.smiles) for rec in corpus_records[:30]]
+        memo = {}
+        for radius in (3, 0, 2, 1):
+            params = FingerprintParams(radius=radius)
+            assert [morgan_fingerprint(m, params, memo=memo) for m in mols] == [
+                morgan_fingerprint_direct(m, params) for m in mols
+            ]

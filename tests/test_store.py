@@ -37,33 +37,33 @@ class TestIngest:
             tmp_path / "ok.tsv",
             ["1\tCCO\tethanol text", "2\tCC\tethane text", "3\tC\tmethane text"],
         )
-        records, report = load_chebi_tsv(path)
+        records, _, report = load_chebi_tsv(path)
         assert [r.id for r in records] == ["1", "2", "3"]
         assert report.kept == 3 and not report.quarantined
 
     def test_unclosed_ring_quarantined(self, tmp_path):
         path = write_tsv(tmp_path / "bad.tsv", ["1\tC1CC\toops", "2\tCC\tfine"])
-        records, report = load_chebi_tsv(path)
+        records, _, report = load_chebi_tsv(path)
         assert len(records) == 1
         assert report.quarantined[0].reason.startswith("UnmatchedRingClosure")
         assert report.quarantined[0].line_number == 2
 
     def test_empty_caption_quarantined(self, tmp_path):
         path = write_tsv(tmp_path / "cap.tsv", ["1\tCC\t", "2\tCC\tfine"])
-        records, report = load_chebi_tsv(path)
+        records, _, report = load_chebi_tsv(path)
         assert len(records) == 1
         assert report.quarantined[0].reason == "empty caption"
 
     def test_atomless_smiles_quarantined(self, tmp_path):
         path = write_tsv(tmp_path / "dots.tsv", ["1\t.\tdot", "2\t..\tdots", "3\tC.\tfine"])
-        records, report = load_chebi_tsv(path)
+        records, _, report = load_chebi_tsv(path)
         assert [r.id for r in records] == ["3"]
         assert [q.line_number for q in report.quarantined] == [2, 3]
         assert all(q.reason.startswith("UnknownToken") for q in report.quarantined)
 
     def test_short_row_quarantined(self, tmp_path):
         path = write_tsv(tmp_path / "short.tsv", ["1\tCC", "2\tCC\tfine"])
-        records, report = load_chebi_tsv(path)
+        records, _, report = load_chebi_tsv(path)
         assert len(records) == 1
         assert report.quarantined[0].reason == "too few columns"
 
@@ -82,13 +82,22 @@ class TestIngest:
         with pytest.raises(IoFailure):
             load_chebi_tsv(tmp_path / "does-not-exist.tsv")
 
+    def test_molecules_pair_with_kept_records(self, tmp_path):
+        path = write_tsv(
+            tmp_path / "mixed.tsv",
+            ["1\tCCO\tethanol text", "2\tC1CC\tunclosed ring", "3\tc1ccccc1\tbenzene text"],
+        )
+        records, molecules, report = load_chebi_tsv(path)
+        assert [r.id for r in records] == ["1", "3"] and report.kept == 2
+        assert molecules == [parse_smiles("CCO"), parse_smiles("c1ccccc1")]
+
     def test_column_order_free(self, tmp_path):
         path = write_tsv(
             tmp_path / "reorder.tsv",
             ["ethanol text\t1\tCCO"],
             header="description\tCID\tSMILES",
         )
-        records, _ = load_chebi_tsv(path)
+        records, _, _ = load_chebi_tsv(path)
         assert records[0].smiles == "CCO"
         assert records[0].caption == "ethanol text"
 
@@ -100,7 +109,11 @@ class TestIngest:
 class TestBuild:
     def test_empty_records(self):
         with pytest.raises(EmptyStore):
-            build_store([])
+            build_store([], [])
+
+    def test_records_and_molecules_must_pair(self, corpus_records, corpus_molecules):
+        with pytest.raises(ValueError, match="3 records but 2 molecules"):
+            build_store(corpus_records[:3], corpus_molecules[:2])
 
     def test_fingerprints_precomputed(self, corpus_store):
         assert corpus_store.fingerprints == [
@@ -118,9 +131,9 @@ class TestBuild:
         for strategy in (RetrievalStrategy("bm25_caption"), RetrievalStrategy("random", seed=1)):
             assert len(retrieve_cap2mol(corpus_store, "an alcohol caption", 5, strategy)) == 5
 
-    def test_rebuild_identical_manifests(self, corpus_records, tmp_path):
-        store_a = build_store(list(corpus_records))
-        store_b = build_store(list(corpus_records))
+    def test_rebuild_identical_manifests(self, corpus_records, corpus_molecules, tmp_path):
+        store_a = build_store(list(corpus_records), list(corpus_molecules))
+        store_b = build_store(list(corpus_records), list(corpus_molecules))
         save_store(store_a, tmp_path / "a")
         save_store(store_b, tmp_path / "b")
         manifest_a = json.loads((tmp_path / "a" / "manifest.json").read_text())
@@ -219,7 +232,8 @@ class TestMol2CapRetrieval:
         smiles = copies + ["C" * k for k in range(7, 12)] + [r.smiles for r in corpus_records[:40]]
         rng.shuffle(smiles)
         store = build_store(
-            [MoleculeRecord(id=str(i), smiles=s, caption=f"c{i}") for i, s in enumerate(smiles)]
+            [MoleculeRecord(id=str(i), smiles=s, caption=f"c{i}") for i, s in enumerate(smiles)],
+            [parse_smiles(s) for s in smiles],
         )
         octane = morgan_fingerprint(parse_smiles("CCCCCCCC"), FingerprintParams())
         assert morgan_fingerprint(parse_smiles("C" * 11), FingerprintParams()) == octane
@@ -281,7 +295,8 @@ class TestCap2MolRetrieval:
         random.Random(5).shuffle(captions)
         store = build_store(
             [MoleculeRecord(id=str(i), smiles="C" * (1 + i % 9), caption=c)
-             for i, c in enumerate(captions)]
+             for i, c in enumerate(captions)],
+            [parse_smiles("C" * (1 + i % 9)) for i in range(len(captions))],
         )
         strategy = RetrievalStrategy(kind, seed=2 if kind == "random" else None)
         for text in (query, query + " It is volatile.", corpus_records[3].caption, "zzzz"):
