@@ -148,6 +148,16 @@ def _load_prompt_template(config: RunConfig) -> PromptTemplate:
     return default_template(config.task)
 
 
+def _store_params(store: Store) -> dict:
+    """The store's size and split, and the one fingerprint and BM25 setting in use."""
+    return {
+        "record_count": len(store),
+        "split": store.split,
+        "fingerprint_params": dataclasses.asdict(FingerprintParams()),
+        "bm25_params": {"k1": bm25.K1, "b": bm25.B},
+    }
+
+
 def _config_echo(config: RunConfig, store: Store, template: PromptTemplate) -> dict:
     return {
         "version": __version__,
@@ -162,12 +172,7 @@ def _config_echo(config: RunConfig, store: Store, template: PromptTemplate) -> d
         "concurrency": config.concurrency,
         "max_retries": config.max_retries,
         "limit": config.limit,
-        "store": {
-            "record_count": len(store),
-            "split": store.split,
-            "fingerprint_params": dataclasses.asdict(FingerprintParams()),
-            "bm25_params": {"k1": bm25.K1, "b": bm25.B},
-        },
+        "store": _store_params(store),
     }
 
 
@@ -562,10 +567,7 @@ def cmd_inspect_store(store_path) -> None:
     """Print a persisted store's manifest and basic statistics."""
     db = load_store(store_path)
     payload = {
-        "record_count": len(db),
-        "split": db.split,
-        "fingerprint_params": dataclasses.asdict(FingerprintParams()),
-        "bm25_params": {"k1": bm25.K1, "b": bm25.B},
+        **_store_params(db),
         "caption_vocabulary": len(db.caption_index.postings),
         "smiles_trigram_vocabulary": len(db.smiles_index.postings),
         "mean_caption_tokens": db.caption_index.avgdl,

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from molrag.fingerprint import FingerprintParams, dice_similarity, morgan_fingerprint
-from molrag.smiles import SmilesError, is_valid_smiles, molecules_equal, parse_smiles
+from molrag.smiles import SmilesError, molecules_equal, parse_smiles
+from molrag.smiles.validity import molecule_within_valence
 
 BLEU_EPSILON = 1e-9
 
@@ -156,50 +158,56 @@ def levenshtein_mean(pairs: list[EvalPair]) -> float:
     return sum(levenshtein(p.effective_prediction, p.reference) for p in pairs) / len(pairs)
 
 
-def _parse_or_none(text: str):
-    try:
-        return parse_smiles(text)
-    except SmilesError:
-        return None
+class MoleculeScore(NamedTuple):
+    """What exact match, Morgan FTS and validity read of one cap2mol pair."""
+    valid: bool  # the prediction parses and respects valence
+    exact: bool  # prediction and reference are the same graph
+    dice: float | None  # None when either side fails to parse
 
 
-def exact_match_rate(pairs: list[EvalPair]) -> float:
+def molecule_scores(pairs: list[EvalPair]) -> list[MoleculeScore]:
+    """Parse each prediction once, and its reference once if the prediction
+    parsed; no molecule outlives its pair."""
+    scores = []
+    for pair in pairs:
+        try:
+            pred = parse_smiles(pair.effective_prediction)
+        except SmilesError:
+            scores.append(MoleculeScore(False, False, None))
+            continue
+        valid = molecule_within_valence(pred)
+        try:
+            ref = parse_smiles(pair.reference)
+        except SmilesError:
+            scores.append(MoleculeScore(valid, False, None))
+            continue
+        fts = dice_similarity(morgan_fingerprint(pred), morgan_fingerprint(ref))
+        scores.append(MoleculeScore(valid, molecules_equal(pred, ref), fts))
+    return scores
+
+
+def exact_match_rate(scores: list[MoleculeScore]) -> float:
     """Fraction of pairs whose molecules are graph-isomorphic; unparseable
     predictions count as non-matches."""
-    if not pairs:
-        return 0.0
-    hits = 0
-    for pair in pairs:
-        pred = _parse_or_none(pair.effective_prediction)
-        ref = _parse_or_none(pair.reference)
-        if pred is not None and ref is not None and molecules_equal(pred, ref):
-            hits += 1
-    return hits / len(pairs)
+    return sum(1 for s in scores if s.exact) / len(scores) if scores else 0.0
 
 
-def morgan_fts_stats(pairs: list[EvalPair]) -> tuple[float, float, int]:
+def morgan_fts_stats(scores: list[MoleculeScore]) -> tuple[float, float, int]:
     """(mean over all pairs with unparseable counting 0, mean over parseable
     pairs only, parseable pair count)."""
-    if not pairs:
-        return 0.0, 0.0, 0
     total = 0.0
     valid_count = 0
-    for pair in pairs:
-        pred = _parse_or_none(pair.effective_prediction)
-        ref = _parse_or_none(pair.reference)
-        if pred is None or ref is None:
-            continue
-        total += dice_similarity(morgan_fingerprint(pred), morgan_fingerprint(ref))
-        valid_count += 1
-    mean_all = total / len(pairs)
+    for s in scores:
+        if s.dice is not None:
+            total += s.dice
+            valid_count += 1
+    mean_all = total / len(scores) if scores else 0.0
     mean_valid = total / valid_count if valid_count else 0.0
     return mean_all, mean_valid, valid_count
 
 
-def validity_rate(pairs: list[EvalPair]) -> float:
-    if not pairs:
-        return 0.0
-    return sum(1 for p in pairs if is_valid_smiles(p.effective_prediction)) / len(pairs)
+def validity_rate(scores: list[MoleculeScore]) -> float:
+    return sum(1 for s in scores if s.valid) / len(scores) if scores else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +272,15 @@ def build_report(pairs: list[EvalPair], task: str, config: dict) -> dict:
         metrics["bleu2"] = bleu_n(pairs, 2, mode="smiles")
         metrics["bleu4"] = bleu_n(pairs, 4, mode="smiles")
         metrics["levenshtein"] = levenshtein_mean(pairs)
-        metrics["exact_match"] = exact_match_rate(pairs)
-        mean_all, mean_valid, valid_count = morgan_fts_stats(pairs)
+        scores = molecule_scores(pairs)
+        metrics["exact_match"] = exact_match_rate(scores)
+        mean_all, mean_valid, parseable = morgan_fts_stats(scores)
         metrics["morgan_fts"] = mean_all
         metrics["morgan_fts_valid_only"] = mean_valid
-        metrics["validity"] = validity_rate(pairs)
-        counts["valid"] = sum(1 for p in pairs if is_valid_smiles(p.effective_prediction))
+        metrics["validity"] = validity_rate(scores)
+        counts["valid"] = sum(1 for s in scores if s.valid)
         counts["invalid"] = counts["items"] - counts["valid"]
-        counts["parseable"] = valid_count
+        counts["parseable"] = parseable
 
     for name, value in metrics.items():
         low, high = _RANGES.get(name, (0.0, 1.0))

@@ -1,6 +1,6 @@
 """SMILES parsing, graph equality and validity."""
 
-from molrag.smiles.canon import invariant_sequence, molecules_equal
+from molrag.smiles.canon import molecules_equal
 from molrag.smiles.model import (
     Atom,
     Bond,
@@ -27,7 +27,6 @@ __all__ = [
     "UnbalancedParenthesis",
     "UnknownToken",
     "UnmatchedRingClosure",
-    "invariant_sequence",
     "is_valid_smiles",
     "molecules_equal",
     "parse_smiles",

@@ -10,7 +10,7 @@ Stereochemistry is deliberately excluded from invariants and equality.
 
 from __future__ import annotations
 
-from molrag.smiles.model import Bond, Molecule
+from molrag.smiles.model import Molecule
 
 Invariant = tuple[str, bool, int, int, int, int]
 
@@ -55,22 +55,11 @@ def refined_ranks(mol: Molecule) -> list[int]:
         ranks = new_ranks
 
 
-def _invariant_sequence(mol: Molecule, ranks: list[int]) -> tuple:
+def invariant_sequence(mol: Molecule, ranks: list[int]) -> tuple:
+    """Each atom's (rank, local invariant, sorted (bond order, neighbor rank)
+    profile), sorted; under :func:`refined_ranks`, equal for isomorphic molecules."""
     invariants = [atom_invariant(mol, i) for i in range(len(mol))]
     return tuple(sorted(zip(ranks, invariants, _neighbor_profiles(mol, ranks))))
-
-
-def invariant_sequence(mol: Molecule) -> tuple:
-    """Rank-ordered invariant sequence; identical for isomorphic molecules.
-
-    Each entry couples an atom's refined rank with its local invariant and
-    its sorted (bond order, neighbor rank) profile.
-    """
-    return _invariant_sequence(mol, refined_ranks(mol))
-
-
-def _bond_signature(bond: Bond) -> int:
-    return bond.order.value
 
 
 def molecules_equal(a: Molecule, b: Molecule) -> bool:
@@ -86,7 +75,7 @@ def molecules_equal(a: Molecule, b: Molecule) -> bool:
         return True
     ranks_a = refined_ranks(a)
     ranks_b = refined_ranks(b)
-    if _invariant_sequence(a, ranks_a) != _invariant_sequence(b, ranks_b):
+    if invariant_sequence(a, ranks_a) != invariant_sequence(b, ranks_b):
         return False
 
     by_rank_b: dict[int, list[int]] = {}
@@ -99,13 +88,13 @@ def molecules_equal(a: Molecule, b: Molecule) -> bool:
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
-    bonds_b: dict[tuple[int, int], int] = {bond.key: _bond_signature(bond) for bond in b.bonds}
+    bonds_b: dict[tuple[int, int], int] = {bond.key: bond.order.value for bond in b.bonds}
 
     def compatible(i: int, j: int) -> bool:
         for nbr, bond in a.neighbors(i):
             if nbr in mapping:
                 key = (mapping[nbr], j) if mapping[nbr] < j else (j, mapping[nbr])
-                if bonds_b.get(key) != _bond_signature(bond):
+                if bonds_b.get(key) != bond.order.value:
                     return False
         return True
 

@@ -22,14 +22,17 @@ from molrag.fingerprint import (
     MorganFingerprint,
     _encode_initial,
     _encode_round,
+    dice_similarity,
     fnv1a_64,
+    morgan_fingerprint,
 )
-from molrag.smiles import is_valid_smiles
-from molrag.smiles.model import Bond, Molecule
+from molrag.smiles import SmilesError, is_valid_smiles, molecules_equal, parse_smiles
+from molrag.smiles.model import Atom, Bond, BondOrder, Molecule
 
 
 # ---------------------------------------------------------------------------
-# Atom permutation: an isomorphic copy of a molecule in another atom order.
+# Atom permutation: an isomorphic copy of a molecule in another atom order,
+# and a SMILES string that spells a molecule in its own atom order.
 # ---------------------------------------------------------------------------
 
 
@@ -40,6 +43,41 @@ def permute_molecule(mol: Molecule, perm: list[int]) -> Molecule:
         atoms[new] = mol.atoms[old]
     bonds = tuple(Bond(a=perm[b.a], b=perm[b.b], order=b.order) for b in mol.bonds)
     return Molecule(atoms=tuple(atoms), bonds=bonds)
+
+
+_BOND_SYMBOL = {
+    BondOrder.SINGLE: "-",
+    BondOrder.DOUBLE: "=",
+    BondOrder.TRIPLE: "#",
+    BondOrder.QUADRUPLE: "$",
+    BondOrder.AROMATIC: ":",
+}
+
+
+def _atom_text(atom: Atom) -> str:
+    symbol = atom.element.lower() if atom.aromatic else atom.element
+    if not atom.bracket:
+        return symbol
+    isotope = "" if atom.isotope is None else str(atom.isotope)
+    hydrogens = "" if atom.explicit_h_count is None else f"H{atom.explicit_h_count}"
+    charge = f"{atom.formal_charge:+d}" if atom.formal_charge else ""
+    return f"[{isotope}{symbol}{hydrogens}{charge}]"
+
+
+def write_smiles(mol: Molecule) -> str:
+    """A SMILES string that parses back to ``mol`` atom for atom, in index order.
+
+    Every atom is its own dot-separated fragment and every bond is a ring
+    closure ``%nn`` with its order written out, so atom order is free.
+    """
+    if len(mol.bonds) > 100:
+        raise ValueError("at most 100 bonds: one two-digit ring label each")
+    closures: list[list[str]] = [[] for _ in range(len(mol))]
+    for label, bond in enumerate(mol.bonds):
+        low, high = bond.key
+        closures[low].append(f"{_BOND_SYMBOL[bond.order]}%{label:02d}")
+        closures[high].append(f"%{label:02d}")
+    return ".".join(_atom_text(atom) + "".join(closures[i]) for i, atom in enumerate(mol.atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +352,56 @@ def levenshtein_direct(a: str, b: str) -> int:
                 table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
             )
     return table[-1][-1]
+
+
+# ---------------------------------------------------------------------------
+# Molecule metrics by their first formulation: each metric, and the validity
+# count, parses every pair's molecules again for itself.
+# ---------------------------------------------------------------------------
+
+
+def _parse_or_none(text: str):
+    try:
+        return parse_smiles(text)
+    except SmilesError:
+        return None
+
+
+def exact_match_rate_reparse(pairs) -> float:
+    if not pairs:
+        return 0.0
+    hits = 0
+    for pair in pairs:
+        pred = _parse_or_none(pair.effective_prediction)
+        ref = _parse_or_none(pair.reference)
+        if pred is not None and ref is not None and molecules_equal(pred, ref):
+            hits += 1
+    return hits / len(pairs)
+
+
+def morgan_fts_stats_reparse(pairs) -> tuple[float, float, int]:
+    if not pairs:
+        return 0.0, 0.0, 0
+    total = 0.0
+    valid_count = 0
+    for pair in pairs:
+        pred = _parse_or_none(pair.effective_prediction)
+        ref = _parse_or_none(pair.reference)
+        if pred is None or ref is None:
+            continue
+        total += dice_similarity(morgan_fingerprint(pred), morgan_fingerprint(ref))
+        valid_count += 1
+    mean_all = total / len(pairs)
+    mean_valid = total / valid_count if valid_count else 0.0
+    return mean_all, mean_valid, valid_count
+
+
+def valid_count_reparse(pairs) -> int:
+    return sum(1 for p in pairs if is_valid_smiles(p.effective_prediction))
+
+
+def validity_rate_reparse(pairs) -> float:
+    return valid_count_reparse(pairs) / len(pairs) if pairs else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from molrag.metrics import (
     exact_match_rate,
     levenshtein,
     levenshtein_mean,
+    molecule_scores,
     morgan_fts_stats,
     rouge_scores,
     validity_rate,
@@ -244,9 +245,10 @@ def test_metric_fixtures():
     assert levenshtein("kitten", "sitting") == 3
 
     exact = [EvalPair("OCC", "CCO"), EvalPair("C(C)C", "CCC"), EvalPair("C%12CCCC%12", "C1CCCC1")]
-    assert exact_match_rate(exact) == 1.0
-    assert morgan_fts_stats(exact)[0] == pytest.approx(1.0)
-    assert validity_rate(exact) == 1.0
+    scores = molecule_scores(exact)
+    assert exact_match_rate(scores) == 1.0
+    assert morgan_fts_stats(scores)[0] == pytest.approx(1.0)
+    assert validity_rate(scores) == 1.0
     ok("metric-fixtures (hand-worked BLEU/ROUGE/Levenshtein, EM implication)")
 
 

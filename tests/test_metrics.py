@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,13 +17,24 @@ from molrag.metrics import (
     exact_match_rate,
     levenshtein,
     levenshtein_mean,
+    molecule_scores,
     morgan_fts_stats,
     render_table,
     rouge_scores,
     validity_rate,
 )
 from molrag.smiles import parse_smiles
-from oracles import bleu_direct, levenshtein_direct
+from molrag.smiles import parser as smiles_parser
+from oracles import (
+    bleu_direct,
+    exact_match_rate_reparse,
+    levenshtein_direct,
+    morgan_fts_stats_reparse,
+    permute_molecule,
+    valid_count_reparse,
+    validity_rate_reparse,
+    write_smiles,
+)
 
 # --- hand-worked worksheet -------------------------------------------------
 # caption pairs: unigram matches 6+3+3+0+0 = 12 of 6+3+4+0+4 = 17 positions;
@@ -60,6 +72,31 @@ HAND_LEV = [0, 4, 6, 4, 2]  # per-pair character edits, mean 3.2
 
 def pairs(raw) -> list[EvalPair]:
     return [EvalPair(prediction=p, reference=r) for p, r in raw]
+
+
+_MOLECULES = [
+    "CCO", "CC(=O)Oc1ccccc1C(=O)O", "c1ccc2ccccc2c1", "[Na+].[Cl-]", "N[C@@H](C)C(=O)O",
+    "C1CC1", "[13CH3]C#N", "O=S(=O)(O)O", "C=CC=C", "c1cc[se]c1", "C(C)(C)(C)(C)C",
+]
+_INVALID = ["C1CC", "bad(", "", ".", "c1ccccc1(C)C", "[Xx]"]  # the first two fail to parse
+
+
+@st.composite
+def _molecule_pairs(draw) -> EvalPair:
+    """A reference, which may fail to parse, and a prediction that is an atom
+    permutation of it, another molecule, an unparseable or over-valence string,
+    or empty; about a quarter with calibration failed."""
+    reference = draw(st.sampled_from(_MOLECULES + _INVALID[:2]))
+    kind = draw(st.sampled_from(["permuted", "other", "invalid"]))
+    if kind == "permuted" and reference in _MOLECULES:
+        mol = parse_smiles(reference)
+        prediction = write_smiles(permute_molecule(mol, draw(st.permutations(range(len(mol))))))
+    elif kind == "invalid":
+        prediction = draw(st.sampled_from(_INVALID))
+    else:
+        prediction = draw(st.sampled_from(_MOLECULES))
+    status = draw(st.sampled_from([STATUS_OK, STATUS_OK, STATUS_OK, STATUS_FAILED]))
+    return EvalPair(prediction, reference, status)
 
 
 class TestBleu:
@@ -154,10 +191,10 @@ class TestLevenshtein:
 
 class TestExactMatch:
     def test_graph_level_match(self):
-        assert exact_match_rate(pairs([("OCC", "CCO")])) == 1.0
+        assert exact_match_rate(molecule_scores(pairs([("OCC", "CCO")]))) == 1.0
 
     def test_invalid_prediction_no_match(self):
-        assert exact_match_rate(pairs([("C1CC", "CCO")])) == 0.0
+        assert exact_match_rate(molecule_scores(pairs([("C1CC", "CCO")]))) == 0.0
 
     def test_twenty_pair_hand_count(self):
         # 7 graph matches out of 20 by construction
@@ -168,16 +205,17 @@ class TestExactMatch:
                   ("c1ccccc1", "C1CCCCC1"), ("CCO", "CCCO"), ("CC(=O)O", "CCO"),
                   ("C1CC1", "CCC"), ("O", "N"), ("CCOC", "CCCO"), ("CN", "CO"),
                   ("bad(", "CCO"), ("", "CC")]
-        rate = exact_match_rate(pairs(match + differ))
+        rate = exact_match_rate(molecule_scores(pairs(match + differ)))
         assert rate == pytest.approx(7 / 20)
 
 
 class TestMorganFts:
     def test_exact_matches_score_one(self):
-        assert morgan_fts_stats(pairs([("CCO", "OCC"), ("CC", "CC")]))[0] == pytest.approx(1.0)
+        scores = molecule_scores(pairs([("CCO", "OCC"), ("CC", "CC")]))
+        assert morgan_fts_stats(scores)[0] == pytest.approx(1.0)
 
     def test_all_invalid_zero(self):
-        assert morgan_fts_stats(pairs([("nope(", "CCO"), ("", "CC")]))[0] == 0.0
+        assert morgan_fts_stats(molecule_scores(pairs([("nope(", "CCO"), ("", "CC")])))[0] == 0.0
 
     def test_cross_check_per_pair_dice(self):
         raw = [("CCO", "CCCO"), ("CC", "CCC"), ("c1ccccc1", "Cc1ccccc1"), ("xx", "CC")]
@@ -188,7 +226,7 @@ class TestMorganFts:
                 morgan_fingerprint(parse_smiles(pred), params),
                 morgan_fingerprint(parse_smiles(ref), params),
             )
-        mean_all, mean_valid, n_valid = morgan_fts_stats(pairs(raw))
+        mean_all, mean_valid, n_valid = morgan_fts_stats(molecule_scores(pairs(raw)))
         assert mean_all == pytest.approx(expected_sum / 4)
         assert mean_valid == pytest.approx(expected_sum / 3)
         assert n_valid == 3
@@ -196,15 +234,15 @@ class TestMorganFts:
 
 class TestValidity:
     def test_rates(self):
-        assert validity_rate(pairs([("CCO", ""), ("C1CC", ""), ("C(C)(C)(C)(C)C", "")])) == (
-            pytest.approx(1 / 3)
-        )
+        scores = molecule_scores(pairs([("CCO", ""), ("C1CC", ""), ("C(C)(C)(C)(C)C", "")]))
+        assert validity_rate(scores) == pytest.approx(1 / 3)
 
     def test_exact_match_implies_fts_and_validity(self):
         exact = pairs([("OCC", "CCO"), ("C(C)C", "CCC"), ("C%12CCCC%12", "C1CCCC1")])
-        assert exact_match_rate(exact) == 1.0
-        assert morgan_fts_stats(exact)[0] == pytest.approx(1.0)
-        assert validity_rate(exact) == 1.0
+        scores = molecule_scores(exact)
+        assert exact_match_rate(scores) == 1.0
+        assert morgan_fts_stats(scores)[0] == pytest.approx(1.0)
+        assert validity_rate(scores) == 1.0
 
 
 class TestFailureAccounting:
@@ -212,8 +250,8 @@ class TestFailureAccounting:
         ok = EvalPair(prediction="CCO", reference="CCO")
         failed = EvalPair(prediction="CCO", reference="CCO", status=STATUS_FAILED)
         assert failed.effective_prediction == ""
-        assert exact_match_rate([ok]) == 1.0
-        assert exact_match_rate([failed]) == 0.0
+        assert exact_match_rate(molecule_scores([ok])) == 1.0
+        assert exact_match_rate(molecule_scores([failed])) == 0.0
 
     def test_monotone_penalty(self):
         base_raw = [(r.capitalize(), r) for r in ("the cat sat", "a dog ran", "birds fly high")]
@@ -229,9 +267,10 @@ class TestFailureAccounting:
 
         smi = pairs([("CCO", "CCO"), ("CC", "CC")])
         smi_degraded = [smi[0], EvalPair("CC", "CC", status=STATUS_FAILED)]
-        assert exact_match_rate(smi_degraded) <= exact_match_rate(smi)
-        assert morgan_fts_stats(smi_degraded)[0] <= morgan_fts_stats(smi)[0]
-        assert validity_rate(smi_degraded) <= validity_rate(smi)
+        scores, degraded_scores = molecule_scores(smi), molecule_scores(smi_degraded)
+        assert exact_match_rate(degraded_scores) <= exact_match_rate(scores)
+        assert morgan_fts_stats(degraded_scores)[0] <= morgan_fts_stats(scores)[0]
+        assert validity_rate(degraded_scores) <= validity_rate(scores)
 
 
 class TestRanges:
@@ -245,16 +284,63 @@ class TestRanges:
     )
     def test_fuzz_ranges(self, raw):
         ps = pairs(raw)
+        scores = molecule_scores(ps)
         for value in (
             bleu_n(ps, 2),
             bleu_n(ps, 4),
             *rouge_scores(ps).values(),
-            exact_match_rate(ps),
-            morgan_fts_stats(ps)[0],
-            validity_rate(ps),
+            exact_match_rate(scores),
+            morgan_fts_stats(scores)[0],
+            validity_rate(scores),
         ):
             assert 0.0 <= value <= 1.0
         assert levenshtein_mean(ps) >= 0.0
+
+
+class TestMoleculeScores:
+    """One parse per molecule gives the same figures as parsing once per metric."""
+
+    @pytest.mark.parametrize("smiles", _MOLECULES)
+    def test_writer_round_trip(self, smiles):
+        mol = parse_smiles(smiles)
+        back = parse_smiles(write_smiles(mol))
+        assert back.atoms == mol.atoms
+        assert {(b.key, b.order) for b in back.bonds} == {(b.key, b.order) for b in mol.bonds}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_molecule_pairs(), min_size=1, max_size=8))
+    @example([EvalPair("C(C)(C)(C)(C)C", "C(C)(C)(C)(C)C")])
+    @example([EvalPair("CCO", "C1CC"), EvalPair("", "CCO"), EvalPair("CCO", "CCO", STATUS_FAILED)])
+    def test_matches_reparse_oracle(self, evaluated):
+        report = build_report(evaluated, "cap2mol", {})
+        metrics, counts = report["metrics"], report["counts"]
+        mean_all, mean_valid, parseable = morgan_fts_stats_reparse(evaluated)
+        expected = {
+            "exact_match": exact_match_rate_reparse(evaluated),
+            "morgan_fts": mean_all,
+            "morgan_fts_valid_only": mean_valid,
+            "validity": validity_rate_reparse(evaluated),
+        }
+        assert {k: metrics[k].hex() for k in expected} == {k: v.hex() for k, v in expected.items()}
+        valid = valid_count_reparse(evaluated)
+        assert (counts["valid"], counts["invalid"], counts["parseable"]) == (
+            valid, len(evaluated) - valid, parseable
+        )
+
+    def test_parses_each_molecule_at_most_once(self, monkeypatch):
+        parse = smiles_parser.parse_smiles
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse(text)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("molrag") and getattr(module, "parse_smiles", None) is parse:
+                monkeypatch.setattr(module, "parse_smiles", counting_parse)
+        evaluated = pairs([(s, s) for s in _MOLECULES] + [("C1CC", "CCO"), ("C(C)(C)(C)(C)C", "CC")])
+        build_report(evaluated, "cap2mol", {})
+        assert 0 < len(calls) <= 2 * len(evaluated)
 
 
 _SMILESISH = "CcNnOoSs[]()=#$123%+-@H/\\.*Clr "

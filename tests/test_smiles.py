@@ -16,11 +16,11 @@ from molrag.smiles import (
     UnbalancedParenthesis,
     UnknownToken,
     UnmatchedRingClosure,
-    invariant_sequence,
     is_valid_smiles,
     molecules_equal,
     parse_smiles,
 )
+from molrag.smiles.canon import invariant_sequence, refined_ranks
 from oracles import brute_force_isomorphic, permute_molecule
 
 
@@ -169,21 +169,24 @@ class TestParser:
 
 class TestCanonical:
     def test_entry_order_invariance(self):
-        assert invariant_sequence(parse_smiles("OCC")) == invariant_sequence(parse_smiles("CCO"))
+        a, b = parse_smiles("OCC"), parse_smiles("CCO")
+        assert invariant_sequence(a, refined_ranks(a)) == invariant_sequence(b, refined_ranks(b))
 
     def test_permutation_harness_12_atoms(self):
         # fixed 12-atom molecule, 10 seeded permutations
         mol = parse_smiles("CC(C)Cc1ccc(O)cc1C")
         assert len(mol) == 12
-        reference = invariant_sequence(mol)
+        reference = invariant_sequence(mol, refined_ranks(mol))
         rng = random.Random(7)
         for _ in range(10):
             perm = list(range(12))
             rng.shuffle(perm)
-            assert invariant_sequence(permute_molecule(mol, perm)) == reference
+            permuted = permute_molecule(mol, perm)
+            assert invariant_sequence(permuted, refined_ranks(permuted)) == reference
 
     def test_different_molecules_differ(self):
-        assert invariant_sequence(parse_smiles("CCO")) != invariant_sequence(parse_smiles("CCN"))
+        a, b = parse_smiles("CCO"), parse_smiles("CCN")
+        assert invariant_sequence(a, refined_ranks(a)) != invariant_sequence(b, refined_ranks(b))
 
 
 class TestEquality:
