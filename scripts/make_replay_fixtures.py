@@ -12,7 +12,7 @@ default templates, retrieval behavior or fixture corpora change:
 import json
 from pathlib import Path
 
-from molrag.calibration import CalibrationFailure, calibrated_query
+from molrag.calibration import CalibrationFailure, calibrated_query, rank_examples
 from molrag.llm import BackendError, ChatClient, prompt_digest
 from molrag.prompt import default_template
 from molrag.store import RetrievalStrategy, build_store, load_chebi_tsv
@@ -114,8 +114,9 @@ def run_session(task: str, items, store, n_shots: int, strategy: RetrievalStrate
     failures = 0
     for rec in items:
         query = rec.smiles if task == "mol2cap" else rec.caption
+        examples = rank_examples(store, task, query, n_shots, strategy)
         try:
-            calibrated_query(client, store, template, query, n_shots, MAX_ERROR_ALLOWANCE, strategy)
+            calibrated_query(client, template, query, examples, MAX_ERROR_ALLOWANCE)
         except CalibrationFailure:
             failures += 1
     return backend.entries, failures

@@ -1,11 +1,13 @@
 """Output validation and repair: format checking, correction, re-querying.
 
-Model responses are run through an ordered list of correction strategies,
-strictest first. When none fires, the item is re-queried with the identical
-prompt until the error allowance runs out. Context-length errors are the
-special case: the longest context example is evicted and the re-query does
-not consume allowance (shot counts only ever shrink, so at most ``n`` such
-free passes exist per item).
+An item is ranked first (:func:`rank_examples`), then prompted with those
+examples until a reply validates (:func:`calibrated_query`). Model responses
+are run through an ordered list of correction strategies, strictest first.
+When none fires, the item is re-queried with the identical prompt until the
+error allowance runs out. Context-length errors are the special case: the
+longest context example is evicted and the re-query does not consume
+allowance (shot counts only ever shrink, so at most one such free pass per
+example exists per item).
 """
 
 from __future__ import annotations
@@ -158,8 +160,8 @@ def _literal_eval_quiet(text: str):
 def _try_pattern(text: str, output_field: str) -> str | None:
     if output_field == "smiles":
         candidates = sorted(_SMILES_CHARS.findall(text), key=len, reverse=True)
-        for cand in candidates:
-            stripped = cand.strip(".")
+        # a word the reply repeats is parsed once; the first valid candidate is the same
+        for stripped in dict.fromkeys(cand.strip(".") for cand in candidates):
             if stripped and is_valid_smiles(stripped):
                 return stripped
         return None
@@ -217,33 +219,37 @@ def extract_payload(raw_text: str, task: str) -> ExtractionResult:
     raise FormatError(f"no strategy extracted a {spec.answer_key!r} value", raw_text)
 
 
+def rank_examples(
+    store: Store | None, task: str, query: str, n: int, strategy: RetrievalStrategy
+) -> list[MoleculeRecord]:
+    """The n context examples an item of ``task`` is prompted with, best first;
+    none, and no store lookup, when n is 0."""
+    if n == 0:
+        return []
+    if store is None:
+        raise ValueError("n > 0 requires a store")
+    retrieve = retrieve_mol2cap if task == "mol2cap" else retrieve_cap2mol
+    return retrieve(store, query, n, strategy)
+
+
 def calibrated_query(
     client: ChatClient,
-    store: Store | None,
     template: PromptTemplate,
     query: str,
-    n: int,
+    examples: list[MoleculeRecord],
     max_error_allowance: int,
-    strategy: RetrievalStrategy | None = None,
 ) -> CalibratedOutput:
-    """Run the full validate-repair-requery loop for one item of ``template.task``.
+    """Run the full validate-repair-requery loop for one item of ``template.task``,
+    prompted with ``examples`` as ranked.
 
     ``query_count`` counts allowance-charged queries; re-queries forced by a
-    context-length error are exempt (and bounded by the initial shot count),
-    so the loop makes at most ``max_error_allowance + n`` backend calls.
+    context-length error are exempt (and bounded by the number of examples),
+    so the loop makes at most ``max_error_allowance + len(examples)`` backend
+    calls.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if max_error_allowance < 1:
         raise ValueError("max_error_allowance must be positive")
     task = template.task
-    if n > 0:
-        if store is None or strategy is None:
-            raise ValueError("n > 0 requires a store and a retrieval strategy")
-        retrieve = retrieve_mol2cap if task == "mol2cap" else retrieve_cap2mol
-        examples: list[MoleculeRecord] = retrieve(store, query, n, strategy)
-    else:
-        examples = []
     example_ids = tuple(rec.id for rec in examples)
 
     transcript: list[dict] = []

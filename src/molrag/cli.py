@@ -20,11 +20,12 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import Callable
 
 import click
 
 from molrag import __version__, bm25
-from molrag.calibration import CalibrationFailure, calibrated_query
+from molrag.calibration import CalibrationFailure, calibrated_query, rank_examples
 from molrag.fingerprint import FingerprintParams
 from molrag.llm import (
     BackendConfig,
@@ -277,11 +278,9 @@ def cmd_query(user_input, cfg_file, **flags) -> None:
     tmpl = _load_prompt_template(config)
     client = _make_client(config)
 
+    examples = rank_examples(db, config.task, user_input, config.n_shots, config.strategy)
     try:
-        result = calibrated_query(
-            client, db, tmpl, user_input, config.n_shots, config.max_error_allowance,
-            config.strategy,
-        )
+        result = calibrated_query(client, tmpl, user_input, examples, config.max_error_allowance)
     except CalibrationFailure as fail:
         transcript_path = Path(config.out_path or ".") / "calibration_failure.json"
         _make_dir(transcript_path.parent)
@@ -311,12 +310,24 @@ def cmd_query(user_input, cfg_file, **flags) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _process_item(index, record, config, db, tmpl, client, stop) -> dict | None:
-    """One checkpoint row; None when a fatal backend error has stopped the run."""
+# (item index, query) -> the item's context examples, best first
+Ranking = Callable[[int, str], list[MoleculeRecord]]
+
+
+def _process_item(index, record, config, db, tmpl, client, stop,
+                  rank: Ranking | None = None) -> dict | None:
+    """One checkpoint row; None when a fatal backend error has stopped the run.
+
+    The item is ranked by ``rank``, or else at the cell's n.
+    """
     if stop.is_set():
         return None
     spec = TASKS[config.task]
     query = getattr(record, spec.input_field)
+    if rank is None:
+        examples = rank_examples(db, config.task, query, config.n_shots, config.strategy)
+    else:
+        examples = rank(index, query)
     row = {
         "index": index,
         "id": record.id,
@@ -324,9 +335,7 @@ def _process_item(index, record, config, db, tmpl, client, stop) -> dict | None:
         "reference": getattr(record, spec.output_field),
     }
     try:
-        result = calibrated_query(
-            client, db, tmpl, query, config.n_shots, config.max_error_allowance, config.strategy
-        )
+        result = calibrated_query(client, tmpl, query, examples, config.max_error_allowance)
         row.update(
             prediction=result.value,
             status=STATUS_OK,
@@ -402,11 +411,13 @@ def _load_run_inputs(
 
 
 def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
-                   records: list[MoleculeRecord], sources: dict, out_dir: Path) -> dict:
+                   records: list[MoleculeRecord], sources: dict, out_dir: Path,
+                   rank: Ranking | None = None) -> dict:
     """Evaluate one cell over loaded test records; returns the report dict.
 
     Rows already in ``out_dir/items.jsonl`` are kept, not re-queried, when the
-    manifest there equals this run's.
+    manifest there equals this run's. Each item is ranked in its worker, by
+    ``rank`` when given.
     """
     client = _make_client(config)  # a bad replay fixture fails here, before any file is written
     _make_dir(out_dir)
@@ -423,7 +434,7 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
     with open(items_path, "a", encoding="utf-8") as sink:
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
             futures = [
-                pool.submit(_process_item, i, records[i], config, db, tmpl, client, stop)
+                pool.submit(_process_item, i, records[i], config, db, tmpl, client, stop, rank)
                 for i in todo
             ]
             try:
@@ -516,9 +527,10 @@ def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None
     # a bad store, template or test file fails here, before --out is created
     inputs = _load_run_inputs(base, test_tsv)
     _make_dir(out_dir)
+    rankings = _GridRankings(inputs[0], base.task, [cell for _, _, cell in grid])
     cells = []
     for n, name, cell in grid:
-        report = run_evaluation(cell, *inputs, Path(cell.out_path))
+        report = run_evaluation(cell, *inputs, Path(cell.out_path), rankings.for_cell(cell))
         cells.append({"n_shots": n, "strategy": name, "report": report})
 
     comparison = {
@@ -538,6 +550,38 @@ def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None
     (out_dir / "comparison.txt").write_text(_comparison_table(comparison), encoding="utf-8")
     click.echo(_comparison_table(comparison))
     click.echo(f"ablation written to {out_dir}")
+
+
+class _GridRankings:
+    """The rankings of one ablate command: each (strategy, item) is ranked once, on
+    the first cell that needs it, at the largest n any cell asks of that strategy,
+    and a cell of n shots takes the first n. Retrieval is prefix-stable in n, so
+    that slice is the ranking at n.
+
+    Cells run one after another and a cell hands each item to one worker, so no
+    two threads fill the same key.
+    """
+
+    def __init__(self, db: Store, task: str, cells: list[RunConfig]) -> None:
+        self.db, self.task = db, task
+        self.depth: dict[RetrievalStrategy, int] = {}
+        for cell in cells:
+            self.depth[cell.strategy] = max(self.depth.get(cell.strategy, 0), cell.n_shots)
+        self.ranked: dict[tuple[RetrievalStrategy, int], list[MoleculeRecord]] = {}
+
+    def for_cell(self, cell: RunConfig) -> Ranking:
+        strategy, n = cell.strategy, cell.n_shots
+
+        def rank(index: int, query: str) -> list[MoleculeRecord]:
+            if n == 0:
+                return []
+            ranked = self.ranked.get((strategy, index))
+            if ranked is None:
+                ranked = self.ranked[strategy, index] = rank_examples(
+                    self.db, self.task, query, self.depth[strategy], strategy)
+            return ranked[:n]
+
+        return rank
 
 
 def _comparison_table(comparison: dict) -> str:

@@ -55,7 +55,7 @@ def _tokens(text: str, mode: str) -> list[str]:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def bleu_n(pairs: list[EvalPair], max_n: int, mode: str = "caption") -> float:
@@ -103,15 +103,22 @@ def _overlap_f1(cand: Counter, ref: Counter, cand_n: int, ref_n: int) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        curr = [0]
-        for j, y in enumerate(b, start=1):
-            curr.append(prev[j - 1] + 1 if x == y else max(prev[j], curr[j - 1]))
-        prev = curr
-    return prev[-1]
+    """Longest common subsequence length, bit-parallel (Allison & Dix 1986; Hyyrö 2004).
+
+    Bit i of ``v`` is 1 while the DP row does not step up at ``b[i]``, so the
+    LCS is the number of zero bits once every token of ``a`` is applied.
+    """
+    masks: dict[str, int] = {}
+    for i, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | 1 << i
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        mask = masks.get(token)
+        if mask:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_scores(pairs: list[EvalPair]) -> dict[str, float]:
@@ -136,20 +143,40 @@ def rouge_scores(pairs: list[EvalPair]) -> dict[str, float]:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Character edit distance with unit insert/delete/substitute costs."""
+    """Character edit distance with unit insert/delete/substitute costs.
+
+    Myers' bit-vector algorithm (Myers 1999) in Hyyrö's formulation: one DP
+    column of ``a`` is held as bitsets of +1 and -1 vertical deltas and
+    advanced once per character of ``b``; ``score`` tracks the last row.
+    """
     if a == b:
         return 0
     if not a:
         return len(b)
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        curr = [i]
-        for j, y in enumerate(b, start=1):
-            curr.append(min(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + (x != y)))
-        prev = curr
-    return prev[-1]
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    high = 1 << (len(a) - 1)
+    pv, mv, score = full, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & full
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        # row 0 of the table is 0, 1, 2, ...: every column adds +1 there
+        ph = ph << 1 | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv & full
+    return score
 
 
 def levenshtein_mean(pairs: list[EvalPair]) -> float:

@@ -202,19 +202,22 @@ def test_calibration_state_machine(corpus_store):
     def client(script):
         return ChatClient(ScriptedBackend(script), max_retries=3, backoff_base=0, sleep=lambda s: None)
 
-    out = calibrated_query(client([good]), corpus_store, template, "CCO", 3, allowance, strategy)
+    def examples(n):
+        return retrieve_mol2cap(corpus_store, "CCO", n, strategy)
+
+    out = calibrated_query(client([good]), template, "CCO", examples(3), allowance)
     assert out.query_count == 1 and out.final_shot_count == 3
 
     out = calibrated_query(
         client(["context_length_exceeded", "context_length_exceeded", good]),
-        corpus_store, template, "CCO", 5, allowance, strategy,
+        template, "CCO", examples(5), allowance,
     )
     assert out.final_shot_count == 3  # n - 2
 
     garbage_client = client(["Apologies, that cannot be described here."])
     backend = garbage_client.backend
     with pytest.raises(CalibrationFailure):
-        calibrated_query(garbage_client, corpus_store, template, "CCO", 2, allowance, strategy)
+        calibrated_query(garbage_client, template, "CCO", examples(2), allowance)
     assert backend.calls == allowance
 
     fixture = json.loads((DATA / "chatty_responses.json").read_text())

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from molrag import calibration
 from molrag.calibration import (
     STRATEGY_PATTERN,
     STRATEGY_TOLERANT,
@@ -16,6 +17,7 @@ from molrag.calibration import (
     FormatError,
     calibrated_query,
     extract_payload,
+    rank_examples,
 )
 from molrag.cli import _make_run_config
 from molrag.llm import BackendError, ChatClient
@@ -36,15 +38,9 @@ def make_client(script) -> ChatClient:
 
 def run(script, n, store=None, task="mol2cap", allowance=ALLOWANCE):
     strategy = RetrievalStrategy("morgan_fts") if task == "mol2cap" else RetrievalStrategy("bm25_caption")
-    return calibrated_query(
-        make_client(script),
-        store,
-        default_template(task),
-        "CCO" if task == "mol2cap" else "An alcohol caption.",
-        n,
-        allowance,
-        strategy if n > 0 else None,
-    )
+    query = "CCO" if task == "mol2cap" else "An alcohol caption."
+    examples = rank_examples(store, task, query, n, strategy)
+    return calibrated_query(make_client(script), default_template(task), query, examples, allowance)
 
 
 class TestPolicy:
@@ -197,6 +193,19 @@ class TestExtraction:
             extract_payload(reply, "cap2mol")
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("k", [1, 2, 25])
+    def test_pattern_parses_a_repeated_word_once(self, monkeypatch, k):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return is_valid_smiles(text)
+
+        monkeypatch.setattr(calibration, "is_valid_smiles", counting)
+        with pytest.raises(FormatError):
+            extract_payload("Unknown. " * k, "cap2mol")
+        assert calls == ["Unknown"]
+
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=120))
     def test_cap2mol_pattern_soundness(self, text):
@@ -235,12 +244,10 @@ class TestLoop:
         with pytest.raises(CalibrationFailure) as err:
             calibrated_query(
                 client,
-                corpus_store,
                 default_template("mol2cap"),
                 "CCO",
-                2,
+                retrieve_mol2cap(corpus_store, "CCO", 2, RetrievalStrategy("morgan_fts")),
                 ALLOWANCE,
-                RetrievalStrategy("morgan_fts"),
             )
         assert backend.calls == ALLOWANCE
         assert err.value.last_raw_text == GARBAGE
@@ -283,12 +290,10 @@ class TestLoop:
         with pytest.raises(CalibrationFailure):
             calibrated_query(
                 client,
-                corpus_store,
                 default_template("mol2cap"),
                 "CCO",
-                n,
+                retrieve_mol2cap(corpus_store, "CCO", n, RetrievalStrategy("morgan_fts")),
                 ALLOWANCE,
-                RetrievalStrategy("morgan_fts"),
             )
         assert backend.calls <= ALLOWANCE + n
 

@@ -698,6 +698,62 @@ class TestAblate:
         assert len(comparison["cells"]) == 4
         assert (out / "comparison.txt").exists()
 
+    def test_grid_ranks_each_item_once_per_strategy(self, runner, data_dir, store_dir, tmp_path,
+                                                    monkeypatch):
+        # every cell is ranked once per item at the grid's largest n and sliced; the
+        # replay fixture holds the prompts of rankings made at each cell's own n
+        retrieve = store_module.retrieve_mol2cap
+        calls = []
+
+        def counted(store, query, n, strategy):
+            calls.append((strategy.kind, query, n))
+            return retrieve(store, query, n, strategy)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("molrag") and getattr(module, "retrieve_mol2cap", None) is retrieve:
+                monkeypatch.setattr(module, "retrieve_mol2cap", counted)
+        args = [
+            "ablate", str(data_dir / "test_items.tsv"),
+            "--store", str(store_dir),
+            "--task", "mol2cap",
+            "--grid-shots", "1,2,5",
+            "--grid-strategies", "random,bm25,morgan_fts",
+            "--limit", "10",
+            "--replay", str(data_dir / REPLAY_GRID),
+            "--out", str(tmp_path / "grid"),
+        ]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 30  # 9 cells x 10 items when each cell ranks for itself
+        assert len(set(calls)) == 30 and {n for _, _, n in calls} == {5}
+        # a finished cell that is resumed ranks nothing
+        calls.clear()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert calls == []
+
+    def test_shared_rankings_under_many_workers(self, runner, data_dir, store_dir, tmp_path):
+        # the workers of a cell fill one shared memo; with more workers than cores and
+        # frequent thread switches the comparison must equal a one-worker run's
+        args = [
+            "ablate", str(data_dir / "test_items.tsv"),
+            "--store", str(store_dir),
+            "--task", "mol2cap",
+            "--grid-shots", "1,2,5,10",
+            "--limit", "10",
+            "--replay", str(data_dir / REPLAY_GRID),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = runner.invoke(main, [*args, "--concurrency", "8", "--out", str(tmp_path / "a")])
+        finally:
+            sys.setswitchinterval(interval)
+        one = runner.invoke(main, [*args, "--concurrency", "1", "--out", str(tmp_path / "b")])
+        assert many.exit_code == 0 and one.exit_code == 0, many.output + one.output
+        assert (tmp_path / "a" / "comparison.json").read_bytes() == (
+            tmp_path / "b" / "comparison.json").read_bytes()
+
     def test_grid_resumes_after_interruption(self, runner, data_dir, store_dir, tmp_path):
         out = tmp_path / "grid2"
         args = [

@@ -28,8 +28,11 @@ from molrag.smiles import parser as smiles_parser
 from oracles import (
     bleu_direct,
     exact_match_rate_reparse,
+    f1_direct,
+    lcs_direct,
     levenshtein_direct,
     morgan_fts_stats_reparse,
+    ngram_counts,
     permute_molecule,
     valid_count_reparse,
     validity_rate_reparse,
@@ -81,6 +84,18 @@ _MOLECULES = [
 _INVALID = ["C1CC", "bad(", "", ".", "c1ccccc1(C)C", "[Xx]"]  # the first two fail to parse
 
 
+_WORDS = ["the", "The", "molecule", "is", "a", "an", "acid", "of", "role", "it", "has", "C"]
+
+
+@st.composite
+def _caption_pairs(draw) -> EvalPair:
+    """Captions over a small vocabulary, so n-grams and subsequences overlap; some
+    with calibration failed."""
+    words = st.lists(st.sampled_from(_WORDS), max_size=80).map(" ".join)
+    status = draw(st.sampled_from([STATUS_OK, STATUS_OK, STATUS_FAILED]))
+    return EvalPair(draw(words), draw(words), status)
+
+
 @st.composite
 def _molecule_pairs(draw) -> EvalPair:
     """A reference, which may fail to parse, and a prediction that is an atom
@@ -124,11 +139,23 @@ class TestBleu:
 
     def test_matches_direct_oracle_live(self):
         cap_tokens = [(c.lower().split(), r.lower().split()) for c, r in CAPTION_PAIRS]
-        assert bleu_n(pairs(CAPTION_PAIRS), 2) == pytest.approx(bleu_direct(cap_tokens, 2))
+        assert bleu_n(pairs(CAPTION_PAIRS), 2).hex() == bleu_direct(cap_tokens, 2).hex()
         smi_tokens = [(list(c), list(r)) for c, r in SMILES_PAIRS]
-        assert bleu_n(pairs(SMILES_PAIRS), 4, mode="smiles") == pytest.approx(
-            bleu_direct(smi_tokens, 4)
+        assert bleu_n(pairs(SMILES_PAIRS), 4, mode="smiles").hex() == (
+            bleu_direct(smi_tokens, 4).hex()
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_caption_pairs(), min_size=1, max_size=6), st.sampled_from([2, 4]),
+           st.sampled_from(["caption", "smiles"]))
+    def test_matches_direct_oracle_exactly(self, evaluated, max_n, mode):
+        def tokens(text):
+            return text.lower().split() if mode == "caption" else list(text)
+
+        expected = bleu_direct(
+            [(tokens(p.effective_prediction), tokens(p.reference)) for p in evaluated], max_n
+        )
+        assert bleu_n(evaluated, max_n, mode=mode).hex() == expected.hex()
 
     def test_case_folding_for_captions(self):
         assert bleu_n(pairs([("The CAT", "the cat")]), 2) == pytest.approx(1.0)
@@ -161,6 +188,27 @@ class TestRouge:
         scores = rouge_scores(pairs([("the cat sat", "the cat sat on the mat")]))
         assert scores["rougeL_f"] == pytest.approx(2 / 3)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_caption_pairs(), min_size=1, max_size=6))
+    # references longer than 64 tokens span more than one machine word of the LCS bitset
+    @example([EvalPair(" ".join(["a", "b", "c"] * 40), " ".join(["c", "a", "b", "d"] * 30))])
+    def test_matches_direct_oracle_exactly(self, evaluated):
+        def overlap(cand, ref, n):
+            c, r = ngram_counts(cand, n), ngram_counts(ref, n)
+            return sum(min(k, r[g]) for g, k in c.items())
+
+        r1 = r2 = rl = 0.0
+        for pair in evaluated:
+            cand = pair.effective_prediction.lower().split()
+            ref = pair.reference.lower().split()
+            r1 += f1_direct(overlap(cand, ref, 1), len(cand), len(ref))
+            r2 += f1_direct(overlap(cand, ref, 2), max(len(cand) - 1, 0), max(len(ref) - 1, 0))
+            rl += f1_direct(lcs_direct(cand, ref), len(cand), len(ref))
+        count = len(evaluated)
+        expected = {"rouge1_f": r1 / count, "rouge2_f": r2 / count, "rougeL_f": rl / count}
+        got = rouge_scores(evaluated)
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in expected.items()}
+
     def test_lcs_order_sensitivity(self):
         scores = rouge_scores(pairs([("c b a", "a b c")]))
         # only one common subsequence element survives the reversal
@@ -186,6 +234,16 @@ class TestLevenshtein:
     @settings(max_examples=150, deadline=None)
     @given(st.text(max_size=20), st.text(max_size=20))
     def test_matches_full_table_oracle(self, a, b):
+        assert levenshtein(a, b) == levenshtein_direct(a, b)
+
+    # A small alphabet keeps the strings close, so long runs of matches and of
+    # edits both occur; 200 characters span several machine words of the bitsets.
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(alphabet="CNO()=1cé漢\U0001f600", max_size=200),
+           st.text(alphabet="CNO()=1cé漢\U0001f600", max_size=200))
+    @example("C" * 200, "C" * 199 + "é")
+    @example("(" * 70 + "漢" * 70, "漢" * 70 + "(" * 70)
+    def test_matches_full_table_oracle_on_long_strings(self, a, b):
         assert levenshtein(a, b) == levenshtein_direct(a, b)
 
 

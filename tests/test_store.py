@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molrag.bm25 import build_index, save_index, top_n
 from molrag.fingerprint import FingerprintParams, dice_similarity, morgan_fingerprint
@@ -29,6 +31,42 @@ from test_bm25 import rewrite_index
 def write_tsv(path, rows, header="CID\tSMILES\tdescription"):
     path.write_text(header + "\n" + "".join(f"{r}\n" for r in rows), encoding="utf-8")
     return path
+
+
+# The graph of CROWDED_SMILES written 16 times in different atom orders.
+CROWDED_SMILES = "Cc1ccc(O)cc1N"
+_ORDERS = [
+    CROWDED_SMILES, "Nc1cc(O)ccc1C", "Oc1ccc(C)c(N)c1", "c1(C)ccc(O)cc1N",
+    "c1cc(O)cc(N)c1C", "Cc1c(N)cc(O)cc1", "Oc1cc(N)c(C)cc1", "c1c(O)ccc(C)c1N",
+]
+CROWDED_COPIES = _ORDERS + [text.replace("1", "2") for text in _ORDERS]
+CROWDED_CAPTION = "The molecule is a primary alcohol with a chain of 5 carbon atoms."
+
+
+def crowded_mol2cap_store(corpus_records):
+    """The 16 copies, heptane..undecane (which share octane's bitmap without sharing
+    its graph) and 40 corpus records, shuffled."""
+    smiles = (CROWDED_COPIES + ["C" * k for k in range(7, 12)]
+              + [r.smiles for r in corpus_records[:40]])
+    random.Random(5).shuffle(smiles)
+    return build_store(
+        [MoleculeRecord(id=str(i), smiles=s, caption=f"c{i}") for i, s in enumerate(smiles)],
+        [parse_smiles(s) for s in smiles],
+    )
+
+
+def crowded_cap2mol_store(corpus_records):
+    """CROWDED_CAPTION 12 times, a near copy 6 times and 40 corpus captions, shuffled."""
+    captions = (
+        [CROWDED_CAPTION] * 12 + [CROWDED_CAPTION + " It is volatile."] * 6
+        + [rec.caption for rec in corpus_records[:40]]
+    )
+    random.Random(5).shuffle(captions)
+    return build_store(
+        [MoleculeRecord(id=str(i), smiles="C" * (1 + i % 9), caption=c)
+         for i, c in enumerate(captions)],
+        [parse_smiles("C" * (1 + i % 9)) for i in range(len(captions))],
+    )
 
 
 class TestIngest:
@@ -221,20 +259,9 @@ class TestMol2CapRetrieval:
         # The query graph is stored 16 times in different atom orders, and
         # heptane..undecane share octane's bitmap (Dice 1.0) without sharing
         # its graph, so the exclusions and the exact ties both outnumber n.
-        query = "Cc1ccc(O)cc1N"
-        orders = [
-            query, "Nc1cc(O)ccc1C", "Oc1ccc(C)c(N)c1", "c1(C)ccc(O)cc1N",
-            "c1cc(O)cc(N)c1C", "Cc1c(N)cc(O)cc1", "Oc1cc(N)c(C)cc1", "c1c(O)ccc(C)c1N",
-        ]
-        copies = orders + [text.replace("1", "2") for text in orders]
-        assert all(molecules_equal(parse_smiles(query), parse_smiles(c)) for c in copies)
-        rng = random.Random(5)
-        smiles = copies + ["C" * k for k in range(7, 12)] + [r.smiles for r in corpus_records[:40]]
-        rng.shuffle(smiles)
-        store = build_store(
-            [MoleculeRecord(id=str(i), smiles=s, caption=f"c{i}") for i, s in enumerate(smiles)],
-            [parse_smiles(s) for s in smiles],
-        )
+        query = CROWDED_SMILES
+        assert all(molecules_equal(parse_smiles(query), parse_smiles(c)) for c in CROWDED_COPIES)
+        store = crowded_mol2cap_store(corpus_records)
         octane = morgan_fingerprint(parse_smiles("CCCCCCCC"), FingerprintParams())
         assert morgan_fingerprint(parse_smiles("C" * 11), FingerprintParams()) == octane
         # Under seed 2, random.sample of 2-5 of these records is not a prefix of
@@ -287,17 +314,8 @@ class TestCap2MolRetrieval:
     def test_top_n_matches_full_order_with_many_exclusions(self, corpus_records, kind):
         # The query caption is stored 12 times and a near copy 6 times, so the
         # exclusions outnumber small n and crowd the head of the BM25 ranking.
-        query = "The molecule is a primary alcohol with a chain of 5 carbon atoms."
-        captions = (
-            [query] * 12 + [query + " It is volatile."] * 6
-            + [rec.caption for rec in corpus_records[:40]]
-        )
-        random.Random(5).shuffle(captions)
-        store = build_store(
-            [MoleculeRecord(id=str(i), smiles="C" * (1 + i % 9), caption=c)
-             for i, c in enumerate(captions)],
-            [parse_smiles("C" * (1 + i % 9)) for i in range(len(captions))],
-        )
+        query = CROWDED_CAPTION
+        store = crowded_cap2mol_store(corpus_records)
         strategy = RetrievalStrategy(kind, seed=2 if kind == "random" else None)
         for text in (query, query + " It is volatile.", corpus_records[3].caption, "zzzz"):
             if kind == "random":
@@ -409,3 +427,37 @@ class TestPersistence:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(IoFailure):
             load_store(tmp_path / "nothing-here")
+
+
+@pytest.fixture(scope="module")
+def stores(corpus_store, corpus_records):
+    return {
+        "corpus": corpus_store,
+        "mol2cap_crowded": crowded_mol2cap_store(corpus_records),
+        "cap2mol_crowded": crowded_cap2mol_store(corpus_records),
+    }
+
+
+class TestPrefixStability:
+    """A ranking at n is the first n of a ranking at any larger n, so a ranking made
+    once at the largest n can be sliced for every smaller one."""
+
+    @pytest.mark.parametrize("task, kind", [
+        ("mol2cap", "morgan_fts"), ("mol2cap", "bm25_smiles_chargram"), ("mol2cap", "random"),
+        ("cap2mol", "bm25_caption"), ("cap2mol", "random"),
+    ])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ranking_at_n_is_a_prefix(self, stores, corpus_records, task, kind, data):
+        store = stores[data.draw(st.sampled_from(["corpus", f"{task}_crowded"]))]
+        field = "smiles" if task == "mol2cap" else "caption"
+        extra = ([CROWDED_SMILES, "CCCCCCCC", *CROWDED_COPIES[8:10]] if task == "mol2cap"
+                 else [CROWDED_CAPTION, CROWDED_CAPTION + " It is volatile.", "zzzz"])
+        query = data.draw(st.sampled_from([getattr(r, field) for r in corpus_records] + extra))
+        strategy = RetrievalStrategy(kind, seed=data.draw(st.integers(0, 3))
+                                     if kind == "random" else None)
+        retrieve = retrieve_mol2cap if task == "mol2cap" else retrieve_cap2mol
+        depth = data.draw(st.integers(1, len(store) + 3))
+        ranked = retrieve(store, query, depth, strategy)
+        for n in range(1, depth + 1):
+            assert retrieve(store, query, n, strategy) == ranked[:n], n
