@@ -22,8 +22,9 @@ import string
 import sys
 import zlib
 from array import array
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 K1 = 1.5
 B = 0.75
@@ -31,6 +32,7 @@ B = 0.75
 _MAGIC = b"BM25"
 _FORMAT_VERSION = 3
 _EDGE_PUNCT = string.punctuation
+_BELOW_0X7F = bytes(range(0x7F))
 
 
 class Bm25Error(ValueError):
@@ -76,6 +78,11 @@ class Bm25Index:
     ascending order, so its length is the term's document frequency.
     ``impacts[term][i]`` is what one query occurrence of ``term`` adds to the
     score of document ``postings[term][i]``.
+
+    ``universal`` maps each term found in every document to its largest
+    impact. Its posting column is every doc id, so document d's impact sits at
+    ``impacts[term][d]``. It is derived whenever an index is built or loaded,
+    and never written.
     """
 
     postings: dict[str, array]
@@ -84,6 +91,12 @@ class Bm25Index:
     avgdl: float
     doc_count: int
     tokenizer_mode: str = "caption"
+    universal: dict[str, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        universal = {term: max(self.impacts[term]) for term, doc_ids in self.postings.items()
+                     if len(doc_ids) == self.doc_count}
+        object.__setattr__(self, "universal", universal)
 
     def tokenize_query(self, text: str) -> list[str]:
         return _TOKENIZERS[self.tokenizer_mode](text)
@@ -128,26 +141,84 @@ def build_index(docs: list[str], tokenizer_mode: str = "caption") -> Bm25Index:
     return Bm25Index(postings, impacts, doc_lengths, avgdl, doc_count, tokenizer_mode)
 
 
+def _accumulate(index: Bm25Index, terms: list[tuple[str, int]]) -> list[float]:
+    """One float per document: the sum of ``count * impact`` over ``terms``, in order."""
+    acc = [0.0] * index.doc_count
+    for term, count in terms:
+        for doc_id, impact in zip(index.postings[term], index.impacts[term]):
+            acc[doc_id] += count * impact
+    return acc
+
+
+def _rescore(index: Bm25Index, terms: list[tuple[str, int]], doc_id: int) -> float:
+    """What :func:`_accumulate` over ``terms`` holds for ``doc_id``, computed alone."""
+    score = 0.0
+    for term, count in terms:
+        if term in index.universal:
+            score += count * index.impacts[term][doc_id]
+            continue
+        doc_ids = index.postings[term]
+        pos = bisect_left(doc_ids, doc_id)
+        if pos < len(doc_ids) and doc_ids[pos] == doc_id:
+            score += count * index.impacts[term][pos]
+    return score
+
+
 def top_n(index: Bm25Index, query: str, n: int) -> list[tuple[int, float]]:
     """Best-scoring (doc_id, score) pairs, score descending, doc_id ascending.
 
     When fewer than ``n`` documents match any query term, zero-score documents
     fill the tail in ascending doc_id order.
+
+    A document's score is its ``count * impact`` terms summed in the query's
+    ``Counter`` order. Terms found in every document (``index.universal``, the
+    boilerplate of a caption corpus) hold most of the postings, so when the
+    query has one, scoring runs in two phases and still returns exactly those
+    floats:
+
+    1. Sum only the other terms into a partial score per document, and find
+       the k-th largest partial (k = min(n, doc_count)).
+    2. Rescore, from 0.0 over every query term in ``Counter`` order, only the
+       documents whose partial is at least that k-th partial minus U minus a
+       rounding margin, where U sums ``count * max impact`` over the query's
+       universal terms; then select among them.
+
+    This is exact because impacts are non-negative: a document's full score is
+    at least its partial and at most its partial plus U. So each of the k
+    documents at or above the k-th partial scores at least that partial, and
+    a document below the cutoff scores strictly less than all k of them: it
+    cannot be returned, and cannot tie with a returned document. The margin,
+    ``(m + 1) * 2**-48 * (kth + U)`` for m query terms, covers the rounding of
+    a sum of at most m non-negative floats (relative error under m * 2**-53)
+    in the partial, in the full score and in the cutoff itself. A rescored
+    document adds the same products in the same order as the dense sum, so
+    its float is the one a single pass over every term computes, and
+    ``nlargest`` over the candidates in doc_id order keeps ties in doc_id
+    order. When the cutoff admits every document, one dense pass over every
+    term is cheaper than rescoring each, and that is what runs; it is also
+    the whole of the work for a query with no universal term.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if index.doc_count == 0:
         raise EmptyCorpus("index holds no documents")
 
-    acc = [0.0] * index.doc_count
-    for term, count in Counter(index.tokenize_query(query)).items():
-        doc_ids = index.postings.get(term)
-        if doc_ids is None:
-            continue
-        for doc_id, impact in zip(doc_ids, index.impacts[term]):
-            acc[doc_id] += count * impact
+    terms = [(term, count) for term, count in Counter(index.tokenize_query(query)).items()
+             if term in index.postings]
+    k = min(n, index.doc_count)
+    bound = sum(count * index.universal[term] for term, count in terms if term in index.universal)
+    if bound and k < index.doc_count:
+        partial = _accumulate(index, [item for item in terms if item[0] not in index.universal])
+        kth = heapq.nlargest(k, partial)[-1]
+        cutoff = kth - bound - (len(terms) + 1) * 2.0**-48 * (kth + bound)
+        candidates = [doc_id for doc_id, score in enumerate(partial) if score >= cutoff]
+        if len(candidates) < index.doc_count:
+            scores = {doc_id: _rescore(index, terms, doc_id) for doc_id in candidates}
+            best = heapq.nlargest(k, candidates, key=scores.__getitem__)
+            return [(doc_id, scores[doc_id]) for doc_id in best]
+    acc = _accumulate(index, terms)
     # nlargest keeps the first of equal keys, and the range runs in doc_id order.
-    best = heapq.nlargest(min(n, index.doc_count), range(index.doc_count), key=acc.__getitem__)
+    best = heapq.nlargest(k, range(index.doc_count), key=acc.__getitem__)
     return [(doc_id, acc[doc_id]) for doc_id in best]
 
 
@@ -272,6 +343,11 @@ def load_index(path) -> Bm25Index:
     impacts = _le_column("d", body[ids_end:])
     if total and (min(doc_ids) < 0 or max(doc_ids) >= doc_count):
         raise Bm25FormatError(f"BM25 index holds a doc id outside [0, {doc_count})")
+    # top_n's pruning is exact only for non-negative impacts. The last byte of a
+    # little-endian float64 holds the sign and the top exponent bits; below 0x7F
+    # it is a number in [0, 2**1009), so no NaN, infinity or negative passes.
+    if blob[12 + hlen + ids_end + 7 : -4 : 8].translate(None, _BELOW_0X7F):
+        raise Bm25FormatError("BM25 index holds an impact outside [0, 2**1009)")
 
     postings: dict[str, array] = {}
     impact_columns: dict[str, array] = {}

@@ -613,6 +613,8 @@ def cmd_inspect_store(store_path) -> None:
     payload = {
         **_store_params(db),
         "caption_vocabulary": len(db.caption_index.postings),
+        # a caption query that holds one of these takes BM25's two-phase path
+        "caption_terms_in_every_record": len(db.caption_index.universal),
         "smiles_trigram_vocabulary": len(db.smiles_index.postings),
         "mean_caption_tokens": db.caption_index.avgdl,
     }

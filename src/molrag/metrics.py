@@ -58,27 +58,51 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def bleu_n(pairs: list[EvalPair], max_n: int, mode: str = "caption") -> float:
+class PairGrams(NamedTuple):
+    """One pair's tokens and its clipped n-gram overlaps, counted once per report."""
+    cand: list[str]
+    ref: list[str]
+    overlaps: list[int]  # clipped count of candidate n-grams found in the reference, n = 1, 2, ...
+
+
+def _pair_grams(pairs: list[EvalPair], mode: str, max_n: int) -> list[PairGrams]:
+    out = []
+    for pair in pairs:
+        cand = _tokens(pair.effective_prediction, mode)
+        ref = _tokens(pair.reference, mode)
+        overlaps = []
+        for n in range(1, max_n + 1):
+            rgrams = _ngrams(ref, n)
+            cgrams = _ngrams(cand, n)
+            overlaps.append(sum(min(count, rgrams[gram]) for gram, count in cgrams.items()))
+        out.append(PairGrams(cand, ref, overlaps))
+    return out
+
+
+def bleu_n(pairs: list[EvalPair], max_n: int, mode: str = "caption",
+           grams: list[PairGrams] | None = None) -> float:
     """Corpus BLEU with uniform 1..max_n weights, brevity penalty and
-    epsilon smoothing of zero n-gram matches."""
+    epsilon smoothing of zero n-gram matches.
+
+    ``grams``, when given, holds ``pairs`` counted in ``mode`` up to at least
+    ``max_n``, so BLEU-2 and BLEU-4 can share one count.
+    """
     if not pairs:
         raise EmptyInput("no pairs to score")
     if max_n not in (2, 4):
         raise ValueError("max_n must be 2 or 4")
+    if grams is None:
+        grams = _pair_grams(pairs, mode, max_n)
 
     cand_total = 0
     ref_total = 0
     matches = [0] * max_n
     possible = [0] * max_n
-    for pair in pairs:
-        cand = _tokens(pair.effective_prediction, mode)
-        ref = _tokens(pair.reference, mode)
+    for cand, ref, overlaps in grams:
         cand_total += len(cand)
         ref_total += len(ref)
         for n in range(1, max_n + 1):
-            cgrams = _ngrams(cand, n)
-            rgrams = _ngrams(ref, n)
-            matches[n - 1] += sum(min(count, rgrams[gram]) for gram, count in cgrams.items())
+            matches[n - 1] += overlaps[n - 1]
             possible[n - 1] += max(len(cand) - n + 1, 0)
 
     if cand_total == 0:
@@ -91,11 +115,8 @@ def bleu_n(pairs: list[EvalPair], max_n: int, mode: str = "caption") -> float:
     return brevity * math.exp(log_sum)
 
 
-def _overlap_f1(cand: Counter, ref: Counter, cand_n: int, ref_n: int) -> float:
-    if cand_n == 0 or ref_n == 0:
-        return 0.0
-    overlap = sum(min(count, ref[gram]) for gram, count in cand.items())
-    if overlap == 0:
+def _overlap_f1(overlap: int, cand_n: int, ref_n: int) -> float:
+    if cand_n == 0 or ref_n == 0 or overlap == 0:
         return 0.0
     precision = overlap / cand_n
     recall = overlap / ref_n
@@ -121,18 +142,19 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_scores(pairs: list[EvalPair]) -> dict[str, float]:
-    """Mean per-item F1 for unigram overlap, bigram overlap and LCS."""
+def rouge_scores(pairs: list[EvalPair], grams: list[PairGrams] | None = None) -> dict[str, float]:
+    """Mean per-item F1 for unigram overlap, bigram overlap and LCS.
+
+    ``grams``, when given, holds ``pairs`` counted in caption mode up to at least n = 2.
+    """
     if not pairs:
         raise EmptyInput("no pairs to score")
+    if grams is None:
+        grams = _pair_grams(pairs, "caption", 2)
     r1 = r2 = rl = 0.0
-    for pair in pairs:
-        cand = _tokens(pair.effective_prediction, "caption")
-        ref = _tokens(pair.reference, "caption")
-        r1 += _overlap_f1(_ngrams(cand, 1), _ngrams(ref, 1), len(cand), len(ref))
-        c2 = max(len(cand) - 1, 0)
-        f2 = max(len(ref) - 1, 0)
-        r2 += _overlap_f1(_ngrams(cand, 2), _ngrams(ref, 2), c2, f2)
+    for cand, ref, overlaps in grams:
+        r1 += _overlap_f1(overlaps[0], len(cand), len(ref))
+        r2 += _overlap_f1(overlaps[1], max(len(cand) - 1, 0), max(len(ref) - 1, 0))
         lcs = _lcs_length(cand, ref)
         if lcs and cand and ref:
             precision = lcs / len(cand)
@@ -194,7 +216,9 @@ class MoleculeScore(NamedTuple):
 
 def molecule_scores(pairs: list[EvalPair]) -> list[MoleculeScore]:
     """Parse each prediction once, and its reference once if the prediction
-    parsed; no molecule outlives its pair."""
+    parsed; no molecule outlives its pair. One Morgan identifier memo serves
+    every fingerprint of the call and is dropped with it."""
+    memo: dict = {}
     scores = []
     for pair in pairs:
         try:
@@ -208,7 +232,8 @@ def molecule_scores(pairs: list[EvalPair]) -> list[MoleculeScore]:
         except SmilesError:
             scores.append(MoleculeScore(valid, False, None))
             continue
-        fts = dice_similarity(morgan_fingerprint(pred), morgan_fingerprint(ref))
+        fts = dice_similarity(morgan_fingerprint(pred, memo=memo),
+                              morgan_fingerprint(ref, memo=memo))
         scores.append(MoleculeScore(valid, molecules_equal(pred, ref), fts))
     return scores
 
@@ -289,15 +314,17 @@ def build_report(pairs: list[EvalPair], task: str, config: dict) -> dict:
     counts = {"items": len(pairs), "calibration_failed": failed}
 
     if task == "mol2cap":
-        metrics["bleu2"] = bleu_n(pairs, 2, mode="caption")
-        metrics["bleu4"] = bleu_n(pairs, 4, mode="caption")
-        rouge = rouge_scores(pairs)
+        grams = _pair_grams(pairs, "caption", 4)
+        metrics["bleu2"] = bleu_n(pairs, 2, mode="caption", grams=grams)
+        metrics["bleu4"] = bleu_n(pairs, 4, mode="caption", grams=grams)
+        rouge = rouge_scores(pairs, grams)
         metrics["rouge1"] = rouge["rouge1_f"]
         metrics["rouge2"] = rouge["rouge2_f"]
         metrics["rougeL"] = rouge["rougeL_f"]
     else:
-        metrics["bleu2"] = bleu_n(pairs, 2, mode="smiles")
-        metrics["bleu4"] = bleu_n(pairs, 4, mode="smiles")
+        grams = _pair_grams(pairs, "smiles", 4)
+        metrics["bleu2"] = bleu_n(pairs, 2, mode="smiles", grams=grams)
+        metrics["bleu4"] = bleu_n(pairs, 4, mode="smiles", grams=grams)
         metrics["levenshtein"] = levenshtein_mean(pairs)
         scores = molecule_scores(pairs)
         metrics["exact_match"] = exact_match_rate(scores)

@@ -1,12 +1,14 @@
 import json
 import math
 import random
+import struct
 import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import molrag.bm25 as bm25_module
 from molrag.bm25 import (
     B,
     K1,
@@ -40,6 +42,53 @@ def _corpus_and_query(draw):
     docs = draw(st.lists(doc, min_size=1, max_size=12))
     n = draw(st.integers(min_value=1, max_value=len(docs) + 3))
     return mode, docs, draw(query), n
+
+
+_BOILERPLATE = ["the", "molecule", "is", "a"]
+_BODY_WORDS = ["acid", "amine", "ring", "chain", "ketone"]
+
+
+@st.composite
+def _boilerplate_corpus_and_query(draw):
+    """Captions that all open with the same 1-4 words, so those words are in
+    every document (unless one document is empty), with duplicates and
+    one-word variants for near-ties at the k-th place."""
+    prefix = draw(st.lists(st.sampled_from(_BOILERPLATE), min_size=1, max_size=4))
+    word = st.sampled_from(_BODY_WORDS + _BOILERPLATE)
+    bodies: list[list[str]] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=14))):
+        kind = draw(st.sampled_from(["new", "copy", "one word"])) if bodies else "new"
+        if kind == "new":
+            bodies.append(draw(st.lists(word, max_size=6)))
+            continue
+        body = list(draw(st.sampled_from(bodies)))
+        if kind == "one word":
+            pos = draw(st.integers(min_value=0, max_value=len(body)))
+            replace = pos < len(body) and draw(st.booleans())
+            body[pos : pos + replace] = [draw(word)]
+        bodies.append(body)
+    docs = [" ".join(prefix + body) for body in bodies]
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        docs.insert(draw(st.integers(min_value=0, max_value=len(docs))), "")
+    # universal words, often repeated, then other words, in any order; either part may be empty
+    universal = draw(st.lists(st.sampled_from(prefix), max_size=6))
+    other = draw(st.lists(st.sampled_from(_BODY_WORDS + ["zz"]),
+                          min_size=0 if universal else 1, max_size=4))
+    query = " ".join(draw(st.permutations(universal + other)))
+    n = draw(st.integers(min_value=1, max_value=len(docs) + 3))
+    return docs, query, n
+
+
+def _assert_matches_tf_oracle(tmp_path, docs, query, ns, mode="caption"):
+    """top_n gives the oracle's ids and float.hex scores, before and after a save/load."""
+    index = build_index(docs, tokenizer_mode=mode)
+    save_index(index, tmp_path / "index.bm25")
+    oracle = build_tf_index(docs, _TOKENIZERS[mode], K1, B)
+    for n in ns:
+        expected = [(doc, score.hex()) for doc, score in bm25_top_n_tf(oracle, query, n)]
+        for candidate in (index, load_index(tmp_path / "index.bm25")):
+            got = [(doc, score.hex()) for doc, score in top_n(candidate, query, n)]
+            assert got == expected, (query, n)
 
 
 def rewrite_index(path, edit_header=lambda header: None, body=None):
@@ -179,6 +228,70 @@ class TestTopN:
             got = [(doc, score.hex()) for doc, score in top_n(candidate, query, n)]
             assert got == expected
 
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_boilerplate_corpus_and_query())
+    def test_two_phase_path_matches_tf_postings_oracle(self, tmp_path, case):
+        docs, query, n = case
+        _assert_matches_tf_oracle(tmp_path, docs, query, [n])
+
+    def test_universal_terms_are_those_in_every_document(self):
+        index = build_index(["the acid", "the amine acid", "the the ring"])
+        assert index.universal == {"the": max(index.impacts["the"])}
+        assert build_index(["the acid", "the amine", ""]).universal == {}
+
+    def test_universal_terms_can_overtake_the_best_partial_score(self, tmp_path):
+        # Without "is", doc 0 scores highest (doc 1 is longer); with "is" three
+        # times in the query, doc 1 wins, so the cutoff must leave room for U.
+        docs = ["is acid", "is is acid", "is ring"]
+        index = build_index(docs)
+        assert index.universal.keys() == {"is"}
+        assert top_n(index, "acid", 1)[0][0] == 0
+        assert top_n(index, "is is is acid", 1)[0][0] == 1
+        _assert_matches_tf_oracle(tmp_path, docs, "is is is acid", [1, 2, 3])
+
+    @staticmethod
+    def _boilerplate_corpus(doc_count, seed):
+        rng = random.Random(seed)
+        vocab = [f"w{i}" for i in range(400)]
+        weights = [1.0 / (rank + 1) for rank in range(len(vocab))]
+        docs = []
+        for _ in range(doc_count):
+            roll = rng.random()
+            if docs and roll < 0.1:
+                docs.append(rng.choice(docs))
+            elif docs and roll < 0.2:
+                words = rng.choice(docs).split()
+                words[rng.randrange(4, len(words))] = rng.choice(vocab)
+                docs.append(" ".join(words))
+            else:
+                body = rng.choices(vocab, weights, k=rng.randint(3, 30))
+                docs.append("the molecule is a " + " ".join(body) + " it has a role")
+        return docs, rng
+
+    def test_two_thousand_boilerplate_captions(self, tmp_path):
+        docs, rng = self._boilerplate_corpus(2000, seed=14)
+        queries = [rng.choice(docs) for _ in range(8)] + [
+            "the molecule is a", "a a a role", "the molecule is a w0 w1 w2 w399 zz"]
+        for query in queries:
+            _assert_matches_tf_oracle(tmp_path, docs, query, [1, 10, 57, 1999, 2000, 2003])
+
+    def test_rescores_only_the_candidates(self, monkeypatch):
+        # A caption query over boilerplate captions rescores a few documents, not all.
+        docs, rng = self._boilerplate_corpus(2000, seed=15)
+        index = build_index(docs)
+        assert {"the", "molecule", "is", "a"} <= set(index.universal)
+        rescored = []
+        real = bm25_module._rescore
+
+        def counting(index, terms, doc_id):
+            rescored.append(doc_id)
+            return real(index, terms, doc_id)
+
+        monkeypatch.setattr(bm25_module, "_rescore", counting)
+        top_n(index, docs[7], 10)
+        assert 10 <= len(rescored) < 100
+
     def test_matches_exhaustive_ranking(self):
         rng = random.Random(4)
         vocab = [f"tok{i}" for i in range(25)]
@@ -294,6 +407,27 @@ class TestPersistence:
         rewrite_index(path, body=bytes(body))
         with pytest.raises(Bm25FormatError, match="outside"):
             load_index(path)
+
+    @pytest.mark.parametrize("value", [-1.0, -0.0, math.inf, -math.inf, math.nan, 2.0**1009])
+    def test_negative_or_non_finite_impact_is_a_format_error(self, tmp_path, value):
+        # top_n's pruning bounds a score by its partial sum only for non-negative impacts.
+        path = tmp_path / "x.bm25"
+        save_index(build_index(["one two", "two three"]), path)
+        blob = path.read_bytes()
+        body = bytearray(blob[12 + int.from_bytes(blob[8:12], "big"):-4])
+        body[-8:] = struct.pack("<d", value)  # the last term's last impact
+        rewrite_index(path, body=bytes(body))
+        with pytest.raises(Bm25FormatError, match=r"impact outside \[0, 2\*\*1009\)"):
+            load_index(path)
+
+    def test_largest_accepted_impact_loads(self, tmp_path):
+        path = tmp_path / "x.bm25"
+        save_index(build_index(["one two", "two three"]), path)
+        blob = path.read_bytes()
+        body = bytearray(blob[12 + int.from_bytes(blob[8:12], "big"):-4])
+        body[-8:] = struct.pack("<d", math.nextafter(2.0**1009, 0.0))
+        rewrite_index(path, body=bytes(body))
+        assert load_index(path).impacts["two"][-1] == math.nextafter(2.0**1009, 0.0)
 
     def test_version_1_index_asks_for_a_re_ingest(self, tmp_path):
         # The version 1 layout: a JSON header, then a zlib-compressed JSON body.

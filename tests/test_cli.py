@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import molrag
 from molrag import cli
 from molrag import store as store_module
+from molrag.bm25 import tokenize
 from molrag.cli import main, run_evaluation, RunConfig, _process_item
 from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend
 from molrag.prompt import default_template
@@ -87,7 +88,11 @@ class TestIngest:
 
         result = runner.invoke(main, ["inspect-store", "--store", str(tmp_path / "store")])
         assert result.exit_code == 0
-        assert json.loads(result.output)["record_count"] == 112
+        payload = json.loads(result.output)
+        assert payload["record_count"] == 112
+        records, _, _ = load_chebi_tsv(data_dir / "corpus.tsv")
+        shared = set.intersection(*(set(tokenize(record.caption)) for record in records))
+        assert payload["caption_terms_in_every_record"] == len(shared) == 3
 
     def test_store_matches_golden_manifest(self, runner, data_dir, tmp_path):
         # the manifest's checksums cover every data file, so this pins the store's bytes

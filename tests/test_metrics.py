@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from molrag import fingerprint as fingerprint_module
+from molrag import metrics as metrics_module
 from molrag.fingerprint import FingerprintParams, dice_similarity, morgan_fingerprint
 from molrag.metrics import (
     STATUS_FAILED,
@@ -425,6 +427,44 @@ class TestReport:
         a = build_report(pairs(SMILES_PAIRS), "cap2mol", {"seed": 1})
         b = build_report(pairs(SMILES_PAIRS), "cap2mol", {"seed": 1})
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_caption_pairs(), min_size=1, max_size=6))
+    def test_shared_ngram_counts_match_separate_calls(self, evaluated):
+        # build_report counts n-grams once for BLEU-2, BLEU-4 and ROUGE-1/2;
+        # bleu_n and rouge_scores alone are checked against the oracles above.
+        report = build_report(evaluated, "mol2cap", {})["metrics"]
+        rouge = rouge_scores(evaluated)
+        assert {k: v.hex() for k, v in report.items()} == {
+            "bleu2": bleu_n(evaluated, 2).hex(), "bleu4": bleu_n(evaluated, 4).hex(),
+            "rouge1": rouge["rouge1_f"].hex(), "rouge2": rouge["rouge2_f"].hex(),
+            "rougeL": rouge["rougeL_f"].hex()}
+        report = build_report(evaluated, "cap2mol", {})["metrics"]
+        assert report["bleu2"].hex() == bleu_n(evaluated, 2, mode="smiles").hex()
+        assert report["bleu4"].hex() == bleu_n(evaluated, 4, mode="smiles").hex()
+
+    @pytest.mark.parametrize("task, data", [("mol2cap", CAPTION_PAIRS), ("cap2mol", SMILES_PAIRS)])
+    def test_counts_each_pairs_ngrams_once(self, monkeypatch, task, data):
+        ngrams = metrics_module._ngrams
+        calls = []
+
+        def counting(tokens, n):
+            calls.append(n)
+            return ngrams(tokens, n)
+
+        monkeypatch.setattr(metrics_module, "_ngrams", counting)
+        build_report(pairs(data), task, {})
+        # a candidate and a reference counter for each n = 1..4, per pair
+        assert sorted(calls) == sorted([1, 2, 3, 4] * 2 * len(data))
+
+    def test_molecule_scores_share_one_morgan_memo(self, monkeypatch):
+        hashes = []
+        fnv = fingerprint_module.fnv1a_64
+        monkeypatch.setattr(fingerprint_module, "fnv1a_64",
+                            lambda data: hashes.append(data) or fnv(data))
+        molecule_scores(pairs([("CCO", "CCO")] * 3))
+        # every environment of the six fingerprints was hashed once
+        assert len(hashes) == len(set(hashes)) > 0
 
     def test_table_rendering(self):
         report = build_report(pairs(SMILES_PAIRS), "cap2mol", {})
