@@ -1,9 +1,10 @@
 """Command-line operator surface: ingest, query, evaluate, ablate, inspect-store.
 
 Every run writes a manifest echoing the fully resolved configuration so the
-experiment can be re-run identically. Evaluation checkpoints per item and
-resumes from the checkpoint after an interruption. Reports contain no
-timestamps: a run against the replay backend is bit-reproducible.
+experiment can be re-run identically. evaluate runs as the one-cell case of
+ablate, so both rank every item through one path. Evaluation checkpoints per
+item and resumes from the checkpoint after an interruption. Reports contain
+no timestamps: a run against the replay backend is bit-reproducible.
 
 Configuration precedence: command-line flags > --config file > defaults;
 max_retries takes the backend JSON's value before its default.
@@ -306,7 +307,7 @@ def cmd_query(user_input, cfg_file, **flags) -> None:
 
 
 # ---------------------------------------------------------------------------
-# evaluate
+# evaluate and ablate
 # ---------------------------------------------------------------------------
 
 
@@ -314,20 +315,14 @@ def cmd_query(user_input, cfg_file, **flags) -> None:
 Ranking = Callable[[int, str], list[MoleculeRecord]]
 
 
-def _process_item(index, record, config, db, tmpl, client, stop,
-                  rank: Ranking | None = None) -> dict | None:
-    """One checkpoint row; None when a fatal backend error has stopped the run.
-
-    The item is ranked by ``rank``, or else at the cell's n.
-    """
+def _process_item(index, record, config, tmpl, client, stop, rank: Ranking) -> dict | None:
+    """One checkpoint row, the item ranked by ``rank``; None when a fatal backend error
+    has stopped the run."""
     if stop.is_set():
         return None
     spec = TASKS[config.task]
     query = getattr(record, spec.input_field)
-    if rank is None:
-        examples = rank_examples(db, config.task, query, config.n_shots, config.strategy)
-    else:
-        examples = rank(index, query)
+    examples = rank(index, query)
     row = {
         "index": index,
         "id": record.id,
@@ -360,13 +355,29 @@ def _process_item(index, record, config, db, tmpl, client, stop,
     return row
 
 
+def _row_line(row: dict) -> str:
+    return json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _write_rows(path: Path, rows) -> None:
+    with open(path, "w", encoding="utf-8") as sink:
+        sink.writelines(map(_row_line, rows))
+
+
 def _read_checkpoint(path: Path) -> dict[int, dict]:
+    """The checkpoint rows by item index. An unterminated last line that is not a row
+    was torn by an interruption: it is dropped, and its item runs again."""
     done: dict[int, dict] = {}
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
+    lines = path.read_bytes().split(b"\n") if path.exists() else []
+    for number, line in enumerate(lines, 1):
+        try:
             if line.strip():
-                row = json.loads(line)
+                row = json.loads(line)  # a torn UTF-8 sequence is a ValueError too
                 done[row["index"]] = row
+        except (ValueError, KeyError, TypeError):
+            if number < len(lines):
+                raise click.ClickException(
+                    f"{path}:{number} is not a checkpoint row; use another --out")
     return done
 
 
@@ -387,37 +398,14 @@ def _check_resumable(path: Path, manifest: dict) -> None:
         )
 
 
-def _load_run_inputs(
-    config: RunConfig, test_tsv: str
-) -> tuple[Store, PromptTemplate, list[MoleculeRecord], dict]:
-    """Load the store, template and test records once for every cell of a command.
-
-    The dict names the test file and the store for the manifest.
-    """
-    db = load_store(config.store_path)
-    tmpl = _load_prompt_template(config)
-    records, _, ingest_report = load_chebi_tsv(test_tsv)
-    records = records[: config.limit]
-    if not records:
-        raise click.ClickException(f"no usable rows in {test_tsv}")
-    sources = {
-        "test_file": str(test_tsv),
-        "test_sha256": hashlib.sha256(Path(test_tsv).read_bytes()).hexdigest(),
-        "quarantined_rows": len(ingest_report.quarantined),
-        "store_path": str(config.store_path),
-        "store_manifest_sha256": db.manifest_sha256,
-    }
-    return db, tmpl, records, sources
-
-
 def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
                    records: list[MoleculeRecord], sources: dict, out_dir: Path,
-                   rank: Ranking | None = None) -> dict:
+                   rank: Ranking) -> dict:
     """Evaluate one cell over loaded test records; returns the report dict.
 
-    Rows already in ``out_dir/items.jsonl`` are kept, not re-queried, when the
-    manifest there equals this run's. Each item is ranked in its worker, by
-    ``rank`` when given.
+    Each item is ranked by ``rank`` in its worker. Rows already in
+    ``out_dir/items.jsonl`` are kept, not re-queried, when the manifest there
+    equals this run's.
     """
     client = _make_client(config)  # a bad replay fixture fails here, before any file is written
     _make_dir(out_dir)
@@ -428,13 +416,14 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
     if done:
         _check_resumable(out_dir / "manifest.json", manifest)
     _dump_json(out_dir / "manifest.json", manifest)
+    _write_rows(items_path, done.values())  # no new row is glued onto a torn last line
 
     stop = threading.Event()
     todo = [i for i in range(len(records)) if i not in done]
     with open(items_path, "a", encoding="utf-8") as sink:
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
             futures = [
-                pool.submit(_process_item, i, records[i], config, db, tmpl, client, stop, rank)
+                pool.submit(_process_item, i, records[i], config, tmpl, client, stop, rank)
                 for i in todo
             ]
             try:
@@ -442,7 +431,7 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
                     row = future.result()
                     if row is None:
                         continue
-                    sink.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+                    sink.write(_row_line(row))
                     sink.flush()
                     done[row["index"]] = row
             except BaseException:
@@ -450,13 +439,8 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
                 raise
 
     rows = [done[i] for i in sorted(done) if i < len(records)]
-    with open(items_path, "w", encoding="utf-8") as sink:
-        for row in rows:
-            sink.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
-    with open(out_dir / "failures.jsonl", "w", encoding="utf-8") as sink:
-        for row in rows:
-            if row["status"] == STATUS_FAILED:
-                sink.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+    _write_rows(items_path, rows)
+    _write_rows(out_dir / "failures.jsonl", (row for row in rows if row["status"] == STATUS_FAILED))
 
     pairs = [
         EvalPair(prediction=row["prediction"], reference=row["reference"], status=row["status"])
@@ -468,95 +452,11 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
     return report
 
 
-@main.command("evaluate")
-@click.argument("test_tsv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--limit", type=int, default=None, help="Evaluate only the first N items.")
-@_shared_options
-def cmd_evaluate(test_tsv, cfg_file, **flags) -> None:
-    """Evaluate the pipeline on a test split and write metric reports."""
-    config = _make_run_config(cfg_file, flags)
-    out_dir = Path(config.out_path or "molrag-eval")
-    report = run_evaluation(config, *_load_run_inputs(config, test_tsv), out_dir)
-    click.echo(render_table(report))
-    click.echo(f"reports written to {out_dir}")
-
-
-# ---------------------------------------------------------------------------
-# ablate
-# ---------------------------------------------------------------------------
-
-
-@main.command("ablate")
-@click.argument("test_tsv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--grid-shots", default=",".join(str(n) for n in DEFAULT_GRID_SHOTS),
-              show_default=True, help="Comma-separated n-shot values.")
-@click.option("--grid-strategies", default=None,
-              help="Comma-separated strategy names.  [default: those of "
-                   f"{','.join(DEFAULT_GRID_STRATEGIES)} that apply to the task]")
-@click.option("--limit", type=int, default=None)
-@_shared_options
-def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None:
-    """Run the n-shot x strategy grid and write a consolidated comparison."""
-    base = _make_run_config(cfg_file, flags)
-    try:
-        shots = [int(x) for x in grid_shots.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise click.ClickException(f"bad grid spec: {exc}")
-    if grid_strategies is None:
-        kinds = TASKS[base.task].strategies
-        strategies = [name for name in DEFAULT_GRID_STRATEGIES if name == "bm25" or name in kinds]
-    else:
-        strategies = [x.strip() for x in grid_strategies.split(",") if x.strip()]
-    if not shots or not strategies:
-        raise click.ClickException("--grid-shots and --grid-strategies must each name a value")
-
-    out_dir = Path(base.out_path or "molrag-ablation")
-    grid = []
-    for n, name in product(shots, strategies):
-        try:
-            cell = dataclasses.replace(
-                base,
-                n_shots=n,
-                strategy=resolve_strategy(base.task, name, base.seed),
-                out_path=str(out_dir / f"cell_{base.task}_n{n}_{name}"),
-            )
-        except ValueError as exc:
-            raise click.ClickException(str(exc))
-        grid.append((n, name, cell))
-
-    # a bad store, template or test file fails here, before --out is created
-    inputs = _load_run_inputs(base, test_tsv)
-    _make_dir(out_dir)
-    rankings = _GridRankings(inputs[0], base.task, [cell for _, _, cell in grid])
-    cells = []
-    for n, name, cell in grid:
-        report = run_evaluation(cell, *inputs, Path(cell.out_path), rankings.for_cell(cell))
-        cells.append({"n_shots": n, "strategy": name, "report": report})
-
-    comparison = {
-        "task": base.task,
-        "grid": {"n_shots": shots, "strategies": strategies},
-        "cells": [
-            {
-                "n_shots": cell["n_shots"],
-                "strategy": cell["strategy"],
-                "metrics": cell["report"]["metrics"],
-                "counts": cell["report"]["counts"],
-            }
-            for cell in cells
-        ],
-    }
-    _dump_json(out_dir / "comparison.json", comparison)
-    (out_dir / "comparison.txt").write_text(_comparison_table(comparison), encoding="utf-8")
-    click.echo(_comparison_table(comparison))
-    click.echo(f"ablation written to {out_dir}")
-
-
-class _GridRankings:
-    """The rankings of one ablate command: each (strategy, item) is ranked once, on
-    the first cell that needs it, at the largest n any cell asks of that strategy,
-    and a cell of n shots takes the first n. Retrieval is prefix-stable in n, so
-    that slice is the ranking at n.
+class _Rankings:
+    """The rankings of one evaluate or ablate command: each (strategy, item) is ranked
+    once, on the first cell that needs it, at the largest n any cell asks of that
+    strategy, and a cell of n shots takes the first n. Retrieval is prefix-stable in
+    n, so that slice is the ranking at n.
 
     Cells run one after another and a cell hands each item to one worker, so no
     two threads fill the same key.
@@ -582,6 +482,105 @@ class _GridRankings:
             return ranked[:n]
 
         return rank
+
+
+def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[dict]:
+    """Run each cell of an evaluate or ablate command into its ``out_path``; returns
+    their reports.
+
+    The store, template and test records are loaded once, before any file is
+    written, and one :class:`_Rankings` serves every cell.
+    """
+    db = load_store(base.store_path)
+    tmpl = _load_prompt_template(base)
+    records, _, ingest_report = load_chebi_tsv(test_tsv)
+    records = records[: base.limit]
+    if not records:
+        raise click.ClickException(f"no usable rows in {test_tsv}")
+    sources = {
+        "test_file": str(test_tsv),
+        "test_sha256": hashlib.sha256(Path(test_tsv).read_bytes()).hexdigest(),
+        "quarantined_rows": len(ingest_report.quarantined),
+        "store_path": str(base.store_path),
+        "store_manifest_sha256": db.manifest_sha256,
+    }
+    rankings = _Rankings(db, base.task, cells)
+    return [
+        run_evaluation(cell, db, tmpl, records, sources, Path(cell.out_path),
+                       rankings.for_cell(cell))
+        for cell in cells
+    ]
+
+
+@main.command("evaluate")
+@click.argument("test_tsv", type=click.Path(exists=True, dir_okay=False))
+@click.option("--limit", type=int, default=None, help="Evaluate only the first N items.")
+@_shared_options
+def cmd_evaluate(test_tsv, cfg_file, **flags) -> None:
+    """Evaluate the pipeline on a test split and write metric reports (one ablate cell)."""
+    config = _make_run_config(cfg_file, flags)
+    out_dir = Path(config.out_path or "molrag-eval")
+    [report] = _run_cells(config, test_tsv, [dataclasses.replace(config, out_path=str(out_dir))])
+    click.echo(render_table(report))
+    click.echo(f"reports written to {out_dir}")
+
+
+@main.command("ablate")
+@click.argument("test_tsv", type=click.Path(exists=True, dir_okay=False))
+@click.option("--grid-shots", default=",".join(str(n) for n in DEFAULT_GRID_SHOTS),
+              show_default=True, help="Comma-separated n-shot values; repeats are dropped.")
+@click.option("--grid-strategies", default=None,
+              help="Comma-separated strategy names; repeats are dropped.  [default: those of "
+                   f"{','.join(DEFAULT_GRID_STRATEGIES)} that apply to the task]")
+@click.option("--limit", type=int, default=None)
+@_shared_options
+def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None:
+    """Run the n-shot x strategy grid and write a consolidated comparison."""
+    base = _make_run_config(cfg_file, flags)
+    try:
+        shots = list(dict.fromkeys(int(x) for x in grid_shots.split(",") if x.strip() != ""))
+    except ValueError as exc:
+        raise click.ClickException(f"bad grid spec: {exc}")
+    if grid_strategies is None:
+        kinds = TASKS[base.task].strategies
+        strategies = [name for name in DEFAULT_GRID_STRATEGIES if name == "bm25" or name in kinds]
+    else:
+        strategies = list(dict.fromkeys(x.strip() for x in grid_strategies.split(",") if x.strip()))
+    if not shots or not strategies:
+        raise click.ClickException("--grid-shots and --grid-strategies must each name a value")
+
+    out_dir = Path(base.out_path or "molrag-ablation")
+    grid = []
+    for n, name in product(shots, strategies):
+        try:
+            cell = dataclasses.replace(
+                base,
+                n_shots=n,
+                strategy=resolve_strategy(base.task, name, base.seed),
+                out_path=str(out_dir / f"cell_{base.task}_n{n}_{name}"),
+            )
+        except ValueError as exc:
+            raise click.ClickException(str(exc))
+        grid.append((n, name, cell))
+
+    reports = _run_cells(base, test_tsv, [cell for _, _, cell in grid])
+    comparison = {
+        "task": base.task,
+        "grid": {"n_shots": shots, "strategies": strategies},
+        "cells": [
+            {
+                "n_shots": n,
+                "strategy": name,
+                "metrics": report["metrics"],
+                "counts": report["counts"],
+            }
+            for (n, name, _), report in zip(grid, reports)
+        ],
+    }
+    _dump_json(out_dir / "comparison.json", comparison)
+    (out_dir / "comparison.txt").write_text(_comparison_table(comparison), encoding="utf-8")
+    click.echo(_comparison_table(comparison))
+    click.echo(f"ablation written to {out_dir}")
 
 
 def _comparison_table(comparison: dict) -> str:

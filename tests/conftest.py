@@ -11,6 +11,13 @@ from molrag.store import build_store, load_chebi_tsv
 DATA_DIR = Path(__file__).parent / "data"
 
 
+def pytest_configure(config):
+    # Any warning fails this suite. It is set here and not in pyproject.toml, which
+    # perfbench/tests shares: perfbench/reference.py leaves a file to the garbage
+    # collector, and its ResourceWarning would fail those tests.
+    config.addinivalue_line("filterwarnings", "error")
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR

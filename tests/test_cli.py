@@ -13,7 +13,7 @@ import molrag
 from molrag import cli
 from molrag import store as store_module
 from molrag.bm25 import tokenize
-from molrag.cli import main, run_evaluation, RunConfig, _process_item
+from molrag.cli import main, run_evaluation, RunConfig, _process_item, _Rankings
 from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend
 from molrag.prompt import default_template
 from molrag.store import (
@@ -65,6 +65,22 @@ def command_args(command, data_dir, store_dir, out):
     if command == "query":
         args[1] = "CCCCCO"
     return args
+
+
+def count_mol2cap_retrievals(monkeypatch) -> list:
+    """Record (strategy kind, query, n) of every retrieve_mol2cap call, at every molrag
+    module that binds it."""
+    retrieve = store_module.retrieve_mol2cap
+    calls = []
+
+    def counted(store, query, n, strategy):
+        calls.append((strategy.kind, query, n))
+        return retrieve(store, query, n, strategy)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("molrag") and getattr(module, "retrieve_mol2cap", None) is retrieve:
+            monkeypatch.setattr(module, "retrieve_mol2cap", counted)
+    return calls
 
 
 def assert_one_line_error(result, *parts):
@@ -361,6 +377,74 @@ class TestEvaluate:
         assert result.exit_code == 0
         assert (out / "report.json").read_bytes() == full_report
 
+    @pytest.mark.parametrize(
+        "fragment",
+        [lambda row: row[: len(row) // 2], lambda row: b'{"index": 20, "input": "caf\xc3'],
+        ids=["half-row", "torn-utf8"],
+    )
+    def test_resume_after_a_torn_last_row(self, runner, data_dir, store_dir, tmp_path,
+                                          monkeypatch, fragment):
+        # an interruption mid-write leaves an unterminated last row, which once ended
+        # the resume in a JSONDecodeError traceback
+        out = tmp_path / "torn"
+        args = eval_args(data_dir, store_dir, out, extra=("--concurrency", "1"))
+        assert runner.invoke(main, args).exit_code == 0
+        full_report = (out / "report.json").read_bytes()
+        full_items = (out / "items.jsonl").read_bytes()
+        rows = full_items.splitlines(keepends=True)
+        (out / "items.jsonl").write_bytes(b"".join(rows[:20]) + fragment(rows[20]))
+        (out / "report.json").unlink()
+
+        # interrupt the resume after a few appended rows: they must not be glued onto
+        # the fragment, or the next resume finds a malformed row
+        send, sent = ReplayBackend.send, []
+
+        def interrupted_send(self, prompt):
+            sent.append(1)
+            if len(sent) > 5:
+                raise BackendError("auth", "interrupted")
+            return send(self, prompt)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ReplayBackend, "send", interrupted_send)
+            assert runner.invoke(main, args).exit_code == 1
+        kept = (out / "items.jsonl").read_bytes().splitlines()
+        assert len(kept) > 20 and all(json.loads(row)["index"] >= 0 for row in kept)
+
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert (out / "report.json").read_bytes() == full_report
+        assert (out / "items.jsonl").read_bytes() == full_items
+
+    @pytest.mark.parametrize("bad", ['{"index": 3, "id"', "[3]", '{"id": "x"}'],
+                             ids=["torn", "not-an-object", "no-index"])
+    def test_malformed_checkpoint_row_is_a_one_line_error(self, runner, data_dir, store_dir,
+                                                          tmp_path, bad):
+        out = tmp_path / "bad"
+        args = eval_args(data_dir, store_dir, out)
+        assert runner.invoke(main, args).exit_code == 0
+        rows = (out / "items.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        rows[3] = bad + "\n"
+        (out / "items.jsonl").write_text("".join(rows), encoding="utf-8")
+        before = (out / "items.jsonl").read_bytes()
+        result = runner.invoke(main, args)
+        assert_one_line_error(result, f"{out / 'items.jsonl'}:4 ", "use another --out")
+        assert (out / "items.jsonl").read_bytes() == before
+
+    def test_each_item_is_ranked_once_at_n_shots(self, runner, data_dir, store_dir, tmp_path,
+                                                 monkeypatch):
+        # evaluate ranks through ablate's path, as a grid of one cell
+        calls = count_mol2cap_retrievals(monkeypatch)
+        args = eval_args(data_dir, store_dir, tmp_path / "out", extra=("--limit", "10"))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 10 and len(set(calls)) == 10 and {n for _, _, n in calls} == {2}
+        # a finished run that is resumed ranks nothing
+        calls.clear()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert calls == []
+
     def test_empty_test_file_error(self, runner, data_dir, store_dir, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("CID\tSMILES\tdescription\n", encoding="utf-8")
@@ -426,13 +510,15 @@ class TestEvaluate:
             limit=10,
         )
         records, _, _ = load_chebi_tsv(data_dir / "test_items.tsv")
+        store = load_store(store_dir)
         report = run_evaluation(
             config,
-            load_store(store_dir),
+            store,
             default_template("mol2cap"),
             records[: config.limit],
             {},
             tmp_path / "offline",
+            _Rankings(store, "mol2cap", [config]).for_cell(config),
         )
         assert report["counts"]["items"] == 10
 
@@ -583,10 +669,11 @@ class TestEvaluate:
             backend=None,
         )
         tmpl = default_template("mol2cap")
+        rank = _Rankings(corpus_store, "mol2cap", [config]).for_cell(config)
 
         def row(script, stop):
             client = ChatClient(ScriptedBackend(script), max_retries=0, backoff_base=0.0)
-            return _process_item(0, test_records[0], config, corpus_store, tmpl, client, stop)
+            return _process_item(0, test_records[0], config, tmpl, client, stop, rank)
 
         # a failed item records the queries it was charged, not the allowance
         failed = row(["malformed_response"], threading.Event())
@@ -707,16 +794,7 @@ class TestAblate:
                                                     monkeypatch):
         # every cell is ranked once per item at the grid's largest n and sliced; the
         # replay fixture holds the prompts of rankings made at each cell's own n
-        retrieve = store_module.retrieve_mol2cap
-        calls = []
-
-        def counted(store, query, n, strategy):
-            calls.append((strategy.kind, query, n))
-            return retrieve(store, query, n, strategy)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("molrag") and getattr(module, "retrieve_mol2cap", None) is retrieve:
-                monkeypatch.setattr(module, "retrieve_mol2cap", counted)
+        calls = count_mol2cap_retrievals(monkeypatch)
         args = [
             "ablate", str(data_dir / "test_items.tsv"),
             "--store", str(store_dir),
@@ -736,6 +814,32 @@ class TestAblate:
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert calls == []
+
+    def test_repeated_grid_values_run_each_cell_once(self, runner, data_dir, store_dir,
+                                                     tmp_path, monkeypatch):
+        # a repeated value once ran its cells twice and listed them twice
+        calls = count_mol2cap_retrievals(monkeypatch)
+        out = tmp_path / "grid"
+        result = runner.invoke(
+            main,
+            [
+                "ablate", str(data_dir / "test_items.tsv"),
+                "--store", str(store_dir),
+                "--task", "mol2cap",
+                "--grid-shots", "2,1,2",
+                "--grid-strategies", "morgan_fts,random,morgan_fts",
+                "--limit", "10",
+                "--replay", str(data_dir / REPLAY_GRID),
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        comparison = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
+        assert comparison["grid"] == {"n_shots": [2, 1], "strategies": ["morgan_fts", "random"]}
+        assert [(cell["n_shots"], cell["strategy"]) for cell in comparison["cells"]] == [
+            (2, "morgan_fts"), (2, "random"), (1, "morgan_fts"), (1, "random")]
+        assert len((out / "comparison.txt").read_text(encoding="utf-8").splitlines()) == 2 + 4
+        assert len(calls) == 20
 
     def test_shared_rankings_under_many_workers(self, runner, data_dir, store_dir, tmp_path):
         # the workers of a cell fill one shared memo; with more workers than cores and
