@@ -19,6 +19,7 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 
+from molrag.fingerprint import MorganFingerprint
 from molrag.llm import BackendError, ChatClient
 from molrag.prompt import PromptTemplate, build_prompt, drop_longest_example
 from molrag.smiles import is_valid_smiles
@@ -39,6 +40,9 @@ STRATEGY_PATTERN = "pattern_fallback"
 
 # Characters that may appear in a SMILES string; used by the pattern fallback.
 _SMILES_CHARS = re.compile(r"[A-Za-z0-9@+\-\[\]\(\)=#$%/\\.:*]+")
+# The tokens the parser reads outside brackets, and bracket atoms: a word that is not a
+# run of them, such as "Unknown" or "C]", fails to parse however its atoms bond.
+_SMILES_TOKENS = re.compile(r"(?:Cl|Br|[BCNOPSFIbcnops*0-9%=#$:/\\.()\-]|\[[^\[\]]*\])+")
 _CAPTION_LABEL = re.compile(r"caption\W{0,3}[:=]\s*(.+?)\s*(?:$|\n)", re.IGNORECASE)
 # The characters that move a brace scan; the text between them leaves its state as it is.
 _SCAN_MARKS = re.compile(r'["\\{}]')
@@ -157,12 +161,28 @@ def _literal_eval_quiet(text: str):
         return ast.literal_eval(text)
 
 
+def _may_parse(word: str) -> bool:
+    """False for a word the SMILES parser is sure to reject: one that is not a run of
+    its tokens, or whose parentheses close a branch never opened or leave one open."""
+    if not _SMILES_TOKENS.fullmatch(word):
+        return False
+    depth = 0
+    for ch in word:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                return False
+    return depth == 0
+
+
 def _try_pattern(text: str, output_field: str) -> str | None:
     if output_field == "smiles":
         candidates = sorted(_SMILES_CHARS.findall(text), key=len, reverse=True)
         # a word the reply repeats is parsed once; the first valid candidate is the same
         for stripped in dict.fromkeys(cand.strip(".") for cand in candidates):
-            if stripped and is_valid_smiles(stripped):
+            if stripped and _may_parse(stripped) and is_valid_smiles(stripped):
                 return stripped
         return None
     match = _CAPTION_LABEL.search(text)
@@ -220,16 +240,19 @@ def extract_payload(raw_text: str, task: str) -> ExtractionResult:
 
 
 def rank_examples(
-    store: Store | None, task: str, query: str, n: int, strategy: RetrievalStrategy
+    store: Store | None, task: str, query: str, n: int, strategy: RetrievalStrategy, *,
+    query_fp: MorganFingerprint | None = None,
 ) -> list[MoleculeRecord]:
     """The n context examples an item of ``task`` is prompted with, best first;
-    none, and no store lookup, when n is 0."""
+    none, and no store lookup, when n is 0. ``query_fp`` is a mol2cap query's
+    fingerprint, as :func:`~molrag.store.retrieve_mol2cap` takes it."""
     if n == 0:
         return []
     if store is None:
         raise ValueError("n > 0 requires a store")
-    retrieve = retrieve_mol2cap if task == "mol2cap" else retrieve_cap2mol
-    return retrieve(store, query, n, strategy)
+    if task == "mol2cap":
+        return retrieve_mol2cap(store, query, n, strategy, query_fp=query_fp)
+    return retrieve_cap2mol(store, query, n, strategy)
 
 
 def calibrated_query(

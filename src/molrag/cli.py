@@ -27,7 +27,7 @@ import click
 
 from molrag import __version__, bm25
 from molrag.calibration import CalibrationFailure, calibrated_query, rank_examples
-from molrag.fingerprint import FingerprintParams
+from molrag.fingerprint import FingerprintParams, MorganFingerprint, morgan_fingerprint
 from molrag.llm import (
     BackendConfig,
     BackendError,
@@ -459,11 +459,13 @@ class _Rankings:
     n, so that slice is the ranking at n.
 
     Cells run one after another and a cell hands each item to one worker, so no
-    two threads fill the same key.
+    two threads fill the same key. ``fingerprints[i]``, when given, is item i's
+    query fingerprint, which spares retrieval its parse.
     """
 
-    def __init__(self, db: Store, task: str, cells: list[RunConfig]) -> None:
-        self.db, self.task = db, task
+    def __init__(self, db: Store, task: str, cells: list[RunConfig],
+                 fingerprints: list[MorganFingerprint] | None = None) -> None:
+        self.db, self.task, self.fingerprints = db, task, fingerprints
         self.depth: dict[RetrievalStrategy, int] = {}
         for cell in cells:
             self.depth[cell.strategy] = max(self.depth.get(cell.strategy, 0), cell.n_shots)
@@ -477,11 +479,28 @@ class _Rankings:
                 return []
             ranked = self.ranked.get((strategy, index))
             if ranked is None:
+                query_fp = self.fingerprints[index] if self.fingerprints else None
                 ranked = self.ranked[strategy, index] = rank_examples(
-                    self.db, self.task, query, self.depth[strategy], strategy)
+                    self.db, self.task, query, self.depth[strategy], strategy,
+                    query_fp=query_fp)
             return ranked[:n]
 
         return rank
+
+
+def _load_test_items(test_tsv: str, task: str, limit: int | None):
+    """The first ``limit`` kept test records, each one's query fingerprint when the
+    task queries by molecule (else None), and the ingest report.
+
+    Each molecule is fingerprinted right after its one parse, with one identifier
+    memo for the file; the molecules and the memo are dropped on return.
+    """
+    records, molecules, ingest_report = load_chebi_tsv(test_tsv)
+    fingerprints = None
+    if task == "mol2cap":
+        memo: dict = {}
+        fingerprints = [morgan_fingerprint(mol, memo=memo) for mol in molecules[:limit]]
+    return records[:limit], fingerprints, ingest_report
 
 
 def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[dict]:
@@ -493,8 +512,7 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
     """
     db = load_store(base.store_path)
     tmpl = _load_prompt_template(base)
-    records, _, ingest_report = load_chebi_tsv(test_tsv)
-    records = records[: base.limit]
+    records, fingerprints, ingest_report = _load_test_items(test_tsv, base.task, base.limit)
     if not records:
         raise click.ClickException(f"no usable rows in {test_tsv}")
     sources = {
@@ -504,7 +522,7 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
         "store_path": str(base.store_path),
         "store_manifest_sha256": db.manifest_sha256,
     }
-    rankings = _Rankings(db, base.task, cells)
+    rankings = _Rankings(db, base.task, cells, fingerprints)
     return [
         run_evaluation(cell, db, tmpl, records, sources, Path(cell.out_path),
                        rankings.for_cell(cell))

@@ -16,8 +16,9 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice, repeat
 from pathlib import Path
 
 from molrag import bm25
@@ -187,7 +188,16 @@ def load_chebi_tsv(path) -> tuple[list[MoleculeRecord], list[Molecule], IngestRe
 
 @dataclass(eq=False)
 class Store:
-    """Immutable retrieval database over molecule-caption records."""
+    """Immutable retrieval database over molecule-caption records.
+
+    Self-exclusion looks records up in two tables that are built from the
+    records on first use and then kept: the positions of each fingerprint
+    bitmap and the positions of each caption. Building one costs a pass over
+    the store, more than one query's scan would, and every later query pays a
+    dict lookup. The store also keeps, per query SMILES whose bitmap some
+    record shares, the positions of the records with the query's graph, so
+    that check runs once per distinct query however many strategies rank it.
+    """
 
     records: list[MoleculeRecord]
     fingerprints: list[MorganFingerprint]  # one per record, in record order
@@ -196,9 +206,29 @@ class Store:
     split: str = "train"
     # digest of the manifest a persisted store was loaded from; None when built in memory
     manifest_sha256: str | None = None
+    _graph_matches: dict[str, frozenset[int]] = field(
+        default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @cached_property
+    def _positions_by_bitmap(self) -> dict[int, list[int]]:
+        return _positions_by(fp.bitmap for fp in self.fingerprints)
+
+    @cached_property
+    def _positions_by_caption(self) -> dict[str, list[int]]:
+        return _positions_by(rec.caption for rec in self.records)
+
+
+def _positions_by(keys) -> dict:
+    """Each key's positions in ``keys``, ascending. The table is complete before it is
+    returned, so a thread never sees a part of it (threads that race to build one
+    each build a whole one)."""
+    table: dict = {}
+    for pos, key in enumerate(keys):
+        table.setdefault(key, []).append(pos)
+    return table
 
 
 def build_store(
@@ -237,17 +267,15 @@ def _ranked(store: Store, query: str, limit: int, strategy: RetrievalStrategy, q
         # A shorter sample draws a different order, so random always ranks every record.
         return random.Random(strategy.seed).sample(range(len(store)), len(store))
     if strategy.kind == "morgan_fts":
-        scored = [
-            (-dice_similarity(query_fp, fp), pos)
-            for pos, fp in enumerate(store.fingerprints)
-        ]
-        return [pos for _, pos in heapq.nsmallest(limit, scored)]
+        scores = list(map(dice_similarity, repeat(query_fp), store.fingerprints))
+        # nlargest is sorted(..., reverse=True)[:limit], a stable sort: ties keep position order
+        return heapq.nlargest(limit, range(len(scores)), key=scores.__getitem__)
     index = store.caption_index if strategy.kind == "bm25_caption" else store.smiles_index
     return [pos for pos, _ in bm25.top_n(index, query, limit)]
 
 
 def _retrieve(store: Store, query: str, n: int, strategy: RetrievalStrategy,
-              excluded: set[int], query_fp=None) -> list[MoleculeRecord]:
+              excluded: frozenset[int], query_fp=None) -> list[MoleculeRecord]:
     """The first n records of the ranking that are not excluded.
 
     At most len(excluded) of the first n + len(excluded) ranked positions are
@@ -258,7 +286,8 @@ def _retrieve(store: Store, query: str, n: int, strategy: RetrievalStrategy,
 
 
 def retrieve_mol2cap(
-    store: Store, query_smiles: str, n: int, strategy: RetrievalStrategy
+    store: Store, query_smiles: str, n: int, strategy: RetrievalStrategy, *,
+    query_fp: MorganFingerprint | None = None,
 ) -> list[MoleculeRecord]:
     """Top-n context examples for molecule captioning.
 
@@ -266,21 +295,49 @@ def retrieve_mol2cap(
     position); bm25_smiles_chargram ranks by character 3-gram BM25; random
     draws without replacement from a seeded generator. A record whose graph
     equals the query is never returned.
+
+    A caller that has fingerprinted the query passes ``query_fp``, the default
+    fingerprint of ``query_smiles``; the query is then parsed only when some
+    record shares its bitmap. Without it the query is parsed and fingerprinted
+    here.
     """
     _check_request(store, "mol2cap", n, strategy)
+    query_mol = None
+    if query_fp is None:
+        query_mol = _parse_query(query_smiles)
+        query_fp = morgan_fingerprint(query_mol)
+    excluded = _same_graph_positions(store, query_smiles, query_fp, query_mol)
+    return _retrieve(store, query_smiles, n, strategy, excluded, query_fp)
+
+
+def _parse_query(query_smiles: str) -> Molecule:
     try:
-        query_mol = parse_smiles(query_smiles)
+        return parse_smiles(query_smiles)
     except SmilesError as exc:
         raise ParseFailure(f"query SMILES does not parse: {exc}") from exc
-    query_fp = morgan_fingerprint(query_mol)
-    # Isomorphic graphs always share a fingerprint, so bitmap equality gates
-    # the (expensive) isomorphism check without letting an equal graph through.
-    excluded = {
-        pos for pos, fp in enumerate(store.fingerprints)
-        if fp.bitmap == query_fp.bitmap
-        and molecules_equal(query_mol, parse_smiles(store.records[pos].smiles))
-    }
-    return _retrieve(store, query_smiles, n, strategy, excluded, query_fp)
+
+
+def _same_graph_positions(store: Store, query_smiles: str, query_fp: MorganFingerprint,
+                          query_mol: Molecule | None) -> frozenset[int]:
+    """The positions of the records whose graph equals the query's.
+
+    Isomorphic graphs always share a fingerprint, so only the records with the
+    query's bitmap go through the (expensive) isomorphism check, and an equal
+    graph is never missed. The store keeps the answer per query SMILES; two
+    threads that check one query at once both make it and store equal sets.
+    """
+    candidates = store._positions_by_bitmap.get(query_fp.bitmap)
+    if not candidates:
+        return frozenset()
+    found = store._graph_matches.get(query_smiles)
+    if found is None:
+        if query_mol is None:
+            query_mol = _parse_query(query_smiles)
+        found = store._graph_matches[query_smiles] = frozenset(
+            pos for pos in candidates
+            if molecules_equal(query_mol, parse_smiles(store.records[pos].smiles))
+        )
+    return found
 
 
 def retrieve_cap2mol(
@@ -294,7 +351,7 @@ def retrieve_cap2mol(
     with score zero (documented degenerate behavior).
     """
     _check_request(store, "cap2mol", n, strategy)
-    excluded = {pos for pos, rec in enumerate(store.records) if rec.caption == query_caption}
+    excluded = frozenset(store._positions_by_caption.get(query_caption, ()))
     return _retrieve(store, query_caption, n, strategy, excluded)
 
 

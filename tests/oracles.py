@@ -290,6 +290,27 @@ def bm25_top_n_tf(index: TfIndex, query: str, n: int) -> list[tuple[int, float]]
 
 
 # ---------------------------------------------------------------------------
+# Self-exclusion by its first formulation: every query scans the whole store.
+# ---------------------------------------------------------------------------
+
+
+def mol2cap_exclusions_scan(store, query_smiles: str) -> set[int]:
+    """Positions of the records with the query's bitmap and the query's graph."""
+    query_mol = parse_smiles(query_smiles)
+    query_fp = morgan_fingerprint(query_mol)
+    return {
+        pos for pos, fp in enumerate(store.fingerprints)
+        if fp.bitmap == query_fp.bitmap
+        and molecules_equal(query_mol, parse_smiles(store.records[pos].smiles))
+    }
+
+
+def cap2mol_exclusions_scan(store, query_caption: str) -> set[int]:
+    """Positions of the records whose caption is exactly the query."""
+    return {pos for pos, rec in enumerate(store.records) if rec.caption == query_caption}
+
+
+# ---------------------------------------------------------------------------
 # Text metrics recomputed by direct counting.
 # ---------------------------------------------------------------------------
 

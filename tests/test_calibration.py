@@ -202,9 +202,46 @@ class TestExtraction:
             return is_valid_smiles(text)
 
         monkeypatch.setattr(calibration, "is_valid_smiles", counting)
+        # "C1CC" is made of SMILES tokens, so only the parser can reject it
         with pytest.raises(FormatError):
-            extract_payload("Unknown. " * k, "cap2mol")
-        assert calls == ["Unknown"]
+            extract_payload("C1CC. " * k, "cap2mol")
+        assert calls == ["C1CC"]
+
+    # a word is skipped unparsed only when the parser would reject it: the answer and
+    # strategy are those of the oracle's loop, which parses every word
+    @settings(max_examples=1000, deadline=None)
+    @example("Try C(C or CC) or )C(C, [C or C], then CCO.", "cap2mol")
+    @example("Unknown: ClCBr, [NH4+] or C[C@@H](N)C(=O)O", "cap2mol")
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["C", "c", "N", "n", "O", "S", "Cl", "Br", "l", "r", "H", "U", "x", "e",
+                 "(", ")", "[", "]", "[NH4+]", "[C@@H]", "=", "#", "1", "2", "%12", "@",
+                 "+", "-", "/", ".", "*", " ", "\n", "CCO", "c1ccccc1", "C(=O)O", "C(C",
+                 "CC)", ")C(C", "[C", "C]", "Unknown", "is", '{"molecule": "', '"}']
+            ),
+            max_size=30,
+        ).map("".join),
+        st.sampled_from(["cap2mol", "mol2cap"]),
+    )
+    def test_pattern_prefilter_matches_oracle(self, text, task):
+        try:
+            result = extract_payload(text, task)
+        except FormatError:
+            assert extract_payload_rescan(text, task) is None
+            return
+        assert (result.value, result.strategy) == extract_payload_rescan(text, task)
+
+    @pytest.mark.parametrize("word", ["C(C", "CC)", ")C(C", "[C", "C]", "[[C]]", "C[C",
+                                      "Unknown", "for", "CCCr", "C@C", "C+"])
+    def test_prefilter_skips_words_the_parser_rejects(self, word):
+        assert not calibration._may_parse(word)
+        assert not is_valid_smiles(word)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(alphabet="CNOcnoSBFIlrUHx()[]=#12%@+-.*/\\:$", max_size=12))
+    def test_prefilter_is_sound(self, word):
+        assert calibration._may_parse(word) or not is_valid_smiles(word)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=120))

@@ -10,12 +10,14 @@ import pytest
 from click.testing import CliRunner
 
 import molrag
-from molrag import cli
+from molrag import calibration, cli
 from molrag import store as store_module
 from molrag.bm25 import tokenize
 from molrag.cli import main, run_evaluation, RunConfig, _process_item, _Rankings
+from molrag.fingerprint import morgan_fingerprint
 from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend
 from molrag.prompt import default_template
+from molrag.smiles import parse_smiles
 from molrag.store import (
     STRATEGY_KINDS,
     TASKS,
@@ -73,14 +75,42 @@ def count_mol2cap_retrievals(monkeypatch) -> list:
     retrieve = store_module.retrieve_mol2cap
     calls = []
 
-    def counted(store, query, n, strategy):
+    def counted(store, query, n, strategy, **kwargs):
         calls.append((strategy.kind, query, n))
-        return retrieve(store, query, n, strategy)
+        return retrieve(store, query, n, strategy, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("molrag") and getattr(module, "retrieve_mol2cap", None) is retrieve:
             monkeypatch.setattr(module, "retrieve_mol2cap", counted)
     return calls
+
+
+def count_parses(monkeypatch) -> list:
+    """Record the text of every parse_smiles call made through the store and cli
+    bindings (cli binds none today)."""
+    parse = store_module.parse_smiles
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    for module in (store_module, cli):
+        if getattr(module, "parse_smiles", None) is parse:
+            monkeypatch.setattr(module, "parse_smiles", counted)
+    return calls
+
+
+def graph_check_parses(db, records) -> int:
+    """The parses mol2cap retrieval needs beyond the one per test row at load: once
+    per distinct query SMILES whose bitmap some stored record shares, one of the
+    query and one of each such record, for the graph-equality check."""
+    total = 0
+    for smiles in {rec.smiles for rec in records}:
+        bitmap = morgan_fingerprint(parse_smiles(smiles)).bitmap
+        shared = sum(fp.bitmap == bitmap for fp in db.fingerprints)
+        total += 1 + shared if shared else 0
+    return total
 
 
 def assert_one_line_error(result, *parts):
@@ -444,6 +474,57 @@ class TestEvaluate:
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
         assert calls == []
+
+    def test_mol2cap_parses_each_item_once(self, runner, data_dir, store_dir, corpus_store,
+                                           test_records, tmp_path, monkeypatch):
+        # each item was parsed at load, again in every retrieval, and so was each stored
+        # record sharing its bitmap: 375 parses for these 50 rows, where 357 suffice
+        calls = count_parses(monkeypatch)
+        result = runner.invoke(main, eval_args(data_dir, store_dir, tmp_path / "eval"))
+        assert result.exit_code == 0, result.output
+        assert len(calls) == len(test_records) + graph_check_parses(corpus_store, test_records)
+        assert len(calls) == 357
+        # a grid of three strategies parses no more than one cell: the graph check of a
+        # query is made once, whichever strategy ranks it first
+        calls.clear()
+        args = eval_args(data_dir, store_dir, tmp_path / "eval10", extra=("--limit", "10"))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        one_cell = len(calls)
+        calls.clear()
+        args = [
+            "ablate", str(data_dir / "test_items.tsv"),
+            "--store", str(store_dir),
+            "--task", "mol2cap",
+            "--grid-strategies", "random,bm25,morgan_fts",
+            "--limit", "10",
+            "--replay", str(data_dir / REPLAY_GRID),
+            "--out", str(tmp_path / "grid"),
+        ]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        # every row of the file is parsed at load, --limit or not
+        assert len(calls) == one_cell == (
+            len(test_records) + graph_check_parses(corpus_store, test_records[:10]))
+
+    def test_cap2mol_pattern_fallback_skips_words_that_cannot_parse(
+            self, runner, data_dir, store_dir, tmp_path, monkeypatch):
+        # "Unable. Unknown. Unclear. Unavailable for this request." was parsed word by
+        # word on every attempt: 72 is_valid_smiles calls for the 4 items that fall back
+        calls = []
+        original = calibration.is_valid_smiles
+
+        def counted(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(calibration, "is_valid_smiles", counted)
+        out = tmp_path / "c2m"
+        result = runner.invoke(
+            main, eval_args(data_dir, store_dir, out, task="cap2mol", replay=REPLAY_C2M))
+        assert result.exit_code == 0, result.output
+        assert len(calls) < 72
+        assert sorted(calls) == ["CCCCCCCCCCCCCCCCCCCCCCCCCCCCO", "CCCCCCCCCCCCCCCCCCCCCN"]
 
     def test_empty_test_file_error(self, runner, data_dir, store_dir, tmp_path):
         empty = tmp_path / "empty.tsv"

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from molrag import store as store_module
 from molrag.bm25 import build_index, save_index, top_n
 from molrag.fingerprint import FingerprintParams, dice_similarity, morgan_fingerprint
 from molrag.smiles import molecules_equal, parse_smiles
@@ -17,6 +20,7 @@ from molrag.store import (
     MoleculeRecord,
     ParseFailure,
     RetrievalStrategy,
+    Store,
     StoreIntegrityError,
     build_store,
     load_chebi_tsv,
@@ -25,6 +29,7 @@ from molrag.store import (
     retrieve_mol2cap,
     save_store,
 )
+from oracles import cap2mol_exclusions_scan, mol2cap_exclusions_scan
 from test_bm25 import rewrite_index
 
 
@@ -342,6 +347,121 @@ class TestCap2MolRetrieval:
             for rec in retrieve_cap2mol(corpus_store, query, 5, RetrievalStrategy("bm25_caption"))
         ]
         assert got == expected
+
+
+def fresh(store: Store) -> Store:
+    """The same records, fingerprints and indices, with no lookup table built yet."""
+    return Store(store.records, store.fingerprints, store.caption_index, store.smiles_index)
+
+
+class TestSelfExclusionLookup:
+    """The lookup tables exclude exactly what a scan of the whole store excludes."""
+
+    @pytest.mark.parametrize("name", ["corpus", "mol2cap_crowded"])
+    def test_mol2cap_lookup_matches_scan(self, stores, corpus_records, name):
+        store = fresh(stores[name])
+        queries = ([r.smiles for r in corpus_records] + CROWDED_COPIES
+                   + ["C" * k for k in range(5, 14)] + ["OCC", "OC1=CC=C(C)C(N)=C1"])
+        for query in queries:
+            query_fp = morgan_fingerprint(parse_smiles(query))
+            expected = mol2cap_exclusions_scan(store, query)
+            assert store_module._same_graph_positions(store, query, query_fp, None) == expected, query
+        assert any(mol2cap_exclusions_scan(store, query) for query in queries)
+
+    @pytest.mark.parametrize("kind", ["morgan_fts", "bm25_smiles_chargram", "random"])
+    def test_mol2cap_fingerprint_keyword_changes_nothing(self, stores, corpus_records, kind):
+        strategy = RetrievalStrategy(kind, seed=2 if kind == "random" else None)
+        for name in ("corpus", "mol2cap_crowded"):
+            with_fp, cold = fresh(stores[name]), fresh(stores[name])
+            for query in [r.smiles for r in corpus_records[::7]] + [CROWDED_SMILES, "C" * 9]:
+                query_fp = morgan_fingerprint(parse_smiles(query))
+                for n in (1, 5, 30):
+                    assert (retrieve_mol2cap(with_fp, query, n, strategy, query_fp=query_fp)
+                            == retrieve_mol2cap(cold, query, n, strategy)), (name, query, n)
+
+    @pytest.mark.parametrize("name", ["corpus", "cap2mol_crowded"])
+    def test_cap2mol_lookup_matches_scan(self, stores, corpus_records, name):
+        store = fresh(stores[name])
+        queries = sorted({r.caption for r in store.records}) + [
+            corpus_records[3].caption, CROWDED_CAPTION, CROWDED_CAPTION + " ", "zzzz"]
+        for query in queries:
+            expected = cap2mol_exclusions_scan(store, query)
+            assert set(store._positions_by_caption.get(query, ())) == expected, query
+        assert any(cap2mol_exclusions_scan(store, query) for query in queries)
+
+    def test_morgan_order_is_the_full_sort_under_many_ties(self, corpus_records):
+        # Chains of 7 carbons and more share one bitmap, as do their alcohols and acids
+        # past some length, and each molecule is stored twice: most records tie with
+        # others at every Dice value.
+        smiles = [f"C{'C' * k}{end}" for k in range(2, 26) for end in ("", "O", "C(=O)O")]
+        smiles = smiles * 2 + [r.smiles for r in corpus_records[:20]]
+        random.Random(3).shuffle(smiles)
+        store = build_store(
+            [MoleculeRecord(id=str(i), smiles=s, caption=s) for i, s in enumerate(smiles)],
+            [parse_smiles(s) for s in smiles],
+        )
+        strategy = RetrievalStrategy("morgan_fts")
+        for query in ("CCCCCCCC", "CCCCCCCCCCO", "CCCC(=O)O", corpus_records[30].smiles):
+            query_fp = morgan_fingerprint(parse_smiles(query))
+            dice = [dice_similarity(query_fp, fp) for fp in store.fingerprints]
+            full = sorted(range(len(store)), key=lambda pos: (-dice[pos], pos))
+            assert len(dice) - len(set(dice)) > len(store) // 2
+            for n in range(1, len(store) + 3):
+                assert store_module._ranked(store, query, n, strategy, query_fp) == full[:n]
+
+    def test_threads_on_a_fresh_store_see_complete_tables(self, stores):
+        # More threads than cores race to build the tables and the graph check of one
+        # query on each fresh store; a thread that saw a part of a table, or a check
+        # that another thread had half made, would exclude or return other records.
+        mol_store, cap_store = stores["mol2cap_crowded"], stores["cap2mol_crowded"]
+        morgan, bm25_caption = RetrievalStrategy("morgan_fts"), RetrievalStrategy("bm25_caption")
+        query_fp = morgan_fingerprint(parse_smiles(CROWDED_SMILES))
+        expected = (
+            _positions(fp.bitmap for fp in mol_store.fingerprints),
+            _positions(rec.caption for rec in cap_store.records),
+            retrieve_mol2cap(mol_store, CROWDED_SMILES, 5, morgan),
+            retrieve_cap2mol(cap_store, CROWDED_CAPTION, 5, bm25_caption),
+        )
+        workers = 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                mols, caps = fresh(mol_store), fresh(cap_store)
+                barrier = threading.Barrier(workers)
+                seen = [None] * workers
+
+                def work(k):
+                    barrier.wait()
+                    # half the threads read the tables first, half rank first
+                    tables = () if k % 2 else (mols._positions_by_bitmap,
+                                               caps._positions_by_caption)
+                    ranked = (
+                        retrieve_mol2cap(mols, CROWDED_SMILES, 5, morgan,
+                                         query_fp=query_fp if k % 3 else None),
+                        retrieve_cap2mol(caps, CROWDED_CAPTION, 5, bm25_caption),
+                    )
+                    tables = tables or (mols._positions_by_bitmap, caps._positions_by_caption)
+                    seen[k] = (*tables, *ranked)
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert seen == [expected] * workers, round_
+                assert mols._graph_matches == {
+                    CROWDED_SMILES: mol2cap_exclusions_scan(mol_store, CROWDED_SMILES)}
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _positions(keys) -> dict:
+    table: dict = {}
+    for pos, key in enumerate(keys):
+        table.setdefault(key, []).append(pos)
+    return table
 
 
 class TestPersistence:
