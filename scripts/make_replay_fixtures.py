@@ -132,9 +132,9 @@ def write_fixture(path: Path, entries: dict[str, dict]) -> None:
 
 
 def main() -> None:
-    corpus, molecules, _ = load_chebi_tsv(DATA_DIR / "corpus.tsv")
+    corpus, fingerprints, _ = load_chebi_tsv(DATA_DIR / "corpus.tsv")
     test_items, _, _ = load_chebi_tsv(DATA_DIR / "test_items.tsv")
-    store = build_store(corpus, molecules)
+    store = build_store(corpus, fingerprints)
 
     entries, failures = run_session(
         "mol2cap", test_items, store, 2, RetrievalStrategy("morgan_fts")

@@ -320,12 +320,10 @@ def calibrated_query(
         try:
             extraction = extract_payload(result.raw_text, task)
         except FormatError:
+            # a reply cut at the token limit failed for its length, not its format
+            event = "truncated" if result.finish_reason == "length" else "format_error"
             transcript.append(
-                {
-                    "event": "format_error",
-                    "shot_count": len(examples),
-                    "raw_text": result.raw_text,
-                }
+                {"event": event, "shot_count": len(examples), "raw_text": result.raw_text}
             )
             continue
 

@@ -27,7 +27,7 @@ import click
 
 from molrag import __version__, bm25
 from molrag.calibration import CalibrationFailure, calibrated_query, rank_examples
-from molrag.fingerprint import FingerprintParams, MorganFingerprint, morgan_fingerprint
+from molrag.fingerprint import FingerprintParams, MorganFingerprint
 from molrag.llm import (
     BackendConfig,
     BackendError,
@@ -37,7 +37,14 @@ from molrag.llm import (
     MissingFixture,
     ReplayBackend,
 )
-from molrag.metrics import STATUS_FAILED, STATUS_OK, EvalPair, build_report, render_table
+from molrag.metrics import (
+    STATUS_FAILED,
+    STATUS_OK,
+    EvalPair,
+    build_report,
+    format_columns,
+    render_table,
+)
 from molrag.prompt import PromptError, PromptTemplate, default_template, load_template
 from molrag.smiles import is_valid_smiles
 from molrag.store import (
@@ -223,8 +230,8 @@ def cmd_ingest(tsv_path, out_store, split) -> None:
 
     Fingerprints are Morgan, radius 2, 2,048 bits; BM25 uses k1 1.5 and b 0.75.
     """
-    records, molecules, report = load_chebi_tsv(tsv_path)
-    save_store(build_store(records, molecules, split=split), out_store)
+    records, fingerprints, report = load_chebi_tsv(tsv_path)
+    save_store(build_store(records, fingerprints, split=split), out_store)
     click.echo(
         json.dumps(
             {
@@ -459,12 +466,12 @@ class _Rankings:
     n, so that slice is the ranking at n.
 
     Cells run one after another and a cell hands each item to one worker, so no
-    two threads fill the same key. ``fingerprints[i]``, when given, is item i's
-    query fingerprint, which spares retrieval its parse.
+    two threads fill the same key. ``fingerprints[i]`` is the fingerprint of item
+    i's molecule, which spares a Mol2Cap retrieval its parse.
     """
 
     def __init__(self, db: Store, task: str, cells: list[RunConfig],
-                 fingerprints: list[MorganFingerprint] | None = None) -> None:
+                 fingerprints: list[MorganFingerprint]) -> None:
         self.db, self.task, self.fingerprints = db, task, fingerprints
         self.depth: dict[RetrievalStrategy, int] = {}
         for cell in cells:
@@ -479,40 +486,25 @@ class _Rankings:
                 return []
             ranked = self.ranked.get((strategy, index))
             if ranked is None:
-                query_fp = self.fingerprints[index] if self.fingerprints else None
                 ranked = self.ranked[strategy, index] = rank_examples(
                     self.db, self.task, query, self.depth[strategy], strategy,
-                    query_fp=query_fp)
+                    query_fp=self.fingerprints[index])
             return ranked[:n]
 
         return rank
-
-
-def _load_test_items(test_tsv: str, task: str, limit: int | None):
-    """The first ``limit`` kept test records, each one's query fingerprint when the
-    task queries by molecule (else None), and the ingest report.
-
-    Each molecule is fingerprinted right after its one parse, with one identifier
-    memo for the file; the molecules and the memo are dropped on return.
-    """
-    records, molecules, ingest_report = load_chebi_tsv(test_tsv)
-    fingerprints = None
-    if task == "mol2cap":
-        memo: dict = {}
-        fingerprints = [morgan_fingerprint(mol, memo=memo) for mol in molecules[:limit]]
-    return records[:limit], fingerprints, ingest_report
 
 
 def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[dict]:
     """Run each cell of an evaluate or ablate command into its ``out_path``; returns
     their reports.
 
-    The store, template and test records are loaded once, before any file is
-    written, and one :class:`_Rankings` serves every cell.
+    The store, template and test records (the first ``base.limit`` kept rows, each
+    with its fingerprint) are loaded once, before any file is written, and one
+    :class:`_Rankings` serves every cell.
     """
     db = load_store(base.store_path)
     tmpl = _load_prompt_template(base)
-    records, fingerprints, ingest_report = _load_test_items(test_tsv, base.task, base.limit)
+    records, fingerprints, ingest_report = load_chebi_tsv(test_tsv, base.limit)
     if not records:
         raise click.ClickException(f"no usable rows in {test_tsv}")
     sources = {
@@ -602,19 +594,11 @@ def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None
 
 
 def _comparison_table(comparison: dict) -> str:
-    cells = comparison["cells"]
+    cells = sorted(comparison["cells"], key=lambda c: (c["n_shots"], c["strategy"]))
     metric_names = sorted(cells[0]["metrics"])
-    header = ["method"] + metric_names
-    rows = []
-    for cell in sorted(cells, key=lambda c: (c["n_shots"], c["strategy"])):
-        label = f"{cell['n_shots']}-shot ({cell['strategy']})"
-        rows.append([label] + [f"{cell['metrics'][m]:.3f}" for m in metric_names])
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    lines.append("-" * len(lines[0]))
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    rows = [[f"{cell['n_shots']}-shot ({cell['strategy']})",
+             *(f"{cell['metrics'][m]:.3f}" for m in metric_names)] for cell in cells]
+    return "\n".join(format_columns(["method", *metric_names], rows)) + "\n"
 
 
 # ---------------------------------------------------------------------------

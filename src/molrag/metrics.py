@@ -351,6 +351,15 @@ def build_report(pairs: list[EvalPair], task: str, config: dict) -> dict:
     }
 
 
+def format_columns(header: list[str], rows: list[list[str]]) -> list[str]:
+    """The header, a dash rule as long as it and the rows, each column left-justified
+    to its widest cell and two spaces from the next."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    head, *body = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+                   for row in (header, *rows)]
+    return [head, "-" * len(head), *body]
+
+
 def render_table(report: dict) -> str:
     """Aligned-column text table mirroring the standard column ordering."""
     task = report["task"]
@@ -364,15 +373,10 @@ def render_table(report: dict) -> str:
             values.append(f"{report['metrics'][key]:.2f}")
         else:
             values.append(f"{report['metrics'][key]:.3f}")
-    widths = [max(len(h), len(v)) for h, v in zip(headers, values)]
-    head = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    body = "  ".join(v.ljust(w) for v, w in zip(values, widths))
     counts = report["counts"]
     lines = [
         f"task: {task}",
-        head,
-        "-" * len(head),
-        body,
+        *format_columns(headers, [values]),
         "",
         f"items: {counts['items']}  calibration_failed: {counts['calibration_failed']}",
     ]

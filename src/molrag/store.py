@@ -132,22 +132,35 @@ class IngestReport:
         return self.kept / self.total_rows if self.total_rows else 0.0
 
 
-def load_chebi_tsv(path) -> tuple[list[MoleculeRecord], list[Molecule], IngestReport]:
+def load_chebi_tsv(
+    path, limit: int | None = None
+) -> tuple[list[MoleculeRecord], list[MorganFingerprint], IngestReport]:
     """Read a molecule-caption TSV; malformed rows are quarantined, not fatal.
 
-    Returns the kept records, the parsed molecule of each (in record order)
-    and the ingest report.
+    Returns the kept records, the default Morgan fingerprint of each (in record
+    order) and the ingest report. The file is read a line at a time and each
+    row's SMILES is parsed once; its molecule is fingerprinted right away and
+    dropped. One identifier memo serves the whole file and is dropped on return.
+    With a ``limit`` reading stops after that many kept rows, and the report
+    covers the rows read.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return _read_rows(path, fh, limit)
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+
+
+def _read_rows(path: Path, fh, limit: int | None):
+    """:func:`load_chebi_tsv` over the open file ``fh``."""
+    # the lines str.splitlines gives for the whole text, read one chunk at a time
+    lines = (line for chunk in fh for line in chunk.splitlines())
+    header_line = next(lines, "")
+    if not header_line.strip():
         raise EmptyFile(f"{path} has no header row")
 
-    header = lines[0].split("\t")
+    header = header_line.split("\t")
     missing = [col for col in _REQUIRED_COLUMNS if col not in header]
     if missing:
         raise MissingColumn(f"{path} lacks column(s): {', '.join(missing)}")
@@ -157,10 +170,13 @@ def load_chebi_tsv(path) -> tuple[list[MoleculeRecord], list[Molecule], IngestRe
     desc_last = desc_idx == len(header) - 1
 
     records: list[MoleculeRecord] = []
-    molecules: list[Molecule] = []
+    fingerprints: list[MorganFingerprint] = []
     quarantined: list[QuarantinedRow] = []
+    memo: dict = {}
     total = 0
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines, start=2):
+        if len(records) == limit:
+            break
         if not line.strip():
             continue
         total += 1
@@ -181,9 +197,9 @@ def load_chebi_tsv(path) -> tuple[list[MoleculeRecord], list[Molecule], IngestRe
             quarantined.append(QuarantinedRow(line_no, f"{type(exc).__name__}: {exc}", line))
             continue
         records.append(MoleculeRecord(id=cid, smiles=smiles, caption=caption))
-        molecules.append(mol)
+        fingerprints.append(morgan_fingerprint(mol, memo=memo))
     report = IngestReport(total_rows=total, kept=len(records), quarantined=tuple(quarantined))
-    return records, molecules, report
+    return records, fingerprints, report
 
 
 @dataclass(eq=False)
@@ -232,25 +248,20 @@ def _positions_by(keys) -> dict:
 
 
 def build_store(
-    records: list[MoleculeRecord], molecules: list[Molecule], *, split: str = "train"
+    records: list[MoleculeRecord], fingerprints: list[MorganFingerprint], *,
+    split: str = "train",
 ) -> Store:
-    """Fingerprint every record and build both BM25 indices, all under the default
-    parameters.
-
-    ``molecules[i]`` is the parsed ``records[i].smiles``, as ``load_chebi_tsv``
-    returns it. One identifier memo serves the whole build and is dropped with it.
-    """
+    """Build both BM25 indices over ``records`` and keep ``fingerprints[i]``, the
+    default fingerprint of ``records[i].smiles`` as ``load_chebi_tsv`` returns it."""
     if not records:
         raise EmptyStore("no records to build a store from")
-    if len(molecules) != len(records):
-        raise ValueError(f"{len(records)} records but {len(molecules)} molecules")
-    memo: dict = {}
-    fingerprints = [morgan_fingerprint(mol, memo=memo) for mol in molecules]
+    if len(fingerprints) != len(records):
+        raise ValueError(f"{len(records)} records but {len(fingerprints)} fingerprints")
     caption_index = bm25.build_index([rec.caption for rec in records], tokenizer_mode="caption")
     smiles_index = bm25.build_index(
         [rec.smiles for rec in records], tokenizer_mode="smiles_chargram"
     )
-    return Store(list(records), fingerprints, caption_index, smiles_index, split=split)
+    return Store(list(records), list(fingerprints), caption_index, smiles_index, split=split)
 
 
 def _check_request(store: Store, task: str, n: int, strategy: RetrievalStrategy) -> None:

@@ -5,7 +5,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from molrag.smiles import parse_smiles
 from molrag.store import build_store, load_chebi_tsv
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -24,20 +23,25 @@ def data_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def corpus_records():
-    records, _, report = load_chebi_tsv(DATA_DIR / "corpus.tsv")
+def corpus_tsv():
+    records, fingerprints, report = load_chebi_tsv(DATA_DIR / "corpus.tsv")
     assert not report.quarantined
-    return records
+    return records, fingerprints
 
 
 @pytest.fixture(scope="session")
-def corpus_molecules(corpus_records):
-    return [parse_smiles(rec.smiles) for rec in corpus_records]
+def corpus_records(corpus_tsv):
+    return corpus_tsv[0]
 
 
 @pytest.fixture(scope="session")
-def corpus_store(corpus_records, corpus_molecules):
-    return build_store(corpus_records, corpus_molecules)
+def corpus_fingerprints(corpus_tsv):
+    return corpus_tsv[1]
+
+
+@pytest.fixture(scope="session")
+def corpus_store(corpus_records, corpus_fingerprints):
+    return build_store(corpus_records, corpus_fingerprints)
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,8 @@ from molrag.calibration import (
     rank_examples,
 )
 from molrag.cli import _make_run_config
-from molrag.llm import BackendError, ChatClient
-from molrag.prompt import default_template
+from molrag.llm import BackendError, ChatClient, ReplayBackend, prompt_digest
+from molrag.prompt import build_prompt, default_template
 from molrag.smiles import is_valid_smiles
 from molrag.store import RetrievalStrategy, retrieve_mol2cap
 from backends import ScriptedBackend
@@ -303,6 +303,23 @@ class TestLoop:
         out = run([GARBAGE, GOOD_CAPTION], n=1, store=corpus_store)
         assert out.query_count == 2
         assert out.final_shot_count == 1
+
+    @pytest.mark.parametrize("finish, event", [("length", "truncated"), ("stop", "format_error")])
+    def test_truncated_reply_is_its_own_event(self, tmp_path, finish, event):
+        # a reply cut at the token limit was recorded as a format error
+        template, query = default_template("cap2mol"), "An alcohol caption."
+        reply = '{"molecule": "CC('
+        fixture = tmp_path / "replay.jsonl"
+        entry = {"digest": prompt_digest(build_prompt(template, query, [])),
+                 "response": reply, "finish_reason": finish}
+        fixture.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        client = ChatClient(ReplayBackend(fixture), max_retries=0, backoff_base=0.0)
+        with pytest.raises(CalibrationFailure) as err:
+            calibrated_query(client, template, query, [], ALLOWANCE)
+        # each one is charged to the allowance, as a format error is
+        assert err.value.query_count == ALLOWANCE
+        attempt = {"event": event, "shot_count": 0, "raw_text": reply}
+        assert err.value.attempts == [attempt] * ALLOWANCE
 
     def test_repairs_recorded(self, corpus_store):
         out = run(["Caption: something adequate"], n=1, store=corpus_store)

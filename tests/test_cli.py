@@ -13,9 +13,10 @@ import molrag
 from molrag import calibration, cli
 from molrag import store as store_module
 from molrag.bm25 import tokenize
-from molrag.cli import main, run_evaluation, RunConfig, _process_item, _Rankings
+from molrag.cli import main, run_evaluation, RunConfig, _comparison_table, _process_item, _Rankings
 from molrag.fingerprint import morgan_fingerprint
 from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend
+from molrag.metrics import build_report, render_table
 from molrag.prompt import default_template
 from molrag.smiles import parse_smiles
 from molrag.store import (
@@ -28,6 +29,7 @@ from molrag.store import (
     save_store,
 )
 from backends import ScriptedBackend
+from test_metrics import CAPTION_PAIRS, SMILES_PAIRS, pairs
 
 REPLAY_M2C = "replay_eval_mol2cap.jsonl"
 REPLAY_C2M = "replay_eval_cap2mol.jsonl"
@@ -503,9 +505,28 @@ class TestEvaluate:
         ]
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
-        # every row of the file is parsed at load, --limit or not
-        assert len(calls) == one_cell == (
-            len(test_records) + graph_check_parses(corpus_store, test_records[:10]))
+        # reading stops after the 10th kept row: 50 parses at load once, 10 now
+        assert len(calls) == one_cell == 10 + graph_check_parses(corpus_store, test_records[:10])
+
+    def test_limit_stops_reading_the_test_file(self, runner, data_dir, store_dir, test_records,
+                                               tmp_path, monkeypatch):
+        # the rows after the 5th kept one were parsed too, and the unparseable one among
+        # them was counted in the manifest's quarantined_rows, though no item reads it
+        lines = (data_dir / "test_items.tsv").read_text(encoding="utf-8").splitlines(True)
+        tsv = tmp_path / "test.tsv"
+        tsv.write_text("".join(lines[:6]) + "900\tC1CC\tan unclosed ring\n" + "".join(lines[6:]),
+                       encoding="utf-8")
+        assert len(load_chebi_tsv(tsv)[2].quarantined) == 1
+        calls = count_parses(monkeypatch)
+        out = tmp_path / "eval"
+        args = eval_args(data_dir, store_dir, out, extra=("--limit", "5"))
+        args[1] = str(tsv)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert calls[:5] == [rec.smiles for rec in test_records[:5]]
+        assert "C1CC" not in calls
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert (manifest["items"], manifest["quarantined_rows"]) == (5, 0)
 
     def test_cap2mol_pattern_fallback_skips_words_that_cannot_parse(
             self, runner, data_dir, store_dir, tmp_path, monkeypatch):
@@ -590,25 +611,25 @@ class TestEvaluate:
             backend=None,
             limit=10,
         )
-        records, _, _ = load_chebi_tsv(data_dir / "test_items.tsv")
+        records, fingerprints, _ = load_chebi_tsv(data_dir / "test_items.tsv", config.limit)
         store = load_store(store_dir)
         report = run_evaluation(
             config,
             store,
             default_template("mol2cap"),
-            records[: config.limit],
+            records,
             {},
             tmp_path / "offline",
-            _Rankings(store, "mol2cap", [config]).for_cell(config),
+            _Rankings(store, "mol2cap", [config], fingerprints).for_cell(config),
         )
         assert report["counts"]["items"] == 10
 
 
     @pytest.mark.parametrize("change", ["n_shots", "test_order", "store"])
-    def test_stale_resume_refused(self, runner, data_dir, corpus_records, corpus_molecules,
+    def test_stale_resume_refused(self, runner, data_dir, corpus_records, corpus_fingerprints,
                                   tmp_path, change):
         store = tmp_path / "store"
-        save_store(build_store(corpus_records, corpus_molecules), store)
+        save_store(build_store(corpus_records, corpus_fingerprints), store)
         tsv = tmp_path / "test.tsv"
         lines = (data_dir / "test_items.tsv").read_text(encoding="utf-8").splitlines(True)
         tsv.write_text("".join(lines), encoding="utf-8")
@@ -626,7 +647,7 @@ class TestEvaluate:
             tsv.write_text(lines[0] + "".join(reversed(lines[1:])), encoding="utf-8")
             key = "test_sha256"
         else:
-            save_store(build_store(corpus_records[1:], corpus_molecules[1:]), store)
+            save_store(build_store(corpus_records[1:], corpus_fingerprints[1:]), store)
             key = "store_manifest_sha256"
         result = runner.invoke(main, args)
         assert result.exit_code != 0
@@ -750,7 +771,8 @@ class TestEvaluate:
             backend=None,
         )
         tmpl = default_template("mol2cap")
-        rank = _Rankings(corpus_store, "mol2cap", [config]).for_cell(config)
+        fingerprints = [morgan_fingerprint(parse_smiles(test_records[0].smiles))]
+        rank = _Rankings(corpus_store, "mol2cap", [config], fingerprints).for_cell(config)
 
         def row(script, stop):
             client = ChatClient(ScriptedBackend(script), max_retries=0, backoff_base=0.0)
@@ -1032,3 +1054,37 @@ class TestBadPaths:
         result = runner.invoke(main, args)
         assert_one_line_error(result, message)
         assert blocker.read_text(encoding="utf-8") == "x"
+
+
+def test_report_and_comparison_tables_keep_their_bytes():
+    # one column formatter lays out report.txt and comparison.txt
+    assert render_table(build_report(pairs(SMILES_PAIRS), "cap2mol", {})) == (
+        "task: cap2mol\n"
+        "BLEU-2  BLEU-4  EM     Levenshtein  MACCS FTS  RDK FTS  Morgan FTS  FCD  Text2Mol  Validity\n"
+        "-------------------------------------------------------------------------------------------\n"
+        "0.287   0.001   0.200  3.20         n/a        n/a      0.280       n/a  n/a       0.800   \n"
+        "\n"
+        "items: 5  calibration_failed: 0\n"
+        "valid: 4  invalid: 1\n"
+    )
+    assert render_table(build_report(pairs(CAPTION_PAIRS), "mol2cap", {})) == (
+        "task: mol2cap\n"
+        "BLEU-2  BLEU-4  ROUGE-1  ROUGE-2  ROUGE-L  METEOR  Text2Mol\n"
+        "-----------------------------------------------------------\n"
+        "0.412   0.385   0.467    0.371    0.467    n/a     n/a     \n"
+        "\n"
+        "items: 5  calibration_failed: 0\n"
+    )
+    cells = [(2, "morgan_fts", 0.5, 0.25, 0.125), (10, "bm25", 0.0625, 0.0, 1.0),
+             (0, "random", 0.375, 1.0, 0.0)]
+    comparison = {"cells": [
+        {"n_shots": n, "strategy": name, "metrics": {"bleu2": b, "em": e, "rouge_l": r}}
+        for n, name, b, e, r in cells
+    ]}
+    assert _comparison_table(comparison) == (
+        "method               bleu2  em     rouge_l\n"
+        "------------------------------------------\n"
+        "0-shot (random)      0.375  1.000  0.000  \n"
+        "2-shot (morgan_fts)  0.500  0.250  0.125  \n"
+        "10-shot (bm25)       0.062  0.000  1.000  \n"
+    )

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,10 @@ from oracles import cap2mol_exclusions_scan, mol2cap_exclusions_scan
 from test_bm25 import rewrite_index
 
 
+def fingerprints_of(smiles) -> list:
+    return [morgan_fingerprint(parse_smiles(text)) for text in smiles]
+
+
 def write_tsv(path, rows, header="CID\tSMILES\tdescription"):
     path.write_text(header + "\n" + "".join(f"{r}\n" for r in rows), encoding="utf-8")
     return path
@@ -56,7 +61,7 @@ def crowded_mol2cap_store(corpus_records):
     random.Random(5).shuffle(smiles)
     return build_store(
         [MoleculeRecord(id=str(i), smiles=s, caption=f"c{i}") for i, s in enumerate(smiles)],
-        [parse_smiles(s) for s in smiles],
+        fingerprints_of(smiles),
     )
 
 
@@ -70,7 +75,7 @@ def crowded_cap2mol_store(corpus_records):
     return build_store(
         [MoleculeRecord(id=str(i), smiles="C" * (1 + i % 9), caption=c)
          for i, c in enumerate(captions)],
-        [parse_smiles("C" * (1 + i % 9)) for i in range(len(captions))],
+        fingerprints_of("C" * (1 + i % 9) for i in range(len(captions))),
     )
 
 
@@ -125,14 +130,14 @@ class TestIngest:
         with pytest.raises(IoFailure):
             load_chebi_tsv(tmp_path / "does-not-exist.tsv")
 
-    def test_molecules_pair_with_kept_records(self, tmp_path):
+    def test_fingerprints_pair_with_kept_records(self, tmp_path):
         path = write_tsv(
             tmp_path / "mixed.tsv",
             ["1\tCCO\tethanol text", "2\tC1CC\tunclosed ring", "3\tc1ccccc1\tbenzene text"],
         )
-        records, molecules, report = load_chebi_tsv(path)
+        records, fingerprints, report = load_chebi_tsv(path)
         assert [r.id for r in records] == ["1", "3"] and report.kept == 2
-        assert molecules == [parse_smiles("CCO"), parse_smiles("c1ccccc1")]
+        assert fingerprints == fingerprints_of(["CCO", "c1ccccc1"])
 
     def test_column_order_free(self, tmp_path):
         path = write_tsv(
@@ -144,6 +149,47 @@ class TestIngest:
         assert records[0].smiles == "CCO"
         assert records[0].caption == "ethanol text"
 
+    def test_limit_stops_after_that_many_kept_rows(self, tmp_path, monkeypatch):
+        path = write_tsv(
+            tmp_path / "mixed.tsv",
+            ["1\tCCO\tethanol", "2\tC1CC\tunclosed ring", "3\tCC\tethane", "4\tC1CC\tagain"],
+        )
+        parsed = []
+        monkeypatch.setattr(store_module, "parse_smiles",
+                            lambda text, _parse=parse_smiles: parsed.append(text) or _parse(text))
+        records, fingerprints, report = load_chebi_tsv(path, limit=2)
+        assert [r.id for r in records] == ["1", "3"]
+        assert fingerprints == fingerprints_of(["CCO", "CC"])
+        assert parsed == ["CCO", "C1CC", "CC"]
+        assert (report.total_rows, report.kept, len(report.quarantined)) == (3, 2, 1)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\x1c"])
+    def test_any_line_break_ends_a_row(self, tmp_path, newline):
+        path = tmp_path / "breaks.tsv"
+        path.write_bytes(newline.join(["CID\tSMILES\tdescription", "1\tCCO\tethanol",
+                                       "2\tCC\tethane", ""]).encode("utf-8"))
+        records, _, report = load_chebi_tsv(path)
+        assert [r.caption for r in records] == ["ethanol", "ethane"]
+        assert not report.quarantined
+
+    def test_ingest_holds_fingerprints_not_molecules(self, data_dir, tmp_path):
+        # every parsed molecule was kept until build_store had fingerprinted them all:
+        # a peak of 7.35 MiB for these 2,000 rows on Python 3.11, against 2.56 MiB when
+        # each molecule is fingerprinted and dropped as it is read
+        rows = (data_dir / "corpus.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        count = 2000
+        path = write_tsv(tmp_path / "big.tsv", [
+            f"{i}\t{rows[i % len(rows)].split(chr(9), 1)[1]}" for i in range(count)])
+        tracemalloc.start()
+        try:
+            records, fingerprints, _ = load_chebi_tsv(path)
+            build_store(records, fingerprints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == count
+        assert peak < count * 2048
+
     def test_ordering_preserved(self, corpus_records):
         ids = [r.id for r in corpus_records]
         assert ids == sorted(ids, key=int)
@@ -154,9 +200,9 @@ class TestBuild:
         with pytest.raises(EmptyStore):
             build_store([], [])
 
-    def test_records_and_molecules_must_pair(self, corpus_records, corpus_molecules):
-        with pytest.raises(ValueError, match="3 records but 2 molecules"):
-            build_store(corpus_records[:3], corpus_molecules[:2])
+    def test_records_and_fingerprints_must_pair(self, corpus_records, corpus_fingerprints):
+        with pytest.raises(ValueError, match="3 records but 2 fingerprints"):
+            build_store(corpus_records[:3], corpus_fingerprints[:2])
 
     def test_fingerprints_precomputed(self, corpus_store):
         assert corpus_store.fingerprints == [
@@ -174,9 +220,9 @@ class TestBuild:
         for strategy in (RetrievalStrategy("bm25_caption"), RetrievalStrategy("random", seed=1)):
             assert len(retrieve_cap2mol(corpus_store, "an alcohol caption", 5, strategy)) == 5
 
-    def test_rebuild_identical_manifests(self, corpus_records, corpus_molecules, tmp_path):
-        store_a = build_store(list(corpus_records), list(corpus_molecules))
-        store_b = build_store(list(corpus_records), list(corpus_molecules))
+    def test_rebuild_identical_manifests(self, corpus_records, corpus_fingerprints, tmp_path):
+        store_a = build_store(list(corpus_records), list(corpus_fingerprints))
+        store_b = build_store(list(corpus_records), list(corpus_fingerprints))
         save_store(store_a, tmp_path / "a")
         save_store(store_b, tmp_path / "b")
         manifest_a = json.loads((tmp_path / "a" / "manifest.json").read_text())
@@ -398,7 +444,7 @@ class TestSelfExclusionLookup:
         random.Random(3).shuffle(smiles)
         store = build_store(
             [MoleculeRecord(id=str(i), smiles=s, caption=s) for i, s in enumerate(smiles)],
-            [parse_smiles(s) for s in smiles],
+            fingerprints_of(smiles),
         )
         strategy = RetrievalStrategy("morgan_fts")
         for query in ("CCCCCCCC", "CCCCCCCCCCO", "CCCC(=O)O", corpus_records[30].smiles):
