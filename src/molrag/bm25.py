@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 K1 = 1.5
 B = 0.75
+# Length of the character n-grams that the smiles_chargram mode indexes.
+CHARGRAM_SIZE = 3
 
 _MAGIC = b"BM25"
 _FORMAT_VERSION = 3
@@ -57,14 +59,14 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def tokenize_chargrams(text: str, n: int = 3) -> list[str]:
-    """Character n-grams (case preserved; SMILES case is significant)."""
+def tokenize_chargrams(text: str) -> list[str]:
+    """Character 3-grams (case preserved; SMILES case is significant)."""
     text = text.strip()
     if not text:
         return []
-    if len(text) <= n:
+    if len(text) <= CHARGRAM_SIZE:
         return [text]
-    return [text[i : i + n] for i in range(len(text) - n + 1)]
+    return [text[i : i + CHARGRAM_SIZE] for i in range(len(text) - CHARGRAM_SIZE + 1)]
 
 
 _TOKENIZERS = {"caption": tokenize, "smiles_chargram": tokenize_chargrams}

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from molrag.fingerprint import MorganFingerprint
 from molrag.llm import BackendError, ChatClient
 from molrag.prompt import PromptTemplate, build_prompt, drop_longest_example
-from molrag.smiles import is_valid_smiles
+from molrag.smiles import TOKEN_RUN, branches_nest, is_valid_smiles
 from molrag.store import (
     TASKS,
     MoleculeRecord,
@@ -40,9 +40,6 @@ STRATEGY_PATTERN = "pattern_fallback"
 
 # Characters that may appear in a SMILES string; used by the pattern fallback.
 _SMILES_CHARS = re.compile(r"[A-Za-z0-9@+\-\[\]\(\)=#$%/\\.:*]+")
-# The tokens the parser reads outside brackets, and bracket atoms: a word that is not a
-# run of them, such as "Unknown" or "C]", fails to parse however its atoms bond.
-_SMILES_TOKENS = re.compile(r"(?:Cl|Br|[BCNOPSFIbcnops*0-9%=#$:/\\.()\-]|\[[^\[\]]*\])+")
 _CAPTION_LABEL = re.compile(r"caption\W{0,3}[:=]\s*(.+?)\s*(?:$|\n)", re.IGNORECASE)
 # The characters that move a brace scan; the text between them leaves its state as it is.
 _SCAN_MARKS = re.compile(r'["\\{}]')
@@ -163,18 +160,8 @@ def _literal_eval_quiet(text: str):
 
 def _may_parse(word: str) -> bool:
     """False for a word the SMILES parser is sure to reject: one that is not a run of
-    its tokens, or whose parentheses close a branch never opened or leave one open."""
-    if not _SMILES_TOKENS.fullmatch(word):
-        return False
-    depth = 0
-    for ch in word:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
+    its tokens, such as "Unknown" or "C]", or whose branches do not nest."""
+    return TOKEN_RUN.fullmatch(word) is not None and branches_nest(word)
 
 
 def _try_pattern(text: str, output_field: str) -> str | None:

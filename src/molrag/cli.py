@@ -13,7 +13,6 @@ max_retries takes the backend JSON's value before its default.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import sys
 import threading
@@ -55,6 +54,7 @@ from molrag.store import (
     Store,
     StoreError,
     build_store,
+    file_sha256,
     load_chebi_tsv,
     load_store,
     resolve_strategy,
@@ -509,7 +509,7 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
         raise click.ClickException(f"no usable rows in {test_tsv}")
     sources = {
         "test_file": str(test_tsv),
-        "test_sha256": hashlib.sha256(Path(test_tsv).read_bytes()).hexdigest(),
+        "test_sha256": file_sha256(test_tsv),
         "quarantined_rows": len(ingest_report.quarantined),
         "store_path": str(base.store_path),
         "store_manifest_sha256": db.manifest_sha256,

@@ -13,7 +13,7 @@ from molrag.smiles.model import (
     UnknownToken,
     UnmatchedRingClosure,
 )
-from molrag.smiles.parser import parse_smiles
+from molrag.smiles.parser import TOKEN_RUN, branches_nest, parse_smiles
 from molrag.smiles.validity import is_valid_smiles
 
 __all__ = [
@@ -24,9 +24,11 @@ __all__ = [
     "InvalidBracketAtom",
     "Molecule",
     "SmilesError",
+    "TOKEN_RUN",
     "UnbalancedParenthesis",
     "UnknownToken",
     "UnmatchedRingClosure",
+    "branches_nest",
     "is_valid_smiles",
     "molecules_equal",
     "parse_smiles",

@@ -1,19 +1,36 @@
 """SMILES string parser.
 
-Covers the Daylight grammar minus reaction syntax: organic-subset atoms,
-bracket atoms, single/double/triple/quadruple/aromatic bonds, directional
-bond markers, branches, ring closures (digit and ``%nn``) and dot-separated
-fragments. A directional marker ``/`` or ``\\`` reads as a single bond;
-chirality tokens ``@``/``@@`` and atom-map classes are consumed and discarded.
+Covers the Daylight grammar minus reaction syntax. Outside brackets a SMILES
+string is a run of tokens, each read by one match of ``_TOKENS``:
+
+- an organic-subset atom ``B C N O P S F Cl Br I``, an aromatic one
+  ``b c n o p s``, or the wildcard ``*``;
+- a bracket atom ``[...]`` (no ``[`` inside);
+- a ring closure: one digit, or ``%`` and two digits;
+- a bond ``- = # $ :``, or a directional marker ``/`` or ``\\``, which reads
+  as a single bond;
+- a branch ``(`` or ``)``;
+- a dot, which separates fragments.
+
+A bracket atom's body is one match of ``_BRACKET``, in this order: an isotope
+(digits); an element symbol, ``*``, or an aromatic ``b c n o p s se as``;
+chirality ``@`` or ``@@``, consumed and discarded; ``H`` and an optional
+hydrogen count; a charge, either a repeated sign (``--``) or one sign and a
+number (``+2``); and an atom-map class ``:`` and digits, consumed and
+discarded. Digits are ASCII digits throughout.
+
+Text that is not a run of these tokens (:data:`TOKEN_RUN`) or whose branches
+do not nest (:func:`branches_nest`) never parses; the reply pre-filter asks
+these two cheap questions before it parses a word.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from molrag.smiles.model import (
     AROMATIC_ELIGIBLE,
-    ELEMENTS,
     ORGANIC_SUBSET,
     WILDCARD,
     Atom,
@@ -27,6 +44,35 @@ from molrag.smiles.model import (
     UnmatchedRingClosure,
 )
 
+# [0-9] rather than \d: \d also matches digits such as "٣" that SMILES does not allow.
+_TOKENS = r"""
+    (?P<organic> Cl | Br | [BCNOPSFIbcnops*] )
+  | \[ (?P<bracket> [^\[\]]* ) \]
+  | (?P<ring> [0-9] | %[0-9]{2} )
+  | (?P<bond> [-=#$:] )
+  | (?P<stereo> [/\\] )
+  | (?P<open> \( )
+  | (?P<close> \) )
+  | (?P<dot> \. )
+"""
+# The last alternative takes any character that starts no token, so finditer leaves no gap.
+_TOKEN = re.compile(_TOKENS + r"| (?P<other> . )", re.VERBOSE | re.DOTALL)
+
+# TOKEN_RUN.fullmatch(text) is None for text that is not a run of these tokens.
+TOKEN_RUN = re.compile(f"(?:{_TOKENS})+", re.VERBOSE)
+
+_BRACKET = re.compile(
+    r"""
+    (?P<isotope> [0-9]+ )?
+    (?: (?P<element> \* | [A-Z][a-z]? ) | (?P<aromatic> se | as | [bcnops] ) )
+    @{0,2}
+    (?: H (?P<hydrogens> [0-9]* ) )?
+    (?: (?P<sign> \++ | -+ ) (?P<charge> [0-9]+ )? )?
+    (?: : [0-9]+ )?
+    """,
+    re.VERBOSE,
+)
+
 _BOND_SYMBOLS = {
     "-": BondOrder.SINGLE,
     "=": BondOrder.DOUBLE,
@@ -35,11 +81,11 @@ _BOND_SYMBOLS = {
     ":": BondOrder.AROMATIC,
 }
 
-# ASCII only: str.isdigit also accepts digits such as "²" that int() rejects.
-_DIGITS = frozenset("0123456789")
-
-# Lowercase forms allowed outside brackets.
-_AROMATIC_ORGANIC = frozenset({"b", "c", "n", "o", "p", "s"})
+# One shared instance per atom written without brackets: an Atom is frozen and compares by value.
+_ORGANIC = {symbol: Atom(element=symbol) for symbol in ORGANIC_SUBSET | {WILDCARD}} | {
+    symbol.lower(): Atom(element=symbol, aromatic=True)
+    for symbol in ORGANIC_SUBSET & AROMATIC_ELIGIBLE
+}
 
 
 @dataclass
@@ -67,72 +113,49 @@ def parse_smiles(text: str) -> Molecule:
         raise UnknownToken("empty SMILES string")
 
     st = _State()
-    pos = 0
-    n = len(text)
-
-    while pos < n:
-        ch = text[pos]
-
-        if ch == ".":
-            if st.pending is not None:
-                raise UnknownToken(f"bond symbol before fragment separator at position {pos}")
-            st.prev_atom = None
-            pos += 1
-            continue
-
-        if ch in _BOND_SYMBOLS:
-            if st.pending is not None:
-                raise UnknownToken(f"two consecutive bond symbols at position {pos}")
-            st.pending = _BOND_SYMBOLS[ch]
-            pos += 1
-            continue
-
-        if ch in "/\\":
-            if st.pending is not None and st.pending is not BondOrder.SINGLE:
-                raise UnknownToken(f"stereo marker on non-single bond at position {pos}")
-            st.pending = BondOrder.SINGLE
-            pos += 1
-            continue
-
-        if ch == "(":
+    for m in _TOKEN.finditer(text):
+        kind, token = m.lastgroup, m.group()
+        if kind == "organic":
+            _add_atom(st, _ORGANIC[token])
+        elif kind == "bracket":
+            _add_atom(st, _bracket_atom(token))
+        elif kind == "ring":
             if st.prev_atom is None:
-                raise UnbalancedParenthesis(f"branch opened before any atom at position {pos}")
+                raise UnmatchedRingClosure(f"ring closure before any atom at position {m.start()}")
+            _ring_closure(st, int(token.lstrip("%")))
+        elif kind == "bond":
             if st.pending is not None:
-                raise UnknownToken(f"bond symbol before '(' at position {pos}")
+                raise UnknownToken(f"two consecutive bond symbols at position {m.start()}")
+            st.pending = _BOND_SYMBOLS[token]
+        elif kind == "stereo":
+            if st.pending is not None and st.pending is not BondOrder.SINGLE:
+                raise UnknownToken(f"stereo marker on non-single bond at position {m.start()}")
+            st.pending = BondOrder.SINGLE
+        elif kind == "open":
+            if st.prev_atom is None:
+                raise UnbalancedParenthesis(f"branch opened before any atom at {m.start()}")
+            if st.pending is not None:
+                raise UnknownToken(f"bond symbol before '(' at position {m.start()}")
             st.branch_stack.append((st.prev_atom, len(st.atoms)))
-            pos += 1
-            continue
-
-        if ch == ")":
+        elif kind == "close":
             if not st.branch_stack:
-                raise UnbalancedParenthesis(f"')' without matching '(' at position {pos}")
+                raise UnbalancedParenthesis(f"')' without matching '(' at position {m.start()}")
             if st.pending is not None:
-                raise EmptyBranch(f"branch ends with a dangling bond at position {pos}")
+                raise EmptyBranch(f"branch ends with a dangling bond at position {m.start()}")
             parent, count_at_open = st.branch_stack.pop()
             if len(st.atoms) == count_at_open:
-                raise EmptyBranch(f"empty branch closing at position {pos}")
+                raise EmptyBranch(f"empty branch closing at position {m.start()}")
             st.prev_atom = parent
-            pos += 1
-            continue
-
-        if ch in _DIGITS or ch == "%":
-            pos = _ring_closure(st, text, pos)
-            continue
-
-        if ch == "[":
-            pos = _bracket_atom(st, text, pos)
-            continue
-
-        if ch == WILDCARD:
-            _add_atom(st, Atom(element=WILDCARD))
-            pos += 1
-            continue
-
-        if ch.isalpha():
-            pos = _organic_atom(st, text, pos)
-            continue
-
-        raise UnknownToken(f"unexpected character {ch!r} at position {pos}")
+        elif kind == "dot":
+            if st.pending is not None:
+                raise UnknownToken(f"bond symbol before a fragment separator at {m.start()}")
+            st.prev_atom = None
+        elif token == "[":
+            raise InvalidBracketAtom(f"'[' at position {m.start()} is never closed, or nests")
+        elif token == "%":
+            raise UnmatchedRingClosure(f"'%' not followed by two digits at position {m.start()}")
+        else:
+            raise UnknownToken(f"unexpected character {token!r} at position {m.start()}")
 
     if st.pending is not None:
         raise UnknownToken("SMILES ends with a dangling bond symbol")
@@ -144,6 +167,16 @@ def parse_smiles(text: str) -> Molecule:
     if not st.atoms:
         raise UnknownToken("SMILES contains no atoms")
     return Molecule(atoms=tuple(st.atoms), bonds=tuple(st.bonds))
+
+
+def branches_nest(text: str) -> bool:
+    """True when every ')' in ``text`` closes an earlier '(' and every '(' is closed."""
+    depth = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            return False
+    return depth == 0
 
 
 def _add_bond(st: _State, a: int, b: int, order: BondOrder) -> None:
@@ -171,39 +204,15 @@ def _add_atom(st: _State, atom: Atom) -> None:
     st.prev_atom = idx
 
 
-def _digit_run(text: str, i: int) -> int:
-    """End of the run of ASCII digits that starts at ``i``."""
-    while i < len(text) and text[i] in _DIGITS:
-        i += 1
-    return i
-
-
-def _ring_closure(st: _State, text: str, pos: int) -> int:
-    if st.prev_atom is None:
-        raise UnmatchedRingClosure(f"ring closure digit before any atom at position {pos}")
-    if text[pos] == "%":
-        if pos + 2 >= len(text) or not (text[pos + 1] in _DIGITS and text[pos + 2] in _DIGITS):
-            raise UnmatchedRingClosure(f"'%' not followed by two digits at position {pos}")
-        digit = int(text[pos + 1 : pos + 3])
-        pos += 3
-    else:
-        digit = int(text[pos])
-        pos += 1
-
+def _ring_closure(st: _State, digit: int) -> None:
     opening = st.open_rings.pop(digit, None)
     if opening is None:
         st.open_rings[digit] = (st.prev_atom, st.pending)
     else:
         a, opening_order = opening
         b = st.prev_atom
-        if (
-            opening_order is not None
-            and st.pending is not None
-            and opening_order is not st.pending
-        ):
-            raise UnmatchedRingClosure(
-                f"conflicting bond orders on ring closure {digit}"
-            )
+        if opening_order and st.pending and opening_order is not st.pending:
+            raise UnmatchedRingClosure(f"conflicting bond orders on ring closure {digit}")
         order = st.pending or opening_order
         if order is None:
             if st.atoms[a].aromatic and st.atoms[b].aromatic:
@@ -212,137 +221,27 @@ def _ring_closure(st: _State, text: str, pos: int) -> int:
                 order = BondOrder.SINGLE
         _add_bond(st, a, b, order)
     st.pending = None
-    return pos
 
 
-def _organic_atom(st: _State, text: str, pos: int) -> int:
-    two = text[pos : pos + 2]
-    if two in ("Cl", "Br"):
-        _add_atom(st, Atom(element=two))
-        return pos + 2
-    ch = text[pos]
-    if ch in ORGANIC_SUBSET:  # single-letter uppercase: B C N O P S F I
-        _add_atom(st, Atom(element=ch))
-        return pos + 1
-    if ch in _AROMATIC_ORGANIC:
-        _add_atom(st, Atom(element=ch.upper(), aromatic=True))
-        return pos + 1
-    raise UnknownToken(f"atom symbol {ch!r} at position {pos} needs brackets or is unknown")
-
-
-def _bracket_atom(st: _State, text: str, pos: int) -> int:
-    start = pos
-    end = text.find("]", pos)
-    if end == -1:
-        raise InvalidBracketAtom(f"'[' at position {pos} is never closed")
-    body = text[pos + 1 : end]
-    if not body:
-        raise InvalidBracketAtom(f"empty bracket atom at position {pos}")
-
-    i = 0
-    m = len(body)
-
-    def err(msg: str) -> InvalidBracketAtom:
-        return InvalidBracketAtom(f"{msg} in bracket atom {text[start : end + 1]!r}")
-
-    def number(i: int, j: int) -> int:
-        try:
-            return int(body[i:j])
-        except ValueError as exc:  # past the interpreter's integer-string digit limit
-            raise err(f"{j - i}-digit number") from exc
-
-    # isotope
-    isotope: int | None = None
-    j = _digit_run(body, i)
-    if j > i:
-        isotope = number(i, j)
-        i = j
-
-    # element symbol
-    if i >= m:
-        raise err("missing element symbol")
-    aromatic = False
-    if body[i] == WILDCARD:
-        element = WILDCARD
-        i += 1
-    elif body[i].islower():
-        # aromatic: one- or two-letter lowercase (c, n, o, p, s, b, se, as)
-        sym = body[i : i + 2]
-        if len(sym) == 2 and sym.isalpha() and sym.islower() and sym.capitalize() in AROMATIC_ELIGIBLE:
-            element = sym.capitalize()
-            i += 2
-        elif body[i].upper() in AROMATIC_ELIGIBLE:
-            element = body[i].upper()
-            i += 1
-        else:
-            raise err(f"{body[i]!r} is not an aromatic-eligible element")
-        aromatic = True
-    elif body[i].isupper():
-        sym = body[i : i + 2]
-        if len(sym) == 2 and sym[1].islower() and sym in ELEMENTS:
-            element = sym
-            i += 2
-        elif body[i] in ELEMENTS:
-            element = body[i]
-            i += 1
-        else:
-            raise err(f"unknown element symbol {sym!r}")
-    else:
-        raise err(f"unexpected character {body[i]!r}")
-
-    # chirality: consumed and discarded
-    if i < m and body[i] == "@":
-        i += 1
-        if i < m and body[i] == "@":
-            i += 1
-
-    # explicit hydrogen count
-    explicit_h: int | None = None
-    if i < m and body[i] == "H":
-        i += 1
-        j = _digit_run(body, i)
-        explicit_h = number(i, j) if j > i else 1
-        i = j
-
-    # charge: +, -, ++, --, +2, -3
-    charge = 0
-    if i < m and body[i] in "+-":
-        sign = 1 if body[i] == "+" else -1
-        symbol = body[i]
-        count = 0
-        while i < m and body[i] == symbol:
-            count += 1
-            i += 1
-        j = _digit_run(body, i)
-        if j > i:
-            if count > 1:
-                raise err("charge mixes repeated signs with digits")
-            charge = sign * number(i, j)
-            i = j
-        else:
-            charge = sign * count
-
-    # atom-map class: parsed and discarded
-    if i < m and body[i] == ":":
-        i += 1
-        j = _digit_run(body, i)
-        if j == i:
-            raise err("':' not followed by a class number")
-        i = j
-
-    if i != m:
-        raise err(f"trailing characters {body[i:]!r}")
-
+def _bracket_atom(token: str) -> Atom:
+    m = _BRACKET.fullmatch(token, 1, len(token) - 1)
+    if m is None:
+        raise InvalidBracketAtom(f"malformed bracket atom {token!r}")
+    isotope, element, aromatic, hydrogens, sign, charge = m.groups()
+    sign = sign or ""
+    if charge and len(sign) > 1:
+        raise InvalidBracketAtom(f"charge mixes repeated signs with digits in {token!r}")
+    # An unknown element symbol fails the Atom's own validation, and int() fails on a
+    # number past the interpreter's integer-string digit limit: both are ValueErrors.
     try:
-        atom = Atom(
-            element=element,
-            aromatic=aromatic,
-            formal_charge=charge,
-            isotope=isotope,
-            explicit_h_count=explicit_h,
+        magnitude = int(charge) if charge else len(sign)
+        return Atom(
+            element=element or aromatic.capitalize(),
+            aromatic=aromatic is not None,
+            formal_charge=-magnitude if sign.startswith("-") else magnitude,
+            isotope=None if isotope is None else int(isotope),
+            explicit_h_count=None if hydrogens is None else int(hydrogens or 1),
             bracket=True,
         )
     except ValueError as exc:
-        raise err(str(exc)) from exc
-    _add_atom(st, atom)
-    return end + 1
+        raise InvalidBracketAtom(f"{exc} in bracket atom {token!r}") from exc

@@ -9,7 +9,7 @@ exempt from the cap, since explicit specification overrides.
 
 from __future__ import annotations
 
-from molrag.smiles.model import MAX_VALENCE, WILDCARD, Molecule, SmilesError
+from molrag.smiles.model import MAX_VALENCE, WILDCARD, BondOrder, Molecule, SmilesError
 from molrag.smiles.parser import parse_smiles
 
 
@@ -17,7 +17,7 @@ def computed_valence(mol: Molecule, idx: int) -> int:
     """Sum of bond-order contributions at an atom, plus the aromatic bonus."""
     bonds = mol.bonds_at(idx)
     total = sum(bond.order.valence for bond in bonds)
-    if any(bond.order.name == "AROMATIC" for bond in bonds):
+    if any(bond.order is BondOrder.AROMATIC for bond in bonds):
         total += 1
     return total
 

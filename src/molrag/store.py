@@ -387,7 +387,8 @@ _MANIFEST_FIELDS = (
 _INDEX_FILES = ((_CAPTION_INDEX_FILE, "caption"), (_SMILES_INDEX_FILE, "smiles_chargram"))
 
 
-def _sha256(path: Path) -> str:
+def file_sha256(path) -> str:
+    """Hex SHA-256 of a file's bytes, read in 1 MiB chunks."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -420,7 +421,7 @@ def save_store(store: Store, directory) -> None:
         "format_version": STORE_FORMAT_VERSION,
         "record_count": len(store.records),
         "split": store.split,
-        "checksums": {name: _sha256(directory / name) for name in _DATA_FILES},
+        "checksums": {name: file_sha256(directory / name) for name in _DATA_FILES},
     }
     with open(directory / _MANIFEST_FILE, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -453,7 +454,7 @@ def load_store(directory) -> Store:
 
     for name in _DATA_FILES:
         try:
-            actual = _sha256(directory / name)
+            actual = file_sha256(directory / name)
         except OSError as exc:
             raise StoreIntegrityError(f"cannot read {name}: {exc.strerror}") from exc
         if actual != manifest["checksums"].get(name):

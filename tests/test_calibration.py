@@ -233,7 +233,8 @@ class TestExtraction:
         assert (result.value, result.strategy) == extract_payload_rescan(text, task)
 
     @pytest.mark.parametrize("word", ["C(C", "CC)", ")C(C", "[C", "C]", "[[C]]", "C[C",
-                                      "Unknown", "for", "CCCr", "C@C", "C+"])
+                                      "Unknown", "for", "CCCr", "C@C", "C+",
+                                      "C%", "C%1"])
     def test_prefilter_skips_words_the_parser_rejects(self, word):
         assert not calibration._may_parse(word)
         assert not is_valid_smiles(word)

@@ -137,11 +137,63 @@ class TestParser:
             ("[C", InvalidBracketAtom),
             ("[Zz]", InvalidBracketAtom),
             ("[f]", InvalidBracketAtom),
+            # one case per branch of the token and bracket patterns
+            ("[C+-]", InvalidBracketAtom),
+            ("[C++2]", InvalidBracketAtom),
+            ("[Ch]", InvalidBracketAtom),
+            ("[CU]", InvalidBracketAtom),
+            ("[C@TH1]", InvalidBracketAtom),
+            ("[C:]", InvalidBracketAtom),
+            ("[٣C]", InvalidBracketAtom),
+            ("[[C]", InvalidBracketAtom),
+            ("C%", UnmatchedRingClosure),
+            ("C%1", UnmatchedRingClosure),
+            ("C٣", UnknownToken),
+            ("C=/C", UnknownToken),
+            ("C/-C", UnknownToken),
         ],
     )
     def test_typed_errors(self, text, error):
         with pytest.raises(error):
             parse_smiles(text)
+
+    @pytest.mark.parametrize("text", ["[ſ]", "[ſe]", "[ſH2]"])
+    def test_element_symbols_are_ascii(self, text):
+        # "ſ" (U+017F) upper-cases to "S"; it once read as aromatic sulfur
+        with pytest.raises(InvalidBracketAtom):
+            parse_smiles(text)
+
+    @pytest.mark.parametrize(
+        "text,fields",
+        [
+            ("[sH]", ("S", True, 0, None, 1)),
+            ("[as]", ("As", True, 0, None, None)),
+            ("[Cu]", ("Cu", False, 0, None, None)),
+            ("[HH]", ("H", False, 0, None, 1)),
+            ("[2H]", ("H", False, 0, 2, None)),
+            ("[*]", ("*", False, 0, None, None)),
+        ],
+    )
+    def test_accepted_bracket_forms(self, text, fields):
+        (atom,) = parse_smiles(text).atoms
+        assert (atom.element, atom.aromatic, atom.formal_charge, atom.isotope,
+                atom.explicit_h_count) == fields
+        assert atom.bracket
+
+    @pytest.mark.parametrize("text", ["C//C", "C-/C"])
+    def test_directional_marker_after_a_single_bond(self, text):
+        assert [b.order for b in parse_smiles(text).bonds] == [BondOrder.SINGLE]
+
+    def test_ring_digit_reused_across_fragments(self):
+        # the dot ends the first fragment, but the ring bond still joins its two atoms
+        mol = parse_smiles("C1.C1")
+        assert [(b.a, b.b, b.order) for b in mol.bonds] == [(0, 1, BondOrder.SINGLE)]
+
+    def test_organic_atoms_are_shared_and_compare_by_value(self):
+        mol = parse_smiles("CCc")
+        assert mol.atoms[0] is mol.atoms[1]
+        assert mol.atoms[0] == Atom(element="C")
+        assert mol.atoms[2] == Atom(element="C", aromatic=True)
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="CcNnOoSs[]()=#$123%+-@H/\\.*Clr²٣é", max_size=30))
