@@ -371,16 +371,19 @@ def _write_rows(path: Path, rows) -> None:
         sink.writelines(map(_row_line, rows))
 
 
-def _read_checkpoint(path: Path) -> dict[int, dict]:
-    """The checkpoint rows by item index. An unterminated last line that is not a row
-    was torn by an interruption: it is dropped, and its item runs again."""
+def _read_checkpoint(path: Path, items: int) -> dict[int, dict]:
+    """The checkpoint rows by item index, an int in [0, items). An unterminated last
+    line that is not a row was torn by an interruption: it is dropped and run again."""
     done: dict[int, dict] = {}
     lines = path.read_bytes().split(b"\n") if path.exists() else []
     for number, line in enumerate(lines, 1):
         try:
             if line.strip():
                 row = json.loads(line)  # a torn UTF-8 sequence is a ValueError too
-                done[row["index"]] = row
+                index = row["index"]
+                if type(index) is not int or not 0 <= index < items:  # a bool is no index
+                    raise ValueError(index)
+                done[index] = row
         except (ValueError, KeyError, TypeError):
             if number < len(lines):
                 raise click.ClickException(
@@ -419,7 +422,7 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
     echo = _config_echo(config, db, tmpl)
     manifest = {**echo, **sources, "items": len(records)}
     items_path = out_dir / "items.jsonl"
-    done = _read_checkpoint(items_path)
+    done = _read_checkpoint(items_path, len(records))
     if done:
         _check_resumable(out_dir / "manifest.json", manifest)
     _dump_json(out_dir / "manifest.json", manifest)
@@ -445,7 +448,7 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
                 pool.shutdown(cancel_futures=True)
                 raise
 
-    rows = [done[i] for i in sorted(done) if i < len(records)]
+    rows = [done[i] for i in sorted(done)]
     _write_rows(items_path, rows)
     _write_rows(out_dir / "failures.jsonl", (row for row in rows if row["status"] == STATUS_FAILED))
 

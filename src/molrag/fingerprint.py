@@ -13,8 +13,7 @@ across runs and platforms.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from molrag.smiles.canon import atom_invariant
 from molrag.smiles.model import Molecule
@@ -58,10 +57,6 @@ class FingerprintError(ValueError):
     pass
 
 
-class ParamMismatch(FingerprintError):
-    """Fingerprints built with different parameters cannot be compared."""
-
-
 class DegenerateInput(FingerprintError):
     """Dice similarity is undefined when both bit sets are empty."""
 
@@ -78,74 +73,36 @@ class FingerprintParams:
             raise ValueError("nbits must be a power of two >= 64")
 
 
+# Every stored fingerprint is this wide: the bitmap of the default parameters.
+_NBYTES = FingerprintParams.nbits // 8
+
+
+@dataclass(frozen=True, slots=True)
 class MorganFingerprint:
     """A folded fingerprint: bit ``i`` of the ``bitmap`` int is set when some
-    environment folds to index ``i``; ``count`` caches its popcount.
+    environment folds to index ``i``; ``count`` is its popcount, set once.
 
-    Immutable and compared by value. ``bits`` rebuilds the index set on demand;
-    it is not stored.
+    It carries no parameters of its own, so two fingerprints are equal when
+    their bitmaps are.
     """
 
-    __slots__ = ("bitmap", "count", "nbits", "radius")
+    bitmap: int
+    count: int = field(init=False)
 
-    def __init__(self, bits: Iterable[int], nbits: int, radius: int) -> None:
-        bitmap = 0
-        for bit in bits:
-            if bit < 0 or bit >= nbits:
-                raise ValueError("bit index out of range")
-            bitmap |= 1 << bit
-        self._init(bitmap, nbits, radius)
-
-    def _init(self, bitmap: int, nbits: int, radius: int) -> None:
-        setattr_ = object.__setattr__
-        setattr_(self, "bitmap", bitmap)
-        setattr_(self, "count", bitmap.bit_count())
-        setattr_(self, "nbits", nbits)
-        setattr_(self, "radius", radius)
-
-    @classmethod
-    def _from_bitmap(cls, bitmap: int, nbits: int, radius: int) -> "MorganFingerprint":
-        fp = cls.__new__(cls)
-        fp._init(bitmap, nbits, radius)
-        return fp
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"MorganFingerprint is immutable; cannot set {name!r}")
-
-    def __reduce__(self):
-        return MorganFingerprint._from_bitmap, (self.bitmap, self.nbits, self.radius)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MorganFingerprint):
-            return NotImplemented
-        return (self.bitmap, self.nbits, self.radius) == (other.bitmap, other.nbits, other.radius)
-
-    def __hash__(self) -> int:
-        return hash((self.bitmap, self.nbits, self.radius))
-
-    def __repr__(self) -> str:
-        return f"MorganFingerprint(bits={sorted(self.bits)}, nbits={self.nbits}, radius={self.radius})"
-
-    @property
-    def bits(self) -> frozenset[int]:
-        out = []
-        rest = self.bitmap
-        while rest:
-            low = rest & -rest
-            out.append(low.bit_length() - 1)
-            rest ^= low
-        return frozenset(out)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "count", self.bitmap.bit_count())
 
     def to_hex(self) -> str:
         """Hex-encoded bitmap, lowest bit index first."""
-        return self.bitmap.to_bytes(self.nbits // 8, "little").hex()
+        return self.bitmap.to_bytes(_NBYTES, "little").hex()
 
     @classmethod
-    def from_hex(cls, text: str, nbits: int, radius: int) -> "MorganFingerprint":
+    def from_hex(cls, text: str) -> "MorganFingerprint":
+        """The fingerprint :meth:`to_hex` wrote; a bitmap of another width is a ValueError."""
         raw = bytes.fromhex(text)
-        if len(raw) != nbits // 8:
-            raise ValueError("bitmap length does not match nbits")
-        return cls._from_bitmap(int.from_bytes(raw, "little"), nbits, radius)
+        if len(raw) != _NBYTES:
+            raise ValueError(f"bitmap is {len(raw)} bytes, not {_NBYTES}")
+        return cls(int.from_bytes(raw, "little"))
 
 
 def morgan_environments(
@@ -200,15 +157,11 @@ def morgan_fingerprint(
     bitmap = 0
     for _, _, ident in morgan_environments(mol, params, memo):
         bitmap |= 1 << (ident % params.nbits)
-    return MorganFingerprint._from_bitmap(bitmap, params.nbits, params.radius)
+    return MorganFingerprint(bitmap)
 
 
 def dice_similarity(a: MorganFingerprint, b: MorganFingerprint) -> float:
     """2·|A∩B| / (|A| + |B|), in [0, 1]."""
-    if a.nbits != b.nbits or a.radius != b.radius:
-        raise ParamMismatch(
-            f"fingerprint params differ: ({a.nbits}, r{a.radius}) vs ({b.nbits}, r{b.radius})"
-        )
     total = a.count + b.count
     if not total:
         raise DegenerateInput("both fingerprints are empty")

@@ -22,12 +22,7 @@ from itertools import islice, repeat
 from pathlib import Path
 
 from molrag import bm25
-from molrag.fingerprint import (
-    FingerprintParams,
-    MorganFingerprint,
-    dice_similarity,
-    morgan_fingerprint,
-)
+from molrag.fingerprint import MorganFingerprint, dice_similarity, morgan_fingerprint
 from molrag.smiles import Molecule, SmilesError, molecules_equal, parse_smiles
 
 STORE_FORMAT_VERSION = 3
@@ -462,13 +457,22 @@ def load_store(directory) -> Store:
 
     rows = (directory / _RECORDS_FILE).read_text(encoding="utf-8").splitlines()
     fp_lines = (directory / _FP_FILE).read_text(encoding="utf-8").splitlines()
-    morgan = FingerprintParams()
     records: list[MoleculeRecord] = []
     fingerprints: list[MorganFingerprint] = []
-    for row, hex_line in zip(rows[1:], fp_lines):
-        cid, smiles, caption = row.split("\t", 2)
-        records.append(MoleculeRecord(id=cid, smiles=smiles, caption=caption))
-        fingerprints.append(MorganFingerprint.from_hex(hex_line, morgan.nbits, morgan.radius))
+    try:
+        for row, hex_line in zip(rows[1:], fp_lines, strict=True):
+            cid, smiles, caption = row.split("\t", 2)
+            records.append(MoleculeRecord(id=cid, smiles=smiles, caption=caption))
+            fingerprints.append(MorganFingerprint.from_hex(hex_line))
+    except ValueError as exc:
+        # The pair that failed follows the last whole pair: a bad hex line, a row that
+        # is not three fields, or a line of one file that the other file lacks.
+        done = len(fingerprints)
+        if len(records) > done or done == len(rows) - 1:
+            where = f"{_FP_FILE}:{done + 1}"
+        else:
+            where = f"{_RECORDS_FILE}:{done + 2}"
+        raise StoreIntegrityError(f"{where} is malformed: {exc}") from exc
     if len(records) != manifest["record_count"]:
         raise StoreIntegrityError("record count does not match manifest")
 

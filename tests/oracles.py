@@ -172,6 +172,16 @@ def all_environment_signatures(mol: Molecule, radius: int):
     return out
 
 
+def fingerprint_of(bits) -> MorganFingerprint:
+    """The fingerprint whose bitmap sets exactly the bit indices ``bits``."""
+    return MorganFingerprint(sum(1 << bit for bit in set(bits)))
+
+
+def bits_of(fp: MorganFingerprint) -> frozenset[int]:
+    """The bit indices set in ``fp``'s bitmap; :func:`fingerprint_of` inverted."""
+    return frozenset(i for i in range(fp.bitmap.bit_length()) if fp.bitmap >> i & 1)
+
+
 def morgan_fingerprint_direct(
     mol: Molecule, params: FingerprintParams | None = None
 ) -> MorganFingerprint:
@@ -189,7 +199,7 @@ def morgan_fingerprint_direct(
             for i in range(n)
         ]
         bits.update(ident % params.nbits for ident in ids)
-    return MorganFingerprint(bits, params.nbits, params.radius)
+    return fingerprint_of(bits)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from molrag.cli import main
 from molrag.fingerprint import (
     DegenerateInput,
     FingerprintParams,
-    MorganFingerprint,
     dice_similarity,
     morgan_environments,
     morgan_fingerprint,
@@ -48,7 +47,7 @@ from molrag.prompt import CAPTION_MASK, MOLECULE_MASK, build_prompt, default_tem
 from molrag.smiles import molecules_equal, parse_smiles
 from molrag.store import RetrievalStrategy, load_chebi_tsv, retrieve_mol2cap, save_store
 from backends import ScriptedBackend
-from oracles import all_environment_signatures, bm25_rank_direct, permute_molecule
+from oracles import all_environment_signatures, bm25_rank_direct, fingerprint_of, permute_molecule
 from test_metrics import (
     CAPTION_PAIRS,
     HAND_BLEU2,
@@ -118,13 +117,9 @@ def test_fingerprint_oracle(corpus_records):
 
     rng = random.Random(2024)
     for _ in range(1000):
-        a = MorganFingerprint(
-            frozenset(rng.sample(range(512), rng.randint(0, 64))), 512, 2
-        )
-        b = MorganFingerprint(
-            frozenset(rng.sample(range(512), rng.randint(0, 64))), 512, 2
-        )
-        if not a.bits and not b.bits:
+        a = fingerprint_of(rng.sample(range(2048), rng.randint(0, 64)))
+        b = fingerprint_of(rng.sample(range(2048), rng.randint(0, 64)))
+        if not a.count and not b.count:
             with pytest.raises(DegenerateInput):
                 dice_similarity(a, b)
             continue

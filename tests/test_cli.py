@@ -448,8 +448,12 @@ class TestEvaluate:
         assert (out / "report.json").read_bytes() == full_report
         assert (out / "items.jsonl").read_bytes() == full_items
 
-    @pytest.mark.parametrize("bad", ['{"index": 3, "id"', "[3]", '{"id": "x"}'],
-                             ids=["torn", "not-an-object", "no-index"])
+    @pytest.mark.parametrize(
+        "bad",
+        ['{"index": 3, "id"', "[3]", '{"id": "x"}', '{"index": -1}', '{"index": "3"}',
+         '{"index": true}', '{"index": 50}'],
+        ids=["torn", "not-an-object", "no-index", "negative-index", "string-index",
+             "bool-index", "index-past-the-items"])
     def test_malformed_checkpoint_row_is_a_one_line_error(self, runner, data_dir, store_dir,
                                                           tmp_path, bad):
         out = tmp_path / "bad"
@@ -1054,6 +1058,34 @@ class TestBadPaths:
         result = runner.invoke(main, args)
         assert_one_line_error(result, message)
         assert blocker.read_text(encoding="utf-8") == "x"
+
+
+@pytest.mark.parametrize("golden, command, replay, options, artefact", [
+    ("report_eval_mol2cap.json", "evaluate", REPLAY_M2C,
+     ["--task", "mol2cap", "--n-shots", "2"], "report.json"),
+    ("report_eval_cap2mol.json", "evaluate", REPLAY_C2M,
+     ["--task", "cap2mol", "--n-shots", "2", "--strategy", "bm25"], "report.json"),
+    ("comparison_ablate_mol2cap.json", "ablate", REPLAY_GRID,
+     ["--task", "mol2cap", "--limit", "10"], "comparison.json"),
+], ids=["evaluate-mol2cap", "evaluate-cap2mol", "ablate-mol2cap"])
+def test_replay_artefacts_match_goldens(runner, data_dir, store_dir, tmp_path,
+                                        golden, command, replay, options, artefact):
+    """The replay runs of the CI step "Installed console script runs end to end" write
+    exactly the bytes of tests/data/golden. After a deliberate change to a report,
+    regenerate a golden with that step's command and copy its artefact over, e.g.
+
+        molrag ingest tests/data/corpus.tsv STORE
+        molrag evaluate tests/data/test_items.tsv --store STORE --task mol2cap \\
+            --n-shots 2 --replay tests/data/replay_eval_mol2cap.jsonl --out OUT
+        cp OUT/report.json tests/data/golden/report_eval_mol2cap.json
+    """
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        command, str(data_dir / "test_items.tsv"), "--store", str(store_dir), *options,
+        "--replay", str(data_dir / replay), "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    assert (out / artefact).read_bytes() == (data_dir / "golden" / golden).read_bytes()
 
 
 def test_report_and_comparison_tables_keep_their_bytes():

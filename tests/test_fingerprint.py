@@ -1,4 +1,4 @@
-import pickle
+import dataclasses
 import random
 from collections import defaultdict
 from pathlib import Path
@@ -11,14 +11,19 @@ from molrag.fingerprint import (
     DegenerateInput,
     FingerprintParams,
     MorganFingerprint,
-    ParamMismatch,
     dice_similarity,
     fnv1a_64,
     morgan_environments,
     morgan_fingerprint,
 )
 from molrag.smiles import parse_smiles
-from oracles import all_environment_signatures, morgan_fingerprint_direct, permute_molecule
+from oracles import (
+    all_environment_signatures,
+    bits_of,
+    fingerprint_of,
+    morgan_fingerprint_direct,
+    permute_molecule,
+)
 
 # FNV-1a 64 reference vectors (offset basis for empty input, published test value)
 FNV_EMPTY = 14695981039346656037
@@ -71,13 +76,13 @@ class TestParams:
 
 class TestMorgan:
     def test_methane_radius_zero_single_bit(self):
-        assert len(fp("C", radius=0).bits) == 1
+        assert fp("C", radius=0).count == 1
 
     def test_cco_radius_one_bounds(self):
-        assert 3 <= len(fp("CCO", radius=1).bits) <= 6
+        assert 3 <= fp("CCO", radius=1).count <= 6
 
     def test_frozen_bits_stable(self):
-        assert fp("CCO").bits == CCO_BITS_R2_2048
+        assert bits_of(fp("CCO")) == CCO_BITS_R2_2048
 
     def test_environment_partition_matches_oracle(self, corpus_records):
         # hashed identifiers must induce the same grouping of (atom, round)
@@ -104,49 +109,47 @@ class TestMorgan:
             mol = parse_smiles(rec.smiles)
             perm = list(range(len(mol)))
             rng.shuffle(perm)
-            assert morgan_fingerprint(mol, params).bits == morgan_fingerprint(
+            assert morgan_fingerprint(mol, params) == morgan_fingerprint(
                 permute_molecule(mol, perm), params
-            ).bits
+            )
 
     def test_hex_roundtrip(self):
         original = fp("CC(=O)Oc1ccccc1C(=O)O")
-        again = MorganFingerprint.from_hex(original.to_hex(), original.nbits, original.radius)
+        again = MorganFingerprint.from_hex(original.to_hex())
         assert again == original
 
     def test_frozen_hex_stable(self):
         assert fp("CCO").to_hex() == CCO_HEX_R2_2048
-        assert MorganFingerprint.from_hex(CCO_HEX_R2_2048, 2048, 2).bits == CCO_BITS_R2_2048
+        assert bits_of(MorganFingerprint.from_hex(CCO_HEX_R2_2048)) == CCO_BITS_R2_2048
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_hex_roundtrip_random_bits(self, data):
-        nbits = data.draw(st.sampled_from([64, 128, 256, 512, 1024, 2048]))
-        bits = data.draw(st.frozensets(st.integers(min_value=0, max_value=nbits - 1)))
-        original = MorganFingerprint(bits, nbits, 2)
+        bits = data.draw(st.frozensets(st.integers(min_value=0, max_value=2047)))
+        original = fingerprint_of(bits)
         text = original.to_hex()
-        assert len(text) == nbits // 4
+        assert len(text) == 2048 // 4
         # lowest bit index first: bit i lives in byte i // 8 at position i % 8
         raw = bytes.fromhex(text)
-        assert {i for i in range(nbits) if raw[i // 8] >> (i % 8) & 1} == bits
-        again = MorganFingerprint.from_hex(text, nbits, 2)
+        assert {i for i in range(2048) if raw[i // 8] >> (i % 8) & 1} == bits
+        again = MorganFingerprint.from_hex(text)
         assert again == original
-        assert again.bits == bits
+        assert bits_of(again) == bits
         assert again.count == len(bits)
 
     def test_hex_length_checked(self):
-        with pytest.raises(ValueError):
-            MorganFingerprint.from_hex("00" * 8, 2048, 2)
+        # every stored fingerprint is 2,048 bits wide
+        for nbytes in (8, 255, 257, 512):
+            with pytest.raises(ValueError, match=f"bitmap is {nbytes} bytes, not 256"):
+                MorganFingerprint.from_hex("00" * nbytes)
 
     def test_value_semantics(self):
-        a = MorganFingerprint(frozenset({3, 70}), 128, 2)
-        assert a == MorganFingerprint([70, 3], 128, 2)
-        assert hash(a) == hash(MorganFingerprint(frozenset({3, 70}), 128, 2))
-        assert a != MorganFingerprint(frozenset({3, 70}), 128, 1)
-        assert pickle.loads(pickle.dumps(a)) == a
-        with pytest.raises(AttributeError):
-            a.bitmap = 0
-        with pytest.raises(ValueError):
-            MorganFingerprint(frozenset({128}), 128, 2)
+        # a fingerprint is its bitmap and that bitmap's popcount, compared by value
+        assert [f.name for f in dataclasses.fields(MorganFingerprint)] == ["bitmap", "count"]
+        a = fingerprint_of({3, 70})
+        assert a == fingerprint_of([70, 3]) and a.count == 2
+        assert hash(a) == hash(MorganFingerprint((1 << 3) | (1 << 70)))
+        assert a != fingerprint_of({3})
 
 
 class TestDice:
@@ -156,35 +159,28 @@ class TestDice:
             assert dice_similarity(x, x) == 1.0
 
     def test_disjoint(self):
-        a = MorganFingerprint(frozenset({1, 2}), 2048, 2)
-        b = MorganFingerprint(frozenset({3, 4}), 2048, 2)
+        a = fingerprint_of({1, 2})
+        b = fingerprint_of({3, 4})
         assert dice_similarity(a, b) == 0.0
 
     def test_direct_arithmetic(self):
-        a = MorganFingerprint(frozenset({1, 2, 3}), 2048, 2)
-        b = MorganFingerprint(frozenset({2, 3, 4}), 2048, 2)
+        a = fingerprint_of({1, 2, 3})
+        b = fingerprint_of({2, 3, 4})
         assert dice_similarity(a, b) == pytest.approx(2 / 3)
 
-    def test_param_mismatch(self):
-        a = MorganFingerprint(frozenset({1}), 2048, 2)
-        with pytest.raises(ParamMismatch):
-            dice_similarity(a, MorganFingerprint(frozenset({1}), 1024, 2))
-        with pytest.raises(ParamMismatch):
-            dice_similarity(a, MorganFingerprint(frozenset({1}), 2048, 1))
-
     def test_degenerate(self):
-        empty = MorganFingerprint(frozenset(), 2048, 2)
+        empty = fingerprint_of(())
         with pytest.raises(DegenerateInput):
             dice_similarity(empty, empty)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.frozensets(st.integers(min_value=0, max_value=255), max_size=40),
-        st.frozensets(st.integers(min_value=0, max_value=255), max_size=40),
+        st.frozensets(st.integers(min_value=0, max_value=2047), max_size=40),
+        st.frozensets(st.integers(min_value=0, max_value=2047), max_size=40),
     )
     def test_symmetry_and_bounds(self, bits_a, bits_b):
-        a = MorganFingerprint(bits_a, 256, 2)
-        b = MorganFingerprint(bits_b, 256, 2)
+        a = fingerprint_of(bits_a)
+        b = fingerprint_of(bits_b)
         if not bits_a and not bits_b:
             with pytest.raises(DegenerateInput):
                 dice_similarity(a, b)
@@ -200,18 +196,18 @@ class TestDice:
     )
     def test_equals_set_arithmetic(self, bits_a, bits_b):
         # the popcount form must give the same float as the set form, bit for bit
-        a = MorganFingerprint(bits_a, 2048, 2)
-        b = MorganFingerprint(bits_b, 2048, 2)
+        a = fingerprint_of(bits_a)
+        b = fingerprint_of(bits_b)
         assert dice_similarity(a, b) == 2 * len(bits_a & bits_b) / (len(bits_a) + len(bits_b))
 
     def test_fragment_containment_lower_bound(self, corpus_records):
         # a chain fragment's environments are a subset of the longer chain's
         short = fp("CCCC")
         longer = fp("CCCCCCCC")
-        shared = len(short.bits & longer.bits)
+        shared = len(bits_of(short) & bits_of(longer))
         assert shared >= 1
         assert dice_similarity(short, longer) >= 2 * shared / (
-            len(short.bits) + len(longer.bits)
+            len(bits_of(short)) + len(bits_of(longer))
         ) - 1e-12
 
 

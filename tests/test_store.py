@@ -292,7 +292,7 @@ class TestMol2CapRetrieval:
             expected = []
             for pos in scored:
                 rec = corpus_store.records[pos]
-                if corpus_store.fingerprints[pos].bits == query_fp.bits and molecules_equal(
+                if corpus_store.fingerprints[pos] == query_fp and molecules_equal(
                     query_mol, parse_smiles(rec.smiles)
                 ):
                     continue
@@ -544,6 +544,10 @@ class TestPersistence:
             ("index-k1", "captions.bm25: BM25 index was built with k1=2.0, b=0.75"),
             ("index-doc-count", "captions.bm25 holds caption BM25 over 3 records"),
             ("index-mode", "captions.bm25 holds smiles_chargram BM25"),
+            ("non-hex-fingerprint", "fingerprints.jsonl:3 is malformed"),
+            ("row-without-tab", "records.tsv:4 is malformed"),
+            ("extra-fingerprint", "fingerprints.jsonl:113 is malformed"),
+            ("extra-record", "records.tsv:114 is malformed"),
         ],
     )
     def test_damaged_store_is_an_integrity_error(self, corpus_store, tmp_path, damage, message):
@@ -552,12 +556,28 @@ class TestPersistence:
         manifest_path = directory / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         captions = [rec.caption for rec in corpus_store.records]
-        rewritten_index = {
-            "index-k1": lambda path: rewrite_index(path, lambda h: h.update(k1=2.0)),
-            "index-doc-count": lambda path: save_index(build_index(captions[:3]), path),
-            "index-mode": lambda path: save_index(
-                build_index(captions, tokenizer_mode="smiles_chargram"), path
-            ),
+
+        def set_line(path, index, text):
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[index:index + 1] = [text + "\n"]  # at len(lines) this appends a line
+            path.write_text("".join(lines), encoding="utf-8")
+
+        # a checksummed data file that disagrees with the store or with bm25.K1
+        rewritten = {
+            "index-k1": ("captions.bm25", lambda path: rewrite_index(
+                path, lambda h: h.update(k1=2.0))),
+            "index-doc-count": ("captions.bm25", lambda path: save_index(
+                build_index(captions[:3]), path)),
+            "index-mode": ("captions.bm25", lambda path: save_index(
+                build_index(captions, tokenizer_mode="smiles_chargram"), path)),
+            "non-hex-fingerprint": ("fingerprints.jsonl",
+                                    lambda path: set_line(path, 2, "zz" * 256)),
+            "row-without-tab": ("records.tsv",
+                                lambda path: set_line(path, 3, "no tab in this row")),
+            "extra-fingerprint": ("fingerprints.jsonl",
+                                  lambda path: set_line(path, 112, "00" * 256)),
+            "extra-record": ("records.tsv",
+                             lambda path: set_line(path, 113, "900\tCCO\tan extra row")),
         }
         edited_manifest = {
             "list-manifest": lambda: [manifest],
@@ -571,11 +591,11 @@ class TestPersistence:
         }
         if damage == "missing-file":
             (directory / "captions.bm25").unlink()
-        elif damage in rewritten_index:
-            # A checksummed index that disagrees with the store or with bm25.K1.
-            rewritten_index[damage](directory / "captions.bm25")
-            digest = hashlib.sha256((directory / "captions.bm25").read_bytes()).hexdigest()
-            manifest["checksums"]["captions.bm25"] = digest
+        elif damage in rewritten:
+            name, rewrite = rewritten[damage]
+            rewrite(directory / name)
+            digest = hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            manifest["checksums"][name] = digest
             manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         else:
             manifest_path.write_text(json.dumps(edited_manifest[damage]()), encoding="utf-8")
