@@ -17,7 +17,7 @@ import json
 import re
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from molrag.fingerprint import MorganFingerprint
 from molrag.llm import BackendError, ChatClient
@@ -78,9 +78,6 @@ class CalibratedOutput:
     query_count: int
     repairs_applied: tuple[str, ...]
     final_shot_count: int
-    transcript: tuple[dict, ...] = field(default=())
-    # ids of the context examples as retrieved, before any context-length eviction
-    example_ids: tuple[str, ...] = ()
 
 
 def _value_from_mapping(obj, key: str, case_insensitive: bool = False) -> str | None:
@@ -260,8 +257,6 @@ def calibrated_query(
     if max_error_allowance < 1:
         raise ValueError("max_error_allowance must be positive")
     task = template.task
-    example_ids = tuple(rec.id for rec in examples)
-
     transcript: list[dict] = []
     charged = 0
     exempt_next = False
@@ -314,19 +309,10 @@ def calibrated_query(
             )
             continue
 
-        transcript.append(
-            {
-                "event": "accepted",
-                "strategy": extraction.strategy,
-                "shot_count": len(examples),
-            }
-        )
         repairs = () if extraction.strategy == STRATEGY_STRICT else (extraction.strategy,)
         return CalibratedOutput(
             value=extraction.value,
             query_count=charged,
             repairs_applied=repairs,
             final_shot_count=len(examples),
-            transcript=tuple(transcript),
-            example_ids=example_ids,
         )

@@ -302,7 +302,7 @@ def cmd_query(user_input, cfg_file, **flags) -> None:
     payload = {
         "input": user_input,
         "output": result.value,
-        "examples_used": list(result.example_ids),
+        "examples_used": [rec.id for rec in examples],
         "query_count": result.query_count,
         "final_shot_count": result.final_shot_count,
         "repairs_applied": list(result.repairs_applied),
@@ -372,8 +372,9 @@ def _write_rows(path: Path, rows) -> None:
 
 
 def _read_checkpoint(path: Path, items: int) -> dict[int, dict]:
-    """The checkpoint rows by item index, an int in [0, items). An unterminated last
-    line that is not a row was torn by an interruption: it is dropped and run again."""
+    """The checkpoint rows by item index, an int in [0, items), each with a known
+    status and a string prediction and reference. An unterminated last line that is
+    not a row was torn by an interruption: it is dropped and run again."""
     done: dict[int, dict] = {}
     lines = path.read_bytes().split(b"\n") if path.exists() else []
     for number, line in enumerate(lines, 1):
@@ -381,7 +382,10 @@ def _read_checkpoint(path: Path, items: int) -> dict[int, dict]:
             if line.strip():
                 row = json.loads(line)  # a torn UTF-8 sequence is a ValueError too
                 index = row["index"]
-                if type(index) is not int or not 0 <= index < items:  # a bool is no index
+                if (type(index) is not int or not 0 <= index < items  # a bool is no index
+                        or row["status"] not in (STATUS_OK, STATUS_FAILED)
+                        or not isinstance(row["prediction"], str)
+                        or not isinstance(row["reference"], str)):
                     raise ValueError(index)
                 done[index] = row
         except (ValueError, KeyError, TypeError):

@@ -130,16 +130,10 @@ def morgan_environments(
             ident = memo[invariant] = fnv1a_64(_encode_initial(invariant))
         ids.append(ident)
     out = [(i, 0, ids[i]) for i in range(n)]
-    # (bond order value, neighbor index) per atom, built once for every round
-    bonded: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for bond in mol.bonds:
-        order = bond.order.value
-        bonded[bond.a].append((order, bond.b))
-        bonded[bond.b].append((order, bond.a))
     for rnd in range(1, params.radius + 1):
         nxt = []
-        for prev_id, nbrs in zip(ids, bonded):
-            key = (prev_id, tuple(sorted([(order, ids[j]) for order, j in nbrs])))
+        for prev_id, nbrs in zip(ids, mol.neighbors):
+            key = (prev_id, tuple(sorted([(order, ids[j]) for j, order in nbrs.items()])))
             ident = memo.get(key)
             if ident is None:
                 ident = memo[key] = fnv1a_64(_encode_round(*key))

@@ -267,16 +267,7 @@ def validity_rate(scores: list[MoleculeScore]) -> float:
 # ---------------------------------------------------------------------------
 
 _RANGES = {"levenshtein": (0.0, math.inf)}
-_NOT_COMPUTED = {
-    "mol2cap": {"meteor": "n/a - out of scope", "text2mol": "n/a - out of scope"},
-    "cap2mol": {
-        "maccs_fts": "n/a - out of scope",
-        "rdk_fts": "n/a - out of scope",
-        "fcd": "n/a - out of scope",
-        "text2mol": "n/a - out of scope",
-    },
-}
-
+# (title, metrics key) per column; a column without a key is out of scope
 _TABLE_COLUMNS = {
     "mol2cap": [
         ("BLEU-2", "bleu2"),
@@ -344,7 +335,8 @@ def build_report(pairs: list[EvalPair], task: str, config: dict) -> dict:
     return {
         "task": task,
         "metrics": metrics,
-        "not_computed": _NOT_COMPUTED[task],
+        "not_computed": {title.lower().replace(" ", "_"): "n/a - out of scope"
+                         for title, key in _TABLE_COLUMNS[task] if key is None},
         "counts": counts,
         "config": config,
         "fingerprint_params": asdict(FingerprintParams()),

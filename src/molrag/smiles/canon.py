@@ -24,7 +24,7 @@ def atom_invariant(mol: Molecule, idx: int) -> Invariant:
         a.formal_charge,
         -1 if a.isotope is None else a.isotope,
         -1 if a.explicit_h_count is None else a.explicit_h_count,
-        mol.degree(idx),
+        len(mol.neighbors[idx]),
     )
 
 
@@ -35,10 +35,7 @@ def _dense_ranks(keys: list) -> list[int]:
 
 def _neighbor_profiles(mol: Molecule, ranks: list[int]) -> list[tuple]:
     """Each atom's sorted (bond order, neighbor rank) pairs."""
-    return [
-        tuple(sorted((bond.order.value, ranks[j]) for j, bond in mol.neighbors(i)))
-        for i in range(len(mol))
-    ]
+    return [tuple(sorted((order, ranks[j]) for j, order in nbrs.items())) for nbrs in mol.neighbors]
 
 
 def refined_ranks(mol: Molecule) -> list[int]:
@@ -88,14 +85,11 @@ def molecules_equal(a: Molecule, b: Molecule) -> bool:
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
-    bonds_b: dict[tuple[int, int], int] = {bond.key: bond.order.value for bond in b.bonds}
-
     def compatible(i: int, j: int) -> bool:
-        for nbr, bond in a.neighbors(i):
-            if nbr in mapping:
-                key = (mapping[nbr], j) if mapping[nbr] < j else (j, mapping[nbr])
-                if bonds_b.get(key) != bond.order.value:
-                    return False
+        nbrs_b = b.neighbors[j]
+        for nbr, order in a.neighbors[i].items():
+            if nbr in mapping and nbrs_b.get(mapping[nbr]) != order:
+                return False
         return True
 
     # Depth-first search with an explicit stack: one iterator over the remaining

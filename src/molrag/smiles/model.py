@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
 
 
 class SmilesError(ValueError):
@@ -37,13 +36,6 @@ class BondOrder(Enum):
     TRIPLE = 3
     QUADRUPLE = 4
     AROMATIC = 5
-
-    @property
-    def valence(self) -> int:
-        """Contribution to an atom's computed valence (aromatic counts 1 per bond)."""
-        if self is BondOrder.AROMATIC:
-            return 1
-        return self.value
 
 
 # The 118 IUPAC element symbols plus the wildcard.
@@ -119,13 +111,6 @@ class Bond:
         """Unordered endpoint pair, normalised low-high."""
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
-    def other(self, idx: int) -> int:
-        if idx == self.a:
-            return self.b
-        if idx == self.b:
-            return self.a
-        raise ValueError(f"atom {idx} is not an endpoint of this bond")
-
 
 @dataclass(frozen=True)
 class Molecule:
@@ -133,40 +118,28 @@ class Molecule:
 
     Disconnected components (dot-separated SMILES) are permitted. The parser
     guarantees there are no self-loops and no duplicate edges.
+
+    ``neighbors[i]`` maps each neighbor of atom ``i`` to the ``BondOrder`` value
+    of their bond. It is built once from ``bonds``, and every graph algorithm
+    reads it; it must not be mutated.
     """
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
-    _adjacency: tuple[tuple[int, ...], ...] = field(
+    neighbors: tuple[dict[int, int], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
 
     def __post_init__(self) -> None:
         n = len(self.atoms)
-        seen: set[tuple[int, int]] = set()
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for bi, bond in enumerate(self.bonds):
+        neighbors: list[dict[int, int]] = [{} for _ in range(n)]
+        for bond in self.bonds:
             if not (0 <= bond.a < n and 0 <= bond.b < n):
                 raise ValueError(f"bond endpoint out of range: {bond}")
-            if bond.key in seen:
+            if bond.b in neighbors[bond.a]:
                 raise ValueError(f"duplicate bond between atoms {bond.key}")
-            seen.add(bond.key)
-            adj[bond.a].append(bi)
-            adj[bond.b].append(bi)
-        object.__setattr__(self, "_adjacency", tuple(tuple(x) for x in adj))
+            neighbors[bond.a][bond.b] = neighbors[bond.b][bond.a] = bond.order.value
+        object.__setattr__(self, "neighbors", tuple(neighbors))
 
     def __len__(self) -> int:
         return len(self.atoms)
-
-    def bonds_at(self, idx: int) -> tuple[Bond, ...]:
-        """All bonds incident to atom ``idx``."""
-        return tuple(self.bonds[bi] for bi in self._adjacency[idx])
-
-    def neighbors(self, idx: int) -> Iterator[tuple[int, Bond]]:
-        """Yield (neighbor index, bond) pairs for atom ``idx``."""
-        for bi in self._adjacency[idx]:
-            bond = self.bonds[bi]
-            yield bond.other(idx), bond
-
-    def degree(self, idx: int) -> int:
-        return len(self._adjacency[idx])

@@ -13,13 +13,14 @@ from molrag.smiles.model import MAX_VALENCE, WILDCARD, BondOrder, Molecule, Smil
 from molrag.smiles.parser import parse_smiles
 
 
+_AROMATIC = BondOrder.AROMATIC.value
+
+
 def computed_valence(mol: Molecule, idx: int) -> int:
-    """Sum of bond-order contributions at an atom, plus the aromatic bonus."""
-    bonds = mol.bonds_at(idx)
-    total = sum(bond.order.valence for bond in bonds)
-    if any(bond.order is BondOrder.AROMATIC for bond in bonds):
-        total += 1
-    return total
+    """Sum of bond-order contributions at an atom (1 per aromatic bond), plus the
+    aromatic bonus."""
+    orders = mol.neighbors[idx].values()
+    return sum(1 if order == _AROMATIC else order for order in orders) + (_AROMATIC in orders)
 
 
 def molecule_within_valence(mol: Molecule) -> bool:

@@ -113,7 +113,6 @@ class MoleculeRecord:
 class QuarantinedRow:
     line_number: int
     reason: str
-    content: str
 
 
 @dataclass(frozen=True)
@@ -177,19 +176,19 @@ def _read_rows(path: Path, fh, limit: int | None):
         total += 1
         parts = line.split("\t")
         if len(parts) < len(header):
-            quarantined.append(QuarantinedRow(line_no, "too few columns", line))
+            quarantined.append(QuarantinedRow(line_no, "too few columns"))
             continue
         cid = parts[cid_idx].strip()
         smiles = parts[smi_idx].strip()
         caption = "\t".join(parts[desc_idx:]) if desc_last else parts[desc_idx]
         caption = caption.strip()
         if not caption:
-            quarantined.append(QuarantinedRow(line_no, "empty caption", line))
+            quarantined.append(QuarantinedRow(line_no, "empty caption"))
             continue
         try:
             mol = parse_smiles(smiles)
         except SmilesError as exc:
-            quarantined.append(QuarantinedRow(line_no, f"{type(exc).__name__}: {exc}", line))
+            quarantined.append(QuarantinedRow(line_no, f"{type(exc).__name__}: {exc}"))
             continue
         records.append(MoleculeRecord(id=cid, smiles=smiles, caption=caption))
         fingerprints.append(morgan_fingerprint(mol, memo=memo))

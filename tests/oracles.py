@@ -131,12 +131,35 @@ def brute_force_isomorphic(a: Molecule, b: Molecule) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Valence by its definition: a pass over every bond of the molecule.
+# ---------------------------------------------------------------------------
+
+
+def computed_valence_from_bonds(mol: Molecule, idx: int) -> int:
+    """Bond orders at atom ``idx``, an aromatic bond counting 1, plus 1 when any
+    of them is aromatic."""
+    orders = [bond.order for bond in mol.bonds if idx in (bond.a, bond.b)]
+    total = sum(1 if order is BondOrder.AROMATIC else order.value for order in orders)
+    return total + (BondOrder.AROMATIC in orders)
+
+
+# ---------------------------------------------------------------------------
 # Rooted-neighborhood signatures: the uncompressed structural counterpart of
 # the hashed Morgan environment identifiers.
 # ---------------------------------------------------------------------------
 
 
-def _local_tuple(mol: Molecule, i: int):
+def bonded_from_bonds(mol: Molecule) -> list[list[tuple[int, int]]]:
+    """Each atom's (neighbor index, bond order value) pairs, read from ``mol.bonds``
+    alone and not from the neighbor maps the molecule builds for itself."""
+    bonded: list[list[tuple[int, int]]] = [[] for _ in range(len(mol))]
+    for bond in mol.bonds:
+        bonded[bond.a].append((bond.b, bond.order.value))
+        bonded[bond.b].append((bond.a, bond.order.value))
+    return bonded
+
+
+def _local_tuple(mol: Molecule, bonded, i: int):
     a = mol.atoms[i]
     return (
         a.element,
@@ -144,20 +167,18 @@ def _local_tuple(mol: Molecule, i: int):
         a.formal_charge,
         -1 if a.isotope is None else a.isotope,
         -1 if a.explicit_h_count is None else a.explicit_h_count,
-        mol.degree(i),
+        len(bonded[i]),
     )
 
 
-def environment_signature(mol: Molecule, idx: int, radius: int):
-    """Canonical nested structure of the BFS tree rooted at an atom."""
+def environment_signature(mol: Molecule, bonded, idx: int, radius: int):
+    """Canonical nested structure of the BFS tree rooted at an atom; ``bonded`` is
+    :func:`bonded_from_bonds` of ``mol``."""
     if radius == 0:
-        return _local_tuple(mol, idx)
-    inner = environment_signature(mol, idx, radius - 1)
+        return _local_tuple(mol, bonded, idx)
+    inner = environment_signature(mol, bonded, idx, radius - 1)
     subs = tuple(
-        sorted(
-            (bond.order.value, environment_signature(mol, j, radius - 1))
-            for j, bond in mol.neighbors(idx)
-        )
+        sorted((order, environment_signature(mol, bonded, j, radius - 1)) for j, order in bonded[idx])
     )
     return (inner, subs)
 
@@ -165,10 +186,11 @@ def environment_signature(mol: Molecule, idx: int, radius: int):
 def all_environment_signatures(mol: Molecule, radius: int):
     """(atom, round, signature) for every atom and round, mirroring the shape
     of the production environment list."""
+    bonded = bonded_from_bonds(mol)
     out = []
     for r in range(radius + 1):
         for i in range(len(mol)):
-            out.append((i, r, environment_signature(mol, i, r)))
+            out.append((i, r, environment_signature(mol, bonded, i, r)))
     return out
 
 
@@ -186,16 +208,15 @@ def morgan_fingerprint_direct(
     mol: Molecule, params: FingerprintParams | None = None
 ) -> MorganFingerprint:
     """The Morgan fingerprint with every identifier hashed afresh: no memo, and
-    each atom's neighbors read from the graph in every round."""
+    each atom's neighbors read from ``mol.bonds``, not from its neighbor maps."""
     params = params or FingerprintParams()
     n = len(mol)
-    ids = [fnv1a_64(_encode_initial(_local_tuple(mol, i))) for i in range(n)]
+    bonded = bonded_from_bonds(mol)
+    ids = [fnv1a_64(_encode_initial(_local_tuple(mol, bonded, i))) for i in range(n)]
     bits = {ident % params.nbits for ident in ids}
     for _ in range(params.radius):
         ids = [
-            fnv1a_64(_encode_round(
-                ids[i], sorted((bond.order.value, ids[j]) for j, bond in mol.neighbors(i))
-            ))
+            fnv1a_64(_encode_round(ids[i], sorted((order, ids[j]) for j, order in bonded[i])))
             for i in range(n)
         ]
         bits.update(ident % params.nbits for ident in ids)

@@ -272,9 +272,6 @@ class TestLoop:
         )
         assert out.final_shot_count == 3  # n - 2 per the eviction rule
         assert out.query_count <= ALLOWANCE
-        # the ids are those retrieved, before eviction
-        retrieved = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("morgan_fts"))
-        assert out.example_ids == tuple(rec.id for rec in retrieved)
 
     def test_perpetual_garbage_exhausts_allowance(self, corpus_store):
         client = make_client([GARBAGE])
@@ -353,14 +350,15 @@ class TestLoop:
         assert backend.calls <= ALLOWANCE + n
 
     def test_monotone_eviction(self, corpus_store):
-        # shot count never increases across the transcript
-        out = run(
-            ["context_length_exceeded", GARBAGE, "context_length_exceeded", GOOD_CAPTION],
-            n=4,
-            store=corpus_store,
-        )
-        shots = [entry["shot_count"] for entry in out.transcript]
-        assert shots == sorted(shots, reverse=True)
+        # the shot count of the prompts sent never increases
+        client = make_client(
+            ["context_length_exceeded", GARBAGE, "context_length_exceeded", GOOD_CAPTION])
+        shots = []
+        send = client.backend.send
+        client.backend.send = lambda prompt: shots.append(prompt.example_count) or send(prompt)
+        examples = retrieve_mol2cap(corpus_store, "CCO", 4, RetrievalStrategy("morgan_fts"))
+        out = calibrated_query(client, default_template("mol2cap"), "CCO", examples, ALLOWANCE)
+        assert shots == [4, 3, 3, 2]
         assert out.final_shot_count == 2
 
     def test_auth_error_propagates(self, corpus_store):

@@ -451,9 +451,12 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "bad",
         ['{"index": 3, "id"', "[3]", '{"id": "x"}', '{"index": -1}', '{"index": "3"}',
-         '{"index": true}', '{"index": 50}'],
+         '{"index": true}', '{"index": 50}', '{"index": 1}',
+         '{"index": 3, "prediction": "CCO", "reference": "CCO", "status": "weird"}',
+         '{"index": 3, "prediction": null, "reference": "CCO", "status": "ok"}'],
         ids=["torn", "not-an-object", "no-index", "negative-index", "string-index",
-             "bool-index", "index-past-the-items"])
+             "bool-index", "index-past-the-items", "index-only", "unknown-status",
+             "null-prediction"])
     def test_malformed_checkpoint_row_is_a_one_line_error(self, runner, data_dir, store_dir,
                                                           tmp_path, bad):
         out = tmp_path / "bad"
@@ -661,7 +664,8 @@ class TestEvaluate:
     def test_checkpoint_without_manifest_refused(self, runner, data_dir, store_dir, tmp_path):
         out = tmp_path / "orphan"
         out.mkdir()
-        (out / "items.jsonl").write_text('{"index": 0}\n', encoding="utf-8")
+        row = {"index": 0, "prediction": "", "reference": "CCO", "status": "ok"}
+        (out / "items.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
         result = runner.invoke(main, eval_args(data_dir, store_dir, out))
         assert result.exit_code != 0
         assert "no readable manifest.json" in result.output
@@ -1086,6 +1090,20 @@ def test_replay_artefacts_match_goldens(runner, data_dir, store_dir, tmp_path,
     ])
     assert result.exit_code == 0, result.output
     assert (out / artefact).read_bytes() == (data_dir / "golden" / golden).read_bytes()
+
+
+def test_query_stdout_matches_golden(runner, data_dir, store_dir):
+    """The query of the CI step "Installed console script runs end to end" prints exactly
+    tests/data/golden/query_mol2cap_evicted.json. Test item 13's replay fixture forces a
+    context-length eviction, so examples_used lists both retrieved ids while
+    final_shot_count is 1."""
+    result = runner.invoke(main, [
+        "query", "CCCCCCCCCCCCCCCCCCCCCCO", "--store", str(store_dir), "--task", "mol2cap",
+        "--n-shots", "2", "--strategy", "morgan_fts", "--replay", str(data_dir / REPLAY_M2C),
+    ])
+    assert result.exit_code == 0, result.output
+    golden = data_dir / "golden" / "query_mol2cap_evicted.json"
+    assert result.stdout.encode("utf-8") == golden.read_bytes()
 
 
 def test_report_and_comparison_tables_keep_their_bytes():

@@ -21,7 +21,8 @@ from molrag.smiles import (
     parse_smiles,
 )
 from molrag.smiles.canon import invariant_sequence, refined_ranks
-from oracles import brute_force_isomorphic, permute_molecule
+from molrag.smiles.validity import computed_valence
+from oracles import brute_force_isomorphic, computed_valence_from_bonds, permute_molecule
 
 
 class TestParser:
@@ -44,7 +45,7 @@ class TestParser:
         assert all(a.element == "C" and a.aromatic for a in mol.atoms)
         assert len(mol.bonds) == 6
         assert all(b.order is BondOrder.AROMATIC for b in mol.bonds)
-        assert all(mol.degree(i) == 2 for i in range(6))
+        assert all(len(mol.neighbors[i]) == 2 for i in range(6))
 
     def test_explicit_bonds(self):
         mol = parse_smiles("C=C")
@@ -217,6 +218,51 @@ class TestParser:
     def test_corpus_parses(self, corpus_records):
         for rec in corpus_records:
             parse_smiles(rec.smiles)
+
+
+@st.composite
+def molecules(draw):
+    """A graph of up to 12 atoms and any set of distinct bonds between them."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    element = st.sampled_from([Atom("C"), Atom("N"), Atom("O"), Atom("C", aromatic=True)])
+    atoms = tuple(draw(st.lists(element, min_size=n, max_size=n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    bonds = []
+    for i, j in chosen:
+        a, b = (i, j) if draw(st.booleans()) else (j, i)
+        bonds.append(Bond(a=a, b=b, order=draw(st.sampled_from(list(BondOrder)))))
+    return Molecule(atoms=atoms, bonds=tuple(bonds))
+
+
+class TestNeighborMaps:
+    @settings(max_examples=200, deadline=None)
+    @given(molecules())
+    def test_every_bond_is_in_both_endpoint_maps(self, mol):
+        for bond in mol.bonds:
+            assert mol.neighbors[bond.a][bond.b] == bond.order.value
+            assert mol.neighbors[bond.b][bond.a] == bond.order.value
+        assert sum(len(nbrs) for nbrs in mol.neighbors) == 2 * len(mol.bonds)
+
+    def test_computed_valence_matches_the_bond_scan(self, data_dir):
+        checked = 0
+        for path in sorted(data_dir.glob("*.tsv")):
+            for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+                mol = parse_smiles(line.split("\t")[1])
+                for idx in range(len(mol)):
+                    assert computed_valence(mol, idx) == computed_valence_from_bonds(mol, idx)
+                    checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("bonds", [
+        (Bond(0, 1), Bond(0, 1, BondOrder.DOUBLE)),
+        (Bond(0, 1), Bond(1, 0)),
+        (Bond(0, 2),),
+        (Bond(-1, 0),),
+    ], ids=["duplicate", "reversed-duplicate", "past-the-end", "negative"])
+    def test_duplicate_or_out_of_range_bond_is_refused(self, bonds):
+        with pytest.raises(ValueError):
+            Molecule(atoms=(Atom("C"), Atom("C")), bonds=bonds)
 
 
 class TestCanonical:
