@@ -64,6 +64,11 @@ from molrag.store import (
 DEFAULT_GRID_SHOTS = (0, 1, 2, 5, 10)
 DEFAULT_GRID_STRATEGIES = ("random", "bm25", "morgan_fts")
 
+# The RunConfig field annotations (with or without "| None") whose values must have
+# exactly that type, and the type's name in an error
+_EXACT_TYPES = {"int": (int, "an integer"), "str": (str, "a string")}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     store_path: str
@@ -81,6 +86,15 @@ class RunConfig:
     limit: int | None = None
 
     def __post_init__(self) -> None:
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            kind = spec.type.removesuffix(" | None")
+            if kind not in _EXACT_TYPES or (value is None and kind != spec.type):
+                continue
+            exact, noun = _EXACT_TYPES[kind]
+            # a --config file can hold any JSON type, and a bool is an int to isinstance
+            if type(value) is not exact:
+                raise ValueError(f"{spec.name} must be {noun}, not {value!r}")
         if not 0 <= self.n_shots <= 10:
             raise ValueError("n_shots must lie in 0..10")
         if self.concurrency < 1:
@@ -116,10 +130,13 @@ def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
     settings = {**_DEFAULTS, **_load_config_file(cfg_file)}
     settings.update((key, value) for key, value in flags.items() if value is not None)
     task = settings.get("task")
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in TASKS:
         raise click.ClickException(f"--task must be one of {', '.join(TASKS)}")
     if not settings.get("store"):
         raise click.ClickException("--store is required")
+    for key in ("strategy", "backend"):  # the two settings that are no RunConfig field
+        if not isinstance(settings.get(key), (str, type(None))):
+            raise click.ClickException(f"{key} must be a string, not {settings[key]!r}")
     try:
         backend = settings.get("backend")
         backend = BackendConfig(**_load_config_file(backend)) if backend else None

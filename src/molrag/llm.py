@@ -19,7 +19,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from molrag.prompt import ChatPrompt
@@ -62,6 +62,11 @@ class FixtureParseError(Exception):
     pass
 
 
+# What a BackendConfig field of each annotated type accepts, and its name in an error
+_ACCEPTED = {"str": (str, "a string"), "int": (int, "an integer"),
+             "float": ((int, float), "a number")}
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     endpoint_url: str = "https://api.openai.com/v1/chat/completions"
@@ -74,6 +79,12 @@ class BackendConfig:
     api_key_env_var: str = "MOLRAG_API_KEY"
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            kinds, noun = _ACCEPTED[spec.type]
+            # a backend JSON file can hold any type; a bool is an int to isinstance
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{spec.name} must be {noun}, not {value!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_output_tokens < 1:

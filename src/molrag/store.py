@@ -15,10 +15,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import os
 import random
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 from molrag import bm25
@@ -132,11 +135,21 @@ def load_chebi_tsv(
     """Read a molecule-caption TSV; malformed rows are quarantined, not fatal.
 
     Returns the kept records, the default Morgan fingerprint of each (in record
-    order) and the ingest report. The file is read a line at a time and each
-    row's SMILES is parsed once; its molecule is fingerprinted right away and
-    dropped. One identifier memo serves the whole file and is dropped on return.
-    With a ``limit`` reading stops after that many kept rows, and the report
-    covers the rows read.
+    order) and the ingest report. The file is read a line at a time (the lines
+    ``str.splitlines`` gives) and each row's SMILES is parsed once; its molecule
+    is fingerprinted right away and dropped.
+
+    Rows are parsed in worker processes when the whole file is read (no
+    ``limit``), it holds more than one block of ``BLOCK_ROWS`` non-blank rows,
+    this process may run on two or more CPUs, runs no other thread, and can
+    fork. This process keeps reading the file and hands each block to one of
+    ``min(CPUs, blocks)`` forked workers; each worker keeps one identifier memo
+    for its life, and the results are put together in file order, so the output
+    is the same on either path. A worker's exception is raised here as it would
+    have been in this process, and a worker that dies is a :class:`StoreError`.
+    Otherwise rows are parsed here, one at a time, with one identifier memo that
+    is dropped on return. With a ``limit`` reading stops after that many kept
+    rows, before the next row is parsed, and the report covers the rows read.
     """
     path = Path(path)
     try:
@@ -144,6 +157,11 @@ def load_chebi_tsv(
             return _read_rows(path, fh, limit)
     except (OSError, UnicodeDecodeError) as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+# Rows per block a worker process parses at a time; 256 beat 64, 128 and 512 on a
+# 2-vCPU host.
+BLOCK_ROWS = 256
 
 
 def _read_rows(path: Path, fh, limit: int | None):
@@ -158,40 +176,108 @@ def _read_rows(path: Path, fh, limit: int | None):
     missing = [col for col in _REQUIRED_COLUMNS if col not in header]
     if missing:
         raise MissingColumn(f"{path} lacks column(s): {', '.join(missing)}")
-    cid_idx = header.index("CID")
-    smi_idx = header.index("SMILES")
     desc_idx = header.index("description")
-    desc_last = desc_idx == len(header) - 1
+    columns = (header.index("CID"), header.index("SMILES"), desc_idx, len(header),
+               desc_idx == len(header) - 1)
 
+    rows = ((line_no, line) for line_no, line in enumerate(lines, start=2) if line.strip())
+    cpus = _usable_cpus()
+    if limit is None and cpus > 1 and threading.active_count() == 1 and hasattr(os, "fork"):
+        blocks = _blocks(rows)
+        first = list(islice(blocks, cpus))
+        if len(first) > 1:
+            return _parsed_in_workers(path, columns, first, blocks)
+        rows = chain.from_iterable(first)  # the whole file: one block, or none
+    memo: dict = {}
+    return _collect((_parse_row(columns, line_no, line, memo) for line_no, line in rows), limit)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blocks(rows):
+    """``rows`` in lists of ``BLOCK_ROWS`` (the last one may be shorter)."""
+    while block := list(islice(rows, BLOCK_ROWS)):
+        yield block
+
+
+def _parse_row(columns, line_no: int, line: str, memo: dict) -> tuple:
+    """One non-blank TSV row: ``(cid, smiles, caption, fingerprint bitmap)`` when it is
+    kept, ``(line_no, reason)`` when it is quarantined."""
+    cid_idx, smi_idx, desc_idx, width, desc_last = columns
+    parts = line.split("\t")
+    if len(parts) < width:
+        return line_no, "too few columns"
+    caption = ("\t".join(parts[desc_idx:]) if desc_last else parts[desc_idx]).strip()
+    if not caption:
+        return line_no, "empty caption"
+    smiles = parts[smi_idx].strip()
+    try:
+        mol = parse_smiles(smiles)
+    except SmilesError as exc:
+        return line_no, f"{type(exc).__name__}: {exc}"
+    return parts[cid_idx].strip(), smiles, caption, morgan_fingerprint(mol, memo=memo).bitmap
+
+
+# The identifier memo of a worker process. This process never fills it, so each
+# forked worker starts from an empty one and keeps it for its life.
+_worker_memo: dict = {}
+
+
+def _parse_block(columns, block: list[tuple[int, str]]) -> list[tuple]:
+    """:func:`_parse_row` over each row of ``block``, run in a worker process."""
+    return [_parse_row(columns, line_no, line, _worker_memo) for line_no, line in block]
+
+
+def _parsed_in_workers(path: Path, columns, first: list, blocks):
+    """What :func:`_collect` makes of every row, parsed by ``len(first)`` forked
+    workers: ``first`` holds the first blocks, ``blocks`` yields the rest. Every
+    worker has ended when this returns or raises."""
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    # fork named, not left to the platform default: a forkserver or spawned worker
+    # would import molrag anew
+    pool = ProcessPoolExecutor(max_workers=len(first),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        return _collect(_in_order(pool, columns, first, blocks), None)
+    except BrokenProcessPool as exc:
+        raise StoreError(f"a worker process reading {path} ended abruptly: {exc}") from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _in_order(pool, columns, first: list, blocks):
+    """The rows' results in file order, while ``len(first) + 1`` blocks are in flight."""
+    pending = deque(pool.submit(_parse_block, columns, block) for block in first)
+    for block in blocks:
+        pending.append(pool.submit(_parse_block, columns, block))
+        yield from pending.popleft().result()
+    while pending:
+        yield from pending.popleft().result()
+
+
+def _collect(results, limit: int | None):
+    """The records, fingerprints and report of the rows whose :func:`_parse_row`
+    results ``results`` yields, taken until ``limit`` rows are kept."""
     records: list[MoleculeRecord] = []
     fingerprints: list[MorganFingerprint] = []
     quarantined: list[QuarantinedRow] = []
-    memo: dict = {}
     total = 0
-    for line_no, line in enumerate(lines, start=2):
-        if len(records) == limit:
-            break
-        if not line.strip():
-            continue
+    # the limit is checked before the next result is drawn, and so before its row is parsed
+    while len(records) != limit and (result := next(results, None)):
         total += 1
-        parts = line.split("\t")
-        if len(parts) < len(header):
-            quarantined.append(QuarantinedRow(line_no, "too few columns"))
-            continue
-        cid = parts[cid_idx].strip()
-        smiles = parts[smi_idx].strip()
-        caption = "\t".join(parts[desc_idx:]) if desc_last else parts[desc_idx]
-        caption = caption.strip()
-        if not caption:
-            quarantined.append(QuarantinedRow(line_no, "empty caption"))
-            continue
-        try:
-            mol = parse_smiles(smiles)
-        except SmilesError as exc:
-            quarantined.append(QuarantinedRow(line_no, f"{type(exc).__name__}: {exc}"))
-            continue
-        records.append(MoleculeRecord(id=cid, smiles=smiles, caption=caption))
-        fingerprints.append(morgan_fingerprint(mol, memo=memo))
+        if len(result) == 2:
+            quarantined.append(QuarantinedRow(*result))
+        else:
+            cid, smiles, caption, bitmap = result
+            records.append(MoleculeRecord(id=cid, smiles=smiles, caption=caption))
+            fingerprints.append(MorganFingerprint(bitmap))
     report = IngestReport(total_rows=total, kept=len(records), quarantined=tuple(quarantined))
     return records, fingerprints, report
 

@@ -34,6 +34,7 @@ from test_metrics import CAPTION_PAIRS, SMILES_PAIRS, pairs
 REPLAY_M2C = "replay_eval_mol2cap.jsonl"
 REPLAY_C2M = "replay_eval_cap2mol.jsonl"
 REPLAY_GRID = "replay_ablate_mol2cap.jsonl"
+LOCAL_URL = "http://127.0.0.1:9/"  # the discard port: nothing answers
 
 
 @pytest.fixture(scope="session")
@@ -726,6 +727,47 @@ class TestEvaluate:
         assert result.output.startswith("Error: ") and result.output.count("\n") == 1
         assert message in result.output
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, file_flag, settings, message",
+        [
+            ("evaluate", "--config", {"n_shots": 2.5}, "n_shots must be an integer, not 2.5"),
+            ("evaluate", "--config", {"limit": 2.5}, "limit must be an integer, not 2.5"),
+            ("evaluate", "--config", {"limit": True}, "limit must be an integer, not True"),
+            ("evaluate", "--config", {"concurrency": 1.5}, "concurrency must be an integer"),
+            ("evaluate", "--config", {"seed": "x"}, "seed must be an integer, not 'x'"),
+            ("evaluate", "--config", {"store": 5}, "store_path must be a string, not 5"),
+            ("evaluate", "--config", {"task": ["mol2cap"]}, "--task must be one of"),
+            ("evaluate", "--config", {"strategy": []}, "strategy must be a string, not []"),
+            ("evaluate", "--config", {"backend": 5}, "backend must be a string, not 5"),
+            # a local endpoint, so that a value that passes unchecked reaches no remote host
+            ("query", "--backend", {"endpoint_url": LOCAL_URL, "request_timeout": "x"},
+             "request_timeout must be a number, not 'x'"),
+            ("query", "--backend", {"endpoint_url": 5}, "endpoint_url must be a string, not 5"),
+            ("query", "--backend", {"endpoint_url": LOCAL_URL, "max_retries": False},
+             "max_retries must be an integer, not False"),
+        ],
+        ids=["n-shots-float", "limit-float", "limit-bool", "concurrency-float", "seed-string",
+             "store-number", "task-list", "strategy-list", "backend-number", "timeout-string",
+             "endpoint-number", "retries-bool"],
+    )
+    def test_wrong_typed_setting_is_a_one_line_error(self, runner, data_dir, store_dir,
+                                                     tmp_path, command, file_flag, settings,
+                                                     message):
+        settings_file = tmp_path / "settings.json"
+        settings_file.write_text(json.dumps(settings), encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "evaluate":
+            args = eval_args(data_dir, store_dir, out)
+            for flag in ("--n-shots", "--store", "--task", "--strategy"):
+                if flag.lstrip("-").replace("-", "_") in settings:
+                    del args[args.index(flag) : args.index(flag) + 2]
+        else:
+            args = ["query", "CCO", "--store", str(store_dir), "--task", "mol2cap",
+                    "--out", str(out)]
+        result = runner.invoke(main, [*args, file_flag, str(settings_file)])
+        assert_one_line_error(result, message)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "backend_json, config_file, flag, expected",

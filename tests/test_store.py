@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,49 @@ def fingerprints_of(smiles) -> list:
 def write_tsv(path, rows, header="CID\tSMILES\tdescription"):
     path.write_text(header + "\n" + "".join(f"{r}\n" for r in rows), encoding="utf-8")
     return path
+
+
+def corpus_rows_tsv(data_dir, path, count):
+    """``count`` rows that repeat corpus.tsv's SMILES and captions under new ids."""
+    rows = (data_dir / "corpus.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    return write_tsv(path, [f"{i}\t{rows[i % len(rows)].split(chr(9), 1)[1]}"
+                            for i in range(count)])
+
+
+def probe_reader(tsv, *flags) -> dict:
+    """What tests/reader_probe.py reports of one load_chebi_tsv call in a fresh interpreter."""
+    result = subprocess.run(
+        [sys.executable, str(Path(__file__).parent / "reader_probe.py"), str(tsv), *flags],
+        capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(result.stdout)
+
+
+def multi_block_tsv(path, data_dir):
+    """3.5 blocks of corpus.tsv rows with a short row, an empty caption, an unparseable
+    SMILES and blank lines on both sides of each block boundary, and a caption that holds
+    a tab. Returns the path and the expected (line number, reason prefix) of each
+    quarantined row."""
+    corpus = (data_dir / "corpus.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    size = store_module.BLOCK_ROWS
+    bad = [("\tCC", "too few columns"), ("\tCCO\t  ", "empty caption"),
+           ("\tC1CC\tan unclosed ring", "UnmatchedRingClosure")]
+    lines = ["CID\tSMILES\tdescription"]
+    expected = []
+    for row in range(3 * size + size // 2):
+        if row % size in (0, size - 1):
+            lines.append("" if row % 2 else "  ")
+        if row % size in (0, 1, size - 1):
+            tail, reason = bad[row % len(bad)]
+            lines.append(f"{row}{tail}")
+            expected.append((len(lines), reason))
+        elif row == size + 2:
+            lines.append(f"{row}\tCCO\tethanol\twith a tab")
+        else:
+            lines.append(f"{row}\t{corpus[row % len(corpus)].split(chr(9), 1)[1]}")
+        if row % size == 0:
+            lines.append("")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, expected
 
 
 # The graph of CROWDED_SMILES written 16 times in different atom orders.
@@ -172,14 +217,14 @@ class TestIngest:
         assert [r.caption for r in records] == ["ethanol", "ethane"]
         assert not report.quarantined
 
-    def test_ingest_holds_fingerprints_not_molecules(self, data_dir, tmp_path):
+    def test_ingest_holds_fingerprints_not_molecules(self, data_dir, tmp_path, monkeypatch):
         # every parsed molecule was kept until build_store had fingerprinted them all:
         # a peak of 7.35 MiB for these 2,000 rows on Python 3.11, against 2.56 MiB when
-        # each molecule is fingerprinted and dropped as it is read
-        rows = (data_dir / "corpus.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        # each molecule is fingerprinted and dropped as it is read (in this process;
+        # test_worker_ingest_holds_fingerprints_not_molecules reads in workers)
+        monkeypatch.setattr(store_module, "_usable_cpus", lambda: 1)
         count = 2000
-        path = write_tsv(tmp_path / "big.tsv", [
-            f"{i}\t{rows[i % len(rows)].split(chr(9), 1)[1]}" for i in range(count)])
+        path = corpus_rows_tsv(data_dir, tmp_path / "big.tsv", count)
         tracemalloc.start()
         try:
             records, fingerprints, _ = load_chebi_tsv(path)
@@ -190,9 +235,83 @@ class TestIngest:
         assert len(records) == count
         assert peak < count * 2048
 
+    def test_worker_ingest_holds_fingerprints_not_molecules(self, data_dir, tmp_path):
+        # the parent of the workers holds no more than the reader does in one process
+        count = 2000
+        workers = probe_reader(corpus_rows_tsv(data_dir, tmp_path / "big.tsv", count),
+                               "--cpus", "2", "--memory")
+        assert workers["forks"] == 2 and workers["pid"] not in workers["parse_pids"]
+        assert len(workers["records"]) == count
+        assert workers["peak_bytes"] < count * 2048
+
     def test_ordering_preserved(self, corpus_records):
         ids = [r.id for r in corpus_records]
         assert ids == sorted(ids, key=int)
+
+
+class TestReaderPaths:
+    """load_chebi_tsv parses in worker processes or in this one; both read alike."""
+
+    RESULT = ("records", "bitmaps", "total_rows", "quarantined", "error")
+
+    def test_workers_read_what_one_process_reads(self, data_dir, tmp_path):
+        tsv, expected = multi_block_tsv(tmp_path / "blocks.tsv", data_dir)
+        here = probe_reader(tsv, "--cpus", "1")
+        workers = probe_reader(tsv, "--cpus", "2")
+        assert here["parse_pids"] == [here["pid"]] and here["forks"] == 0
+        assert len(workers["parse_pids"]) == 2 and workers["pid"] not in workers["parse_pids"]
+        for key in self.RESULT:
+            assert workers.get(key) == here.get(key), key
+        assert [(line, reason.split(":")[0]) for line, reason in here["quarantined"]] == expected
+        assert here["total_rows"] == 3 * store_module.BLOCK_ROWS + store_module.BLOCK_ROWS // 2
+        assert len(here["records"]) == here["total_rows"] - len(expected)
+        assert ["258", "CCO", "ethanol\twith a tab"] in here["records"]
+        assert here["bitmaps"] == [hex(fp.bitmap) for fp in
+                                   fingerprints_of(rec[1] for rec in here["records"])]
+
+    def test_one_worker_per_block_up_to_the_cpus(self, data_dir, tmp_path):
+        tsv, _ = multi_block_tsv(tmp_path / "blocks.tsv", data_dir)
+        assert probe_reader(tsv, "--cpus", "8")["forks"] == 4  # 3.5 blocks
+
+    @pytest.mark.parametrize("one_block, flags", [
+        (False, ["--thread", "--cpus", "2"]), (False, ["--cpus", "1"]),
+        (False, ["--limit", "300", "--cpus", "2"]), (True, ["--cpus", "2"]),
+    ], ids=["second-thread", "one-cpu", "limit", "one-block"])
+    def test_reads_in_process(self, data_dir, tmp_path, one_block, flags):
+        if one_block:
+            tsv = corpus_rows_tsv(data_dir, tmp_path / "one.tsv", store_module.BLOCK_ROWS)
+        else:
+            tsv, _ = multi_block_tsv(tmp_path / "blocks.tsv", data_dir)
+        got = probe_reader(tsv, *flags)
+        assert got["parse_pids"] == [got["pid"]] and "error" not in got
+        assert got["forks"] == 0 and not got["multiprocessing_imported"]
+
+    @pytest.mark.parametrize("damage, flags, error", [
+        ("none", [], None),
+        ("bad-utf8", [], ["IoFailure", "cannot read"]),
+        ("worker-raises", ["--raise-on", "CCO"], ["RuntimeError", "cannot parse CCO"]),
+        ("worker-exits", ["--exit-on", "CCO"], ["StoreError", "ended abruptly"]),
+    ])
+    def test_no_worker_outlives_the_read(self, data_dir, tmp_path, damage, flags, error):
+        tsv, _ = multi_block_tsv(tmp_path / "blocks.tsv", data_dir)
+        if damage == "bad-utf8":
+            # a byte that is no UTF-8 late in the third block: the file is decoded 8 KiB
+            # ahead of the line read, and the first two blocks are read before any fork
+            raw = tsv.read_bytes().split(b"\n")
+            raw[2 * store_module.BLOCK_ROWS + 200] += b"\xff"
+            tsv.write_bytes(b"\n".join(raw))
+        workers = probe_reader(tsv, "--cpus", "2", *flags)
+        assert workers["forks"] == 2
+        assert workers["live_children"] == 0 and not workers["any_child"]
+        assert workers["threads"] == 1
+        if error is None:
+            assert "error" not in workers
+            return
+        kind, message = workers["error"]
+        assert kind == error[0] and error[1] in message
+        if damage != "worker-exits":  # a reader in one process that exits cannot report
+            here = probe_reader(tsv, "--cpus", "1", *flags)
+            assert workers["error"] == here["error"]
 
 
 class TestBuild:
