@@ -224,7 +224,7 @@ def extract_payload(raw_text: str, task: str) -> ExtractionResult:
 
 
 def rank_examples(
-    store: Store | None, task: str, query: str, n: int, strategy: RetrievalStrategy, *,
+    store: Store, task: str, query: str, n: int, strategy: RetrievalStrategy, *,
     query_fp: MorganFingerprint | None = None,
 ) -> list[MoleculeRecord]:
     """The n context examples an item of ``task`` is prompted with, best first;
@@ -232,8 +232,6 @@ def rank_examples(
     fingerprint, as :func:`~molrag.store.retrieve_mol2cap` takes it."""
     if n == 0:
         return []
-    if store is None:
-        raise ValueError("n > 0 requires a store")
     if task == "mol2cap":
         return retrieve_mol2cap(store, query, n, strategy, query_fp=query_fp)
     return retrieve_cap2mol(store, query, n, strategy)

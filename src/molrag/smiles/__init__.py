@@ -3,8 +3,6 @@
 from molrag.smiles.canon import molecules_equal
 from molrag.smiles.model import (
     Atom,
-    Bond,
-    BondOrder,
     EmptyBranch,
     InvalidBracketAtom,
     Molecule,
@@ -18,8 +16,6 @@ from molrag.smiles.validity import is_valid_smiles
 
 __all__ = [
     "Atom",
-    "Bond",
-    "BondOrder",
     "EmptyBranch",
     "InvalidBracketAtom",
     "Molecule",

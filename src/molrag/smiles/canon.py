@@ -2,8 +2,9 @@
 
 Ranking works by iterative neighborhood refinement: atoms start from a local
 invariant tuple and are repeatedly re-partitioned by the sorted multiset of
-(bond order, neighbor rank) pairs until the partition stabilises. Atoms that
-stay tied are left tied; equality resolves them by searching for a mapping.
+(bond order, neighbor rank) pairs, read from each atom's neighbor map, until
+the partition stabilises. Atoms that stay tied are left tied; equality
+resolves them by searching for a mapping.
 
 Stereochemistry is deliberately excluded from invariants and equality.
 """
@@ -63,10 +64,11 @@ def molecules_equal(a: Molecule, b: Molecule) -> bool:
     """Graph isomorphism (stereo-blind), for the exact-match metric.
 
     Refines each molecule once and compares the invariant sequences built from
-    those ranks, then verifies by searching for an explicit atom mapping
-    constrained to equal refinement classes and consistent bond sets.
+    those ranks (they hold every atom's degree, so molecules with unequal bond
+    counts differ there), then verifies by searching for an explicit atom
+    mapping constrained to equal refinement classes and consistent bond sets.
     """
-    if len(a) != len(b) or len(a.bonds) != len(b.bonds):
+    if len(a) != len(b):
         return False
     if len(a) == 0:
         return True

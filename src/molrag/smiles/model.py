@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 
 class SmilesError(ValueError):
@@ -30,12 +29,12 @@ class InvalidBracketAtom(SmilesError):
     """Malformed bracket-atom expression."""
 
 
-class BondOrder(Enum):
-    SINGLE = 1
-    DOUBLE = 2
-    TRIPLE = 3
-    QUADRUPLE = 4
-    AROMATIC = 5
+# The bond orders that the neighbor maps of a Molecule hold.
+SINGLE = 1
+DOUBLE = 2
+TRIPLE = 3
+QUADRUPLE = 4
+AROMATIC = 5
 
 
 # The 118 IUPAC element symbols plus the wildcard.
@@ -95,51 +94,21 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Bond:
-    """An undirected edge between two atom indices."""
-
-    a: int
-    b: int
-    order: BondOrder = BondOrder.SINGLE
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError("bond endpoints must be distinct")
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """Unordered endpoint pair, normalised low-high."""
-        return (self.a, self.b) if self.a < self.b else (self.b, self.a)
-
-
-@dataclass(frozen=True)
 class Molecule:
-    """Immutable molecular graph: atoms and bonds.
+    """Immutable molecular graph: atoms and one neighbor map per atom.
 
-    Disconnected components (dot-separated SMILES) are permitted. The parser
-    guarantees there are no self-loops and no duplicate edges.
+    ``neighbors[i]`` maps each neighbor of atom ``i`` to the order of their
+    bond, one of :data:`SINGLE` to :data:`AROMATIC`. The parser writes both
+    endpoints of every bond, so the maps are symmetric, with no self-loops and
+    no duplicate edges; every graph algorithm reads them, and they must not be
+    mutated. Disconnected components (dot-separated SMILES) are permitted.
 
-    ``neighbors[i]`` maps each neighbor of atom ``i`` to the ``BondOrder`` value
-    of their bond. It is built once from ``bonds``, and every graph algorithm
-    reads it; it must not be mutated.
+    Two molecules compare equal when their atoms and maps are equal. A
+    molecule is not hashable: its maps are dicts.
     """
 
     atoms: tuple[Atom, ...]
-    bonds: tuple[Bond, ...]
-    neighbors: tuple[dict[int, int], ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
-
-    def __post_init__(self) -> None:
-        n = len(self.atoms)
-        neighbors: list[dict[int, int]] = [{} for _ in range(n)]
-        for bond in self.bonds:
-            if not (0 <= bond.a < n and 0 <= bond.b < n):
-                raise ValueError(f"bond endpoint out of range: {bond}")
-            if bond.b in neighbors[bond.a]:
-                raise ValueError(f"duplicate bond between atoms {bond.key}")
-            neighbors[bond.a][bond.b] = neighbors[bond.b][bond.a] = bond.order.value
-        object.__setattr__(self, "neighbors", tuple(neighbors))
+    neighbors: tuple[dict[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -19,6 +19,10 @@ hydrogen count; a charge, either a repeated sign (``--``) or one sign and a
 number (``+2``); and an atom-map class ``:`` and digits, consumed and
 discarded. Digits are ASCII digits throughout.
 
+The parser writes the graph once: each atom gets a neighbor map, and each
+bond is written into the maps of both its endpoints (see
+:class:`~molrag.smiles.model.Molecule`).
+
 Text that is not a run of these tokens (:data:`TOKEN_RUN`) or whose branches
 do not nest (:func:`branches_nest`) never parses; the reply pre-filter asks
 these two cheap questions before it parses a word.
@@ -30,12 +34,15 @@ import re
 from dataclasses import dataclass, field
 
 from molrag.smiles.model import (
+    AROMATIC,
     AROMATIC_ELIGIBLE,
+    DOUBLE,
     ORGANIC_SUBSET,
+    QUADRUPLE,
+    SINGLE,
+    TRIPLE,
     WILDCARD,
     Atom,
-    Bond,
-    BondOrder,
     EmptyBranch,
     InvalidBracketAtom,
     Molecule,
@@ -73,13 +80,7 @@ _BRACKET = re.compile(
     re.VERBOSE,
 )
 
-_BOND_SYMBOLS = {
-    "-": BondOrder.SINGLE,
-    "=": BondOrder.DOUBLE,
-    "#": BondOrder.TRIPLE,
-    "$": BondOrder.QUADRUPLE,
-    ":": BondOrder.AROMATIC,
-}
+_BOND_SYMBOLS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, "$": QUADRUPLE, ":": AROMATIC}
 
 # One shared instance per atom written without brackets: an Atom is frozen and compares by value.
 _ORGANIC = {symbol: Atom(element=symbol) for symbol in ORGANIC_SUBSET | {WILDCARD}} | {
@@ -91,13 +92,13 @@ _ORGANIC = {symbol: Atom(element=symbol) for symbol in ORGANIC_SUBSET | {WILDCAR
 @dataclass
 class _State:
     atoms: list[Atom] = field(default_factory=list)
-    bonds: list[Bond] = field(default_factory=list)
-    bond_keys: set[tuple[int, int]] = field(default_factory=set)
+    # neighbors[i]: each neighbor of atom i -> the order of their bond
+    neighbors: list[dict[int, int]] = field(default_factory=list)
     prev_atom: int | None = None
     # the order of the bond symbol read since the last atom or ring closure, if any
-    pending: BondOrder | None = None
+    pending: int | None = None
     # ring digit -> (opening atom, the bond order written at the opening, if any)
-    open_rings: dict[int, tuple[int, BondOrder | None]] = field(default_factory=dict)
+    open_rings: dict[int, tuple[int, int | None]] = field(default_factory=dict)
     # (atom to return to, atom count at open) per '('
     branch_stack: list[tuple[int, int]] = field(default_factory=list)
 
@@ -128,9 +129,9 @@ def parse_smiles(text: str) -> Molecule:
                 raise UnknownToken(f"two consecutive bond symbols at position {m.start()}")
             st.pending = _BOND_SYMBOLS[token]
         elif kind == "stereo":
-            if st.pending is not None and st.pending is not BondOrder.SINGLE:
+            if st.pending is not None and st.pending != SINGLE:
                 raise UnknownToken(f"stereo marker on non-single bond at position {m.start()}")
-            st.pending = BondOrder.SINGLE
+            st.pending = SINGLE
         elif kind == "open":
             if st.prev_atom is None:
                 raise UnbalancedParenthesis(f"branch opened before any atom at {m.start()}")
@@ -166,7 +167,7 @@ def parse_smiles(text: str) -> Molecule:
         raise UnmatchedRingClosure(f"ring closure(s) {digits} opened but never closed")
     if not st.atoms:
         raise UnknownToken("SMILES contains no atoms")
-    return Molecule(atoms=tuple(st.atoms), bonds=tuple(st.bonds))
+    return Molecule(atoms=tuple(st.atoms), neighbors=tuple(st.neighbors))
 
 
 def branches_nest(text: str) -> bool:
@@ -179,26 +180,26 @@ def branches_nest(text: str) -> bool:
     return depth == 0
 
 
-def _add_bond(st: _State, a: int, b: int, order: BondOrder) -> None:
-    key = (a, b) if a < b else (b, a)
+def _add_bond(st: _State, a: int, b: int, order: int) -> None:
     if a == b:
         raise UnmatchedRingClosure("ring closed onto its opening atom")
-    if key in st.bond_keys:
+    if b in st.neighbors[a]:
+        key = (a, b) if a < b else (b, a)
         raise UnmatchedRingClosure(f"ring closure duplicates the bond between atoms {key}")
-    st.bond_keys.add(key)
-    st.bonds.append(Bond(a=a, b=b, order=order))
+    st.neighbors[a][b] = st.neighbors[b][a] = order
 
 
 def _add_atom(st: _State, atom: Atom) -> None:
     idx = len(st.atoms)
     st.atoms.append(atom)
+    st.neighbors.append({})
     if st.prev_atom is not None:
         if st.pending is not None:
             order = st.pending
         elif st.atoms[st.prev_atom].aromatic and atom.aromatic:
-            order = BondOrder.AROMATIC
+            order = AROMATIC
         else:
-            order = BondOrder.SINGLE
+            order = SINGLE
         _add_bond(st, st.prev_atom, idx, order)
     st.pending = None
     st.prev_atom = idx
@@ -211,14 +212,14 @@ def _ring_closure(st: _State, digit: int) -> None:
     else:
         a, opening_order = opening
         b = st.prev_atom
-        if opening_order and st.pending and opening_order is not st.pending:
+        if opening_order and st.pending and opening_order != st.pending:
             raise UnmatchedRingClosure(f"conflicting bond orders on ring closure {digit}")
         order = st.pending or opening_order
         if order is None:
             if st.atoms[a].aromatic and st.atoms[b].aromatic:
-                order = BondOrder.AROMATIC
+                order = AROMATIC
             else:
-                order = BondOrder.SINGLE
+                order = SINGLE
         _add_bond(st, a, b, order)
     st.pending = None
 

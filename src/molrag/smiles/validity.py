@@ -9,18 +9,15 @@ exempt from the cap, since explicit specification overrides.
 
 from __future__ import annotations
 
-from molrag.smiles.model import MAX_VALENCE, WILDCARD, BondOrder, Molecule, SmilesError
+from molrag.smiles.model import AROMATIC, MAX_VALENCE, WILDCARD, Molecule, SmilesError
 from molrag.smiles.parser import parse_smiles
-
-
-_AROMATIC = BondOrder.AROMATIC.value
 
 
 def computed_valence(mol: Molecule, idx: int) -> int:
     """Sum of bond-order contributions at an atom (1 per aromatic bond), plus the
     aromatic bonus."""
     orders = mol.neighbors[idx].values()
-    return sum(1 if order == _AROMATIC else order for order in orders) + (_AROMATIC in orders)
+    return sum(1 if order == AROMATIC else order for order in orders) + (AROMATIC in orders)
 
 
 def molecule_within_valence(mol: Molecule) -> bool:

@@ -27,31 +27,34 @@ from molrag.fingerprint import (
     morgan_fingerprint,
 )
 from molrag.smiles import SmilesError, is_valid_smiles, molecules_equal, parse_smiles
-from molrag.smiles.model import Atom, Bond, BondOrder, Molecule
+from molrag.smiles.model import AROMATIC, DOUBLE, QUADRUPLE, SINGLE, TRIPLE, Atom, Molecule
 
 
 # ---------------------------------------------------------------------------
-# Atom permutation: an isomorphic copy of a molecule in another atom order,
-# and a SMILES string that spells a molecule in its own atom order.
+# The edge list of a molecule, an isomorphic copy of a molecule in another
+# atom order, and a SMILES string that spells a molecule in its own atom order.
 # ---------------------------------------------------------------------------
+
+
+def edges(mol: Molecule) -> list[tuple[int, int, int]]:
+    """Every bond once, as a sorted list of (low atom, high atom, order)
+    triples read from the neighbor maps."""
+    return sorted(
+        (i, j, order) for i, nbrs in enumerate(mol.neighbors) for j, order in nbrs.items() if i < j
+    )
 
 
 def permute_molecule(mol: Molecule, perm: list[int]) -> Molecule:
     """The same graph with atom ``i`` moved to index ``perm[i]``."""
     atoms = [None] * len(mol)
+    neighbors = [None] * len(mol)
     for old, new in enumerate(perm):
         atoms[new] = mol.atoms[old]
-    bonds = tuple(Bond(a=perm[b.a], b=perm[b.b], order=b.order) for b in mol.bonds)
-    return Molecule(atoms=tuple(atoms), bonds=bonds)
+        neighbors[new] = {perm[j]: order for j, order in mol.neighbors[old].items()}
+    return Molecule(atoms=tuple(atoms), neighbors=tuple(neighbors))
 
 
-_BOND_SYMBOL = {
-    BondOrder.SINGLE: "-",
-    BondOrder.DOUBLE: "=",
-    BondOrder.TRIPLE: "#",
-    BondOrder.QUADRUPLE: "$",
-    BondOrder.AROMATIC: ":",
-}
+_BOND_SYMBOL = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", QUADRUPLE: "$", AROMATIC: ":"}
 
 
 def _atom_text(atom: Atom) -> str:
@@ -70,12 +73,12 @@ def write_smiles(mol: Molecule) -> str:
     Every atom is its own dot-separated fragment and every bond is a ring
     closure ``%nn`` with its order written out, so atom order is free.
     """
-    if len(mol.bonds) > 100:
+    pairs = edges(mol)
+    if len(pairs) > 100:
         raise ValueError("at most 100 bonds: one two-digit ring label each")
     closures: list[list[str]] = [[] for _ in range(len(mol))]
-    for label, bond in enumerate(mol.bonds):
-        low, high = bond.key
-        closures[low].append(f"{_BOND_SYMBOL[bond.order]}%{label:02d}")
+    for label, (low, high, order) in enumerate(pairs):
+        closures[low].append(f"{_BOND_SYMBOL[order]}%{label:02d}")
         closures[high].append(f"%{label:02d}")
     return ".".join(_atom_text(atom) + "".join(closures[i]) for i, atom in enumerate(mol.atoms))
 
@@ -92,14 +95,14 @@ def _attrs(mol: Molecule, i: int):
 
 
 def _bond_map(mol: Molecule) -> dict[tuple[int, int], int]:
-    return {bond.key: bond.order.value for bond in mol.bonds}
+    return {(low, high): order for low, high, order in edges(mol)}
 
 
 def brute_force_isomorphic(a: Molecule, b: Molecule) -> bool:
     n = len(a)
-    if n != len(b) or len(a.bonds) != len(b.bonds):
-        return False
     bonds_a, bonds_b = _bond_map(a), _bond_map(b)
+    if n != len(b) or len(bonds_a) != len(bonds_b):
+        return False
     mapping = [-1] * n
     used = [False] * n
 
@@ -135,12 +138,12 @@ def brute_force_isomorphic(a: Molecule, b: Molecule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def computed_valence_from_bonds(mol: Molecule, idx: int) -> int:
+def computed_valence_from_edges(mol: Molecule, idx: int) -> int:
     """Bond orders at atom ``idx``, an aromatic bond counting 1, plus 1 when any
     of them is aromatic."""
-    orders = [bond.order for bond in mol.bonds if idx in (bond.a, bond.b)]
-    total = sum(1 if order is BondOrder.AROMATIC else order.value for order in orders)
-    return total + (BondOrder.AROMATIC in orders)
+    orders = [order for low, high, order in edges(mol) if idx in (low, high)]
+    total = sum(1 if order == AROMATIC else order for order in orders)
+    return total + (AROMATIC in orders)
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +152,13 @@ def computed_valence_from_bonds(mol: Molecule, idx: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def bonded_from_bonds(mol: Molecule) -> list[list[tuple[int, int]]]:
-    """Each atom's (neighbor index, bond order value) pairs, read from ``mol.bonds``
-    alone and not from the neighbor maps the molecule builds for itself."""
+def bonded_from_edges(mol: Molecule) -> list[list[tuple[int, int]]]:
+    """Each atom's (neighbor index, bond order) pairs, rebuilt from the edge
+    list :func:`edges` rather than read from the atom's own neighbor map."""
     bonded: list[list[tuple[int, int]]] = [[] for _ in range(len(mol))]
-    for bond in mol.bonds:
-        bonded[bond.a].append((bond.b, bond.order.value))
-        bonded[bond.b].append((bond.a, bond.order.value))
+    for low, high, order in edges(mol):
+        bonded[low].append((high, order))
+        bonded[high].append((low, order))
     return bonded
 
 
@@ -173,7 +176,7 @@ def _local_tuple(mol: Molecule, bonded, i: int):
 
 def environment_signature(mol: Molecule, bonded, idx: int, radius: int):
     """Canonical nested structure of the BFS tree rooted at an atom; ``bonded`` is
-    :func:`bonded_from_bonds` of ``mol``."""
+    :func:`bonded_from_edges` of ``mol``."""
     if radius == 0:
         return _local_tuple(mol, bonded, idx)
     inner = environment_signature(mol, bonded, idx, radius - 1)
@@ -186,7 +189,7 @@ def environment_signature(mol: Molecule, bonded, idx: int, radius: int):
 def all_environment_signatures(mol: Molecule, radius: int):
     """(atom, round, signature) for every atom and round, mirroring the shape
     of the production environment list."""
-    bonded = bonded_from_bonds(mol)
+    bonded = bonded_from_edges(mol)
     out = []
     for r in range(radius + 1):
         for i in range(len(mol)):
@@ -208,10 +211,10 @@ def morgan_fingerprint_direct(
     mol: Molecule, params: FingerprintParams | None = None
 ) -> MorganFingerprint:
     """The Morgan fingerprint with every identifier hashed afresh: no memo, and
-    each atom's neighbors read from ``mol.bonds``, not from its neighbor maps."""
+    each atom's neighbors rebuilt from :func:`edges`, not read from its neighbor map."""
     params = params or FingerprintParams()
     n = len(mol)
-    bonded = bonded_from_bonds(mol)
+    bonded = bonded_from_edges(mol)
     ids = [fnv1a_64(_encode_initial(_local_tuple(mol, bonded, i))) for i in range(n)]
     bits = {ident % params.nbits for ident in ids}
     for _ in range(params.radius):

@@ -357,6 +357,9 @@ class TestPersistence:
                 flipped[pos] ^= mask
                 damaged.append(bytes(flipped))
         for data in damaged:
+            # A fresh file each time: truncating one file in place makes the
+            # file system write each shortened copy back on close.
+            path.unlink()
             path.write_bytes(data)
             with pytest.raises(Bm25FormatError):
                 load_index(path)

@@ -369,7 +369,3 @@ class TestLoop:
     def test_server_exhaustion_is_item_failure(self, corpus_store):
         with pytest.raises(CalibrationFailure):
             run(["server"], n=1, store=corpus_store)
-
-    def test_requires_store_for_shots(self):
-        with pytest.raises(ValueError):
-            run([GOOD_CAPTION], n=2, store=None)

@@ -29,6 +29,7 @@ from molrag.smiles import parse_smiles
 from molrag.smiles import parser as smiles_parser
 from oracles import (
     bleu_direct,
+    edges,
     exact_match_rate_reparse,
     f1_direct,
     lcs_direct,
@@ -365,7 +366,7 @@ class TestMoleculeScores:
         mol = parse_smiles(smiles)
         back = parse_smiles(write_smiles(mol))
         assert back.atoms == mol.atoms
-        assert {(b.key, b.order) for b in back.bonds} == {(b.key, b.order) for b in mol.bonds}
+        assert edges(back) == edges(mol)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_molecule_pairs(), min_size=1, max_size=8))

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from molrag.smiles import canon
 from molrag.smiles import (
     Atom,
-    Bond,
-    BondOrder,
     EmptyBranch,
     InvalidBracketAtom,
     Molecule,
@@ -21,49 +19,52 @@ from molrag.smiles import (
     parse_smiles,
 )
 from molrag.smiles.canon import invariant_sequence, refined_ranks
+from molrag.smiles.model import AROMATIC, DOUBLE, QUADRUPLE, SINGLE, TRIPLE
 from molrag.smiles.validity import computed_valence
-from oracles import brute_force_isomorphic, computed_valence_from_bonds, permute_molecule
+from oracles import (
+    brute_force_isomorphic,
+    computed_valence_from_edges,
+    edges,
+    permute_molecule,
+    write_smiles,
+)
 
 
 class TestParser:
     def test_single_atom(self):
         mol = parse_smiles("C")
         assert len(mol.atoms) == 1
-        assert not mol.bonds
+        assert not edges(mol)
         assert mol.atoms[0].element == "C"
         assert not mol.atoms[0].aromatic
 
     def test_29_carbon_chain(self):
         mol = parse_smiles("C" * 29)
         assert len(mol.atoms) == 29
-        assert len(mol.bonds) == 28
-        assert all(b.order is BondOrder.SINGLE for b in mol.bonds)
+        assert edges(mol) == [(i, i + 1, SINGLE) for i in range(28)]
 
     def test_benzene_structure(self):
         mol = parse_smiles("c1ccccc1")
         assert len(mol.atoms) == 6
         assert all(a.element == "C" and a.aromatic for a in mol.atoms)
-        assert len(mol.bonds) == 6
-        assert all(b.order is BondOrder.AROMATIC for b in mol.bonds)
+        assert [order for *_, order in edges(mol)] == [AROMATIC] * 6
         assert all(len(mol.neighbors[i]) == 2 for i in range(6))
 
     def test_explicit_bonds(self):
-        mol = parse_smiles("C=C")
-        assert mol.bonds[0].order is BondOrder.DOUBLE
-        assert parse_smiles("C#N").bonds[0].order is BondOrder.TRIPLE
-        assert parse_smiles("C$C").bonds[0].order is BondOrder.QUADRUPLE
-        assert parse_smiles("C:C").bonds[0].order is BondOrder.AROMATIC
+        assert edges(parse_smiles("C=C")) == [(0, 1, DOUBLE)]
+        assert edges(parse_smiles("C#N")) == [(0, 1, TRIPLE)]
+        assert edges(parse_smiles("C$C")) == [(0, 1, QUADRUPLE)]
+        assert edges(parse_smiles("C:C")) == [(0, 1, AROMATIC)]
 
     def test_aromatic_bond_inference(self):
         # no symbol between two aromatic atoms -> aromatic; otherwise single
-        assert parse_smiles("cc").bonds[0].order is BondOrder.AROMATIC
-        assert parse_smiles("Cc").bonds[0].order is BondOrder.SINGLE
-        assert parse_smiles("c-c").bonds[0].order is BondOrder.SINGLE
+        assert edges(parse_smiles("cc")) == [(0, 1, AROMATIC)]
+        assert edges(parse_smiles("Cc")) == [(0, 1, SINGLE)]
+        assert edges(parse_smiles("c-c")) == [(0, 1, SINGLE)]
 
     def test_stereo_markers_retained(self):
         # a directional marker reads as a single bond
-        orders = [b.order for b in parse_smiles("F/C=C/F").bonds]
-        assert orders == [BondOrder.SINGLE, BondOrder.DOUBLE, BondOrder.SINGLE]
+        assert edges(parse_smiles("F/C=C/F")) == [(0, 1, SINGLE), (1, 2, DOUBLE), (2, 3, SINGLE)]
 
     def test_bracket_atom_fields(self):
         atom = parse_smiles("[13CH3+:5]").atoms[0]
@@ -92,18 +93,17 @@ class TestParser:
     def test_dot_fragments(self):
         mol = parse_smiles("[Na+].[Cl-]")
         assert len(mol.atoms) == 2
-        assert not mol.bonds
+        assert not edges(mol)
         # stray separators are harmless once there is an atom
         assert [len(parse_smiles(t)) for t in ("C.", ".C", "C..C")] == [1, 1, 2]
 
     def test_percent_ring_closure(self):
         mol = parse_smiles("C%12CCCC%12")
-        assert len(mol.bonds) == 5
+        assert len(edges(mol)) == 5
 
     def test_ring_bond_symbol_on_open_side(self):
         mol = parse_smiles("C=1CCCCC=1")
-        ring_bond = [b for b in mol.bonds if b.key == (0, 5)][0]
-        assert ring_bond.order is BondOrder.DOUBLE
+        assert (0, 5, DOUBLE) in edges(mol)
 
     def test_wildcard(self):
         mol = parse_smiles("*C")
@@ -183,12 +183,12 @@ class TestParser:
 
     @pytest.mark.parametrize("text", ["C//C", "C-/C"])
     def test_directional_marker_after_a_single_bond(self, text):
-        assert [b.order for b in parse_smiles(text).bonds] == [BondOrder.SINGLE]
+        assert edges(parse_smiles(text)) == [(0, 1, SINGLE)]
 
     def test_ring_digit_reused_across_fragments(self):
         # the dot ends the first fragment, but the ring bond still joins its two atoms
         mol = parse_smiles("C1.C1")
-        assert [(b.a, b.b, b.order) for b in mol.bonds] == [(0, 1, BondOrder.SINGLE)]
+        assert edges(mol) == [(0, 1, SINGLE)]
 
     def test_organic_atoms_are_shared_and_compare_by_value(self):
         mol = parse_smiles("CCc")
@@ -220,29 +220,35 @@ class TestParser:
             parse_smiles(rec.smiles)
 
 
+_ORDERS = [SINGLE, DOUBLE, TRIPLE, QUADRUPLE, AROMATIC]
+
+
 @st.composite
 def molecules(draw):
-    """A graph of up to 12 atoms and any set of distinct bonds between them."""
-    n = draw(st.integers(min_value=0, max_value=12))
+    """A graph of 1 to 12 atoms and any set of distinct bonds between them."""
+    n = draw(st.integers(min_value=1, max_value=12))
     element = st.sampled_from([Atom("C"), Atom("N"), Atom("O"), Atom("C", aromatic=True)])
     atoms = tuple(draw(st.lists(element, min_size=n, max_size=n)))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    bonds = []
+    neighbors = [{} for _ in range(n)]
     for i, j in chosen:
-        a, b = (i, j) if draw(st.booleans()) else (j, i)
-        bonds.append(Bond(a=a, b=b, order=draw(st.sampled_from(list(BondOrder)))))
-    return Molecule(atoms=atoms, bonds=tuple(bonds))
+        neighbors[i][j] = neighbors[j][i] = draw(st.sampled_from(_ORDERS))
+    return Molecule(atoms=atoms, neighbors=tuple(neighbors))
 
 
 class TestNeighborMaps:
     @settings(max_examples=200, deadline=None)
     @given(molecules())
-    def test_every_bond_is_in_both_endpoint_maps(self, mol):
-        for bond in mol.bonds:
-            assert mol.neighbors[bond.a][bond.b] == bond.order.value
-            assert mol.neighbors[bond.b][bond.a] == bond.order.value
-        assert sum(len(nbrs) for nbrs in mol.neighbors) == 2 * len(mol.bonds)
+    def test_every_bond_is_in_both_endpoint_maps(self, drawn):
+        # A random graph, spelled with every bond a ring closure and parsed back.
+        mol = parse_smiles(write_smiles(drawn))
+        for i, nbrs in enumerate(mol.neighbors):
+            assert i not in nbrs
+            for j, order in nbrs.items():
+                assert mol.neighbors[j][i] == order
+        assert mol.atoms == drawn.atoms
+        assert edges(mol) == edges(drawn)
 
     def test_computed_valence_matches_the_bond_scan(self, data_dir):
         checked = 0
@@ -250,19 +256,9 @@ class TestNeighborMaps:
             for line in path.read_text(encoding="utf-8").splitlines()[1:]:
                 mol = parse_smiles(line.split("\t")[1])
                 for idx in range(len(mol)):
-                    assert computed_valence(mol, idx) == computed_valence_from_bonds(mol, idx)
+                    assert computed_valence(mol, idx) == computed_valence_from_edges(mol, idx)
                     checked += 1
         assert checked > 1000
-
-    @pytest.mark.parametrize("bonds", [
-        (Bond(0, 1), Bond(0, 1, BondOrder.DOUBLE)),
-        (Bond(0, 1), Bond(1, 0)),
-        (Bond(0, 2),),
-        (Bond(-1, 0),),
-    ], ids=["duplicate", "reversed-duplicate", "past-the-end", "negative"])
-    def test_duplicate_or_out_of_range_bond_is_refused(self, bonds):
-        with pytest.raises(ValueError):
-            Molecule(atoms=(Atom("C"), Atom("C")), bonds=bonds)
 
 
 class TestCanonical:
@@ -383,11 +379,13 @@ class TestValidity:
         # an atom exactly at its cap flips invalid when one more bond lands on it
         at_cap = parse_smiles("C(C)(C)(C)C")
         assert is_valid_smiles("C(C)(C)(C)C")
+        new = len(at_cap)
         atoms = at_cap.atoms + (Atom(element="C"),)
-        bonds = at_cap.bonds + (Bond(a=0, b=len(at_cap.atoms), order=BondOrder.SINGLE),)
+        neighbors = [dict(nbrs) for nbrs in at_cap.neighbors] + [{0: SINGLE}]
+        neighbors[0][new] = SINGLE
         from molrag.smiles.validity import molecule_within_valence
 
-        assert not molecule_within_valence(Molecule(atoms=atoms, bonds=bonds))
+        assert not molecule_within_valence(Molecule(atoms=atoms, neighbors=tuple(neighbors)))
 
     def test_fixture_validity_rate(self, corpus_records):
         # fixture is curated to be fully valid; the recorded rate is 1.0
