@@ -107,14 +107,15 @@ def make_planner(task: str, items, n_shots: int):
     return plan
 
 
-def run_session(task: str, items, store, n_shots: int, strategy: RetrievalStrategy):
+def run_session(task: str, items, fingerprints, store, n_shots: int,
+                strategy: RetrievalStrategy):
     template = default_template(task)
     backend = FabricatingBackend(task, make_planner(task, items, n_shots))
     client = ChatClient(backend, max_retries=3, backoff_base=0.0, sleep=lambda s: None)
     failures = 0
-    for rec in items:
+    for rec, fp in zip(items, fingerprints, strict=True):
         query = rec.smiles if task == "mol2cap" else rec.caption
-        examples = rank_examples(store, task, query, n_shots, strategy)
+        examples = rank_examples(store, task, query, n_shots, strategy, query_fp=fp)
         try:
             calibrated_query(client, template, query, examples, MAX_ERROR_ALLOWANCE)
         except CalibrationFailure:
@@ -133,27 +134,27 @@ def write_fixture(path: Path, entries: dict[str, dict]) -> None:
 
 def main() -> None:
     corpus, fingerprints, _ = load_chebi_tsv(DATA_DIR / "corpus.tsv")
-    test_items, _, _ = load_chebi_tsv(DATA_DIR / "test_items.tsv")
+    test_items, test_fps, _ = load_chebi_tsv(DATA_DIR / "test_items.tsv")
     store = build_store(corpus, fingerprints)
 
     entries, failures = run_session(
-        "mol2cap", test_items, store, 2, RetrievalStrategy("morgan_fts")
+        "mol2cap", test_items, test_fps, store, 2, RetrievalStrategy("morgan_fts")
     )
     write_fixture(DATA_DIR / "replay_eval_mol2cap.jsonl", entries)
     print(f"  mol2cap failures: {failures}")
 
     entries, failures = run_session(
-        "cap2mol", test_items, store, 2, RetrievalStrategy("bm25_caption")
+        "cap2mol", test_items, test_fps, store, 2, RetrievalStrategy("bm25_caption")
     )
     write_fixture(DATA_DIR / "replay_eval_cap2mol.jsonl", entries)
     print(f"  cap2mol failures: {failures}")
 
     grid_entries: dict[str, dict] = {}
-    grid_items = test_items[:10]
+    grid_items, grid_fps = test_items[:10], test_fps[:10]
     for n in (0, 1, 2, 5, 10):
         for kind in ("random", "bm25_smiles_chargram", "morgan_fts"):
             strategy = RetrievalStrategy(kind, seed=SEED if kind == "random" else None)
-            entries, _ = run_session("mol2cap", grid_items, store, n, strategy)
+            entries, _ = run_session("mol2cap", grid_items, grid_fps, store, n, strategy)
             grid_entries.update(entries)
     write_fixture(DATA_DIR / "replay_ablate_mol2cap.jsonl", grid_entries)
 

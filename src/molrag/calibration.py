@@ -225,11 +225,12 @@ def extract_payload(raw_text: str, task: str) -> ExtractionResult:
 
 def rank_examples(
     store: Store, task: str, query: str, n: int, strategy: RetrievalStrategy, *,
-    query_fp: MorganFingerprint | None = None,
+    query_fp: MorganFingerprint | None,
 ) -> list[MoleculeRecord]:
     """The n context examples an item of ``task`` is prompted with, best first;
-    none, and no store lookup, when n is 0. ``query_fp`` is a mol2cap query's
-    fingerprint, as :func:`~molrag.store.retrieve_mol2cap` takes it."""
+    none, and no store lookup, when n is 0. ``query_fp`` is the fingerprint of a
+    mol2cap query, as :func:`~molrag.store.retrieve_mol2cap` takes it; a cap2mol
+    ranking does not read it, so a cap2mol caller may pass None."""
     if n == 0:
         return []
     if task == "mol2cap":

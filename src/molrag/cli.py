@@ -2,9 +2,10 @@
 
 Every run writes a manifest echoing the fully resolved configuration so the
 experiment can be re-run identically. evaluate runs as the one-cell case of
-ablate, so both rank every item through one path. Evaluation checkpoints per
-item and resumes from the checkpoint after an interruption. Reports contain
-no timestamps: a run against the replay backend is bit-reproducible.
+ablate, and query, evaluate and ablate rank every item through one path, which
+each hands a Mol2Cap query's fingerprint. Evaluation checkpoints per item and
+resumes from the checkpoint after an interruption. Reports contain no
+timestamps: a run against the replay backend is bit-reproducible.
 
 Configuration precedence: command-line flags > --config file > defaults;
 max_retries takes the backend JSON's value before its default.
@@ -26,7 +27,7 @@ import click
 
 from molrag import __version__, bm25
 from molrag.calibration import CalibrationFailure, calibrated_query, rank_examples
-from molrag.fingerprint import FingerprintParams, MorganFingerprint
+from molrag.fingerprint import FingerprintParams, MorganFingerprint, morgan_fingerprint
 from molrag.llm import (
     BackendConfig,
     BackendError,
@@ -35,6 +36,7 @@ from molrag.llm import (
     HttpBackend,
     MissingFixture,
     ReplayBackend,
+    check_field_types,
 )
 from molrag.metrics import (
     STATUS_FAILED,
@@ -45,7 +47,7 @@ from molrag.metrics import (
     render_table,
 )
 from molrag.prompt import PromptError, PromptTemplate, default_template, load_template
-from molrag.smiles import is_valid_smiles
+from molrag.smiles import SmilesError, is_valid_smiles, parse_smiles
 from molrag.store import (
     STRATEGY_KINDS,
     TASKS,
@@ -63,10 +65,6 @@ from molrag.store import (
 
 DEFAULT_GRID_SHOTS = (0, 1, 2, 5, 10)
 DEFAULT_GRID_STRATEGIES = ("random", "bm25", "morgan_fts")
-
-# The RunConfig field annotations (with or without "| None") whose values must have
-# exactly that type, and the type's name in an error
-_EXACT_TYPES = {"int": (int, "an integer"), "str": (str, "a string")}
 
 
 @dataclass(frozen=True)
@@ -86,15 +84,7 @@ class RunConfig:
     limit: int | None = None
 
     def __post_init__(self) -> None:
-        for spec in dataclasses.fields(self):
-            value = getattr(self, spec.name)
-            kind = spec.type.removesuffix(" | None")
-            if kind not in _EXACT_TYPES or (value is None and kind != spec.type):
-                continue
-            exact, noun = _EXACT_TYPES[kind]
-            # a --config file can hold any JSON type, and a bool is an int to isinstance
-            if type(value) is not exact:
-                raise ValueError(f"{spec.name} must be {noun}, not {value!r}")
+        check_field_types(self)
         if not 0 <= self.n_shots <= 10:
             raise ValueError("n_shots must lie in 0..10")
         if self.concurrency < 1:
@@ -303,7 +293,14 @@ def cmd_query(user_input, cfg_file, **flags) -> None:
     tmpl = _load_prompt_template(config)
     client = _make_client(config)
 
-    examples = rank_examples(db, config.task, user_input, config.n_shots, config.strategy)
+    query_fp = None
+    if config.task == "mol2cap":
+        try:
+            query_fp = morgan_fingerprint(parse_smiles(user_input))
+        except SmilesError as exc:
+            raise click.ClickException(f"query SMILES does not parse: {exc}") from exc
+    examples = rank_examples(db, config.task, user_input, config.n_shots, config.strategy,
+                             query_fp=query_fp)
     try:
         result = calibrated_query(client, tmpl, user_input, examples, config.max_error_allowance)
     except CalibrationFailure as fail:
@@ -485,13 +482,13 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
 
 class _Rankings:
     """The rankings of one evaluate or ablate command: each (strategy, item) is ranked
-    once, on the first cell that needs it, at the largest n any cell asks of that
+    once, on the first cell of that strategy, at the largest n any cell asks of that
     strategy, and a cell of n shots takes the first n. Retrieval is prefix-stable in
-    n, so that slice is the ranking at n.
+    n, so that slice is the ranking at n; a cell of 0 shots takes none.
 
     Cells run one after another and a cell hands each item to one worker, so no
     two threads fill the same key. ``fingerprints[i]`` is the fingerprint of item
-    i's molecule, which spares a Mol2Cap retrieval its parse.
+    i's molecule, which a Mol2Cap ranking takes as its query's.
     """
 
     def __init__(self, db: Store, task: str, cells: list[RunConfig],
@@ -506,8 +503,6 @@ class _Rankings:
         strategy, n = cell.strategy, cell.n_shots
 
         def rank(index: int, query: str) -> list[MoleculeRecord]:
-            if n == 0:
-                return []
             ranked = self.ranked.get((strategy, index))
             if ranked is None:
                 ranked = self.ranked[strategy, index] = rank_examples(

@@ -62,9 +62,24 @@ class FixtureParseError(Exception):
     pass
 
 
-# What a BackendConfig field of each annotated type accepts, and its name in an error
+# What a config field of each annotated type accepts, and its name in an error
 _ACCEPTED = {"str": (str, "a string"), "int": (int, "an integer"),
              "float": ((int, float), "a number")}
+
+
+def check_field_types(config) -> None:
+    """Refuse the first field of the dataclass ``config`` whose value does not have its
+    annotated type: ``str``, ``int`` or ``float`` (which takes an int), each of which
+    also takes None when annotated ``| None``. Fields of other types go unchecked."""
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        kind = spec.type.removesuffix(" | None")
+        if kind not in _ACCEPTED or (value is None and kind != spec.type):
+            continue
+        kinds, noun = _ACCEPTED[kind]
+        # a config file can hold any JSON type, and a bool is an int to isinstance
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{spec.name} must be {noun}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +94,7 @@ class BackendConfig:
     api_key_env_var: str = "MOLRAG_API_KEY"
 
     def __post_init__(self) -> None:
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            kinds, noun = _ACCEPTED[spec.type]
-            # a backend JSON file can hold any type; a bool is an int to isinstance
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(f"{spec.name} must be {noun}, not {value!r}")
+        check_field_types(self)
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if self.max_output_tokens < 1:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from molrag import bm25
 from molrag.fingerprint import MorganFingerprint, dice_similarity, morgan_fingerprint
-from molrag.smiles import Molecule, SmilesError, molecules_equal, parse_smiles
+from molrag.smiles import SmilesError, molecules_equal, parse_smiles
 
 STORE_FORMAT_VERSION = 3
 _REQUIRED_COLUMNS = ("CID", "SMILES", "description")
@@ -50,10 +50,6 @@ class MissingColumn(StoreError):
 
 class EmptyStore(StoreError):
     pass
-
-
-class ParseFailure(StoreError):
-    """Query SMILES did not parse."""
 
 
 class StoreIntegrityError(StoreError):
@@ -378,7 +374,7 @@ def _retrieve(store: Store, query: str, n: int, strategy: RetrievalStrategy,
 
 def retrieve_mol2cap(
     store: Store, query_smiles: str, n: int, strategy: RetrievalStrategy, *,
-    query_fp: MorganFingerprint | None = None,
+    query_fp: MorganFingerprint,
 ) -> list[MoleculeRecord]:
     """Top-n context examples for molecule captioning.
 
@@ -387,29 +383,17 @@ def retrieve_mol2cap(
     draws without replacement from a seeded generator. A record whose graph
     equals the query is never returned.
 
-    A caller that has fingerprinted the query passes ``query_fp``, the default
-    fingerprint of ``query_smiles``; the query is then parsed only when some
-    record shares its bitmap. Without it the query is parsed and fingerprinted
-    here.
+    ``query_fp`` is the default fingerprint of ``query_smiles``, which the
+    caller has parsed; the query is parsed again only when some record shares
+    its bitmap.
     """
     _check_request(store, "mol2cap", n, strategy)
-    query_mol = None
-    if query_fp is None:
-        query_mol = _parse_query(query_smiles)
-        query_fp = morgan_fingerprint(query_mol)
-    excluded = _same_graph_positions(store, query_smiles, query_fp, query_mol)
+    excluded = _same_graph_positions(store, query_smiles, query_fp)
     return _retrieve(store, query_smiles, n, strategy, excluded, query_fp)
 
 
-def _parse_query(query_smiles: str) -> Molecule:
-    try:
-        return parse_smiles(query_smiles)
-    except SmilesError as exc:
-        raise ParseFailure(f"query SMILES does not parse: {exc}") from exc
-
-
-def _same_graph_positions(store: Store, query_smiles: str, query_fp: MorganFingerprint,
-                          query_mol: Molecule | None) -> frozenset[int]:
+def _same_graph_positions(store: Store, query_smiles: str,
+                          query_fp: MorganFingerprint) -> frozenset[int]:
     """The positions of the records whose graph equals the query's.
 
     Isomorphic graphs always share a fingerprint, so only the records with the
@@ -422,11 +406,10 @@ def _same_graph_positions(store: Store, query_smiles: str, query_fp: MorganFinge
         return frozenset()
     found = store._graph_matches.get(query_smiles)
     if found is None:
-        if query_mol is None:
-            query_mol = _parse_query(query_smiles)
+        mol = parse_smiles(query_smiles)
         found = store._graph_matches[query_smiles] = frozenset(
             pos for pos in candidates
-            if molecules_equal(query_mol, parse_smiles(store.records[pos].smiles))
+            if molecules_equal(mol, parse_smiles(store.records[pos].smiles))
         )
     return found
 

@@ -15,6 +15,11 @@ def pytest_configure(config):
     # perfbench/tests shares: perfbench/reference.py leaves a file to the garbage
     # collector, and its ResourceWarning would fail those tests.
     config.addinivalue_line("filterwarnings", "error")
+    # Hypothesis's failure report imports libcst, which imports mypy_extensions; its
+    # deprecation warning, raised as an error there, would end the session in
+    # INTERNALERROR instead of reporting the failing test.
+    config.addinivalue_line(
+        "filterwarnings", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 
 @pytest.fixture(scope="session")

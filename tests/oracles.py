@@ -344,6 +344,12 @@ def cap2mol_exclusions_scan(store, query_caption: str) -> set[int]:
     return {pos for pos, rec in enumerate(store.records) if rec.caption == query_caption}
 
 
+def query_fingerprint(query_smiles: str) -> MorganFingerprint:
+    """The default fingerprint of a mol2cap query, which every caller of
+    ``retrieve_mol2cap`` and ``rank_examples`` passes as ``query_fp``."""
+    return morgan_fingerprint(parse_smiles(query_smiles))
+
+
 # ---------------------------------------------------------------------------
 # Text metrics recomputed by direct counting.
 # ---------------------------------------------------------------------------

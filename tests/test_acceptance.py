@@ -47,7 +47,13 @@ from molrag.prompt import CAPTION_MASK, MOLECULE_MASK, build_prompt, default_tem
 from molrag.smiles import molecules_equal, parse_smiles
 from molrag.store import RetrievalStrategy, load_chebi_tsv, retrieve_mol2cap, save_store
 from backends import ScriptedBackend
-from oracles import all_environment_signatures, bm25_rank_direct, fingerprint_of, permute_molecule
+from oracles import (
+    all_environment_signatures,
+    bm25_rank_direct,
+    fingerprint_of,
+    permute_molecule,
+    query_fingerprint,
+)
 from test_metrics import (
     CAPTION_PAIRS,
     HAND_BLEU2,
@@ -159,12 +165,15 @@ def test_retrieval_determinism(corpus_store, tmp_path):
     save_store(corpus_store, store_dir)
     probe = (
         "import json, sys\n"
+        "sys.path.insert(0, sys.argv[2])\n"
         "from molrag.store import load_store, retrieve_mol2cap, retrieve_cap2mol, RetrievalStrategy\n"
+        "from oracles import query_fingerprint\n"
         "store = load_store(sys.argv[1])\n"
+        "fp = query_fingerprint('CCCCCO')\n"
         "out = {\n"
-        "  'morgan': [r.id for r in retrieve_mol2cap(store, 'CCCCCO', 5, RetrievalStrategy('morgan_fts'))],\n"
-        "  'chargram': [r.id for r in retrieve_mol2cap(store, 'CCCCCO', 5, RetrievalStrategy('bm25_smiles_chargram'))],\n"
-        "  'random': [r.id for r in retrieve_mol2cap(store, 'CCCCCO', 5, RetrievalStrategy('random', seed=123))],\n"
+        "  'morgan': [r.id for r in retrieve_mol2cap(store, 'CCCCCO', 5, RetrievalStrategy('morgan_fts'), query_fp=fp)],\n"
+        "  'chargram': [r.id for r in retrieve_mol2cap(store, 'CCCCCO', 5, RetrievalStrategy('bm25_smiles_chargram'), query_fp=fp)],\n"
+        "  'random': [r.id for r in retrieve_mol2cap(store, 'CCCCCO', 5, RetrievalStrategy('random', seed=123), query_fp=fp)],\n"
         "  'caption': [r.id for r in retrieve_cap2mol(store, 'a primary alcohol chain', 5, RetrievalStrategy('bm25_caption'))],\n"
         "  'random_cap': [r.id for r in retrieve_cap2mol(store, 'a primary alcohol chain', 5, RetrievalStrategy('random', seed=9))],\n"
         "}\n"
@@ -174,7 +183,7 @@ def test_retrieval_determinism(corpus_store, tmp_path):
     for hash_seed in ("0", "4242"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
-            [sys.executable, "-c", probe, str(store_dir)],
+            [sys.executable, "-c", probe, str(store_dir), str(Path(__file__).parent)],
             capture_output=True,
             text=True,
             env=env,
@@ -183,7 +192,8 @@ def test_retrieval_determinism(corpus_store, tmp_path):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1], "retrieval differs across process invocations"
 
-    first = retrieve_mol2cap(corpus_store, "CCCCCO", 1, RetrievalStrategy("morgan_fts"))[0]
+    first = retrieve_mol2cap(corpus_store, "CCCCCO", 1, RetrievalStrategy("morgan_fts"),
+                             query_fp=query_fingerprint("CCCCCO"))[0]
     assert first.smiles in ("CCCCO", "CCCCCCO"), "near-duplicate did not rank first"
     ok("retrieval-determinism (two processes, all strategies, near-duplicate first)")
 
@@ -198,7 +208,7 @@ def test_calibration_state_machine(corpus_store):
         return ChatClient(ScriptedBackend(script), max_retries=3, backoff_base=0, sleep=lambda s: None)
 
     def examples(n):
-        return retrieve_mol2cap(corpus_store, "CCO", n, strategy)
+        return retrieve_mol2cap(corpus_store, "CCO", n, strategy, query_fp=query_fingerprint("CCO"))
 
     out = calibrated_query(client([good]), template, "CCO", examples(3), allowance)
     assert out.query_count == 1 and out.final_shot_count == 3

@@ -25,7 +25,7 @@ from molrag.prompt import build_prompt, default_template
 from molrag.smiles import is_valid_smiles
 from molrag.store import RetrievalStrategy, retrieve_mol2cap
 from backends import ScriptedBackend
-from oracles import extract_payload_rescan
+from oracles import extract_payload_rescan, query_fingerprint
 
 GOOD_CAPTION = '{"caption": "A molecule description."}'
 GARBAGE = "Apologies, that request falls outside what may be described."
@@ -39,7 +39,8 @@ def make_client(script) -> ChatClient:
 def run(script, n, store=None, task="mol2cap", allowance=ALLOWANCE):
     strategy = RetrievalStrategy("morgan_fts") if task == "mol2cap" else RetrievalStrategy("bm25_caption")
     query = "CCO" if task == "mol2cap" else "An alcohol caption."
-    examples = rank_examples(store, task, query, n, strategy)
+    query_fp = query_fingerprint(query) if task == "mol2cap" else None
+    examples = rank_examples(store, task, query, n, strategy, query_fp=query_fp)
     return calibrated_query(make_client(script), default_template(task), query, examples, allowance)
 
 
@@ -281,7 +282,8 @@ class TestLoop:
                 client,
                 default_template("mol2cap"),
                 "CCO",
-                retrieve_mol2cap(corpus_store, "CCO", 2, RetrievalStrategy("morgan_fts")),
+                retrieve_mol2cap(corpus_store, "CCO", 2, RetrievalStrategy("morgan_fts"),
+                                 query_fp=query_fingerprint("CCO")),
                 ALLOWANCE,
             )
         assert backend.calls == ALLOWANCE
@@ -344,7 +346,8 @@ class TestLoop:
                 client,
                 default_template("mol2cap"),
                 "CCO",
-                retrieve_mol2cap(corpus_store, "CCO", n, RetrievalStrategy("morgan_fts")),
+                retrieve_mol2cap(corpus_store, "CCO", n, RetrievalStrategy("morgan_fts"),
+                                 query_fp=query_fingerprint("CCO")),
                 ALLOWANCE,
             )
         assert backend.calls <= ALLOWANCE + n
@@ -356,7 +359,8 @@ class TestLoop:
         shots = []
         send = client.backend.send
         client.backend.send = lambda prompt: shots.append(prompt.example_count) or send(prompt)
-        examples = retrieve_mol2cap(corpus_store, "CCO", 4, RetrievalStrategy("morgan_fts"))
+        examples = retrieve_mol2cap(corpus_store, "CCO", 4, RetrievalStrategy("morgan_fts"),
+                                    query_fp=query_fingerprint("CCO"))
         out = calibrated_query(client, default_template("mol2cap"), "CCO", examples, ALLOWANCE)
         assert shots == [4, 3, 3, 2]
         assert out.final_shot_count == 2

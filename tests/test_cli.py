@@ -90,7 +90,7 @@ def count_mol2cap_retrievals(monkeypatch) -> list:
 
 def count_parses(monkeypatch) -> list:
     """Record the text of every parse_smiles call made through the store and cli
-    bindings (cli binds none today)."""
+    bindings."""
     parse = store_module.parse_smiles
     calls = []
 
@@ -289,6 +289,21 @@ class TestQuery:
         )
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["final_shot_count"] == 0
+
+    @pytest.mark.parametrize("smiles", ["C1CC", "."])
+    @pytest.mark.parametrize("n_shots", ["2", "0"])
+    def test_unparseable_mol2cap_input_is_refused_before_sending(
+            self, runner, data_dir, store_dir, monkeypatch, smiles, n_shots):
+        # at 0 shots such an input once went to the backend unread
+        backend = ScriptedBackend(['{"caption": "A molecule."}'])
+        monkeypatch.setattr(cli, "_make_client", lambda config: ChatClient(
+            backend, max_retries=0, backoff_base=0.0))
+        result = runner.invoke(main, [
+            "query", smiles, "--store", str(store_dir), "--task", "mol2cap",
+            "--n-shots", n_shots, "--replay", str(data_dir / REPLAY_M2C),
+        ])
+        assert_one_line_error(result, "Error: query SMILES does not parse: ")
+        assert backend.calls == 0
 
     def test_cap2mol_reports_validity(self, runner, data_dir, store_dir, test_records):
         result = runner.invoke(
@@ -1134,18 +1149,25 @@ def test_replay_artefacts_match_goldens(runner, data_dir, store_dir, tmp_path,
     assert (out / artefact).read_bytes() == (data_dir / "golden" / golden).read_bytes()
 
 
-def test_query_stdout_matches_golden(runner, data_dir, store_dir):
-    """The query of the CI step "Installed console script runs end to end" prints exactly
-    tests/data/golden/query_mol2cap_evicted.json. Test item 13's replay fixture forces a
-    context-length eviction, so examples_used lists both retrieved ids while
-    final_shot_count is 1."""
+@pytest.mark.parametrize("golden, item, task, strategy, replay", [
+    ("query_mol2cap_evicted.json", 13, "mol2cap", "morgan_fts", REPLAY_M2C),
+    ("query_cap2mol_pattern.json", 11, "cap2mol", "bm25", REPLAY_C2M),
+], ids=["mol2cap", "cap2mol"])
+def test_query_stdout_matches_golden(runner, data_dir, store_dir, test_records,
+                                     golden, item, task, strategy, replay):
+    """The queries of the CI step "Installed console script runs end to end" print exactly
+    their goldens. Test item 13's mol2cap replay fixture forces a context-length eviction,
+    so examples_used lists both retrieved ids while final_shot_count is 1; item 11's
+    cap2mol reply is bare prose, which the pattern fallback repairs. After a deliberate
+    change, regenerate a golden with its CI command."""
+    field = "smiles" if task == "mol2cap" else "caption"
     result = runner.invoke(main, [
-        "query", "CCCCCCCCCCCCCCCCCCCCCCO", "--store", str(store_dir), "--task", "mol2cap",
-        "--n-shots", "2", "--strategy", "morgan_fts", "--replay", str(data_dir / REPLAY_M2C),
+        "query", getattr(test_records[item], field), "--store", str(store_dir),
+        "--task", task, "--n-shots", "2", "--strategy", strategy,
+        "--replay", str(data_dir / replay),
     ])
     assert result.exit_code == 0, result.output
-    golden = data_dir / "golden" / "query_mol2cap_evicted.json"
-    assert result.stdout.encode("utf-8") == golden.read_bytes()
+    assert result.stdout.encode("utf-8") == (data_dir / "golden" / golden).read_bytes()
 
 
 def test_report_and_comparison_tables_keep_their_bytes():

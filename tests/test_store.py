@@ -21,7 +21,6 @@ from molrag.store import (
     IoFailure,
     MissingColumn,
     MoleculeRecord,
-    ParseFailure,
     RetrievalStrategy,
     Store,
     StoreIntegrityError,
@@ -32,12 +31,12 @@ from molrag.store import (
     retrieve_mol2cap,
     save_store,
 )
-from oracles import cap2mol_exclusions_scan, mol2cap_exclusions_scan
+from oracles import cap2mol_exclusions_scan, mol2cap_exclusions_scan, query_fingerprint
 from test_bm25 import rewrite_index
 
 
 def fingerprints_of(smiles) -> list:
-    return [morgan_fingerprint(parse_smiles(text)) for text in smiles]
+    return [query_fingerprint(text) for text in smiles]
 
 
 def write_tsv(path, rows, header="CID\tSMILES\tdescription"):
@@ -335,7 +334,9 @@ class TestBuild:
             RetrievalStrategy("bm25_smiles_chargram"),
             RetrievalStrategy("random", seed=1),
         ):
-            assert len(retrieve_mol2cap(corpus_store, "CCO", 5, strategy)) == 5
+            ranked = retrieve_mol2cap(corpus_store, "CCO", 5, strategy,
+                                      query_fp=query_fingerprint("CCO"))
+            assert len(ranked) == 5
         for strategy in (RetrievalStrategy("bm25_caption"), RetrievalStrategy("random", seed=1)):
             assert len(retrieve_cap2mol(corpus_store, "an alcohol caption", 5, strategy)) == 5
 
@@ -361,38 +362,37 @@ class TestStrategyType:
 
     def test_task_mismatch(self, corpus_store):
         with pytest.raises(ValueError):
-            retrieve_mol2cap(corpus_store, "CCO", 2, RetrievalStrategy("bm25_caption"))
+            retrieve_mol2cap(corpus_store, "CCO", 2, RetrievalStrategy("bm25_caption"),
+                             query_fp=query_fingerprint("CCO"))
         with pytest.raises(ValueError):
             retrieve_cap2mol(corpus_store, "text", 2, RetrievalStrategy("morgan_fts"))
 
 
 class TestMol2CapRetrieval:
-    def test_query_parse_failure(self, corpus_store):
-        with pytest.raises(ParseFailure):
-            retrieve_mol2cap(corpus_store, "C1CC", 3, RetrievalStrategy("morgan_fts"))
-        with pytest.raises(ParseFailure):
-            retrieve_mol2cap(corpus_store, ".", 3, RetrievalStrategy("morgan_fts"))
-
     def test_self_exclusion(self, corpus_store):
         # ethanol is a stored record; it must never come back for itself
-        results = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("morgan_fts"))
+        results = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("morgan_fts"),
+                                   query_fp=query_fingerprint("CCO"))
         assert all(rec.smiles != "CCO" for rec in results)
         query = parse_smiles("CCO")
         assert all(not molecules_equal(query, parse_smiles(r.smiles)) for r in results)
 
     def test_self_exclusion_is_graph_level(self, corpus_store):
         # same molecule written differently is still excluded
-        results = retrieve_mol2cap(corpus_store, "OCC", 5, RetrievalStrategy("morgan_fts"))
+        results = retrieve_mol2cap(corpus_store, "OCC", 5, RetrievalStrategy("morgan_fts"),
+                                   query_fp=query_fingerprint("OCC"))
         assert all(rec.smiles != "CCO" for rec in results)
 
     def test_n_equals_store_size(self, corpus_store):
         results = retrieve_mol2cap(
-            corpus_store, "CCO", len(corpus_store), RetrievalStrategy("morgan_fts")
+            corpus_store, "CCO", len(corpus_store), RetrievalStrategy("morgan_fts"),
+            query_fp=query_fingerprint("CCO"),
         )
         assert len(results) == len(corpus_store) - 1  # everything except itself
 
     def test_near_duplicate_ranks_first(self, corpus_store):
-        results = retrieve_mol2cap(corpus_store, "CCCCCO", 1, RetrievalStrategy("morgan_fts"))
+        results = retrieve_mol2cap(corpus_store, "CCCCCO", 1, RetrievalStrategy("morgan_fts"),
+                                   query_fp=query_fingerprint("CCCCCO"))
         assert results[0].smiles in ("CCCCO", "CCCCCCO")
 
     def test_morgan_matches_exhaustive_dice(self, corpus_store):
@@ -420,7 +420,8 @@ class TestMol2CapRetrieval:
                     break
             got = [
                 rec.id
-                for rec in retrieve_mol2cap(corpus_store, query, 5, RetrievalStrategy("morgan_fts"))
+                for rec in retrieve_mol2cap(corpus_store, query, 5, RetrievalStrategy("morgan_fts"),
+                                            query_fp=query_fp)
             ]
             assert got == expected
 
@@ -450,20 +451,24 @@ class TestMol2CapRetrieval:
             )
 
         for text in (query, "OC1=CC=C(C)C(N)=C1", "CCCCCCCC", corpus_records[3].smiles):
-            query_mol = parse_smiles(text)
+            query_mol, query_fp = parse_smiles(text), query_fingerprint(text)
             kept = [
                 store.records[pos].id
                 for pos in full_order(text)
                 if not molecules_equal(query_mol, parse_smiles(store.records[pos].smiles))
             ]
             for n in range(1, len(store) + 4):
-                got = retrieve_mol2cap(store, text, n, strategy)
+                got = retrieve_mol2cap(store, text, n, strategy, query_fp=query_fp)
                 assert [r.id for r in got] == kept[:n], (text, n)
 
     def test_random_seeded_deterministic(self, corpus_store):
-        one = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("random", seed=42))
-        two = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("random", seed=42))
-        other = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("random", seed=43))
+        query_fp = query_fingerprint("CCO")
+        one = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("random", seed=42),
+                               query_fp=query_fp)
+        two = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("random", seed=42),
+                               query_fp=query_fp)
+        other = retrieve_mol2cap(corpus_store, "CCO", 5, RetrievalStrategy("random", seed=43),
+                                 query_fp=query_fp)
         assert [r.id for r in one] == [r.id for r in two]
         assert [r.id for r in one] != [r.id for r in other]
 
@@ -528,21 +533,10 @@ class TestSelfExclusionLookup:
         queries = ([r.smiles for r in corpus_records] + CROWDED_COPIES
                    + ["C" * k for k in range(5, 14)] + ["OCC", "OC1=CC=C(C)C(N)=C1"])
         for query in queries:
-            query_fp = morgan_fingerprint(parse_smiles(query))
+            query_fp = query_fingerprint(query)
             expected = mol2cap_exclusions_scan(store, query)
-            assert store_module._same_graph_positions(store, query, query_fp, None) == expected, query
+            assert store_module._same_graph_positions(store, query, query_fp) == expected, query
         assert any(mol2cap_exclusions_scan(store, query) for query in queries)
-
-    @pytest.mark.parametrize("kind", ["morgan_fts", "bm25_smiles_chargram", "random"])
-    def test_mol2cap_fingerprint_keyword_changes_nothing(self, stores, corpus_records, kind):
-        strategy = RetrievalStrategy(kind, seed=2 if kind == "random" else None)
-        for name in ("corpus", "mol2cap_crowded"):
-            with_fp, cold = fresh(stores[name]), fresh(stores[name])
-            for query in [r.smiles for r in corpus_records[::7]] + [CROWDED_SMILES, "C" * 9]:
-                query_fp = morgan_fingerprint(parse_smiles(query))
-                for n in (1, 5, 30):
-                    assert (retrieve_mol2cap(with_fp, query, n, strategy, query_fp=query_fp)
-                            == retrieve_mol2cap(cold, query, n, strategy)), (name, query, n)
 
     @pytest.mark.parametrize("name", ["corpus", "cap2mol_crowded"])
     def test_cap2mol_lookup_matches_scan(self, stores, corpus_records, name):
@@ -567,7 +561,7 @@ class TestSelfExclusionLookup:
         )
         strategy = RetrievalStrategy("morgan_fts")
         for query in ("CCCCCCCC", "CCCCCCCCCCO", "CCCC(=O)O", corpus_records[30].smiles):
-            query_fp = morgan_fingerprint(parse_smiles(query))
+            query_fp = query_fingerprint(query)
             dice = [dice_similarity(query_fp, fp) for fp in store.fingerprints]
             full = sorted(range(len(store)), key=lambda pos: (-dice[pos], pos))
             assert len(dice) - len(set(dice)) > len(store) // 2
@@ -580,11 +574,11 @@ class TestSelfExclusionLookup:
         # that another thread had half made, would exclude or return other records.
         mol_store, cap_store = stores["mol2cap_crowded"], stores["cap2mol_crowded"]
         morgan, bm25_caption = RetrievalStrategy("morgan_fts"), RetrievalStrategy("bm25_caption")
-        query_fp = morgan_fingerprint(parse_smiles(CROWDED_SMILES))
+        query_fp = query_fingerprint(CROWDED_SMILES)
         expected = (
             _positions(fp.bitmap for fp in mol_store.fingerprints),
             _positions(rec.caption for rec in cap_store.records),
-            retrieve_mol2cap(mol_store, CROWDED_SMILES, 5, morgan),
+            retrieve_mol2cap(mol_store, CROWDED_SMILES, 5, morgan, query_fp=query_fp),
             retrieve_cap2mol(cap_store, CROWDED_CAPTION, 5, bm25_caption),
         )
         workers = 6
@@ -602,8 +596,7 @@ class TestSelfExclusionLookup:
                     tables = () if k % 2 else (mols._positions_by_bitmap,
                                                caps._positions_by_caption)
                     ranked = (
-                        retrieve_mol2cap(mols, CROWDED_SMILES, 5, morgan,
-                                         query_fp=query_fp if k % 3 else None),
+                        retrieve_mol2cap(mols, CROWDED_SMILES, 5, morgan, query_fp=query_fp),
                         retrieve_cap2mol(caps, CROWDED_CAPTION, 5, bm25_caption),
                     )
                     tables = tables or (mols._positions_by_bitmap, caps._positions_by_caption)
@@ -636,8 +629,11 @@ class TestPersistence:
         probes_mol = [rec.smiles for rec in corpus_records[:10]]
         probes_cap = [rec.caption for rec in corpus_records[:10]]
         for probe in probes_mol:
-            before = retrieve_mol2cap(corpus_store, probe, 10, RetrievalStrategy("morgan_fts"))
-            after = retrieve_mol2cap(loaded, probe, 10, RetrievalStrategy("morgan_fts"))
+            query_fp = query_fingerprint(probe)
+            before = retrieve_mol2cap(corpus_store, probe, 10, RetrievalStrategy("morgan_fts"),
+                                      query_fp=query_fp)
+            after = retrieve_mol2cap(loaded, probe, 10, RetrievalStrategy("morgan_fts"),
+                                     query_fp=query_fp)
             assert [r.id for r in before] == [r.id for r in after]
         for probe in probes_cap:
             before = retrieve_cap2mol(corpus_store, probe, 10, RetrievalStrategy("bm25_caption"))
@@ -761,7 +757,13 @@ class TestPrefixStability:
         query = data.draw(st.sampled_from([getattr(r, field) for r in corpus_records] + extra))
         strategy = RetrievalStrategy(kind, seed=data.draw(st.integers(0, 3))
                                      if kind == "random" else None)
-        retrieve = retrieve_mol2cap if task == "mol2cap" else retrieve_cap2mol
+        if task == "mol2cap":
+            query_fp = query_fingerprint(query)
+
+            def retrieve(*args):
+                return retrieve_mol2cap(*args, query_fp=query_fp)
+        else:
+            retrieve = retrieve_cap2mol
         depth = data.draw(st.integers(1, len(store) + 3))
         ranked = retrieve(store, query, depth, strategy)
         for n in range(1, depth + 1):
