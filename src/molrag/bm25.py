@@ -38,15 +38,7 @@ _BELOW_0X7F = bytes(range(0x7F))
 
 
 class Bm25Error(ValueError):
-    pass
-
-
-class EmptyCorpus(Bm25Error):
-    pass
-
-
-class Bm25FormatError(Bm25Error):
-    """Persisted index file is corrupt or has an unsupported version."""
+    """An empty corpus, or an index file that is corrupt or of an unsupported version."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -109,9 +101,9 @@ def _idf(doc_count: int, df: int) -> float:
 
 
 def build_index(docs: list[str], tokenizer_mode: str = "caption") -> Bm25Index:
-    """Index a caption corpus. Raises EmptyCorpus on an empty document list."""
+    """Index a caption corpus. Raises Bm25Error on an empty document list."""
     if not docs:
-        raise EmptyCorpus("cannot index an empty corpus")
+        raise Bm25Error("cannot index an empty corpus")
     if tokenizer_mode not in _TOKENIZERS:
         raise ValueError(f"unknown tokenizer mode {tokenizer_mode!r}")
     tok = _TOKENIZERS[tokenizer_mode]
@@ -203,7 +195,7 @@ def top_n(index: Bm25Index, query: str, n: int) -> list[tuple[int, float]]:
     if n < 1:
         raise ValueError("n must be >= 1")
     if index.doc_count == 0:
-        raise EmptyCorpus("index holds no documents")
+        raise Bm25Error("index holds no documents")
 
     terms = [(term, count) for term, count in Counter(index.tokenize_query(query)).items()
              if term in index.postings]
@@ -286,48 +278,48 @@ def save_index(index: Bm25Index, path) -> None:
 
 def _check_header(header) -> None:
     if not isinstance(header, dict):
-        raise Bm25FormatError("BM25 index header is not a JSON object")
+        raise Bm25Error("BM25 index header is not a JSON object")
     for key, kind in _HEADER_TYPES.items():
         value = header.get(key)
         if not isinstance(value, kind) or isinstance(value, bool):
-            raise Bm25FormatError(f"BM25 index header key {key!r} is missing or has the wrong type")
+            raise Bm25Error(f"BM25 index header key {key!r} is missing or has the wrong type")
     terms, df = header["terms"], header["df"]
     if header["doc_count"] < 1:
-        raise Bm25FormatError("BM25 index header counts no documents")
+        raise Bm25Error("BM25 index header counts no documents")
     if header["tokenizer_mode"] not in _TOKENIZERS:
-        raise Bm25FormatError(f"unknown tokenizer mode {header['tokenizer_mode']!r}")
+        raise Bm25Error(f"unknown tokenizer mode {header['tokenizer_mode']!r}")
     if len(terms) != len(df) or not all(type(count) is int and count > 0 for count in df):
-        raise Bm25FormatError("BM25 index header 'df' is not one positive count per term")
+        raise Bm25Error("BM25 index header 'df' is not one positive count per term")
     if not all(isinstance(term, str) for term in terms) or any(
         a >= b for a, b in zip(terms, terms[1:])
     ):
-        raise Bm25FormatError("BM25 index header 'terms' are not distinct sorted strings")
+        raise Bm25Error("BM25 index header 'terms' are not distinct sorted strings")
 
 
 def load_index(path) -> Bm25Index:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
-        raise Bm25FormatError("not a BM25 index file (bad magic)")
+        raise Bm25Error("not a BM25 index file (bad magic)")
     version = int.from_bytes(blob[4:8], "big")
     if version != _FORMAT_VERSION:
-        raise Bm25FormatError(
+        raise Bm25Error(
             f"unsupported BM25 index format version {version} (this molrag reads "
             f"{_FORMAT_VERSION}); re-run `molrag ingest` to rebuild it"
         )
     content = memoryview(blob)[:-4]
     if len(blob) < 16 or zlib.crc32(content) != int.from_bytes(blob[-4:], "big"):
-        raise Bm25FormatError("BM25 index file fails its CRC-32 check")
+        raise Bm25Error("BM25 index file fails its CRC-32 check")
     hlen = int.from_bytes(blob[8:12], "big")
     try:
         header = json.loads(bytes(content[12 : 12 + hlen]))
     except ValueError as exc:
-        raise Bm25FormatError(f"corrupt BM25 index header: {exc}") from exc
+        raise Bm25Error(f"corrupt BM25 index header: {exc}") from exc
     _check_header(header)
     # Impacts carry k1 and b, so an index built under other values would rank
     # under values other than the ones every run manifest reports.
     if (header["k1"], header["b"]) != (K1, B):
-        raise Bm25FormatError(
+        raise Bm25Error(
             f"BM25 index was built with k1={header['k1']}, b={header['b']} (this molrag "
             f"ranks with k1={K1}, b={B}); re-run `molrag ingest` to rebuild it"
         )
@@ -336,7 +328,7 @@ def load_index(path) -> Bm25Index:
     doc_count, terms, df = header["doc_count"], header["terms"], header["df"]
     total = sum(df)
     if len(body) != 4 * doc_count + 12 * total:
-        raise Bm25FormatError(
+        raise Bm25Error(
             f"BM25 index body holds {len(body)} bytes, not 4*{doc_count} + 12*{total}"
         )
     ids_end = 4 * (doc_count + total)
@@ -344,12 +336,12 @@ def load_index(path) -> Bm25Index:
     doc_ids = _le_column("i", body[4 * doc_count : ids_end])
     impacts = _le_column("d", body[ids_end:])
     if total and (min(doc_ids) < 0 or max(doc_ids) >= doc_count):
-        raise Bm25FormatError(f"BM25 index holds a doc id outside [0, {doc_count})")
+        raise Bm25Error(f"BM25 index holds a doc id outside [0, {doc_count})")
     # top_n's pruning is exact only for non-negative impacts. The last byte of a
     # little-endian float64 holds the sign and the top exponent bits; below 0x7F
     # it is a number in [0, 2**1009), so no NaN, infinity or negative passes.
     if blob[12 + hlen + ids_end + 7 : -4 : 8].translate(None, _BELOW_0X7F):
-        raise Bm25FormatError("BM25 index holds an impact outside [0, 2**1009)")
+        raise Bm25Error("BM25 index holds an impact outside [0, 2**1009)")
 
     postings: dict[str, array] = {}
     impact_columns: dict[str, array] = {}

@@ -257,30 +257,23 @@ def calibrated_query(
         raise ValueError("max_error_allowance must be positive")
     task = template.task
     transcript: list[dict] = []
-    charged = 0
-    exempt_next = False
     last_raw = ""
 
-    while True:
-        if not exempt_next:
-            if charged >= max_error_allowance:
-                raise CalibrationFailure(
-                    f"error allowance ({max_error_allowance}) exhausted",
-                    transcript,
-                    last_raw,
-                    charged,
+    for charged in range(1, max_error_allowance + 1):
+        while True:  # a context-length error re-queries, uncharged, with one example fewer
+            try:
+                result = client.complete(build_prompt(template, query, examples))
+                break
+            except BackendError as err:
+                transcript.append(
+                    {"event": "backend_error", "kind": err.kind, "shot_count": len(examples)}
                 )
-            charged += 1
-        exempt_next = False
-
-        chat_prompt = build_prompt(template, query, examples)
-        try:
-            result = client.complete(chat_prompt)
-        except BackendError as err:
-            transcript.append(
-                {"event": "backend_error", "kind": err.kind, "shot_count": len(examples)}
-            )
-            if err.kind == "context_length_exceeded":
+                if err.kind == "auth":
+                    raise
+                if err.kind != "context_length_exceeded":
+                    raise CalibrationFailure(
+                        f"backend failed ({err.kind})", transcript, last_raw, charged
+                    ) from err
                 if not examples:
                     raise CalibrationFailure(
                         "prompt exceeds the length limit even with zero examples",
@@ -289,13 +282,6 @@ def calibrated_query(
                         charged,
                     ) from err
                 examples = drop_longest_example(template, examples)
-                exempt_next = True
-                continue
-            if err.kind == "auth":
-                raise
-            raise CalibrationFailure(
-                f"backend failed ({err.kind})", transcript, last_raw, charged
-            ) from err
 
         last_raw = result.raw_text
         try:
@@ -315,3 +301,9 @@ def calibrated_query(
             repairs_applied=repairs,
             final_shot_count=len(examples),
         )
+    raise CalibrationFailure(
+        f"error allowance ({max_error_allowance}) exhausted",
+        transcript,
+        last_raw,
+        max_error_allowance,
+    )

@@ -54,10 +54,6 @@ def _encode_round(prev_id: int, pairs: tuple[tuple[int, int], ...]) -> bytes:
 
 
 class FingerprintError(ValueError):
-    pass
-
-
-class DegenerateInput(FingerprintError):
     """Dice similarity is undefined when both bit sets are empty."""
 
 
@@ -158,5 +154,5 @@ def dice_similarity(a: MorganFingerprint, b: MorganFingerprint) -> float:
     """2·|A∩B| / (|A| + |B|), in [0, 1]."""
     total = a.count + b.count
     if not total:
-        raise DegenerateInput("both fingerprints are empty")
+        raise FingerprintError("both fingerprints are empty")
     return 2.0 * (a.bitmap & b.bitmap).bit_count() / total

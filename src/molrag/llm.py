@@ -95,12 +95,22 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.temperature < 0:
+        # JSON reads 1e400 and Infinity as inf, NaN as nan; a socket timeout or a sleep
+        # past TIMEOUT_MAX raises OverflowError, and a NaN temperature is no JSON to send
+        if not 0 <= self.temperature:
             raise ValueError("temperature must be >= 0")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
+        if not 0 < self.request_timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"request_timeout must lie in (0, {threading.TIMEOUT_MAX:.0f}] seconds"
+            )
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
+        if not 0 <= self.retry_backoff_base <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"retry_backoff_base must lie in [0, {threading.TIMEOUT_MAX:.0f}] seconds"
+            )
 
 
 @dataclass(frozen=True)
@@ -329,7 +339,8 @@ class ChatClient:
             except BackendError as err:
                 if err.kind in RETRYABLE_KINDS and attempt <= self.max_retries:
                     delay = self.backoff_base * (2 ** (attempt - 1))
-                    delay = max(delay, err.retry_after or 0.0)
+                    # past TIMEOUT_MAX, time.sleep raises OverflowError
+                    delay = min(max(delay, err.retry_after or 0.0), threading.TIMEOUT_MAX)
                     log.warning(
                         "backend %s on attempt %d/%d; retrying in %.2fs",
                         err.kind,

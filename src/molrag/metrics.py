@@ -27,10 +27,6 @@ class MetricError(ValueError):
     pass
 
 
-class EmptyInput(MetricError):
-    pass
-
-
 @dataclass(frozen=True)
 class EvalPair:
     prediction: str
@@ -88,7 +84,7 @@ def bleu_n(pairs: list[EvalPair], max_n: int, mode: str = "caption",
     ``max_n``, so BLEU-2 and BLEU-4 can share one count.
     """
     if not pairs:
-        raise EmptyInput("no pairs to score")
+        raise MetricError("no pairs to score")
     if max_n not in (2, 4):
         raise ValueError("max_n must be 2 or 4")
     if grams is None:
@@ -148,7 +144,7 @@ def rouge_scores(pairs: list[EvalPair], grams: list[PairGrams] | None = None) ->
     ``grams``, when given, holds ``pairs`` counted in caption mode up to at least n = 2.
     """
     if not pairs:
-        raise EmptyInput("no pairs to score")
+        raise MetricError("no pairs to score")
     if grams is None:
         grams = _pair_grams(pairs, "caption", 2)
     r1 = r2 = rl = 0.0
@@ -203,7 +199,7 @@ def levenshtein(a: str, b: str) -> int:
 
 def levenshtein_mean(pairs: list[EvalPair]) -> float:
     if not pairs:
-        raise EmptyInput("no pairs to score")
+        raise MetricError("no pairs to score")
     return sum(levenshtein(p.effective_prediction, p.reference) for p in pairs) / len(pairs)
 
 
@@ -298,7 +294,7 @@ def build_report(pairs: list[EvalPair], task: str, config: dict) -> dict:
     if task not in _TABLE_COLUMNS:
         raise ValueError(f"unknown task {task!r}")
     if not pairs:
-        raise EmptyInput("no pairs to score")
+        raise MetricError("no pairs to score")
 
     failed = sum(1 for p in pairs if p.status == STATUS_FAILED)
     metrics: dict[str, float] = {}

@@ -30,15 +30,7 @@ _SECTIONS = ("role", "task", "example_format", "output_instruction", "user")
 
 
 class PromptError(Exception):
-    pass
-
-
-class TemplateSlotMissing(PromptError):
-    """A template section or placeholder required for assembly is absent."""
-
-
-class NoExamplesLeft(PromptError):
-    """Cannot evict an example from an already-empty list."""
+    """A template lacks a section or placeholder, or there is no example left to evict."""
 
 
 @dataclass(frozen=True)
@@ -55,16 +47,16 @@ class PromptTemplate:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if "{{input}}" not in self.example_format or "{{output}}" not in self.example_format:
-            raise TemplateSlotMissing(
+            raise PromptError(
                 f"{self.source}: example_format needs {{{{input}}}} and {{{{output}}}}"
             )
         if "{{query}}" not in self.user_format:
-            raise TemplateSlotMissing(f"{self.source}: user section needs {{{{query}}}}")
+            raise PromptError(f"{self.source}: user section needs {{{{query}}}}")
         key = self.required_key
         named = [spec.answer_key for spec in TASKS.values()
                  if f'"{spec.answer_key}"' in self.output_instruction]
         if named != [key]:
-            raise TemplateSlotMissing(
+            raise PromptError(
                 f"{self.source}: output_instruction must name exactly the key \"{key}\""
             )
 
@@ -86,7 +78,7 @@ def parse_template(text: str, task: str, source: str = "<memory>") -> PromptTemp
             sections[current].append(line)
     missing = [name for name in _SECTIONS if name not in sections]
     if missing:
-        raise TemplateSlotMissing(f"{source}: missing section(s) {', '.join(missing)}")
+        raise PromptError(f"{source}: missing section(s) {', '.join(missing)}")
     blocks = {name: "\n".join(lines).strip() for name, lines in sections.items()}
     return PromptTemplate(
         role_identification=blocks["role"],
@@ -179,7 +171,7 @@ def drop_longest_example(
     """Remove the example whose rendered text is longest; ties drop the
     lower-ranked (later) one. Remaining examples keep their order."""
     if not examples:
-        raise NoExamplesLeft("no examples left to drop")
+        raise PromptError("no examples left to drop")
     lengths = [len(text) for text in _render_examples(template, examples)]
     longest = max(lengths)
     victim = max(i for i, length in enumerate(lengths) if length == longest)

@@ -33,27 +33,7 @@ _REQUIRED_COLUMNS = ("CID", "SMILES", "description")
 
 
 class StoreError(Exception):
-    pass
-
-
-class IoFailure(StoreError):
-    pass
-
-
-class EmptyFile(StoreError):
-    pass
-
-
-class MissingColumn(StoreError):
-    pass
-
-
-class EmptyStore(StoreError):
-    pass
-
-
-class StoreIntegrityError(StoreError):
-    """Persisted store failed checksum or manifest validation."""
+    """A TSV or a persisted store cannot be read, or holds nothing to build from."""
 
 
 @dataclass(frozen=True)
@@ -152,7 +132,7 @@ def load_chebi_tsv(
         with open(path, encoding="utf-8") as fh:
             return _read_rows(path, fh, limit)
     except (OSError, UnicodeDecodeError) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+        raise StoreError(f"cannot read {path}: {exc}") from exc
 
 
 # Rows per block a worker process parses at a time; 256 beat 64, 128 and 512 on a
@@ -166,12 +146,12 @@ def _read_rows(path: Path, fh, limit: int | None):
     lines = (line for chunk in fh for line in chunk.splitlines())
     header_line = next(lines, "")
     if not header_line.strip():
-        raise EmptyFile(f"{path} has no header row")
+        raise StoreError(f"{path} has no header row")
 
     header = header_line.split("\t")
     missing = [col for col in _REQUIRED_COLUMNS if col not in header]
     if missing:
-        raise MissingColumn(f"{path} lacks column(s): {', '.join(missing)}")
+        raise StoreError(f"{path} lacks column(s): {', '.join(missing)}")
     desc_idx = header.index("description")
     columns = (header.index("CID"), header.index("SMILES"), desc_idx, len(header),
                desc_idx == len(header) - 1)
@@ -330,7 +310,7 @@ def build_store(
     """Build both BM25 indices over ``records`` and keep ``fingerprints[i]``, the
     default fingerprint of ``records[i].smiles`` as ``load_chebi_tsv`` returns it."""
     if not records:
-        raise EmptyStore("no records to build a store from")
+        raise StoreError("no records to build a store from")
     if len(fingerprints) != len(records):
         raise ValueError(f"{len(records)} records but {len(fingerprints)} fingerprints")
     caption_index = bm25.build_index([rec.caption for rec in records], tokenizer_mode="caption")
@@ -344,7 +324,7 @@ def _check_request(store: Store, task: str, n: int, strategy: RetrievalStrategy)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not store.records:
-        raise EmptyStore("store holds no records")
+        raise StoreError("store holds no records")
     _require_applicable(task, strategy.kind)
 
 
@@ -464,7 +444,7 @@ def save_store(store: Store, directory) -> None:
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise IoFailure(f"cannot create store directory {directory}: {exc.strerror}") from exc
+        raise StoreError(f"cannot create store directory {directory}: {exc.strerror}") from exc
 
     records_path = directory / _RECORDS_FILE
     with open(records_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -495,33 +475,33 @@ def load_store(directory) -> Store:
     directory = Path(directory)
     manifest_path = directory / _MANIFEST_FILE
     if not manifest_path.exists():
-        raise IoFailure(f"no store manifest at {manifest_path}")
+        raise StoreError(f"no store manifest at {manifest_path}")
     try:
         manifest_bytes = manifest_path.read_bytes()
         manifest = json.loads(manifest_bytes)
     except (OSError, ValueError) as exc:
-        raise StoreIntegrityError(f"unreadable manifest: {exc}") from exc
+        raise StoreError(f"unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
-        raise StoreIntegrityError("manifest is not a JSON object")
+        raise StoreError("manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != STORE_FORMAT_VERSION:
-        raise StoreIntegrityError(
+        raise StoreError(
             f"unsupported store format version {version!r} (this molrag reads "
             f"{STORE_FORMAT_VERSION}); re-run `molrag ingest` to rebuild the store"
         )
     for key, kind in _MANIFEST_FIELDS:
         if key not in manifest:
-            raise StoreIntegrityError(f"manifest lacks {key}")
+            raise StoreError(f"manifest lacks {key}")
         if not isinstance(manifest[key], kind) or isinstance(manifest[key], bool):
-            raise StoreIntegrityError(f"manifest {key} has the wrong type")
+            raise StoreError(f"manifest {key} has the wrong type")
 
     for name in _DATA_FILES:
         try:
             actual = file_sha256(directory / name)
         except OSError as exc:
-            raise StoreIntegrityError(f"cannot read {name}: {exc.strerror}") from exc
+            raise StoreError(f"cannot read {name}: {exc.strerror}") from exc
         if actual != manifest["checksums"].get(name):
-            raise StoreIntegrityError(f"checksum mismatch for {name}")
+            raise StoreError(f"checksum mismatch for {name}")
 
     rows = (directory / _RECORDS_FILE).read_text(encoding="utf-8").splitlines()
     fp_lines = (directory / _FP_FILE).read_text(encoding="utf-8").splitlines()
@@ -540,18 +520,18 @@ def load_store(directory) -> Store:
             where = f"{_FP_FILE}:{done + 1}"
         else:
             where = f"{_RECORDS_FILE}:{done + 2}"
-        raise StoreIntegrityError(f"{where} is malformed: {exc}") from exc
+        raise StoreError(f"{where} is malformed: {exc}") from exc
     if len(records) != manifest["record_count"]:
-        raise StoreIntegrityError("record count does not match manifest")
+        raise StoreError("record count does not match manifest")
 
     indices = []
     for name, mode in _INDEX_FILES:
         try:
             index = bm25.load_index(directory / name)
-        except bm25.Bm25FormatError as exc:
-            raise StoreIntegrityError(f"{name}: {exc}") from exc
+        except bm25.Bm25Error as exc:
+            raise StoreError(f"{name}: {exc}") from exc
         if (index.doc_count, index.tokenizer_mode) != (len(records), mode):
-            raise StoreIntegrityError(
+            raise StoreError(
                 f"{name} holds {index.tokenizer_mode} BM25 over {index.doc_count} records; "
                 f"the store needs {mode} BM25 over {len(records)} records"
             )

@@ -25,7 +25,7 @@ from molrag.calibration import (
 )
 from molrag.cli import main
 from molrag.fingerprint import (
-    DegenerateInput,
+    FingerprintError,
     FingerprintParams,
     dice_similarity,
     morgan_environments,
@@ -126,7 +126,7 @@ def test_fingerprint_oracle(corpus_records):
         a = fingerprint_of(rng.sample(range(2048), rng.randint(0, 64)))
         b = fingerprint_of(rng.sample(range(2048), rng.randint(0, 64)))
         if not a.count and not b.count:
-            with pytest.raises(DegenerateInput):
+            with pytest.raises(FingerprintError, match="both fingerprints are empty"):
                 dice_similarity(a, b)
             continue
         sim = dice_similarity(a, b)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import socket
 import subprocess
@@ -721,18 +722,24 @@ class TestEvaluate:
             ("--limit", "-1", "limit must be positive"),
             ("--grid-shots", "", "must each name a value"),
             ("--grid-strategies", ",", "must each name a value"),
+            ("--grid-shots", "1,x", "bad grid spec: invalid literal for int() with base 10: 'x'"),
+            ("--n-shots", "11", "n_shots must lie in 0..10"),
+            ("--config", "missing.json", "cannot read config file"),
+            ("--config", "list.json", "list.json must hold a JSON object"),
         ],
         ids=["allowance", "concurrency", "retries", "missing-replay", "backend-key",
-             "limit-zero", "limit-negative", "empty-grid-shots", "empty-grid-strategies"],
+             "limit-zero", "limit-negative", "empty-grid-shots", "empty-grid-strategies",
+             "bad-grid-shots", "n-shots-eleven", "missing-config", "list-config"],
     )
     def test_bad_setting_is_a_one_line_error(self, runner, data_dir, store_dir, tmp_path,
                                              flag, value, message):
         (tmp_path / "unknown_key.json").write_text('{"bogus": 1}', encoding="utf-8")
+        (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
         out = tmp_path / "out"
         args = eval_args(data_dir, store_dir, out)
         if flag == "--backend":
             del args[args.index("--replay") : args.index("--replay") + 2]
-        if flag in ("--replay", "--backend"):
+        if flag in ("--replay", "--backend", "--config"):
             value = str(tmp_path / value)
         if flag.startswith("--grid"):
             args[0] = "ablate"
@@ -755,16 +762,37 @@ class TestEvaluate:
             ("evaluate", "--config", {"task": ["mol2cap"]}, "--task must be one of"),
             ("evaluate", "--config", {"strategy": []}, "strategy must be a string, not []"),
             ("evaluate", "--config", {"backend": 5}, "backend must be a string, not 5"),
+            ("evaluate", "--config", {"store": ""}, "--store is required"),
             # a local endpoint, so that a value that passes unchecked reaches no remote host
             ("query", "--backend", {"endpoint_url": LOCAL_URL, "request_timeout": "x"},
              "request_timeout must be a number, not 'x'"),
             ("query", "--backend", {"endpoint_url": 5}, "endpoint_url must be a string, not 5"),
             ("query", "--backend", {"endpoint_url": LOCAL_URL, "max_retries": False},
              "max_retries must be an integer, not False"),
+            # values of the right type out of range: a timeout or backoff past what a socket
+            # or time.sleep takes, or a NaN temperature, once crashed the run or failed every send
+            ("evaluate", "--backend", {"endpoint_url": LOCAL_URL, "request_timeout": 0},
+             "request_timeout must lie in (0, 9223372036] seconds"),
+            ("evaluate", "--backend", {"endpoint_url": LOCAL_URL, "request_timeout": 1e300},
+             "request_timeout must lie in (0, 9223372036] seconds"),
+            ("evaluate", "--backend", {"endpoint_url": LOCAL_URL, "retry_backoff_base": -1},
+             "retry_backoff_base must lie in [0, 9223372036] seconds"),
+            ("evaluate", "--backend", {"endpoint_url": LOCAL_URL, "retry_backoff_base": 1e300},
+             "retry_backoff_base must lie in [0, 9223372036] seconds"),
+            ("evaluate", "--backend", {"endpoint_url": LOCAL_URL, "temperature": math.nan},
+             "temperature must be >= 0"),
+            ("evaluate", "--backend", {"endpoint_url": LOCAL_URL, "temperature": -0.5},
+             "temperature must be >= 0"),
+            ("evaluate", "--backend", {"endpoint_url": LOCAL_URL, "max_output_tokens": 0},
+             "max_output_tokens must be positive"),
+            ("evaluate", "--backend", {"endpoint_url": LOCAL_URL, "max_retries": -1},
+             "max_retries must be non-negative"),
         ],
         ids=["n-shots-float", "limit-float", "limit-bool", "concurrency-float", "seed-string",
-             "store-number", "task-list", "strategy-list", "backend-number", "timeout-string",
-             "endpoint-number", "retries-bool"],
+             "store-number", "task-list", "strategy-list", "backend-number", "store-empty",
+             "timeout-string", "endpoint-number", "retries-bool", "timeout-zero",
+             "timeout-huge", "backoff-negative", "backoff-huge", "temperature-nan",
+             "temperature-negative", "max-tokens-zero", "retries-negative"],
     )
     def test_wrong_typed_setting_is_a_one_line_error(self, runner, data_dir, store_dir,
                                                      tmp_path, command, file_flag, settings,
@@ -777,6 +805,8 @@ class TestEvaluate:
             for flag in ("--n-shots", "--store", "--task", "--strategy"):
                 if flag.lstrip("-").replace("-", "_") in settings:
                     del args[args.index(flag) : args.index(flag) + 2]
+            if file_flag == "--backend":
+                del args[args.index("--replay") : args.index("--replay") + 2]
         else:
             args = ["query", "CCO", "--store", str(store_dir), "--task", "mol2cap",
                     "--out", str(out)]
@@ -1086,7 +1116,7 @@ class TestBadPaths:
     def test_bad_template_is_a_one_line_error(self, runner, data_dir, store_dir, tmp_path,
                                               command, case, message):
         # each case once ended in a FileNotFoundError, UnicodeDecodeError or
-        # TemplateSlotMissing traceback, and ablate had already created --out
+        # PromptError traceback, and ablate had already created --out
         template = tmp_path / f"{case}.tmpl"
         if case == "not-utf8":
             template.write_bytes("## role\n\u00e9\n".encode("latin-1"))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from molrag.fingerprint import (
-    DegenerateInput,
+    FingerprintError,
     FingerprintParams,
     MorganFingerprint,
     dice_similarity,
@@ -170,7 +170,7 @@ class TestDice:
 
     def test_degenerate(self):
         empty = fingerprint_of(())
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(FingerprintError, match="both fingerprints are empty"):
             dice_similarity(empty, empty)
 
     @settings(max_examples=200, deadline=None)
@@ -182,7 +182,7 @@ class TestDice:
         a = fingerprint_of(bits_a)
         b = fingerprint_of(bits_b)
         if not bits_a and not bits_b:
-            with pytest.raises(DegenerateInput):
+            with pytest.raises(FingerprintError, match="both fingerprints are empty"):
                 dice_similarity(a, b)
             return
         sim = dice_similarity(a, b)

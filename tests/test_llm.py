@@ -1,6 +1,7 @@
 import json
 import logging
 import socket
+import threading
 import time
 
 import pytest
@@ -82,6 +83,15 @@ class TestRetryLoop:
         client.complete(make_prompt())
         assert delays == sorted(delays)
         assert delays == [0.5, 1.0, 2.0, 4.0]
+
+    def test_backoff_stops_at_the_longest_sleep(self):
+        # the largest backoff base a backend config accepts doubles past what
+        # time.sleep takes
+        delays = []
+        client = ChatClient(ScriptedBackend(["server"] * 3 + ["ok"]), max_retries=3,
+                            backoff_base=threading.TIMEOUT_MAX, sleep=delays.append)
+        client.complete(make_prompt())
+        assert delays == [threading.TIMEOUT_MAX] * 3
 
     def test_empty_prompt_rejected(self):
         client = make_client(ScriptedBackend(["x"]))

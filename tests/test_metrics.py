@@ -12,8 +12,8 @@ from molrag.fingerprint import FingerprintParams, dice_similarity, morgan_finger
 from molrag.metrics import (
     STATUS_FAILED,
     STATUS_OK,
-    EmptyInput,
     EvalPair,
+    MetricError,
     bleu_n,
     build_report,
     exact_match_rate,
@@ -164,7 +164,7 @@ class TestBleu:
         assert bleu_n(pairs([("The CAT", "the cat")]), 2) == pytest.approx(1.0)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(MetricError, match="no pairs to score"):
             bleu_n([], 2)
 
     def test_all_empty_predictions(self):
@@ -480,7 +480,7 @@ class TestReport:
 
     def test_atomless_smiles_score_as_invalid(self):
         # "." once parsed to an empty molecule, and two empty fingerprints
-        # made Morgan FTS raise DegenerateInput
+        # made Morgan FTS raise FingerprintError
         report = build_report(pairs([(".", "."), ("..", "CCO"), ("CCO", "CCO")]), "cap2mol", {})
         assert report["counts"]["valid"] == 1
         assert report["counts"]["parseable"] == 1
@@ -515,5 +515,5 @@ class TestReport:
         assert report["counts"]["items"] == len(evaluated)
 
     def test_empty_pairs_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(MetricError, match="no pairs to score"):
             build_report([], "cap2mol", {})

@@ -5,8 +5,7 @@ import pytest
 from molrag.prompt import (
     CAPTION_MASK,
     MOLECULE_MASK,
-    NoExamplesLeft,
-    TemplateSlotMissing,
+    PromptError,
     build_prompt,
     default_template,
     drop_longest_example,
@@ -49,22 +48,22 @@ class TestTemplateParsing:
 
     def test_missing_section(self):
         broken = MINIMAL_TEMPLATE.replace("## user", "## elsewhere")
-        with pytest.raises(TemplateSlotMissing):
+        with pytest.raises(PromptError, match=r"<memory>: missing section\(s\) user$"):
             parse_template(broken, "mol2cap")
 
     def test_missing_placeholder(self):
         broken = MINIMAL_TEMPLATE.replace("{{input}}", "input")
-        with pytest.raises(TemplateSlotMissing):
+        with pytest.raises(PromptError, match="example_format needs {{input}} and {{output}}"):
             parse_template(broken, "mol2cap")
 
     def test_output_instruction_names_one_key(self):
         wrong_key = MINIMAL_TEMPLATE.replace('JSON {"caption": "..."}', 'JSON {"molecule": "..."}')
-        with pytest.raises(TemplateSlotMissing):
+        with pytest.raises(PromptError, match='must name exactly the key "caption"'):
             parse_template(wrong_key, "mol2cap")
         both_keys = MINIMAL_TEMPLATE.replace(
             'JSON {"caption": "..."}', 'JSON {"caption": "..."} or {"molecule": "..."}'
         )
-        with pytest.raises(TemplateSlotMissing):
+        with pytest.raises(PromptError, match='must name exactly the key "caption"'):
             parse_template(both_keys, "mol2cap")
 
     def test_load_from_file(self, tmp_path):
@@ -175,5 +174,5 @@ class TestDropLongest:
         for expected_len in (3, 2, 1, 0):
             examples = drop_longest_example(tmpl, examples)
             assert len(examples) == expected_len
-        with pytest.raises(NoExamplesLeft):
+        with pytest.raises(PromptError, match="no examples left to drop"):
             drop_longest_example(tmpl, examples)

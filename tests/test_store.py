@@ -16,14 +16,10 @@ from molrag.bm25 import build_index, save_index, top_n
 from molrag.fingerprint import FingerprintParams, dice_similarity, morgan_fingerprint
 from molrag.smiles import molecules_equal, parse_smiles
 from molrag.store import (
-    EmptyFile,
-    EmptyStore,
-    IoFailure,
-    MissingColumn,
     MoleculeRecord,
     RetrievalStrategy,
     Store,
-    StoreIntegrityError,
+    StoreError,
     build_store,
     load_chebi_tsv,
     load_store,
@@ -161,17 +157,17 @@ class TestIngest:
 
     def test_missing_column(self, tmp_path):
         path = write_tsv(tmp_path / "cols.tsv", ["1\tCC\tx"], header="CID\tSMILES\ttext")
-        with pytest.raises(MissingColumn):
+        with pytest.raises(StoreError, match=r"cols\.tsv lacks column\(s\): description"):
             load_chebi_tsv(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(EmptyFile):
+        with pytest.raises(StoreError, match="empty.tsv has no header row"):
             load_chebi_tsv(path)
 
     def test_io_failure(self, tmp_path):
-        with pytest.raises(IoFailure):
+        with pytest.raises(StoreError, match="cannot read .*does-not-exist.tsv"):
             load_chebi_tsv(tmp_path / "does-not-exist.tsv")
 
     def test_fingerprints_pair_with_kept_records(self, tmp_path):
@@ -287,7 +283,7 @@ class TestReaderPaths:
 
     @pytest.mark.parametrize("damage, flags, error", [
         ("none", [], None),
-        ("bad-utf8", [], ["IoFailure", "cannot read"]),
+        ("bad-utf8", [], ["StoreError", "cannot read"]),
         ("worker-raises", ["--raise-on", "CCO"], ["RuntimeError", "cannot parse CCO"]),
         ("worker-exits", ["--exit-on", "CCO"], ["StoreError", "ended abruptly"]),
     ])
@@ -315,7 +311,7 @@ class TestReaderPaths:
 
 class TestBuild:
     def test_empty_records(self):
-        with pytest.raises(EmptyStore):
+        with pytest.raises(StoreError, match="no records to build a store from"):
             build_store([], [])
 
     def test_records_and_fingerprints_must_pair(self, corpus_records, corpus_fingerprints):
@@ -644,13 +640,14 @@ class TestPersistence:
         save_store(corpus_store, tmp_path / "store")
         records_file = tmp_path / "store" / "records.tsv"
         records_file.write_text(records_file.read_text() + "tampered\tC\tx\n")
-        with pytest.raises(StoreIntegrityError):
+        with pytest.raises(StoreError, match="checksum mismatch for records.tsv"):
             load_store(tmp_path / "store")
 
     @pytest.mark.parametrize(
         "damage, message",
         [
             ("missing-file", "cannot read captions.bm25"),
+            ("unreadable-manifest", "unreadable manifest: Expecting value"),
             ("list-manifest", "manifest is not a JSON object"),
             ("no-checksums", "manifest lacks checksums"),
             ("list-checksums", "manifest checksums has the wrong type"),
@@ -663,6 +660,7 @@ class TestPersistence:
             ("row-without-tab", "records.tsv:4 is malformed"),
             ("extra-fingerprint", "fingerprints.jsonl:113 is malformed"),
             ("extra-record", "records.tsv:114 is malformed"),
+            ("record-count", "record count does not match manifest"),
         ],
     )
     def test_damaged_store_is_an_integrity_error(self, corpus_store, tmp_path, damage, message):
@@ -698,6 +696,8 @@ class TestPersistence:
             "list-manifest": lambda: [manifest],
             "no-checksums": lambda: {k: v for k, v in manifest.items() if k != "checksums"},
             "list-checksums": lambda: {**manifest, "checksums": []},
+            # the manifest carries no checksum of its own
+            "record-count": lambda: {**manifest, "record_count": manifest["record_count"] + 1},
             "version-1": lambda: {**manifest, "format_version": 1},
             # what a format-2 store's manifest held
             "version-2": lambda: {**manifest, "format_version": 2,
@@ -706,6 +706,8 @@ class TestPersistence:
         }
         if damage == "missing-file":
             (directory / "captions.bm25").unlink()
+        elif damage == "unreadable-manifest":
+            manifest_path.write_text("not json", encoding="utf-8")
         elif damage in rewritten:
             name, rewrite = rewritten[damage]
             rewrite(directory / name)
@@ -714,7 +716,7 @@ class TestPersistence:
             manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         else:
             manifest_path.write_text(json.dumps(edited_manifest[damage]()), encoding="utf-8")
-        with pytest.raises(StoreIntegrityError, match=message):
+        with pytest.raises(StoreError, match=message):
             load_store(directory)
 
     def test_format_3_files(self, corpus_store, tmp_path):
@@ -726,7 +728,7 @@ class TestPersistence:
         assert fp_lines == [fp.to_hex() for fp in corpus_store.fingerprints]
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(IoFailure):
+        with pytest.raises(StoreError, match="no store manifest at .*nothing-here"):
             load_store(tmp_path / "nothing-here")
 
 
