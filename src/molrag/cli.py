@@ -3,9 +3,12 @@
 Every run writes a manifest echoing the fully resolved configuration so the
 experiment can be re-run identically. evaluate runs as the one-cell case of
 ablate, and query, evaluate and ablate rank every item through one path, which
-each hands a Mol2Cap query's fingerprint. Evaluation checkpoints per item and
-resumes from the checkpoint after an interruption. Reports contain no
-timestamps: a run against the replay backend is bit-reproducible.
+each hands a Mol2Cap query's fingerprint. An evaluate or ablate with many items
+to rank ranks them ahead in forked worker processes, while its threads drive
+the backend; the examples are the same either way. Evaluation checkpoints per
+item and resumes from the checkpoint after an interruption, ranking only the
+items it still runs. Reports contain no timestamps: a run against the replay
+backend is bit-reproducible.
 
 Configuration precedence: command-line flags > --config file > defaults;
 max_retries takes the backend JSON's value before its default.
@@ -18,6 +21,7 @@ import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -57,8 +61,11 @@ from molrag.store import (
     StoreError,
     build_store,
     file_sha256,
+    fork_capacity,
+    forked_pool,
     load_chebi_tsv,
     load_store,
+    ranked_positions,
     resolve_strategy,
     save_store,
 )
@@ -431,7 +438,7 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
                    rank: Ranking) -> dict:
     """Evaluate one cell over loaded test records; returns the report dict.
 
-    Each item is ranked by ``rank`` in its worker. Rows already in
+    Each item is ranked by ``rank`` in its thread. Rows already in
     ``out_dir/items.jsonl`` are kept, not re-queried, when the manifest there
     equals this run's.
     """
@@ -480,37 +487,114 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
     return report
 
 
+# Items per block a worker process ranks at a time; on a 2-vCPU host 32 beat 24 on
+# the 200 Morgan-ranked items of a 1/16-scale evaluate and 48 on its 80 BM25-ranked
+# ones. It must stay at 20 or more: the strategies of an ablate over 20 items are
+# then ranked in process, where no fork costs more than their ranking.
+RANK_BLOCK = 32
+
+# What the forked ranking workers read: the store, the task, each item's query and
+# fingerprint, and each strategy's items to rank. Set only while the workers fork.
+_fork_state: tuple = ()
+
+
+def _rank_block(strategy: RetrievalStrategy, depth: int, start: int, stop: int) -> list:
+    """The record positions of each of ``strategy``'s items ``start:stop`` to rank,
+    ranked at ``depth``; run in a worker process."""
+    db, task, queries, fingerprints, todo = _fork_state
+    return [ranked_positions(db, task, queries[i], depth, strategy, query_fp=fingerprints[i])
+            for i in todo[strategy][start:stop]]
+
+
 class _Rankings:
     """The rankings of one evaluate or ablate command: each (strategy, item) is ranked
-    once, on the first cell of that strategy, at the largest n any cell asks of that
-    strategy, and a cell of n shots takes the first n. Retrieval is prefix-stable in
-    n, so that slice is the ranking at n; a cell of 0 shots takes none.
+    once, for the first cell of that strategy that takes examples, at the largest n
+    any cell asks of that strategy, and a cell of n shots takes the first n.
+    Retrieval is prefix-stable in n, so that slice is the ranking at n; a cell of 0
+    shots takes none and ranks nothing.
 
-    Cells run one after another and a cell hands each item to one worker, so no
-    two threads fill the same key. ``fingerprints[i]`` is the fingerprint of item
-    i's molecule, which a Mol2Cap ranking takes as its query's.
+    An item is ranked when a worker thread first asks for it, unless
+    :meth:`ranked_ahead` has handed it to a forked worker process; then the thread
+    waits for that worker's block and maps its record positions onto this store's
+    records. Both rank through :func:`~molrag.store.ranked_positions`, so the
+    examples are the same on either path.
+
+    Cells run one after another and a cell hands each item to one thread, so no two
+    threads fill the same key. ``fingerprints[i]`` is the fingerprint of item i's
+    molecule, which a Mol2Cap ranking takes as its query's.
     """
 
     def __init__(self, db: Store, task: str, cells: list[RunConfig],
                  fingerprints: list[MorganFingerprint]) -> None:
-        self.db, self.task, self.fingerprints = db, task, fingerprints
+        self.db, self.task, self.cells, self.fingerprints = db, task, cells, fingerprints
         self.depth: dict[RetrievalStrategy, int] = {}
         for cell in cells:
             self.depth[cell.strategy] = max(self.depth.get(cell.strategy, 0), cell.n_shots)
         self.ranked: dict[tuple[RetrievalStrategy, int], list[MoleculeRecord]] = {}
+        # (strategy, item) -> (the future of its block, its place in the block)
+        self.ahead: dict[tuple[RetrievalStrategy, int], tuple] = {}
 
     def for_cell(self, cell: RunConfig) -> Ranking:
         strategy, n = cell.strategy, cell.n_shots
 
         def rank(index: int, query: str) -> list[MoleculeRecord]:
+            if n == 0:  # no wait on a block ranked ahead
+                return []
             ranked = self.ranked.get((strategy, index))
             if ranked is None:
-                ranked = self.ranked[strategy, index] = rank_examples(
-                    self.db, self.task, query, self.depth[strategy], strategy,
-                    query_fp=self.fingerprints[index])
+                job = self.ahead.get((strategy, index))
+                if job:
+                    future, offset = job
+                    ranked = [self.db.records[pos] for pos in future.result()[offset]]
+                else:
+                    ranked = rank_examples(self.db, self.task, query, self.depth[strategy],
+                                           strategy, query_fp=self.fingerprints[index])
+                self.ranked[strategy, index] = ranked
             return ranked[:n]
 
         return rank
+
+    @contextmanager
+    def ranked_ahead(self, records: list[MoleculeRecord], done: list[set[int]]):
+        """Rank in forked worker processes, for as long as the block runs, the items
+        that some cell that takes examples will run: those not in ``done[k]``, the
+        items that cell k's checkpoint holds.
+
+        Each strategy's items are cut into blocks of ``RANK_BLOCK``, and the blocks
+        go to ``min(CPUs, blocks)`` workers in the order the cells need them. This
+        happens only when some strategy has more than one block to rank and
+        :func:`~molrag.store.fork_capacity` allows a fork; otherwise each item is
+        ranked in this process, when a thread asks for it. The workers inherit the
+        store, the items and their fingerprints, and each block returns its items'
+        record positions, at most the strategy's depth each. A worker that dies is
+        a :class:`StoreError`, and every worker has ended when the block is left.
+        """
+        todo: dict[RetrievalStrategy, set[int]] = {}
+        for cell, rows in zip(self.cells, done):
+            if cell.n_shots:
+                todo.setdefault(cell.strategy, set()).update(
+                    i for i in range(len(records)) if i not in rows)
+        todo = {strategy: sorted(items) for strategy, items in todo.items()}
+        blocks = [(strategy, start) for strategy, items in todo.items()
+                  for start in range(0, len(items), RANK_BLOCK)]
+        workers = min(fork_capacity(), len(blocks))
+        if not workers or all(len(items) <= RANK_BLOCK for items in todo.values()):
+            yield
+            return
+        global _fork_state
+        field = TASKS[self.task].input_field
+        with forked_pool(workers, "ranking items") as pool:
+            _fork_state = (self.db, self.task, [getattr(rec, field) for rec in records],
+                           self.fingerprints, todo)
+            try:  # the workers fork on the first submit
+                for strategy, start in blocks:
+                    stop = start + RANK_BLOCK
+                    future = pool.submit(_rank_block, strategy, self.depth[strategy], start, stop)
+                    for offset, index in enumerate(todo[strategy][start:stop]):
+                        self.ahead[strategy, index] = future, offset
+            finally:
+                _fork_state = ()
+            yield
 
 
 def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[dict]:
@@ -519,7 +603,8 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
 
     The store, template and test records (the first ``base.limit`` kept rows, each
     with its fingerprint) are loaded once, before any file is written, and one
-    :class:`_Rankings` serves every cell.
+    :class:`_Rankings` serves every cell. Before any thread starts, each cell's
+    checkpoint is read to find the items it will run, which may be ranked ahead.
     """
     db = load_store(base.store_path)
     tmpl = _load_prompt_template(base)
@@ -534,11 +619,14 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
         "store_manifest_sha256": db.manifest_sha256,
     }
     rankings = _Rankings(db, base.task, cells, fingerprints)
-    return [
-        run_evaluation(cell, db, tmpl, records, sources, Path(cell.out_path),
-                       rankings.for_cell(cell))
-        for cell in cells
-    ]
+    done = [set(_read_checkpoint(Path(cell.out_path) / "items.jsonl", len(records)))
+            for cell in cells]
+    with rankings.ranked_ahead(records, done):
+        return [
+            run_evaluation(cell, db, tmpl, records, sources, Path(cell.out_path),
+                           rankings.for_cell(cell))
+            for cell in cells
+        ]
 
 
 @main.command("evaluate")

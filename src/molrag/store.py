@@ -19,6 +19,7 @@ import os
 import random
 import threading
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -157,12 +158,13 @@ def _read_rows(path: Path, fh, limit: int | None):
                desc_idx == len(header) - 1)
 
     rows = ((line_no, line) for line_no, line in enumerate(lines, start=2) if line.strip())
-    cpus = _usable_cpus()
-    if limit is None and cpus > 1 and threading.active_count() == 1 and hasattr(os, "fork"):
+    cpus = fork_capacity()
+    if limit is None and cpus:
         blocks = _blocks(rows)
         first = list(islice(blocks, cpus))
         if len(first) > 1:
-            return _parsed_in_workers(path, columns, first, blocks)
+            with forked_pool(len(first), f"reading {path}") as pool:
+                return _collect(_in_order(pool, columns, first, blocks), None)
         rows = chain.from_iterable(first)  # the whole file: one block, or none
     memo: dict = {}
     return _collect((_parse_row(columns, line_no, line, memo) for line_no, line in rows), limit)
@@ -173,6 +175,36 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def fork_capacity() -> int:
+    """How many worker processes this process may fork: the CPUs it may run on when
+    there are two or more, it runs no other thread and the platform can fork; 0
+    otherwise. Forking a process that runs threads could copy a lock one of them
+    holds."""
+    cpus = _usable_cpus()
+    return cpus if cpus > 1 and threading.active_count() == 1 and hasattr(os, "fork") else 0
+
+
+@contextmanager
+def forked_pool(workers: int, doing: str):
+    """A pool of ``workers`` forked worker processes, which start on its first
+    ``submit``. A worker that dies ends the block with a :class:`StoreError` that
+    says what the pool was ``doing``; every worker has ended when the block is
+    left, however it is left."""
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    # fork named, not left to the platform default: a forkserver or spawned worker
+    # would import molrag anew
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    except BrokenProcessPool as exc:
+        raise StoreError(f"a worker process {doing} ended abruptly: {exc}") from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _blocks(rows):
@@ -207,25 +239,6 @@ _worker_memo: dict = {}
 def _parse_block(columns, block: list[tuple[int, str]]) -> list[tuple]:
     """:func:`_parse_row` over each row of ``block``, run in a worker process."""
     return [_parse_row(columns, line_no, line, _worker_memo) for line_no, line in block]
-
-
-def _parsed_in_workers(path: Path, columns, first: list, blocks):
-    """What :func:`_collect` makes of every row, parsed by ``len(first)`` forked
-    workers: ``first`` holds the first blocks, ``blocks`` yields the rest. Every
-    worker has ended when this returns or raises."""
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    # fork named, not left to the platform default: a forkserver or spawned worker
-    # would import molrag anew
-    pool = ProcessPoolExecutor(max_workers=len(first),
-                               mp_context=multiprocessing.get_context("fork"))
-    try:
-        return _collect(_in_order(pool, columns, first, blocks), None)
-    except BrokenProcessPool as exc:
-        raise StoreError(f"a worker process reading {path} ended abruptly: {exc}") from exc
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _in_order(pool, columns, first: list, blocks):
@@ -341,15 +354,23 @@ def _ranked(store: Store, query: str, limit: int, strategy: RetrievalStrategy, q
     return [pos for pos, _ in bm25.top_n(index, query, limit)]
 
 
-def _retrieve(store: Store, query: str, n: int, strategy: RetrievalStrategy,
-              excluded: frozenset[int], query_fp=None) -> list[MoleculeRecord]:
-    """The first n records of the ranking that are not excluded.
+def ranked_positions(store: Store, task: str, query: str, n: int,
+                     strategy: RetrievalStrategy, *,
+                     query_fp: MorganFingerprint | None = None) -> list[int]:
+    """The record positions of the top-n context examples for a ``task`` query, best
+    first: the first n of the ranking that are not the query's own pair.
 
     At most len(excluded) of the first n + len(excluded) ranked positions are
-    excluded, so that prefix always holds the n best survivors.
+    excluded, so that prefix always holds the n best survivors. ``query_fp`` is the
+    default fingerprint of a mol2cap query; a cap2mol ranking does not read it.
     """
+    _check_request(store, task, n, strategy)
+    if task == "mol2cap":
+        excluded = _same_graph_positions(store, query, query_fp)
+    else:
+        excluded = frozenset(store._positions_by_caption.get(query, ()))
     order = _ranked(store, query, n + len(excluded), strategy, query_fp)
-    return list(islice((store.records[pos] for pos in order if pos not in excluded), n))
+    return list(islice((pos for pos in order if pos not in excluded), n))
 
 
 def retrieve_mol2cap(
@@ -367,9 +388,8 @@ def retrieve_mol2cap(
     caller has parsed; the query is parsed again only when some record shares
     its bitmap.
     """
-    _check_request(store, "mol2cap", n, strategy)
-    excluded = _same_graph_positions(store, query_smiles, query_fp)
-    return _retrieve(store, query_smiles, n, strategy, excluded, query_fp)
+    positions = ranked_positions(store, "mol2cap", query_smiles, n, strategy, query_fp=query_fp)
+    return [store.records[pos] for pos in positions]
 
 
 def _same_graph_positions(store: Store, query_smiles: str,
@@ -404,9 +424,8 @@ def retrieve_cap2mol(
     When no query term is indexed, the lowest-position records fill the list
     with score zero (documented degenerate behavior).
     """
-    _check_request(store, "cap2mol", n, strategy)
-    excluded = frozenset(store._positions_by_caption.get(query_caption, ()))
-    return _retrieve(store, query_caption, n, strategy, excluded)
+    positions = ranked_positions(store, "cap2mol", query_caption, n, strategy)
+    return [store.records[pos] for pos in positions]
 
 
 # ---------------------------------------------------------------------------

@@ -504,7 +504,9 @@ class TestEvaluate:
     def test_mol2cap_parses_each_item_once(self, runner, data_dir, store_dir, corpus_store,
                                            test_records, tmp_path, monkeypatch):
         # each item was parsed at load, again in every retrieval, and so was each stored
-        # record sharing its bitmap: 375 parses for these 50 rows, where 357 suffice
+        # record sharing its bitmap: 375 parses for these 50 rows, where 357 suffice.
+        # One usable CPU keeps the ranking, and so the graph check, in this process.
+        monkeypatch.setattr(store_module, "_usable_cpus", lambda: 1)
         calls = count_parses(monkeypatch)
         result = runner.invoke(main, eval_args(data_dir, store_dir, tmp_path / "eval"))
         assert result.exit_code == 0, result.output
@@ -1149,6 +1151,117 @@ class TestBadPaths:
         result = runner.invoke(main, args)
         assert_one_line_error(result, message)
         assert blocker.read_text(encoding="utf-8") == "x"
+
+
+def probe_command(*flags, command) -> dict:
+    """What tests/cli_probe.py reports of one molrag command in a fresh interpreter."""
+    result = subprocess.run(
+        [sys.executable, str(Path(__file__).parent / "cli_probe.py"), *flags, "--", *command],
+        capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(result.stdout)
+
+
+def run_outputs(out: Path) -> dict[str, bytes]:
+    """The bytes of every items.jsonl, report.json and comparison.json under out."""
+    return {str(path.relative_to(out)): path.read_bytes()
+            for name in ("items.jsonl", "report.json", "comparison.json")
+            for path in out.rglob(name)}
+
+
+def ranking_pids(probed: dict) -> set[int]:
+    return {pid for pid, _, _ in probed["rankings"]}
+
+
+class TestRankingWorkers:
+    """evaluate and ablate rank their items in forked worker processes or in this one;
+    both write alike."""
+
+    @pytest.mark.parametrize("command, task", [
+        ("evaluate", "mol2cap"), ("evaluate", "cap2mol"), ("ablate", "mol2cap"),
+        ("ablate", "cap2mol")])
+    def test_workers_rank_what_one_process_ranks(self, data_dir, store_dir, tmp_path, command,
+                                                 task):
+        # evaluate replays its fixture; ablate ranks every strategy of the task, its
+        # prompts answered with their digests so each reply follows the examples
+        args = [command, str(data_dir / "test_items.tsv"), "--store", str(store_dir),
+                "--task", task]
+        if command == "evaluate":
+            args += ["--n-shots", "2", "--replay",
+                     str(data_dir / (REPLAY_M2C if task == "mol2cap" else REPLAY_C2M))]
+            flags = []
+        else:
+            args += ["--grid-shots", "0,2,5", "--grid-strategies",
+                     ",".join(TASKS[task].strategies), "--replay", str(data_dir / REPLAY_GRID)]
+            flags = ["--echo"]
+        here, workers = (
+            probe_command("--cpus", cpus, *flags, command=[*args, "--out", str(tmp_path / cpus)])
+            for cpus in ("1", "2"))
+        assert here["exit_code"] == workers["exit_code"] == 0, here["output"] + workers["output"]
+        assert here["forks"] == 0 and ranking_pids(here) == {here["pid"]}
+        assert workers["forks"] == 2 and len(ranking_pids(workers)) == 2
+        assert workers["pid"] not in ranking_pids(workers)
+        assert sorted(r[1:] for r in workers["rankings"]) == sorted(r[1:] for r in here["rankings"])
+        assert len(here["rankings"]) == 50 * (1 if command == "evaluate" else len(
+            TASKS[task].strategies))
+        assert run_outputs(tmp_path / "2") == run_outputs(tmp_path / "1") != {}
+
+    def test_one_worker_per_block_up_to_the_cpus(self, data_dir, store_dir, tmp_path):
+        probed = probe_command("--cpus", "8", command=eval_args(data_dir, store_dir,
+                                                                tmp_path / "a"))
+        assert probed["exit_code"] == 0 and probed["forks"] == 2  # 50 items: 2 blocks
+        probed = probe_command("--cpus", "4", "--block", "8",
+                               command=eval_args(data_dir, store_dir, tmp_path / "b"))
+        assert probed["exit_code"] == 0 and probed["forks"] == 4  # 7 blocks
+        # the 20 items of each strategy of a small grid are one block: ranked here
+        probed = probe_command("--cpus", "2", "--echo", command=[
+            "ablate", str(data_dir / "test_items.tsv"), "--store", str(store_dir),
+            "--task", "mol2cap", "--limit", "20", "--replay", str(data_dir / REPLAY_GRID),
+            "--out", str(tmp_path / "grid")])
+        assert probed["exit_code"] == 0, probed["output"]
+        assert probed["forks"] == 0 and not probed["multiprocessing_imported"]
+        assert ranking_pids(probed) == {probed["pid"]} and len(probed["rankings"]) == 60
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--echo"], None),
+        (["--echo", "--auth-after", "10"], "Error: [auth] scripted auth"),
+        (["--echo", "--exit-on", "CCO"], "Error: a worker process ranking items ended abruptly"),
+    ], ids=["finished", "auth-error-mid-run", "worker-dies"])
+    def test_no_worker_outlives_the_command(self, data_dir, store_dir, tmp_path, flags, error):
+        probed = probe_command("--cpus", "2", *flags,
+                               command=eval_args(data_dir, store_dir, tmp_path / "out"))
+        assert probed["forks"] == 2
+        assert probed["live_children"] == 0 and not probed["any_child"]
+        assert probed["threads"] == 1
+        if error is None:
+            assert probed["exit_code"] == 0, probed["output"]
+        else:
+            assert probed["exit_code"] == 1 and not probed["traceback"]
+            assert probed["output"].startswith(error) and probed["output"].count("\n") == 1
+
+    def test_a_resumed_run_ranks_only_the_items_it_runs(self, data_dir, store_dir, test_records,
+                                                       tmp_path):
+        full = tmp_path / "full"
+        probed = probe_command("--cpus", "1", command=eval_args(data_dir, store_dir, full))
+        assert probed["exit_code"] == 0, probed["output"]
+        missing = {3, 17, 30, 41, 49}
+        rows = (full / "items.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        # one block of 32 holds the 5 missing items and is ranked here; blocks of 2 are
+        # 3, ranked by 2 workers
+        for block, forks in (("32", 0), ("2", 2)):
+            out = tmp_path / f"resumed-{block}"
+            out.mkdir()
+            (out / "manifest.json").write_bytes((full / "manifest.json").read_bytes())
+            (out / "items.jsonl").write_text(
+                "".join(row for row in rows if json.loads(row)["index"] not in missing),
+                encoding="utf-8")
+            probed = probe_command("--cpus", "2", "--block", block,
+                                   command=eval_args(data_dir, store_dir, out))
+            assert probed["exit_code"] == 0, probed["output"]
+            assert probed["forks"] == forks
+            assert sorted(query for _, _, query in probed["rankings"]) == sorted(
+                test_records[i].smiles for i in missing)
+            assert (probed["pid"] in ranking_pids(probed)) == (forks == 0)
+            assert run_outputs(out) == run_outputs(full)
 
 
 @pytest.mark.parametrize("golden, command, replay, options, artefact", [
