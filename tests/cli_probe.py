@@ -1,7 +1,7 @@
 """Run one ``molrag`` command once in a fresh interpreter and print what it did.
 
     python tests/cli_probe.py [--cpus N] [--block N] [--echo] [--auth-after K]
-        [--exit-on QUERY] -- MOLRAG ARGUMENTS...
+        [--exit-on QUERY] [--meet N] -- MOLRAG ARGUMENTS...
 
 A fresh interpreter runs no thread that a test runner may have started, so an
 ``evaluate`` or ``ablate`` ranks its items in forked workers whenever the items
@@ -10,7 +10,10 @@ process may use and ``--block`` the items per ranking block. ``--echo`` answers
 every prompt from a backend that needs no fixture: its reply is a digest of the
 prompt, so it changes with the examples ranked; with ``--auth-after`` that
 backend raises an ``auth`` error from its K+1st call on. ``--exit-on`` makes the
-process that ranks that query end at once.
+process that ranks that query end at once. With ``--meet`` the first ranking of
+each forked worker waits, for at most ``MEET_TIMEOUT`` seconds, until N processes
+have begun ranking: a worker that starts late then still finds a block queued,
+which the worker that started first would otherwise have taken.
 
 The one JSON line printed holds the exit code and output of the command, each
 ranking as ``[pid, strategy kind, query]``, the id of this process, how many
@@ -26,6 +29,7 @@ import os
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -34,6 +38,8 @@ from click.testing import CliRunner  # noqa: E402
 
 from molrag import cli, store  # noqa: E402
 from molrag.llm import BackendError, ChatClient, prompt_digest  # noqa: E402
+
+MEET_TIMEOUT = 10.0
 
 
 class EchoBackend:
@@ -63,6 +69,7 @@ def main() -> None:
     parser.add_argument("--echo", action="store_true")
     parser.add_argument("--auth-after", type=int)
     parser.add_argument("--exit-on")
+    parser.add_argument("--meet", type=int)
     parser.add_argument("command", nargs=argparse.REMAINDER)
     args = parser.parse_args()
     argv = args.command[1:] if args.command[:1] == ["--"] else args.command
@@ -81,8 +88,22 @@ def main() -> None:
     print(json.dumps(out))
 
 
+def ranking_pids(rank_file: Path) -> set[int]:
+    """The processes with a whole line in ``rank_file``, which several append to."""
+    text = rank_file.read_text(encoding="utf-8") if rank_file.exists() else ""
+    return {json.loads(line)[0] for line in text.split("\n")[:-1]}
+
+
+def meet(rank_file: Path, count: int) -> None:
+    """Wait until ``count`` processes have begun ranking, or ``MEET_TIMEOUT`` seconds."""
+    deadline = time.monotonic() + MEET_TIMEOUT
+    while len(ranking_pids(rank_file)) < count and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
 def probe(args, argv: list[str], rank_file: Path) -> dict:
     forks = []
+    here, waited = os.getpid(), []
     os.register_at_fork(before=lambda: forks.append(1))
     if args.cpus:
         store._usable_cpus = lambda: args.cpus
@@ -98,6 +119,9 @@ def probe(args, argv: list[str], rank_file: Path) -> dict:
             fh.write(json.dumps([os.getpid(), strategy.kind, query]) + "\n")
         if query == args.exit_on:
             os._exit(3)
+        if args.meet and os.getpid() != here and not waited:
+            waited.append(1)  # a forked worker holds its own copy
+            meet(rank_file, args.meet)
         return ranked_positions(db, task, query, n, strategy, **kwargs)
 
     store.ranked_positions = cli.ranked_positions = recorded

@@ -1182,17 +1182,19 @@ class TestRankingWorkers:
     def test_workers_rank_what_one_process_ranks(self, data_dir, store_dir, tmp_path, command,
                                                  task):
         # evaluate replays its fixture; ablate ranks every strategy of the task, its
-        # prompts answered with their digests so each reply follows the examples
+        # prompts answered with their digests so each reply follows the examples.
+        # Each worker waits in its first ranking for the other to begin one: else the
+        # first to start may rank both blocks of an evaluate before the other starts.
         args = [command, str(data_dir / "test_items.tsv"), "--store", str(store_dir),
                 "--task", task]
         if command == "evaluate":
             args += ["--n-shots", "2", "--replay",
                      str(data_dir / (REPLAY_M2C if task == "mol2cap" else REPLAY_C2M))]
-            flags = []
+            flags = ["--meet", "2"]
         else:
             args += ["--grid-shots", "0,2,5", "--grid-strategies",
                      ",".join(TASKS[task].strategies), "--replay", str(data_dir / REPLAY_GRID)]
-            flags = ["--echo"]
+            flags = ["--meet", "2", "--echo"]
         here, workers = (
             probe_command("--cpus", cpus, *flags, command=[*args, "--out", str(tmp_path / cpus)])
             for cpus in ("1", "2"))
