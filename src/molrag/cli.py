@@ -12,12 +12,19 @@ backend is bit-reproducible.
 
 Configuration precedence: command-line flags > --config file > defaults;
 max_retries takes the backend JSON's value before its default.
+
+The command line is parsed by ``argparse``, so the package needs nothing beyond
+the standard library. Exit codes: 0 on success; 1 for a one-line
+``Error: <message>`` on stderr, a calibration failure of ``query``, Ctrl-C
+(``Aborted!``) or a closed stdout pipe (no message); 2 for a usage error.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -26,8 +33,6 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import Callable
-
-import click
 
 from molrag import __version__, bm25
 from molrag.calibration import CalibrationFailure, calibrated_query, rank_examples
@@ -74,6 +79,10 @@ DEFAULT_GRID_SHOTS = (0, 1, 2, 5, 10)
 DEFAULT_GRID_STRATEGIES = ("random", "bm25", "morgan_fts")
 
 
+class CliError(Exception):
+    """A setting, path or checkpoint the command refuses; printed as one ``Error:`` line."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     store_path: str
@@ -102,7 +111,7 @@ class RunConfig:
             raise ValueError("max_error_allowance must be positive")
         if self.limit is not None and self.limit < 1:
             raise ValueError("limit must be positive")
-        if self.replay_path is None and self.backend is None:
+        if not self.replay_path and self.backend is None:  # "" names no fixture
             raise ValueError("either a replay fixture or a backend config is required")
 
 
@@ -112,9 +121,9 @@ def _load_config_file(path: str | None) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise click.ClickException(f"cannot read config file {path}: {exc}")
+        raise CliError(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
-        raise click.ClickException(f"config file {path} must hold a JSON object")
+        raise CliError(f"config file {path} must hold a JSON object")
     return data
 
 
@@ -128,12 +137,12 @@ def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
     settings.update((key, value) for key, value in flags.items() if value is not None)
     task = settings.get("task")
     if not isinstance(task, str) or task not in TASKS:
-        raise click.ClickException(f"--task must be one of {', '.join(TASKS)}")
+        raise CliError(f"--task must be one of {', '.join(TASKS)}")
     if not settings.get("store"):
-        raise click.ClickException("--store is required")
+        raise CliError("--store is required")
     for key in ("strategy", "backend"):  # the two settings that are no RunConfig field
         if not isinstance(settings.get(key), (str, type(None))):
-            raise click.ClickException(f"{key} must be a string, not {settings[key]!r}")
+            raise CliError(f"{key} must be a string, not {settings[key]!r}")
     try:
         backend = settings.get("backend")
         backend = BackendConfig(**_load_config_file(backend)) if backend else None
@@ -154,7 +163,7 @@ def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
         )
     # TypeError: a backend JSON key BackendConfig does not have, or a value of the wrong type
     except (ValueError, TypeError) as exc:
-        raise click.ClickException(str(exc))
+        raise CliError(str(exc))
 
 
 def _make_client(config: RunConfig) -> ChatClient:
@@ -203,7 +212,7 @@ def _make_dir(path: Path) -> None:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise click.ClickException(f"cannot create directory {path}: {exc.strerror}")
+        raise CliError(f"cannot create directory {path}: {exc.strerror}")
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -213,43 +222,22 @@ def _dump_json(path: Path, payload) -> None:
     )
 
 
-class _Group(click.Group):
-    """Ends a command on a store, template, fatal backend or replay error with a one-line
-    message."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (StoreError, PromptError, BackendError, MissingFixture, FixtureParseError) as exc:
-            raise click.ClickException(str(exc)) from exc
-
-
-@click.group(cls=_Group)
-@click.version_option(version=__version__, prog_name="molrag")
-def main() -> None:
-    """Retrieval-augmented molecule-caption translation toolkit."""
-
-
 # ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
 
 
-@main.command("ingest")
-@click.argument("tsv_path", type=click.Path(exists=True, dir_okay=False))
-@click.argument("out_store", type=click.Path(file_okay=False))
-@click.option("--split", default="train", show_default=True)
-def cmd_ingest(tsv_path, out_store, split) -> None:
+def _cmd_ingest(args: argparse.Namespace) -> None:
     """Load a molecule-caption TSV, build indices and persist the store.
 
     Fingerprints are Morgan, radius 2, 2,048 bits; BM25 uses k1 1.5 and b 0.75.
     """
-    records, fingerprints, report = load_chebi_tsv(tsv_path)
-    save_store(build_store(records, fingerprints, split=split), out_store)
-    click.echo(
+    records, fingerprints, report = load_chebi_tsv(args.tsv_path)
+    save_store(build_store(records, fingerprints, split=args.split), args.out_store)
+    print(
         json.dumps(
             {
-                "store": str(out_store),
+                "store": args.out_store,
                 "rows": report.total_rows,
                 "ingested": report.kept,
                 "quarantined": [
@@ -267,35 +255,11 @@ def cmd_ingest(tsv_path, out_store, split) -> None:
 # query
 # ---------------------------------------------------------------------------
 
-_SHARED_OPTIONS = [
-    click.option("--store", type=click.Path(), default=None, help="Store directory."),
-    click.option("--task", type=click.Choice(list(TASKS)), default=None),
-    click.option("--n-shots", type=int, default=None),
-    click.option("--strategy", type=click.Choice([*STRATEGY_KINDS, "bm25"]), default=None),
-    click.option("--seed", type=int, default=None),
-    click.option("--backend", type=click.Path(), default=None, help="Backend config JSON."),
-    click.option("--replay", type=click.Path(), default=None, help="Replay fixture JSONL."),
-    click.option("--template", type=click.Path(), default=None),
-    click.option("--out", type=click.Path(), default=None),
-    click.option("--concurrency", type=int, default=None),
-    click.option("--max-retries", type=int, default=None),
-    click.option("--max-error-allowance", type=int, default=None),
-    click.option("--config", "cfg_file", type=click.Path(), default=None),
-]
 
-
-def _shared_options(fn):
-    for opt in reversed(_SHARED_OPTIONS):
-        fn = opt(fn)
-    return fn
-
-
-@main.command("query")
-@click.argument("user_input")
-@_shared_options
-def cmd_query(user_input, cfg_file, **flags) -> None:
+def _cmd_query(args: argparse.Namespace) -> None:
     """Run one retrieval-prompt-calibrate round trip and print the result."""
-    config = _make_run_config(cfg_file, flags)
+    config = _make_run_config(args.config, vars(args))
+    user_input = args.user_input
     db = load_store(config.store_path)
     tmpl = _load_prompt_template(config)
     client = _make_client(config)
@@ -305,7 +269,7 @@ def cmd_query(user_input, cfg_file, **flags) -> None:
         try:
             query_fp = morgan_fingerprint(parse_smiles(user_input))
         except SmilesError as exc:
-            raise click.ClickException(f"query SMILES does not parse: {exc}") from exc
+            raise CliError(f"query SMILES does not parse: {exc}") from exc
     examples = rank_examples(db, config.task, user_input, config.n_shots, config.strategy,
                              query_fp=query_fp)
     try:
@@ -317,7 +281,7 @@ def cmd_query(user_input, cfg_file, **flags) -> None:
             transcript_path,
             {"attempts": fail.attempts, "last_raw_text": fail.last_raw_text},
         )
-        click.echo(f"calibration failed; transcript at {transcript_path}", err=True)
+        print(f"calibration failed; transcript at {transcript_path}", file=sys.stderr)
         sys.exit(1)
 
     payload = {
@@ -331,7 +295,7 @@ def cmd_query(user_input, cfg_file, **flags) -> None:
     }
     if TASKS[config.task].output_field == "smiles":
         payload["output_is_valid"] = is_valid_smiles(result.value)
-    click.echo(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
+    print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +375,7 @@ def _read_checkpoint(path: Path, items: int) -> dict[int, dict]:
                 done[index] = row
         except (ValueError, KeyError, TypeError):
             if number < len(lines):
-                raise click.ClickException(
+                raise CliError(
                     f"{path}:{number} is not a checkpoint row; use another --out")
     return done
 
@@ -421,13 +385,13 @@ def _check_resumable(path: Path, manifest: dict) -> None:
     try:
         old = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise click.ClickException(
+        raise CliError(
             f"{path.parent} holds checkpoint rows but no readable manifest.json ({exc}); "
             "use another --out"
         )
     differ = sorted(k for k in old.keys() | manifest.keys() if old.get(k) != manifest.get(k))
     if differ:
-        raise click.ClickException(
+        raise CliError(
             f"{path.parent} holds rows of a run with a different {', '.join(differ)}; "
             "use another --out"
         )
@@ -610,7 +574,7 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
     tmpl = _load_prompt_template(base)
     records, fingerprints, ingest_report = load_chebi_tsv(test_tsv, base.limit)
     if not records:
-        raise click.ClickException(f"no usable rows in {test_tsv}")
+        raise CliError(f"no usable rows in {test_tsv}")
     sources = {
         "test_file": str(test_tsv),
         "test_sha256": file_sha256(test_tsv),
@@ -629,42 +593,31 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
         ]
 
 
-@main.command("evaluate")
-@click.argument("test_tsv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--limit", type=int, default=None, help="Evaluate only the first N items.")
-@_shared_options
-def cmd_evaluate(test_tsv, cfg_file, **flags) -> None:
+def _cmd_evaluate(args: argparse.Namespace) -> None:
     """Evaluate the pipeline on a test split and write metric reports (one ablate cell)."""
-    config = _make_run_config(cfg_file, flags)
+    config = _make_run_config(args.config, vars(args))
     out_dir = Path(config.out_path or "molrag-eval")
-    [report] = _run_cells(config, test_tsv, [dataclasses.replace(config, out_path=str(out_dir))])
-    click.echo(render_table(report))
-    click.echo(f"reports written to {out_dir}")
+    cell = dataclasses.replace(config, out_path=str(out_dir))
+    [report] = _run_cells(config, args.test_tsv, [cell])
+    print(render_table(report))
+    print(f"reports written to {out_dir}")
 
 
-@main.command("ablate")
-@click.argument("test_tsv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--grid-shots", default=",".join(str(n) for n in DEFAULT_GRID_SHOTS),
-              show_default=True, help="Comma-separated n-shot values; repeats are dropped.")
-@click.option("--grid-strategies", default=None,
-              help="Comma-separated strategy names; repeats are dropped.  [default: those of "
-                   f"{','.join(DEFAULT_GRID_STRATEGIES)} that apply to the task]")
-@click.option("--limit", type=int, default=None)
-@_shared_options
-def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None:
+def _cmd_ablate(args: argparse.Namespace) -> None:
     """Run the n-shot x strategy grid and write a consolidated comparison."""
-    base = _make_run_config(cfg_file, flags)
+    base = _make_run_config(args.config, vars(args))
     try:
-        shots = list(dict.fromkeys(int(x) for x in grid_shots.split(",") if x.strip() != ""))
+        shots = list(dict.fromkeys(int(x) for x in args.grid_shots.split(",") if x.strip() != ""))
     except ValueError as exc:
-        raise click.ClickException(f"bad grid spec: {exc}")
-    if grid_strategies is None:
+        raise CliError(f"bad grid spec: {exc}")
+    if args.grid_strategies is None:
         kinds = TASKS[base.task].strategies
         strategies = [name for name in DEFAULT_GRID_STRATEGIES if name == "bm25" or name in kinds]
     else:
-        strategies = list(dict.fromkeys(x.strip() for x in grid_strategies.split(",") if x.strip()))
+        strategies = list(dict.fromkeys(
+            x.strip() for x in args.grid_strategies.split(",") if x.strip()))
     if not shots or not strategies:
-        raise click.ClickException("--grid-shots and --grid-strategies must each name a value")
+        raise CliError("--grid-shots and --grid-strategies must each name a value")
 
     out_dir = Path(base.out_path or "molrag-ablation")
     grid = []
@@ -677,10 +630,10 @@ def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None
                 out_path=str(out_dir / f"cell_{base.task}_n{n}_{name}"),
             )
         except ValueError as exc:
-            raise click.ClickException(str(exc))
+            raise CliError(str(exc))
         grid.append((n, name, cell))
 
-    reports = _run_cells(base, test_tsv, [cell for _, _, cell in grid])
+    reports = _run_cells(base, args.test_tsv, [cell for _, _, cell in grid])
     comparison = {
         "task": base.task,
         "grid": {"n_shots": shots, "strategies": strategies},
@@ -696,8 +649,8 @@ def cmd_ablate(test_tsv, grid_shots, grid_strategies, cfg_file, **flags) -> None
     }
     _dump_json(out_dir / "comparison.json", comparison)
     (out_dir / "comparison.txt").write_text(_comparison_table(comparison), encoding="utf-8")
-    click.echo(_comparison_table(comparison))
-    click.echo(f"ablation written to {out_dir}")
+    print(_comparison_table(comparison))
+    print(f"ablation written to {out_dir}")
 
 
 def _comparison_table(comparison: dict) -> str:
@@ -713,11 +666,9 @@ def _comparison_table(comparison: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-@main.command("inspect-store")
-@click.option("--store", "store_path", type=click.Path(exists=True), required=True)
-def cmd_inspect_store(store_path) -> None:
+def _cmd_inspect_store(args: argparse.Namespace) -> None:
     """Print a persisted store's manifest and basic statistics."""
-    db = load_store(store_path)
+    db = load_store(args.store_path)
     payload = {
         **_store_params(db),
         "caption_vocabulary": len(db.caption_index.postings),
@@ -726,7 +677,103 @@ def cmd_inspect_store(store_path) -> None:
         "smiles_trigram_vocabulary": len(db.smiles_index.postings),
         "mean_caption_tokens": db.caption_index.avgdl,
     }
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+# ---------------------------------------------------------------------------
+# the command line
+# ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write: --help or --version into a closed stdout pipe
+        # would exit 0 where every other command exits 1
+        if message:
+            (file or sys.stderr).write(message)
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The molrag command line. Each command's handler is its ``run`` default."""
+    help_flag = argparse.ArgumentParser(add_help=False)  # --help alone: no -h
+    help_flag.add_argument("--help", action="help", help="Show this message and exit.")
+    # query, evaluate and ablate share these; a flag not given is None, so that the
+    # --config file and the defaults fill it
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--store", help="Store directory.")
+    run_flags.add_argument("--task", choices=list(TASKS))
+    run_flags.add_argument("--n-shots", type=int)
+    run_flags.add_argument("--strategy", choices=[*STRATEGY_KINDS, "bm25"])
+    run_flags.add_argument("--seed", type=int)
+    run_flags.add_argument("--backend", help="Backend config JSON.")
+    run_flags.add_argument("--replay", help="Replay fixture JSONL.")
+    run_flags.add_argument("--template")
+    run_flags.add_argument("--out")
+    run_flags.add_argument("--concurrency", type=int)
+    run_flags.add_argument("--max-retries", type=int)
+    run_flags.add_argument("--max-error-allowance", type=int)
+    run_flags.add_argument("--config")
+
+    parser = _Parser(
+        prog=prog, description="Retrieval-augmented molecule-caption translation toolkit.",
+        parents=[help_flag], add_help=False, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"molrag, version {__version__}")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run, *parents) -> argparse.ArgumentParser:
+        doc = run.__doc__ or ""  # python -OO strips docstrings
+        sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc,
+                                  parents=[help_flag, *parents], add_help=False,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    ingest = command("ingest", _cmd_ingest)
+    ingest.add_argument("tsv_path")
+    ingest.add_argument("out_store")
+    ingest.add_argument("--split", default="train", help="(default: %(default)s)")
+    command("query", _cmd_query, run_flags).add_argument("user_input")
+    evaluate = command("evaluate", _cmd_evaluate, run_flags)
+    evaluate.add_argument("test_tsv")
+    evaluate.add_argument("--limit", type=int, help="Evaluate only the first N items.")
+    ablate = command("ablate", _cmd_ablate, run_flags)
+    ablate.add_argument("test_tsv")
+    ablate.add_argument("--grid-shots", default=",".join(map(str, DEFAULT_GRID_SHOTS)),
+                        help="Comma-separated n-shot values; repeats are dropped. "
+                             "(default: %(default)s)")
+    ablate.add_argument("--grid-strategies",
+                        help="Comma-separated strategy names; repeats are dropped. (default: "
+                             f"those of {','.join(DEFAULT_GRID_STRATEGIES)} that apply to the "
+                             "task)")
+    ablate.add_argument("--limit", type=int)
+    command("inspect-store", _cmd_inspect_store).add_argument(
+        "--store", dest="store_path", required=True)
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "molrag") -> None:
+    """Run the molrag command line ``args`` (by default ``sys.argv[1:]``).
+
+    Exits 1 after one ``Error: <message>`` line for a known error, after
+    ``Aborted!`` for Ctrl-C, and silently for a closed stdout pipe.
+    """
+    try:
+        try:
+            parsed = _parser(prog_name).parse_args(args)
+            parsed.run(parsed)
+        finally:
+            sys.stdout.flush()  # so that a closed stdout pipe fails here, not at exit
+    except (CliError, StoreError, PromptError, BackendError, MissingFixture,
+            FixtureParseError) as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(1)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -34,10 +34,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from click.testing import CliRunner  # noqa: E402
-
 from molrag import cli, store  # noqa: E402
 from molrag.llm import BackendError, ChatClient, prompt_digest  # noqa: E402
+from cli_runner import invoke  # noqa: E402
 
 MEET_TIMEOUT = 10.0
 
@@ -125,7 +124,7 @@ def probe(args, argv: list[str], rank_file: Path) -> dict:
         return ranked_positions(db, task, query, n, strategy, **kwargs)
 
     store.ranked_positions = cli.ranked_positions = recorded
-    result = CliRunner().invoke(cli.main, argv)
+    result = invoke(argv)
     lines = rank_file.read_text(encoding="utf-8").splitlines() if rank_file.exists() else []
     return {
         "exit_code": result.exit_code,

@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from molrag.bm25 import build_index, tokenize, top_n
 from molrag.calibration import (
@@ -23,7 +22,6 @@ from molrag.calibration import (
     calibrated_query,
     extract_payload,
 )
-from molrag.cli import main
 from molrag.fingerprint import (
     FingerprintError,
     FingerprintParams,
@@ -47,6 +45,7 @@ from molrag.prompt import CAPTION_MASK, MOLECULE_MASK, build_prompt, default_tem
 from molrag.smiles import molecules_equal, parse_smiles
 from molrag.store import RetrievalStrategy, load_chebi_tsv, retrieve_mol2cap, save_store
 from backends import ScriptedBackend
+from cli_runner import invoke
 from oracles import (
     all_environment_signatures,
     bm25_rank_direct,
@@ -311,9 +310,7 @@ def test_ablation_shape(corpus_store, tmp_path):
     store_dir = tmp_path / "store"
     save_store(corpus_store, store_dir)
     out = tmp_path / "grid"
-    runner = CliRunner()
-    result = runner.invoke(
-        main,
+    result = invoke(
         [
             "ablate", str(DATA / "test_items.tsv"),
             "--store", str(store_dir),

@@ -8,13 +8,12 @@ import threading
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import molrag
 from molrag import calibration, cli
 from molrag import store as store_module
 from molrag.bm25 import tokenize
-from molrag.cli import main, run_evaluation, RunConfig, _comparison_table, _process_item, _Rankings
+from molrag.cli import run_evaluation, RunConfig, _comparison_table, _process_item, _Rankings
 from molrag.fingerprint import morgan_fingerprint
 from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend
 from molrag.metrics import build_report, render_table
@@ -30,6 +29,7 @@ from molrag.store import (
     save_store,
 )
 from backends import ScriptedBackend
+from cli_runner import invoke
 from test_metrics import CAPTION_PAIRS, SMILES_PAIRS, pairs
 
 REPLAY_M2C = "replay_eval_mol2cap.jsonl"
@@ -45,9 +45,11 @@ def store_dir(tmp_path_factory, corpus_store):
     return path
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+def src_env(**overrides) -> dict:
+    """The environment of a fresh interpreter that imports this molrag."""
+    src = str(Path(molrag.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
 
 
 def eval_args(data_dir, store_dir, out, task="mol2cap", replay=REPLAY_M2C, extra=()):
@@ -119,7 +121,7 @@ def graph_check_parses(db, records) -> int:
 
 def assert_one_line_error(result, *parts):
     assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+    assert isinstance(result.exception, SystemExit)  # an Error: line, no traceback
     assert "Traceback" not in result.output
     assert result.output.startswith("Error: ") and result.output.count("\n") == 1
     for part in parts:
@@ -127,16 +129,14 @@ def assert_one_line_error(result, *parts):
 
 
 class TestIngest:
-    def test_ingest_and_inspect(self, runner, data_dir, tmp_path):
-        result = runner.invoke(
-            main, ["ingest", str(data_dir / "corpus.tsv"), str(tmp_path / "store")]
-        )
+    def test_ingest_and_inspect(self, data_dir, tmp_path):
+        result = invoke(["ingest", str(data_dir / "corpus.tsv"), str(tmp_path / "store")])
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
         assert payload["ingested"] == 112
         assert payload["quarantined"] == []
 
-        result = runner.invoke(main, ["inspect-store", "--store", str(tmp_path / "store")])
+        result = invoke(["inspect-store", "--store", str(tmp_path / "store")])
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["record_count"] == 112
@@ -144,10 +144,10 @@ class TestIngest:
         shared = set.intersection(*(set(tokenize(record.caption)) for record in records))
         assert payload["caption_terms_in_every_record"] == len(shared) == 3
 
-    def test_store_matches_golden_manifest(self, runner, data_dir, tmp_path):
+    def test_store_matches_golden_manifest(self, data_dir, tmp_path):
         # the manifest's checksums cover every data file, so this pins the store's bytes
         out = tmp_path / "store"
-        result = runner.invoke(main, ["ingest", str(data_dir / "corpus.tsv"), str(out)])
+        result = invoke(["ingest", str(data_dir / "corpus.tsv"), str(out)])
         assert result.exit_code == 0, result.output
         golden = data_dir / "golden" / "store_manifest.json"
         assert (out / "manifest.json").read_bytes() == golden.read_bytes()
@@ -157,7 +157,7 @@ class TestIngest:
         # an unparseable SMILES reaches the parser; an empty caption and a short row do not
         ("900\tC1CC\tan unclosed ring\n901\tCCO\t\n902\tCCO\n", 113),
     ], ids=["corpus", "with-bad-rows"])
-    def test_ingest_parses_each_row_once(self, runner, data_dir, tmp_path, monkeypatch,
+    def test_ingest_parses_each_row_once(self, data_dir, tmp_path, monkeypatch,
                                          extra_rows, reaching_parser):
         calls = []
         original = store_module.parse_smiles
@@ -170,7 +170,7 @@ class TestIngest:
         tsv = tmp_path / "corpus.tsv"
         tsv.write_text((data_dir / "corpus.tsv").read_text(encoding="utf-8") + extra_rows,
                        encoding="utf-8")
-        result = runner.invoke(main, ["ingest", str(tsv), str(tmp_path / "store")])
+        result = invoke(["ingest", str(tsv), str(tmp_path / "store")])
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["ingested"] == 112
         assert len(calls) == reaching_parser
@@ -178,15 +178,13 @@ class TestIngest:
     def test_store_bytes_do_not_depend_on_the_hash_seed(self, data_dir, tmp_path):
         # Manifest checksums and the BM25 header's term order must not follow set or
         # dict iteration order, which PYTHONHASHSEED changes between processes.
-        src = str(Path(molrag.__file__).resolve().parents[1])
         stores = []
         for seed in ("1", "2"):
-            env = {**os.environ, "PYTHONHASHSEED": seed,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             out = tmp_path / f"store-{seed}"
             subprocess.run([sys.executable, "-m", "molrag.cli", "ingest",
                             str(data_dir / "corpus.tsv"), str(out)],
-                           env=env, check=True, capture_output=True, timeout=120)
+                           env=src_env(PYTHONHASHSEED=seed), check=True, capture_output=True,
+                           timeout=120)
             stores.append(out)
         names = sorted(path.name for path in stores[0].iterdir())
         assert names == sorted(path.name for path in stores[1].iterdir())
@@ -195,42 +193,42 @@ class TestIngest:
             assert (stores[0] / name).read_bytes() == (stores[1] / name).read_bytes(), name
 
     @staticmethod
-    def _loaded_by_cli_import(names: set[str]) -> str:
-        """Which of ``names`` a fresh interpreter holds after ``import molrag.cli``."""
-        src = str(Path(molrag.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        check = f"import sys, molrag.cli; print(sorted(set({sorted(names)!r}) & set(sys.modules)))"
-        result = subprocess.run([sys.executable, "-c", check], env=env, check=True,
+    def _loaded_by_cli_import() -> set[str]:
+        """The modules a fresh interpreter loads to ``import molrag.cli``."""
+        check = "import sys; before = set(sys.modules); import molrag.cli; " \
+                "print(*set(sys.modules) - before)"
+        result = subprocess.run([sys.executable, "-c", check], env=src_env(), check=True,
                                 capture_output=True, text=True, timeout=60)
-        return result.stdout.strip()
+        return set(result.stdout.split())
 
-    def test_import_loads_no_third_party_http_client(self):
-        # `ingest` sends no request, and the chat client needs only the standard library.
-        assert self._loaded_by_cli_import({"requests", "urllib3"}) == "[]"
+    def test_import_loads_only_the_standard_library(self):
+        # the command line, the chat client and all the rest need nothing else
+        loaded = self._loaded_by_cli_import()
+        assert "molrag.cli" in loaded
+        assert {name for name in loaded
+                if name.split(".")[0] not in {"molrag", *sys.stdlib_module_names}} == set()
 
     def test_import_loads_no_http_client(self):
         # only HttpBackend sends requests, so only building one loads the client modules
-        assert self._loaded_by_cli_import({"http.client", "urllib.request"}) == "[]"
+        assert self._loaded_by_cli_import() & {"http.client", "urllib.request"} == set()
 
-    def test_corrupt_file_nonzero_exit(self, runner, tmp_path):
+    def test_corrupt_file_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("WRONG\tHEADER\n1\t2\n", encoding="utf-8")
-        result = runner.invoke(main, ["ingest", str(bad), str(tmp_path / "store")])
+        result = invoke(["ingest", str(bad), str(tmp_path / "store")])
         assert result.exit_code != 0
         assert "column" in result.output.lower()
 
-    def test_parameter_options_are_gone(self, runner, data_dir, tmp_path):
+    def test_parameter_options_are_gone(self, data_dir, tmp_path):
         # every store fingerprints and ranks under the one default setting
         out = tmp_path / "store"
-        result = runner.invoke(main, ["ingest", str(data_dir / "corpus.tsv"), str(out),
-                                      "--radius", "3"])
+        result = invoke(["ingest", str(data_dir / "corpus.tsv"), str(out), "--radius", "3"])
         assert result.exit_code == 2
-        assert "No such option" in result.output and "--radius" in result.output
+        assert "unrecognized arguments: --radius 3" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ingest", "evaluate"])
-    def test_undecodable_tsv_is_a_one_line_error(self, runner, data_dir, store_dir, tmp_path,
+    def test_undecodable_tsv_is_a_one_line_error(self, data_dir, store_dir, tmp_path,
                                                  command):
         # evaluate once ended in a UnicodeDecodeError traceback
         latin = tmp_path / "latin1.tsv"
@@ -240,18 +238,18 @@ class TestIngest:
         else:
             args = eval_args(data_dir, store_dir, tmp_path / "out")
             args[1] = str(latin)
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert isinstance(result.exception, SystemExit)  # an Error: line, no traceback
         assert result.output.startswith("Error: cannot read ") and result.output.count("\n") == 1
 
-    def test_quarantine_reported(self, runner, tmp_path):
+    def test_quarantine_reported(self, tmp_path):
         mixed = tmp_path / "mixed.tsv"
         mixed.write_text(
             "CID\tSMILES\tdescription\n1\tCCO\tfine\n2\tC1CC\tbroken ring\n",
             encoding="utf-8",
         )
-        result = runner.invoke(main, ["ingest", str(mixed), str(tmp_path / "store2")])
+        result = invoke(["ingest", str(mixed), str(tmp_path / "store2")])
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["ingested"] == 1
@@ -259,7 +257,7 @@ class TestIngest:
 
 
 class TestQuery:
-    def test_replay_query_deterministic(self, runner, data_dir, store_dir):
+    def test_replay_query_deterministic(self, data_dir, store_dir):
         args = [
             "query", "CCCCCO",
             "--store", str(store_dir),
@@ -268,18 +266,17 @@ class TestQuery:
             "--strategy", "morgan_fts",
             "--replay", str(data_dir / REPLAY_M2C),
         ]
-        first = runner.invoke(main, args)
+        first = invoke(args)
         assert first.exit_code == 0, first.output
-        second = runner.invoke(main, args)
+        second = invoke(args)
         assert first.output == second.output
         payload = json.loads(first.output)
         assert payload["input"] == "CCCCCO"
         assert payload["examples_used"] == ["100091", "100092"]
         assert payload["query_count"] == 1
 
-    def test_zero_shot_query(self, runner, data_dir, store_dir):
-        result = runner.invoke(
-            main,
+    def test_zero_shot_query(self, data_dir, store_dir):
+        result = invoke(
             [
                 "query", "CCCCCO",
                 "--store", str(store_dir),
@@ -294,21 +291,20 @@ class TestQuery:
     @pytest.mark.parametrize("smiles", ["C1CC", "."])
     @pytest.mark.parametrize("n_shots", ["2", "0"])
     def test_unparseable_mol2cap_input_is_refused_before_sending(
-            self, runner, data_dir, store_dir, monkeypatch, smiles, n_shots):
+            self, data_dir, store_dir, monkeypatch, smiles, n_shots):
         # at 0 shots such an input once went to the backend unread
         backend = ScriptedBackend(['{"caption": "A molecule."}'])
         monkeypatch.setattr(cli, "_make_client", lambda config: ChatClient(
             backend, max_retries=0, backoff_base=0.0))
-        result = runner.invoke(main, [
+        result = invoke([
             "query", smiles, "--store", str(store_dir), "--task", "mol2cap",
             "--n-shots", n_shots, "--replay", str(data_dir / REPLAY_M2C),
         ])
         assert_one_line_error(result, "Error: query SMILES does not parse: ")
         assert backend.calls == 0
 
-    def test_cap2mol_reports_validity(self, runner, data_dir, store_dir, test_records):
-        result = runner.invoke(
-            main,
+    def test_cap2mol_reports_validity(self, data_dir, store_dir, test_records):
+        result = invoke(
             [
                 "query", test_records[0].caption,
                 "--store", str(store_dir),
@@ -322,9 +318,8 @@ class TestQuery:
         payload = json.loads(result.output)
         assert payload["output_is_valid"] is True
 
-    def test_missing_store_clear_error(self, runner, data_dir, tmp_path):
-        result = runner.invoke(
-            main,
+    def test_missing_store_clear_error(self, data_dir, tmp_path):
+        result = invoke(
             [
                 "query", "CCO",
                 "--store", str(tmp_path / "absent"),
@@ -335,10 +330,8 @@ class TestQuery:
         assert result.exit_code != 0
         assert "manifest" in result.output.lower()
 
-    def test_backend_required(self, runner, store_dir):
-        result = runner.invoke(
-            main, ["query", "CCO", "--store", str(store_dir), "--task", "mol2cap"]
-        )
+    def test_backend_required(self, store_dir):
+        result = invoke(["query", "CCO", "--store", str(store_dir), "--task", "mol2cap"])
         assert result.exit_code != 0
 
 
@@ -358,33 +351,35 @@ class TestStrategyNames:
 
     def test_strategy_choices_are_table_kinds_plus_bm25(self):
         for name in ("query", "evaluate", "ablate"):
-            option = next(p for p in main.commands[name].params if p.name == "strategy")
-            assert sorted(option.type.choices) == sorted([*STRATEGY_KINDS, "bm25"])
+            result = invoke([name, "--help"])
+            assert f"--strategy {{{','.join([*STRATEGY_KINDS, 'bm25'])}}}" in result.stdout
+            result = invoke([name, "x", "--strategy", "bm25_everything"])
+            assert result.exit_code == 2 and "invalid choice: 'bm25_everything'" in result.stderr
         kinds = {kind for spec in TASKS.values() for kind in spec.strategies}
         assert set(STRATEGY_KINDS) == kinds
 
-    def test_strategy_of_other_task_fails(self, runner, data_dir, store_dir, tmp_path):
+    def test_strategy_of_other_task_fails(self, data_dir, store_dir, tmp_path):
         args = eval_args(data_dir, store_dir, tmp_path / "x")
         args[args.index("--strategy") + 1] = "bm25_caption"
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code != 0
         assert "does not apply to task 'mol2cap'" in result.output
         assert not (tmp_path / "x").exists()
 
 
 class TestEvaluate:
-    def test_replay_runs_are_byte_identical(self, runner, data_dir, store_dir, tmp_path):
+    def test_replay_runs_are_byte_identical(self, data_dir, store_dir, tmp_path):
         for out in ("run_a", "run_b"):
-            result = runner.invoke(main, eval_args(data_dir, store_dir, tmp_path / out))
+            result = invoke(eval_args(data_dir, store_dir, tmp_path / out))
             assert result.exit_code == 0, result.output
         a, b = tmp_path / "run_a", tmp_path / "run_b"
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "items.jsonl").read_bytes() == (b / "items.jsonl").read_bytes()
         assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
 
-    def test_outputs_complete(self, runner, data_dir, store_dir, tmp_path):
+    def test_outputs_complete(self, data_dir, store_dir, tmp_path):
         out = tmp_path / "full"
-        result = runner.invoke(main, eval_args(data_dir, store_dir, out))
+        result = invoke(eval_args(data_dir, store_dir, out))
         assert result.exit_code == 0
         for name in ("manifest.json", "report.json", "report.txt", "items.jsonl", "failures.jsonl"):
             assert (out / name).exists(), name
@@ -402,19 +397,17 @@ class TestEvaluate:
         failures = (out / "failures.jsonl").read_text().splitlines()
         assert len(failures) == 2
 
-    def test_cap2mol_replay(self, runner, data_dir, store_dir, tmp_path):
+    def test_cap2mol_replay(self, data_dir, store_dir, tmp_path):
         out = tmp_path / "c2m"
-        result = runner.invoke(
-            main, eval_args(data_dir, store_dir, out, task="cap2mol", replay=REPLAY_C2M)
-        )
+        result = invoke(eval_args(data_dir, store_dir, out, task="cap2mol", replay=REPLAY_C2M))
         assert result.exit_code == 0, result.output
         report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["metrics"]["validity"] <= 1.0
         assert report["metrics"]["exact_match"] > 0.5
 
-    def test_resume_from_checkpoint(self, runner, data_dir, store_dir, tmp_path):
+    def test_resume_from_checkpoint(self, data_dir, store_dir, tmp_path):
         out = tmp_path / "resume"
-        result = runner.invoke(main, eval_args(data_dir, store_dir, out))
+        result = invoke(eval_args(data_dir, store_dir, out))
         assert result.exit_code == 0
         full_report = (out / "report.json").read_bytes()
 
@@ -422,7 +415,7 @@ class TestEvaluate:
         lines = (out / "items.jsonl").read_text().splitlines()
         (out / "items.jsonl").write_text("".join(line + "\n" for line in lines[:20]))
         (out / "report.json").unlink()
-        result = runner.invoke(main, eval_args(data_dir, store_dir, out))
+        result = invoke(eval_args(data_dir, store_dir, out))
         assert result.exit_code == 0
         assert (out / "report.json").read_bytes() == full_report
 
@@ -431,13 +424,13 @@ class TestEvaluate:
         [lambda row: row[: len(row) // 2], lambda row: b'{"index": 20, "input": "caf\xc3'],
         ids=["half-row", "torn-utf8"],
     )
-    def test_resume_after_a_torn_last_row(self, runner, data_dir, store_dir, tmp_path,
+    def test_resume_after_a_torn_last_row(self, data_dir, store_dir, tmp_path,
                                           monkeypatch, fragment):
         # an interruption mid-write leaves an unterminated last row, which once ended
         # the resume in a JSONDecodeError traceback
         out = tmp_path / "torn"
         args = eval_args(data_dir, store_dir, out, extra=("--concurrency", "1"))
-        assert runner.invoke(main, args).exit_code == 0
+        assert invoke(args).exit_code == 0
         full_report = (out / "report.json").read_bytes()
         full_items = (out / "items.jsonl").read_bytes()
         rows = full_items.splitlines(keepends=True)
@@ -456,11 +449,11 @@ class TestEvaluate:
 
         with monkeypatch.context() as patch:
             patch.setattr(ReplayBackend, "send", interrupted_send)
-            assert runner.invoke(main, args).exit_code == 1
+            assert invoke(args).exit_code == 1
         kept = (out / "items.jsonl").read_bytes().splitlines()
         assert len(kept) > 20 and all(json.loads(row)["index"] >= 0 for row in kept)
 
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, result.output
         assert (out / "report.json").read_bytes() == full_report
         assert (out / "items.jsonl").read_bytes() == full_items
@@ -474,41 +467,41 @@ class TestEvaluate:
         ids=["torn", "not-an-object", "no-index", "negative-index", "string-index",
              "bool-index", "index-past-the-items", "index-only", "unknown-status",
              "null-prediction"])
-    def test_malformed_checkpoint_row_is_a_one_line_error(self, runner, data_dir, store_dir,
+    def test_malformed_checkpoint_row_is_a_one_line_error(self, data_dir, store_dir,
                                                           tmp_path, bad):
         out = tmp_path / "bad"
         args = eval_args(data_dir, store_dir, out)
-        assert runner.invoke(main, args).exit_code == 0
+        assert invoke(args).exit_code == 0
         rows = (out / "items.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         rows[3] = bad + "\n"
         (out / "items.jsonl").write_text("".join(rows), encoding="utf-8")
         before = (out / "items.jsonl").read_bytes()
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert_one_line_error(result, f"{out / 'items.jsonl'}:4 ", "use another --out")
         assert (out / "items.jsonl").read_bytes() == before
 
-    def test_each_item_is_ranked_once_at_n_shots(self, runner, data_dir, store_dir, tmp_path,
+    def test_each_item_is_ranked_once_at_n_shots(self, data_dir, store_dir, tmp_path,
                                                  monkeypatch):
         # evaluate ranks through ablate's path, as a grid of one cell
         calls = count_mol2cap_retrievals(monkeypatch)
         args = eval_args(data_dir, store_dir, tmp_path / "out", extra=("--limit", "10"))
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, result.output
         assert len(calls) == 10 and len(set(calls)) == 10 and {n for _, _, n in calls} == {2}
         # a finished run that is resumed ranks nothing
         calls.clear()
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, result.output
         assert calls == []
 
-    def test_mol2cap_parses_each_item_once(self, runner, data_dir, store_dir, corpus_store,
+    def test_mol2cap_parses_each_item_once(self, data_dir, store_dir, corpus_store,
                                            test_records, tmp_path, monkeypatch):
         # each item was parsed at load, again in every retrieval, and so was each stored
         # record sharing its bitmap: 375 parses for these 50 rows, where 357 suffice.
         # One usable CPU keeps the ranking, and so the graph check, in this process.
         monkeypatch.setattr(store_module, "_usable_cpus", lambda: 1)
         calls = count_parses(monkeypatch)
-        result = runner.invoke(main, eval_args(data_dir, store_dir, tmp_path / "eval"))
+        result = invoke(eval_args(data_dir, store_dir, tmp_path / "eval"))
         assert result.exit_code == 0, result.output
         assert len(calls) == len(test_records) + graph_check_parses(corpus_store, test_records)
         assert len(calls) == 357
@@ -516,7 +509,7 @@ class TestEvaluate:
         # query is made once, whichever strategy ranks it first
         calls.clear()
         args = eval_args(data_dir, store_dir, tmp_path / "eval10", extra=("--limit", "10"))
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, result.output
         one_cell = len(calls)
         calls.clear()
@@ -529,12 +522,12 @@ class TestEvaluate:
             "--replay", str(data_dir / REPLAY_GRID),
             "--out", str(tmp_path / "grid"),
         ]
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, result.output
         # reading stops after the 10th kept row: 50 parses at load once, 10 now
         assert len(calls) == one_cell == 10 + graph_check_parses(corpus_store, test_records[:10])
 
-    def test_limit_stops_reading_the_test_file(self, runner, data_dir, store_dir, test_records,
+    def test_limit_stops_reading_the_test_file(self, data_dir, store_dir, test_records,
                                                tmp_path, monkeypatch):
         # the rows after the 5th kept one were parsed too, and the unparseable one among
         # them was counted in the manifest's quarantined_rows, though no item reads it
@@ -547,7 +540,7 @@ class TestEvaluate:
         out = tmp_path / "eval"
         args = eval_args(data_dir, store_dir, out, extra=("--limit", "5"))
         args[1] = str(tsv)
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, result.output
         assert calls[:5] == [rec.smiles for rec in test_records[:5]]
         assert "C1CC" not in calls
@@ -555,7 +548,7 @@ class TestEvaluate:
         assert (manifest["items"], manifest["quarantined_rows"]) == (5, 0)
 
     def test_cap2mol_pattern_fallback_skips_words_that_cannot_parse(
-            self, runner, data_dir, store_dir, tmp_path, monkeypatch):
+            self, data_dir, store_dir, tmp_path, monkeypatch):
         # "Unable. Unknown. Unclear. Unavailable for this request." was parsed word by
         # word on every attempt: 72 is_valid_smiles calls for the 4 items that fall back
         calls = []
@@ -567,17 +560,15 @@ class TestEvaluate:
 
         monkeypatch.setattr(calibration, "is_valid_smiles", counted)
         out = tmp_path / "c2m"
-        result = runner.invoke(
-            main, eval_args(data_dir, store_dir, out, task="cap2mol", replay=REPLAY_C2M))
+        result = invoke(eval_args(data_dir, store_dir, out, task="cap2mol", replay=REPLAY_C2M))
         assert result.exit_code == 0, result.output
         assert len(calls) < 72
         assert sorted(calls) == ["CCCCCCCCCCCCCCCCCCCCCCCCCCCCO", "CCCCCCCCCCCCCCCCCCCCCN"]
 
-    def test_empty_test_file_error(self, runner, data_dir, store_dir, tmp_path):
+    def test_empty_test_file_error(self, data_dir, store_dir, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("CID\tSMILES\tdescription\n", encoding="utf-8")
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "evaluate", str(empty),
                 "--store", str(store_dir),
@@ -588,7 +579,7 @@ class TestEvaluate:
         )
         assert result.exit_code != 0
 
-    def test_config_file_precedence(self, runner, data_dir, store_dir, tmp_path):
+    def test_config_file_precedence(self, data_dir, store_dir, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(
             json.dumps(
@@ -603,8 +594,7 @@ class TestEvaluate:
             encoding="utf-8",
         )
         out = tmp_path / "cfg"
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "evaluate", str(data_dir / "test_items.tsv"),
                 "--config", str(config),
@@ -652,7 +642,7 @@ class TestEvaluate:
 
 
     @pytest.mark.parametrize("change", ["n_shots", "test_order", "store"])
-    def test_stale_resume_refused(self, runner, data_dir, corpus_records, corpus_fingerprints,
+    def test_stale_resume_refused(self, data_dir, corpus_records, corpus_fingerprints,
                                   tmp_path, change):
         store = tmp_path / "store"
         save_store(build_store(corpus_records, corpus_fingerprints), store)
@@ -662,7 +652,7 @@ class TestEvaluate:
         out = tmp_path / "out"
         args = eval_args(data_dir, store, out, extra=("--limit", "5"))
         args[1] = str(tsv)
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, result.output
         before = (out / "items.jsonl").read_bytes()
 
@@ -675,21 +665,21 @@ class TestEvaluate:
         else:
             save_store(build_store(corpus_records[1:], corpus_fingerprints[1:]), store)
             key = "store_manifest_sha256"
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code != 0
         assert key in result.output
         assert (out / "items.jsonl").read_bytes() == before
 
-    def test_checkpoint_without_manifest_refused(self, runner, data_dir, store_dir, tmp_path):
+    def test_checkpoint_without_manifest_refused(self, data_dir, store_dir, tmp_path):
         out = tmp_path / "orphan"
         out.mkdir()
         row = {"index": 0, "prediction": "", "reference": "CCO", "status": "ok"}
         (out / "items.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
-        result = runner.invoke(main, eval_args(data_dir, store_dir, out))
+        result = invoke(eval_args(data_dir, store_dir, out))
         assert result.exit_code != 0
         assert "no readable manifest.json" in result.output
 
-    def test_fatal_backend_error_stops_run(self, runner, data_dir, store_dir, tmp_path,
+    def test_fatal_backend_error_stops_run(self, data_dir, store_dir, tmp_path,
                                            monkeypatch):
         calls = []
         send = ReplayBackend.send
@@ -704,9 +694,9 @@ class TestEvaluate:
         out = tmp_path / "fatal"
         args = eval_args(data_dir, store_dir, out, extra=("--concurrency", "2"))
         args[args.index("--replay") + 1] = str(empty)
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert isinstance(result.exception, SystemExit)  # an Error: line, no traceback
         assert result.output.startswith("Error: no fixture entry")
         assert result.output.count("\n") == 1
         assert 1 <= len(calls) <= 2
@@ -733,7 +723,7 @@ class TestEvaluate:
              "limit-zero", "limit-negative", "empty-grid-shots", "empty-grid-strategies",
              "bad-grid-shots", "n-shots-eleven", "missing-config", "list-config"],
     )
-    def test_bad_setting_is_a_one_line_error(self, runner, data_dir, store_dir, tmp_path,
+    def test_bad_setting_is_a_one_line_error(self, data_dir, store_dir, tmp_path,
                                              flag, value, message):
         (tmp_path / "unknown_key.json").write_text('{"bogus": 1}', encoding="utf-8")
         (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
@@ -745,12 +735,29 @@ class TestEvaluate:
             value = str(tmp_path / value)
         if flag.startswith("--grid"):
             args[0] = "ablate"
-        result = runner.invoke(main, [*args, flag, value])
+        result = invoke([*args, flag, value])
         assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert isinstance(result.exception, SystemExit)  # an Error: line, no traceback
         assert result.output.startswith("Error: ") and result.output.count("\n") == 1
         assert message in result.output
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_replay_path_without_backend_is_a_one_line_error(
+            self, data_dir, store_dir, tmp_path, source):
+        # an empty path passed RunConfig's check, and the run then built an HTTP client
+        # from no backend config: an AttributeError traceback
+        out = tmp_path / "out"
+        args = eval_args(data_dir, store_dir, out)
+        del args[args.index("--replay") : args.index("--replay") + 2]
+        if source == "flag":
+            args += ["--replay", ""]
+        else:
+            (tmp_path / "run.json").write_text('{"replay": ""}', encoding="utf-8")
+            args += ["--config", str(tmp_path / "run.json")]
+        result = invoke(args)
+        assert_one_line_error(result, "either a replay fixture or a backend config is required")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, file_flag, settings, message",
@@ -796,7 +803,7 @@ class TestEvaluate:
              "timeout-huge", "backoff-negative", "backoff-huge", "temperature-nan",
              "temperature-negative", "max-tokens-zero", "retries-negative"],
     )
-    def test_wrong_typed_setting_is_a_one_line_error(self, runner, data_dir, store_dir,
+    def test_wrong_typed_setting_is_a_one_line_error(self, data_dir, store_dir,
                                                      tmp_path, command, file_flag, settings,
                                                      message):
         settings_file = tmp_path / "settings.json"
@@ -812,7 +819,7 @@ class TestEvaluate:
         else:
             args = ["query", "CCO", "--store", str(store_dir), "--task", "mol2cap",
                     "--out", str(out)]
-        result = runner.invoke(main, [*args, file_flag, str(settings_file)])
+        result = invoke([*args, file_flag, str(settings_file)])
         assert_one_line_error(result, message)
         assert not out.exists()
 
@@ -826,7 +833,7 @@ class TestEvaluate:
         ],
         ids=["flag", "config", "backend-json", "default"],
     )
-    def test_max_retries_order(self, runner, data_dir, store_dir, tmp_path, monkeypatch,
+    def test_max_retries_order(self, data_dir, store_dir, tmp_path, monkeypatch,
                                backend_json, config_file, flag, expected):
         attempts = []
 
@@ -842,10 +849,8 @@ class TestEvaluate:
         out = tmp_path / "out"
         args = eval_args(data_dir, store_dir, out)
         del args[args.index("--replay") : args.index("--replay") + 2]
-        result = runner.invoke(
-            main,
-            [*args, "--backend", str(backend), "--config", str(config), "--limit", "1", *flag],
-        )
+        result = invoke(
+            [*args, "--backend", str(backend), "--config", str(config), "--limit", "1", *flag])
         assert result.exit_code == 0, result.output
         assert len(attempts) == expected + 1
         for name in ("manifest.json", "report.json"):
@@ -896,14 +901,13 @@ class TestAblate:
             ("cap2mol", '{"molecule": "CCO"}', ["random", "bm25"]),
         ],
     )
-    def test_default_grid_fits_the_task(self, runner, data_dir, store_dir, tmp_path,
+    def test_default_grid_fits_the_task(self, data_dir, store_dir, tmp_path,
                                         monkeypatch, task, answer, cells):
         monkeypatch.setattr(
             cli, "_make_client", lambda config: ChatClient(ScriptedBackend([answer]))
         )
         out = tmp_path / "grid"
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "ablate", str(data_dir / "test_items.tsv"),
                 "--store", str(store_dir),
@@ -920,7 +924,7 @@ class TestAblate:
         assert [cell["strategy"] for cell in comparison["cells"]] == cells
         assert all(cell["counts"]["calibration_failed"] == 0 for cell in comparison["cells"])
 
-    def test_grid_loads_inputs_once(self, runner, data_dir, store_dir, tmp_path, monkeypatch):
+    def test_grid_loads_inputs_once(self, data_dir, store_dir, tmp_path, monkeypatch):
         calls = {"load_store": 0, "load_chebi_tsv": 0}
         for name in calls:
             original = getattr(cli, name)
@@ -930,8 +934,7 @@ class TestAblate:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(cli, name, counted)
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "ablate", str(data_dir / "test_items.tsv"),
                 "--store", str(store_dir),
@@ -946,11 +949,10 @@ class TestAblate:
         assert result.exit_code == 0, result.output
         assert calls == {"load_store": 1, "load_chebi_tsv": 1}
 
-    def test_grid_with_inapplicable_strategy_runs_no_cell(self, runner, data_dir, store_dir,
+    def test_grid_with_inapplicable_strategy_runs_no_cell(self, data_dir, store_dir,
                                                           tmp_path):
         out = tmp_path / "grid"
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "ablate", str(data_dir / "test_items.tsv"),
                 "--store", str(store_dir),
@@ -965,10 +967,9 @@ class TestAblate:
         assert "does not apply to task 'cap2mol'" in result.output
         assert not out.exists()
 
-    def test_two_by_two_grid(self, runner, data_dir, store_dir, tmp_path):
+    def test_two_by_two_grid(self, data_dir, store_dir, tmp_path):
         out = tmp_path / "grid"
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "ablate", str(data_dir / "test_items.tsv"),
                 "--store", str(store_dir),
@@ -990,7 +991,7 @@ class TestAblate:
         assert len(comparison["cells"]) == 4
         assert (out / "comparison.txt").exists()
 
-    def test_grid_ranks_each_item_once_per_strategy(self, runner, data_dir, store_dir, tmp_path,
+    def test_grid_ranks_each_item_once_per_strategy(self, data_dir, store_dir, tmp_path,
                                                     monkeypatch):
         # every cell is ranked once per item at the grid's largest n and sliced; the
         # replay fixture holds the prompts of rankings made at each cell's own n
@@ -1005,23 +1006,22 @@ class TestAblate:
             "--replay", str(data_dir / REPLAY_GRID),
             "--out", str(tmp_path / "grid"),
         ]
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, result.output
         assert len(calls) == 30  # 9 cells x 10 items when each cell ranks for itself
         assert len(set(calls)) == 30 and {n for _, _, n in calls} == {5}
         # a finished cell that is resumed ranks nothing
         calls.clear()
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, result.output
         assert calls == []
 
-    def test_repeated_grid_values_run_each_cell_once(self, runner, data_dir, store_dir,
+    def test_repeated_grid_values_run_each_cell_once(self, data_dir, store_dir,
                                                      tmp_path, monkeypatch):
         # a repeated value once ran its cells twice and listed them twice
         calls = count_mol2cap_retrievals(monkeypatch)
         out = tmp_path / "grid"
-        result = runner.invoke(
-            main,
+        result = invoke(
             [
                 "ablate", str(data_dir / "test_items.tsv"),
                 "--store", str(store_dir),
@@ -1041,7 +1041,7 @@ class TestAblate:
         assert len((out / "comparison.txt").read_text(encoding="utf-8").splitlines()) == 2 + 4
         assert len(calls) == 20
 
-    def test_shared_rankings_under_many_workers(self, runner, data_dir, store_dir, tmp_path):
+    def test_shared_rankings_under_many_workers(self, data_dir, store_dir, tmp_path):
         # the workers of a cell fill one shared memo; with more workers than cores and
         # frequent thread switches the comparison must equal a one-worker run's
         args = [
@@ -1055,15 +1055,15 @@ class TestAblate:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = runner.invoke(main, [*args, "--concurrency", "8", "--out", str(tmp_path / "a")])
+            many = invoke([*args, "--concurrency", "8", "--out", str(tmp_path / "a")])
         finally:
             sys.setswitchinterval(interval)
-        one = runner.invoke(main, [*args, "--concurrency", "1", "--out", str(tmp_path / "b")])
+        one = invoke([*args, "--concurrency", "1", "--out", str(tmp_path / "b")])
         assert many.exit_code == 0 and one.exit_code == 0, many.output + one.output
         assert (tmp_path / "a" / "comparison.json").read_bytes() == (
             tmp_path / "b" / "comparison.json").read_bytes()
 
-    def test_grid_resumes_after_interruption(self, runner, data_dir, store_dir, tmp_path):
+    def test_grid_resumes_after_interruption(self, data_dir, store_dir, tmp_path):
         out = tmp_path / "grid2"
         args = [
             "ablate", str(data_dir / "test_items.tsv"),
@@ -1075,22 +1075,21 @@ class TestAblate:
             "--replay", str(data_dir / REPLAY_GRID),
             "--out", str(out),
         ]
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0
         cell = out / "cell_mol2cap_n1_random"
         before = (cell / "report.json").read_bytes()
         # wipe one cell; rerun should redo only that cell and leave results equal
         (cell / "report.json").unlink()
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0
         assert (cell / "report.json").read_bytes() == before
 
-    def test_random_rows_reproducible_under_seed(self, runner, data_dir, store_dir, tmp_path):
+    def test_random_rows_reproducible_under_seed(self, data_dir, store_dir, tmp_path):
         outputs = []
         for name in ("s1", "s2"):
             out = tmp_path / name
-            result = runner.invoke(
-                main,
+            result = invoke(
                 [
                     "ablate", str(data_dir / "test_items.tsv"),
                     "--store", str(store_dir),
@@ -1115,7 +1114,7 @@ class TestBadPaths:
         ("no-sections", "missing section(s)"),
     ], ids=["missing", "not-utf8", "no-sections"])
     @pytest.mark.parametrize("command", ["query", "evaluate", "ablate"])
-    def test_bad_template_is_a_one_line_error(self, runner, data_dir, store_dir, tmp_path,
+    def test_bad_template_is_a_one_line_error(self, data_dir, store_dir, tmp_path,
                                               command, case, message):
         # each case once ended in a FileNotFoundError, UnicodeDecodeError or
         # PromptError traceback, and ablate had already created --out
@@ -1126,13 +1125,13 @@ class TestBadPaths:
             template.write_text("## role\nYou are a chemist.\n", encoding="utf-8")
         out = tmp_path / "out"
         args = command_args(command, data_dir, store_dir, out)
-        result = runner.invoke(main, [*args, "--template", str(template)])
+        result = invoke([*args, "--template", str(template)])
         assert_one_line_error(result, str(template), message)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ingest", "query", "evaluate", "ablate"])
     def test_output_path_that_cannot_be_a_directory_is_a_one_line_error(
-        self, runner, data_dir, store_dir, tmp_path, monkeypatch, command
+        self, data_dir, store_dir, tmp_path, monkeypatch, command
     ):
         # ingest once ended in a NotADirectoryError traceback, the others in FileExistsError
         blocker = tmp_path / "file"
@@ -1148,9 +1147,71 @@ class TestBadPaths:
         # query writes under --out only the transcript of a failed calibration
         monkeypatch.setattr(cli, "_make_client", lambda config: ChatClient(
             ScriptedBackend(["no answer here"]), max_retries=0, backoff_base=0.0))
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert_one_line_error(result, message)
         assert blocker.read_text(encoding="utf-8") == "x"
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command", ["", "ingest", "query", "evaluate", "ablate",
+                                         "inspect-store"])
+    def test_help_exits_0(self, command):
+        result = invoke([*command.split(), "--help"])
+        assert result.exit_code == 0 and result.stderr == ""
+        assert result.stdout.startswith(" ".join(["usage: molrag", *command.split()]))
+
+    def test_version(self):
+        result = invoke(["--version"])
+        assert (result.exit_code, result.stdout) == (0, "molrag, version 0.1.0\n")
+
+    @pytest.mark.parametrize("args", [["evaluate"], ["query", "CCO", "--n-shots", "two"],
+                                      ["evaluate", "t.tsv", "--task", "mol2smiles"]],
+                             ids=["no-test-file", "not-an-int", "unknown-task"])
+    def test_usage_error_exits_2(self, args):
+        result = invoke(args)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.startswith(f"usage: molrag {args[0]} ")
+
+    @pytest.mark.parametrize("command, message", [
+        (["ingest", "absent.tsv", "store"], "cannot read "),
+        (["evaluate", "absent.tsv"], "cannot read "),
+        (["inspect-store", "--store", "absent"], "manifest"),
+    ], ids=["ingest", "evaluate", "inspect-store"])
+    def test_missing_input_path_is_a_one_line_error(self, data_dir, store_dir, tmp_path,
+                                                    command, message):
+        # the loaders name the path that is missing; no usage error checks it first
+        command = [str(tmp_path / arg) if arg.startswith(("absent", "store")) else arg
+                   for arg in command]
+        if command[0] == "evaluate":
+            command += ["--store", str(store_dir), "--task", "mol2cap",
+                        "--replay", str(data_dir / REPLAY_M2C), "--out", str(tmp_path / "out")]
+        result = invoke(command)
+        assert_one_line_error(result, str(tmp_path / "absent"), message)
+        assert [path.name for path in tmp_path.iterdir()] == []
+
+    def test_ctrl_c_is_aborted(self, store_dir, monkeypatch):
+        def interrupted(directory):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "load_store", interrupted)
+        result = invoke(["inspect-store", "--store", str(store_dir)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert (result.stdout, result.stderr) == ("", "\nAborted!\n")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["--version", "--help", "inspect-store"])
+    def test_closed_stdout_pipe_exits_1_quietly(self, store_dir, command, unbuffered):
+        # buffered, the write fails when stdout is flushed; unbuffered, at once
+        args = [command, "--store", str(store_dir)] if command == "inspect-store" else [command]
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails
+        try:
+            proc = subprocess.run([sys.executable, "-m", "molrag.cli", *args], stdout=write,
+                                  stderr=subprocess.PIPE, timeout=60,
+                                  env=src_env(PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def probe_command(*flags, command) -> dict:
@@ -1274,7 +1335,7 @@ class TestRankingWorkers:
     ("comparison_ablate_mol2cap.json", "ablate", REPLAY_GRID,
      ["--task", "mol2cap", "--limit", "10"], "comparison.json"),
 ], ids=["evaluate-mol2cap", "evaluate-cap2mol", "ablate-mol2cap"])
-def test_replay_artefacts_match_goldens(runner, data_dir, store_dir, tmp_path,
+def test_replay_artefacts_match_goldens(data_dir, store_dir, tmp_path,
                                         golden, command, replay, options, artefact):
     """The replay runs of the CI step "Installed console script runs end to end" write
     exactly the bytes of tests/data/golden. After a deliberate change to a report,
@@ -1286,7 +1347,7 @@ def test_replay_artefacts_match_goldens(runner, data_dir, store_dir, tmp_path,
         cp OUT/report.json tests/data/golden/report_eval_mol2cap.json
     """
     out = tmp_path / "out"
-    result = runner.invoke(main, [
+    result = invoke([
         command, str(data_dir / "test_items.tsv"), "--store", str(store_dir), *options,
         "--replay", str(data_dir / replay), "--out", str(out),
     ])
@@ -1298,7 +1359,7 @@ def test_replay_artefacts_match_goldens(runner, data_dir, store_dir, tmp_path,
     ("query_mol2cap_evicted.json", 13, "mol2cap", "morgan_fts", REPLAY_M2C),
     ("query_cap2mol_pattern.json", 11, "cap2mol", "bm25", REPLAY_C2M),
 ], ids=["mol2cap", "cap2mol"])
-def test_query_stdout_matches_golden(runner, data_dir, store_dir, test_records,
+def test_query_stdout_matches_golden(data_dir, store_dir, test_records,
                                      golden, item, task, strategy, replay):
     """The queries of the CI step "Installed console script runs end to end" print exactly
     their goldens. Test item 13's mol2cap replay fixture forces a context-length eviction,
@@ -1306,7 +1367,7 @@ def test_query_stdout_matches_golden(runner, data_dir, store_dir, test_records,
     cap2mol reply is bare prose, which the pattern fallback repairs. After a deliberate
     change, regenerate a golden with its CI command."""
     field = "smiles" if task == "mol2cap" else "caption"
-    result = runner.invoke(main, [
+    result = invoke([
         "query", getattr(test_records[item], field), "--store", str(store_dir),
         "--task", task, "--n-shots", "2", "--strategy", strategy,
         "--replay", str(data_dir / replay),
