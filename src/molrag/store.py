@@ -8,6 +8,11 @@ strategy with the query's own pair excluded. Every store fingerprints under
 the default ``FingerprintParams()`` (radius 2, 2,048 bits) and ranks with
 ``bm25.K1`` and ``bm25.B``, so neither the store nor its files carry those
 parameters.
+
+The store also decides where bulk work runs. A whole TSV is parsed, and the
+items of an evaluate or ablate are ranked ahead (:func:`ranked_ahead`), in
+blocks: in forked worker processes when there is more than one block and a
+fork is allowed, in this process otherwise, with the same output either way.
 """
 
 from __future__ import annotations
@@ -158,12 +163,12 @@ def _read_rows(path: Path, fh, limit: int | None):
                desc_idx == len(header) - 1)
 
     rows = ((line_no, line) for line_no, line in enumerate(lines, start=2) if line.strip())
-    cpus = fork_capacity()
+    cpus = _fork_capacity()
     if limit is None and cpus:
         blocks = _blocks(rows)
         first = list(islice(blocks, cpus))
         if len(first) > 1:
-            with forked_pool(len(first), f"reading {path}") as pool:
+            with _worker_pool(len(first), f"reading {path}") as pool:
                 return _collect(_in_order(pool, columns, first, blocks), None)
         rows = chain.from_iterable(first)  # the whole file: one block, or none
     memo: dict = {}
@@ -177,7 +182,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fork_capacity() -> int:
+def _fork_capacity() -> int:
     """How many worker processes this process may fork: the CPUs it may run on when
     there are two or more, it runs no other thread and the platform can fork; 0
     otherwise. Forking a process that runs threads could copy a lock one of them
@@ -187,21 +192,27 @@ def fork_capacity() -> int:
 
 
 @contextmanager
-def forked_pool(workers: int, doing: str):
+def _worker_pool(workers: int, doing: str, *, fork: bool = True):
     """A pool of ``workers`` forked worker processes, which start on its first
-    ``submit``. A worker that dies ends the block with a :class:`StoreError` that
-    says what the pool was ``doing``; every worker has ended when the block is
-    left, however it is left."""
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    ``submit``, or of threads when ``fork`` is false. A worker process that dies
+    ends the block with a :class:`StoreError` that says what the pool was
+    ``doing``. When the block is left, however it is left, the tasks no worker has
+    started are cancelled and every worker has ended."""
+    from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
-    # fork named, not left to the platform default: a forkserver or spawned worker
-    # would import molrag anew
-    pool = ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("fork"))
+    if fork:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork named, not left to the platform default: a forkserver or spawned worker
+        # would import molrag anew
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   mp_context=multiprocessing.get_context("fork"))
+    else:
+        pool = ThreadPoolExecutor(max_workers=workers)
     try:
         yield pool
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:  # a thread pool without initializer never breaks
         raise StoreError(f"a worker process {doing} ended abruptly: {exc}") from exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
@@ -426,6 +437,73 @@ def retrieve_cap2mol(
     """
     positions = ranked_positions(store, "cap2mol", query_caption, n, strategy)
     return [store.records[pos] for pos in positions]
+
+
+# Items per block a worker ranks at a time; on a 2-vCPU host 32 beat 24 on the 200
+# Morgan-ranked items of a 1/16-scale evaluate and 48 on its 80 BM25-ranked ones.
+# It must stay at 20 or more: the strategies of an ablate over 20 items are then
+# ranked by one thread, where no fork costs more than their ranking.
+RANK_BLOCK = 32
+
+# What forked ranking workers inherit: the store, the task, and each item's query
+# and fingerprint. Set only while the workers fork.
+_fork_state: tuple = ()
+
+
+def _rank_block(strategy: RetrievalStrategy, depth: int, items: list[int],
+                state: tuple = ()) -> list[list[int]]:
+    """The record positions of each of ``items``, ranked by ``strategy`` at ``depth``,
+    with ``state`` or else the ``_fork_state`` a forked worker inherited."""
+    store, task, queries, fingerprints = state or _fork_state
+    return [ranked_positions(store, task, queries[i], depth, strategy, query_fp=fingerprints[i])
+            for i in items]
+
+
+@contextmanager
+def ranked_ahead(store: Store, task: str, queries: list[str],
+                 fingerprints: list[MorganFingerprint],
+                 jobs: dict[RetrievalStrategy, tuple[int, list[int]]]):
+    """Rank the items of ``jobs`` ahead, for as long as the block runs, and yield
+    ``ranked(strategy, item)``: it waits for the item's block and returns the item's
+    record positions, best first.
+
+    ``jobs`` maps each strategy to ``(depth, items)``, the sorted items to rank at
+    ``depth``. Item i's query is ``queries[i]``, and ``fingerprints[i]`` is the
+    fingerprint a Mol2Cap ranking takes as its query's. Each strategy's items are
+    cut into blocks of ``RANK_BLOCK``, ranked in the order of ``jobs``. The blocks
+    go to ``min(CPUs, blocks)`` forked worker processes when some strategy has more
+    than one block and :func:`_fork_capacity` allows a fork, and to one ranking
+    thread otherwise. Either way they rank through :func:`ranked_positions`, so the
+    positions are the same. When the block is left the blocks no worker has
+    started are cancelled and every worker has ended; a worker process that dies
+    is a :class:`StoreError`.
+    """
+    global _fork_state
+    blocks = [(strategy, depth, items[start:start + RANK_BLOCK])
+              for strategy, (depth, items) in jobs.items()
+              for start in range(0, len(items), RANK_BLOCK)]
+    workers = min(_fork_capacity(), len(blocks))
+    fork = bool(workers) and any(len(items) > RANK_BLOCK for _, items in jobs.values())
+    # (strategy, item) -> the future of its block and its place in the block
+    ahead: dict[tuple[RetrievalStrategy, int], tuple] = {}
+    state = (store, task, queries, fingerprints)
+    with _worker_pool(workers if fork else 1, "ranking items", fork=fork) as pool:
+        # forked workers inherit the state, as they fork on the first submit; the
+        # ranking thread is handed it
+        _fork_state, handed = (state, ()) if fork else ((), (state,))
+        try:
+            for strategy, depth, items in blocks:
+                future = pool.submit(_rank_block, strategy, depth, items, *handed)
+                ahead.update(((strategy, item), (future, offset))
+                             for offset, item in enumerate(items))
+        finally:
+            _fork_state = ()
+
+        def ranked(strategy: RetrievalStrategy, item: int) -> list[int]:
+            future, offset = ahead[strategy, item]
+            return future.result()[offset]
+
+        yield ranked
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def probe(args, argv: list[str], rank_file: Path) -> dict:
     if args.cpus:
         store._usable_cpus = lambda: args.cpus
     if args.block:
-        cli.RANK_BLOCK = args.block
+        store.RANK_BLOCK = args.block
     if args.echo:
         cli._make_client = lambda config: ChatClient(
             EchoBackend(config.task, args.auth_after), max_retries=0, backoff_base=0.0)
@@ -123,7 +123,7 @@ def probe(args, argv: list[str], rank_file: Path) -> dict:
             meet(rank_file, args.meet)
         return ranked_positions(db, task, query, n, strategy, **kwargs)
 
-    store.ranked_positions = cli.ranked_positions = recorded
+    store.ranked_positions = recorded
     result = invoke(argv)
     lines = rank_file.read_text(encoding="utf-8").splitlines() if rank_file.exists() else []
     return {

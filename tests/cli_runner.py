@@ -25,7 +25,7 @@ class Result:
 def invoke(args) -> Result:
     """Run ``cli.main(args)`` in the calling thread, with stdout and stderr captured.
 
-    A thread of its own would make ``store.fork_capacity()`` refuse to fork.
+    A thread of its own would make ``store._fork_capacity()`` refuse to fork.
     """
     stdout, stderr = io.StringIO(), io.StringIO()
     exception = None

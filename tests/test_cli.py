@@ -13,7 +13,8 @@ import molrag
 from molrag import calibration, cli
 from molrag import store as store_module
 from molrag.bm25 import tokenize
-from molrag.cli import run_evaluation, RunConfig, _comparison_table, _process_item, _Rankings
+from molrag.calibration import rank_examples
+from molrag.cli import run_evaluation, RunConfig, _comparison_table, _process_item
 from molrag.fingerprint import morgan_fingerprint
 from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend
 from molrag.metrics import build_report, render_table
@@ -76,18 +77,18 @@ def command_args(command, data_dir, store_dir, out):
 
 
 def count_mol2cap_retrievals(monkeypatch) -> list:
-    """Record (strategy kind, query, n) of every retrieve_mol2cap call, at every molrag
-    module that binds it."""
-    retrieve = store_module.retrieve_mol2cap
+    """Record (strategy kind, query, n) of every mol2cap ranking made in this process:
+    every store.ranked_positions call, which the retrieve functions and the rankings
+    ahead of evaluate and ablate all make."""
+    ranked = store_module.ranked_positions
     calls = []
 
-    def counted(store, query, n, strategy, **kwargs):
-        calls.append((strategy.kind, query, n))
-        return retrieve(store, query, n, strategy, **kwargs)
+    def counted(store, task, query, n, strategy, **kwargs):
+        if task == "mol2cap":
+            calls.append((strategy.kind, query, n))
+        return ranked(store, task, query, n, strategy, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("molrag") and getattr(module, "retrieve_mol2cap", None) is retrieve:
-            monkeypatch.setattr(module, "retrieve_mol2cap", counted)
+    monkeypatch.setattr(store_module, "ranked_positions", counted)
     return calls
 
 
@@ -210,7 +211,9 @@ class TestIngest:
 
     def test_import_loads_no_http_client(self):
         # only HttpBackend sends requests, so only building one loads the client modules
-        assert self._loaded_by_cli_import() & {"http.client", "urllib.request"} == set()
+        # and only evaluate and ablate load the pools that run their items and rankings
+        assert self._loaded_by_cli_import() & {
+            "http.client", "urllib.request", "concurrent.futures"} == set()
 
     def test_corrupt_file_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -636,7 +639,9 @@ class TestEvaluate:
             records,
             {},
             tmp_path / "offline",
-            _Rankings(store, "mol2cap", [config], fingerprints).for_cell(config),
+            lambda i: rank_examples(store, "mol2cap", records[i].smiles, 2, config.strategy,
+                                    query_fp=fingerprints[i]),
+            {},
         )
         assert report["counts"]["items"] == 10
 
@@ -873,8 +878,11 @@ class TestEvaluate:
             backend=None,
         )
         tmpl = default_template("mol2cap")
-        fingerprints = [morgan_fingerprint(parse_smiles(test_records[0].smiles))]
-        rank = _Rankings(corpus_store, "mol2cap", [config], fingerprints).for_cell(config)
+        query_fp = morgan_fingerprint(parse_smiles(test_records[0].smiles))
+
+        def rank(index):
+            return rank_examples(corpus_store, "mol2cap", test_records[index].smiles, 1,
+                                 config.strategy, query_fp=query_fp)
 
         def row(script, stop):
             client = ChatClient(ScriptedBackend(script), max_retries=0, backoff_base=0.0)
@@ -1284,15 +1292,20 @@ class TestRankingWorkers:
         assert probed["forks"] == 0 and not probed["multiprocessing_imported"]
         assert ranking_pids(probed) == {probed["pid"]} and len(probed["rankings"]) == 60
 
-    @pytest.mark.parametrize("flags, error", [
-        (["--echo"], None),
-        (["--echo", "--auth-after", "10"], "Error: [auth] scripted auth"),
-        (["--echo", "--exit-on", "CCO"], "Error: a worker process ranking items ended abruptly"),
-    ], ids=["finished", "auth-error-mid-run", "worker-dies"])
-    def test_no_worker_outlives_the_command(self, data_dir, store_dir, tmp_path, flags, error):
-        probed = probe_command("--cpus", "2", *flags,
+    # on one CPU the 2 blocks of 50 items go to the ranking thread, which also ends
+    @pytest.mark.parametrize("cpus, flags, error", [
+        ("2", ["--echo"], None),
+        ("2", ["--echo", "--auth-after", "10"], "Error: [auth] scripted auth"),
+        ("2", ["--echo", "--exit-on", "CCO"], "Error: a worker process ranking items ended abruptly"),
+        ("1", ["--echo"], None),
+        ("1", ["--echo", "--auth-after", "10"], "Error: [auth] scripted auth"),
+    ], ids=["finished", "auth-error-mid-run", "worker-dies", "finished-one-cpu",
+            "auth-error-one-cpu"])
+    def test_no_worker_outlives_the_command(self, data_dir, store_dir, tmp_path, cpus, flags,
+                                            error):
+        probed = probe_command("--cpus", cpus, *flags,
                                command=eval_args(data_dir, store_dir, tmp_path / "out"))
-        assert probed["forks"] == 2
+        assert probed["forks"] == (2 if cpus == "2" else 0)
         assert probed["live_children"] == 0 and not probed["any_child"]
         assert probed["threads"] == 1
         if error is None:
