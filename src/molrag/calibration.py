@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 from molrag.fingerprint import MorganFingerprint
-from molrag.llm import BackendError, ChatClient
+from molrag.llm import RETRYABLE_KINDS, BackendError, ChatClient
 from molrag.prompt import PromptTemplate, build_prompt, drop_longest_example
 from molrag.smiles import TOKEN_RUN, branches_nest, is_valid_smiles
 from molrag.store import (
@@ -251,7 +251,9 @@ def calibrated_query(
     ``query_count`` counts allowance-charged queries; re-queries forced by a
     context-length error are exempt (and bounded by the number of examples),
     so the loop makes at most ``max_error_allowance + len(examples)`` backend
-    calls.
+    calls. A ``malformed_response`` error fails the item; an ``auth`` error, or a
+    rate-limit, network or server error the client's retries did not overcome, is
+    raised as it is, because every later item would meet it too.
     """
     if max_error_allowance < 1:
         raise ValueError("max_error_allowance must be positive")
@@ -268,7 +270,7 @@ def calibrated_query(
                 transcript.append(
                     {"event": "backend_error", "kind": err.kind, "shot_count": len(examples)}
                 )
-                if err.kind == "auth":
+                if err.kind == "auth" or err.kind in RETRYABLE_KINDS:
                     raise
                 if err.kind != "context_length_exceeded":
                     raise CalibrationFailure(

@@ -14,8 +14,9 @@ max_retries takes the backend JSON's value before its default.
 
 The command line is parsed by ``argparse``, so the package needs nothing beyond
 the standard library. Exit codes: 0 on success; 1 for a one-line
-``Error: <message>`` on stderr, a calibration failure of ``query``, Ctrl-C
-(``Aborted!``) or a closed stdout pipe (no message); 2 for a usage error.
+``Error: <message>`` on stderr (a backend outage among them, after which a
+rerun resumes), a calibration failure of ``query``, Ctrl-C (``Aborted!``) or a
+closed stdout pipe (no message); 2 for a usage error.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import dataclasses
 import json
 import os
 import sys
-import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Callable
 
@@ -161,11 +162,19 @@ def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
         raise CliError(str(exc))
 
 
-def _make_client(config: RunConfig) -> ChatClient:
+def _http_backend(config: RunConfig):
+    """The command's :class:`HttpBackend`, closed when the block is left; None, and no
+    backend, when it replays a fixture."""
+    return nullcontext() if config.replay_path else HttpBackend(config.backend)
+
+
+def _make_client(config: RunConfig, http: HttpBackend | None) -> ChatClient:
+    """A client over ``http``, or over a fresh replay of the fixture, whose call
+    counts then start at zero."""
     if config.replay_path:
         backend, backoff = ReplayBackend(config.replay_path), 0.0
     else:
-        backend, backoff = HttpBackend(config.backend), config.backend.retry_backoff_base
+        backend, backoff = http, config.backend.retry_backoff_base
     return ChatClient(backend, max_retries=config.max_retries, backoff_base=backoff)
 
 
@@ -257,7 +266,6 @@ def _cmd_query(args: argparse.Namespace) -> None:
     user_input = args.user_input
     db = load_store(config.store_path)
     tmpl = _load_prompt_template(config)
-    client = _make_client(config)
 
     query_fp = None
     if config.task == "mol2cap":
@@ -268,7 +276,10 @@ def _cmd_query(args: argparse.Namespace) -> None:
     examples = rank_examples(db, config.task, user_input, config.n_shots, config.strategy,
                              query_fp=query_fp)
     try:
-        result = calibrated_query(client, tmpl, user_input, examples, config.max_error_allowance)
+        with _http_backend(config) as http:
+            client = _make_client(config, http)
+            result = calibrated_query(client, tmpl, user_input, examples,
+                                      config.max_error_allowance)
     except CalibrationFailure as fail:
         transcript_path = Path(config.out_path or ".") / "calibration_failure.json"
         _make_dir(transcript_path.parent)
@@ -298,18 +309,21 @@ def _cmd_query(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
-# item index -> the item's context examples, best first
-Ranking = Callable[[int], list[MoleculeRecord]]
+# item index -> the item's context examples, best first; None when the run stopped
+# before the item was ranked
+Ranking = Callable[[int], list[MoleculeRecord] | None]
 
 
 def _process_item(index, record, config, tmpl, client, stop, rank: Ranking) -> dict | None:
-    """One checkpoint row, the item ranked by ``rank``; None when a fatal backend error
-    has stopped the run."""
+    """One checkpoint row, the item ranked by ``rank``; None when a fatal error has
+    stopped the run."""
     if stop.is_set():
         return None
     spec = TASKS[config.task]
     query = getattr(record, spec.input_field)
     examples = rank(index)
+    if examples is None:  # the run stopped before the item was ranked
+        return None
     row = {
         "index": index,
         "id": record.id,
@@ -392,46 +406,51 @@ def _check_resumable(path: Path, manifest: dict) -> None:
         )
 
 
-def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
-                   records: list[MoleculeRecord], sources: dict, out_dir: Path,
-                   rank: Ranking, done: dict[int, dict]) -> dict:
-    """Evaluate one cell over loaded test records; returns the report dict.
+def _start_cell(config: RunConfig, tmpl: PromptTemplate, records: list[MoleculeRecord],
+                manifest: dict, out_dir: Path, rank: Ranking, done: dict[int, dict], pool,
+                stop, http: HttpBackend | None) -> list:
+    """Write one cell's manifest and checkpoint rows, and submit the items it still
+    runs to ``pool``; returns their futures.
 
     Each item's examples are ``rank(index)``. ``done`` holds the rows of
-    ``out_dir/items.jsonl`` as :func:`_read_checkpoint` reads them; they are kept,
-    not re-queried, when the manifest there equals this run's.
+    ``out_dir/items.jsonl`` as :func:`_read_checkpoint` reads them, which are kept,
+    not re-queried. The items send through ``http``, the command's backend (a
+    replay run reads its fixture anew instead), and none starts once ``stop`` is set.
     """
-    from concurrent.futures import ThreadPoolExecutor, as_completed
-
-    client = _make_client(config)  # a bad replay fixture fails here, before any file is written
+    client = _make_client(config, http)  # a bad replay fixture fails here, before any file is written
     _make_dir(out_dir)
-    echo = _config_echo(config, db, tmpl)
-    manifest = {**echo, **sources, "items": len(records)}
-    items_path = out_dir / "items.jsonl"
-    if done:
-        _check_resumable(out_dir / "manifest.json", manifest)
     _dump_json(out_dir / "manifest.json", manifest)
-    _write_rows(items_path, done.values())  # no new row is glued onto a torn last line
+    _write_rows(out_dir / "items.jsonl", done.values())  # no new row is glued onto a torn last line
+    return [pool.submit(_process_item, i, records[i], config, tmpl, client, stop, rank)
+            for i in range(len(records)) if i not in done]
 
-    stop = threading.Event()
-    todo = [i for i in range(len(records)) if i not in done]
+
+def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate, out_dir: Path,
+                   done: dict[int, dict], futures: list) -> dict:
+    """Finish one cell that :func:`_start_cell` started: append each row to
+    ``out_dir/items.jsonl`` as its item ends, then write the report; returns the
+    report dict."""
+    from concurrent.futures import as_completed
+
+    items_path = out_dir / "items.jsonl"
     with open(items_path, "a", encoding="utf-8") as sink:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            futures = [
-                pool.submit(_process_item, i, records[i], config, tmpl, client, stop, rank)
-                for i in todo
-            ]
-            try:
-                for future in as_completed(futures):
-                    row = future.result()
-                    if row is None:
-                        continue
-                    sink.write(_row_line(row))
-                    sink.flush()
-                    done[row["index"]] = row
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+
+        def keep(row: dict | None) -> None:
+            if row is not None and row["index"] not in done:
+                sink.write(_row_line(row))
+                sink.flush()
+                done[row["index"]] = row
+
+        try:
+            for future in as_completed(futures):
+                keep(future.result())
+        except BaseException:
+            # as_completed yields the futures already done in no set order: keep the
+            # rows of every item that finished before the error, not only those seen
+            for future in futures:
+                if future.done() and not future.cancelled() and future.exception() is None:
+                    keep(future.result())
+            raise
 
     rows = [done[i] for i in sorted(done)]
     _write_rows(items_path, rows)
@@ -441,7 +460,7 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate,
         EvalPair(prediction=row["prediction"], reference=row["reference"], status=row["status"])
         for row in rows
     ]
-    report = build_report(pairs, config.task, echo)
+    report = build_report(pairs, config.task, _config_echo(config, db, tmpl))
     _dump_json(out_dir / "report.json", report)
     (out_dir / "report.txt").write_text(render_table(report), encoding="utf-8")
     return report
@@ -453,13 +472,22 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
 
     The store, template and test records (the first ``base.limit`` kept rows, each
     with its fingerprint) are loaded once, before any file is written. Before any
-    thread starts, each cell's checkpoint is read to find the items it will run.
+    thread starts, each cell's checkpoint is read to find the items it will run, and
+    refused when the manifest beside it is not this run's.
     Each (strategy, item) is ranked once, ahead, by :func:`~molrag.store.ranked_ahead`:
     at the largest n any cell asks of that strategy, for the items some cell of that
     strategy that takes examples will run. A cell of n shots takes the first n;
     retrieval is prefix-stable in n, so that is the ranking at n. A cell of 0 shots
-    takes none and waits for nothing.
+    takes none and waits for nothing. Every cell runs its items on one thread pool
+    of ``base.concurrency`` threads, started once the ranking workers have forked,
+    and sends through one :class:`HttpBackend`, so each thread keeps its connection
+    from the first cell to the last; the backend closes them when the command ends.
+    Each cell's items are queued while the cell before it finishes, so the threads
+    do not wait for a cell's report. A fatal error stops the command: no item
+    starts after it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     db = load_store(base.store_path)
     tmpl = _load_prompt_template(base)
     records, fingerprints, ingest_report = load_chebi_tsv(test_tsv, base.limit)
@@ -474,6 +502,11 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
     }
     done = [_read_checkpoint(Path(cell.out_path) / "items.jsonl", len(records))
             for cell in cells]
+    manifests = [{**_config_echo(cell, db, tmpl), **sources, "items": len(records)}
+                 for cell in cells]
+    for cell, rows, manifest in zip(cells, done, manifests):
+        if rows:
+            _check_resumable(Path(cell.out_path) / "manifest.json", manifest)
     depth: dict[RetrievalStrategy, int] = {}
     todo: dict[RetrievalStrategy, set[int]] = {}
     for cell, rows in zip(cells, done):
@@ -483,23 +516,40 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
                 i for i in range(len(records)) if i not in rows)
     jobs = {strategy: (depth[strategy], sorted(items)) for strategy, items in todo.items()}
     queries = [getattr(rec, TASKS[base.task].input_field) for rec in records]
-    with ranked_ahead(db, base.task, queries, fingerprints, jobs) as ranked:
+    with _http_backend(base) as http, \
+            ranked_ahead(db, base.task, queries, fingerprints, jobs) as (ranked, stop), \
+            ThreadPoolExecutor(max_workers=base.concurrency) as pool:
 
         def for_cell(cell: RunConfig) -> Ranking:
             strategy, n = cell.strategy, cell.n_shots
 
-            def rank(index: int) -> list[MoleculeRecord]:
+            def rank(index: int) -> list[MoleculeRecord] | None:
                 if n == 0:  # no wait on a block ranked ahead
                     return []
-                return [db.records[pos] for pos in ranked(strategy, index)[:n]]
+                positions = ranked(strategy, index)
+                return None if positions is None else [db.records[pos] for pos in positions[:n]]
 
             return rank
 
-        return [
-            run_evaluation(cell, db, tmpl, records, sources, Path(cell.out_path),
-                           for_cell(cell), rows)
-            for cell, rows in zip(cells, done)
-        ]
+        def start(k: int) -> list:
+            cell = cells[k]
+            return _start_cell(cell, tmpl, records, manifests[k], Path(cell.out_path),
+                               for_cell(cell), done[k], pool, stop, http)
+
+        started = [start(0)]
+        try:
+            reports = []
+            for k, cell in enumerate(cells):
+                if k + 1 < len(cells):
+                    started.append(start(k + 1))
+                reports.append(run_evaluation(cell, db, tmpl, Path(cell.out_path), done[k],
+                                              started[k]))
+            return reports
+        except BaseException:
+            stop.set()
+            for future in chain.from_iterable(started):
+                future.cancel()
+            raise
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:

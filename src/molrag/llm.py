@@ -19,6 +19,7 @@ import os
 import re
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,6 +41,7 @@ FINISH_REASONS = ("stop", "length", "content_filter", "other")
 
 # delta-seconds form of Retry-After (RFC 9110 section 10.2.3); an HTTP-date is ignored
 _DELTA_SECONDS = re.compile(r"\s*([0-9]+)\s*")
+_URL_UNSAFE = re.compile(r"[\x00-\x20\x7f]")
 
 
 class BackendError(Exception):
@@ -95,6 +97,17 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        url = urllib.parse.urlsplit(self.endpoint_url)
+        # http.client refuses a request target with a space or a control character
+        if (url.scheme not in ("http", "https") or not url.hostname
+                or _URL_UNSAFE.search(self.endpoint_url)):
+            raise ValueError("endpoint_url must be an http or https URL with a host")
+        try:
+            port = url.port
+        except ValueError:  # not a number, or past 65535
+            port = 0
+        if port == 0:
+            raise ValueError("endpoint_url has a bad port")
         # JSON reads 1e400 and Infinity as inf, NaN as nan; a socket timeout or a sleep
         # past TIMEOUT_MAX raises OverflowError, and a NaN temperature is no JSON to send
         if not 0 <= self.temperature:
@@ -128,39 +141,114 @@ def prompt_digest(prompt: ChatPrompt) -> str:
 
 
 class HttpBackend:
-    """One chat-completion POST per send, on a fresh connection; no retry logic of its own.
+    """One chat-completion POST per send; no retry logic of its own.
 
-    ``urllib.request`` honours the ``HTTP(S)_PROXY``/``NO_PROXY`` variables and
-    verifies TLS against the system trust store (``SSL_CERT_FILE`` overrides it).
-    Redirects are not followed: a 3xx reply is a ``malformed_response`` error.
-    The HTTP client modules load here, so commands that send nothing never import them.
+    Each thread that sends keeps one ``http.client`` connection (``TCP_NODELAY``
+    set, as ``http.client`` sets it) and sends its next request on it while the
+    server keeps it open; :meth:`close` closes every connection. When a kept
+    connection turns out closed before any reply byte arrives, the request is sent
+    once more on a fresh connection, which is no new attempt.
+
+    The proxy for the endpoint's scheme is read once, here, from the
+    ``HTTP(S)_PROXY`` and ``NO_PROXY`` variables: an http endpoint is reached by
+    sending the proxy the absolute URL, an https one through a ``CONNECT`` tunnel.
+    TLS is verified against the system trust store (``SSL_CERT_FILE`` overrides
+    it). Redirects are not followed, as ``http.client`` follows none: a 3xx reply is
+    a ``malformed_response`` error, where following would carry the bearer key to the
+    ``Location`` host or turn the POST into a body-less GET. The HTTP client modules
+    load here, so commands that send nothing never import them.
     """
 
     def __init__(self, config: BackendConfig) -> None:
+        import base64
         import urllib.request
 
-        class _NoRedirect(urllib.request.HTTPRedirectHandler):
-            """Leaves every 3xx reply an ``HTTPError`` instead of following it.
-
-            Following would send the bearer key on to the ``Location`` host, or turn
-            the POST into a body-less GET that cannot return a completion.
-            """
-
-            def redirect_request(self, req, fp, code, msg, headers, newurl):
-                return None
-
         self.config = config
-        self._opener = urllib.request.build_opener(_NoRedirect)
+        url = urllib.parse.urlsplit(config.endpoint_url)
+        https = url.scheme == "https"
+        host, port = url.hostname, url.port or (443 if https else 80)
+        self._target = urllib.parse.urlunsplit(("", "", url.path, url.query, ""))
+        self._headers = {"Content-Type": "application/json"}
+        self._tunnel: tuple | None = None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            try:
+                proxy_port = proxy_url.port or (443 if https else 80)
+            except ValueError:  # not a number, or past 65535
+                proxy_port = None
+            if not proxy_url.hostname or not proxy_port:
+                raise BackendError("network", f"the {url.scheme} proxy is not a usable URL")
+            proxy_auth = {}
+            if proxy_url.username is not None:
+                user_pass = (urllib.parse.unquote(proxy_url.username) + ":"
+                             + urllib.parse.unquote(proxy_url.password or ""))
+                proxy_auth["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(user_pass.encode()).decode("ascii"))
+            if https:  # a CONNECT tunnel carries TLS through to the endpoint
+                self._tunnel = (host, port, proxy_auth)
+            else:  # a plain request names the endpoint in full
+                self._target = urllib.parse.urlunsplit(url._replace(fragment=""))
+                self._headers.update(proxy_auth)
+            host, port = proxy_url.hostname, proxy_port
+        self._address = (host, port)
+        self._tls = None
+        if https:
+            import ssl
+
+            self._tls = ssl.create_default_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list = []
+
+    def _connection(self):
+        """This thread's connection, made on its first send."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            import http.client
+
+            host, port = self._address
+            timeout = self.config.request_timeout
+            if self._tls is None:
+                conn = http.client.HTTPConnection(host, port, timeout=timeout)
+            else:
+                conn = http.client.HTTPSConnection(host, port, timeout=timeout,
+                                                   context=self._tls)
+                if self._tunnel:
+                    tunnel_host, tunnel_port, proxy_auth = self._tunnel
+                    conn.set_tunnel(tunnel_host, tunnel_port, headers=proxy_auth)
+            with self._lock:
+                self._connections.append(conn)
+            self._local.conn = conn
+        return conn
+
+    def _post(self, data: bytes, headers: dict) -> tuple:
+        """Status, headers and body of the reply to one POST on this thread's connection."""
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            try:
+                conn.request("POST", self._target, data, headers)
+                resp = conn.getresponse()
+            # RemoteDisconnected is a ConnectionResetError: no byte of a reply came back
+            except (BrokenPipeError, ConnectionResetError):
+                if not reused:
+                    raise
+                conn.close()  # the server closed the kept connection; open a fresh one
+                conn.request("POST", self._target, data, headers)
+                resp = conn.getresponse()
+            return resp.status, resp.headers, resp.read()
+        except BaseException:
+            conn.close()  # a connection left mid-exchange cannot carry another request
+            raise
 
     def send(self, prompt: ChatPrompt) -> tuple[str, str]:
         import http.client
-        import urllib.error
-        import urllib.parse
-        import urllib.request
 
         cfg = self.config
         api_key = os.environ.get(cfg.api_key_env_var, "")
-        headers = {"Content-Type": "application/json"}
+        headers = dict(self._headers)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         body = {
@@ -174,23 +262,11 @@ class HttpBackend:
         }
         data = json.dumps(body).encode("utf-8")
         try:
-            # urllib also opens file:, data: and ftp: URLs, whose replies carry no status
-            if urllib.parse.urlsplit(cfg.endpoint_url).scheme not in ("http", "https"):
-                raise BackendError("network", "endpoint_url is not an http(s) URL")
-            request = urllib.request.Request(cfg.endpoint_url, data, headers, method="POST")
-            try:
-                with self._opener.open(request, timeout=cfg.request_timeout) as resp:
-                    status, reply_headers, raw = resp.status, resp.headers, resp.read()
-            except urllib.error.HTTPError as exc:
-                with exc:
-                    status, reply_headers, raw = exc.code, exc.headers, exc.read()
-        # OSError covers URLError and timeouts; ValueError is a URL urllib cannot parse
+            status, reply_headers, raw = self._post(data, headers)
+        # OSError covers refused connections, DNS, TLS and timeouts; ValueError is a
+        # header value http.client refuses to send
         except (OSError, http.client.HTTPException, ValueError) as exc:
-            name = type(exc).__name__
-            # a URLError wraps the refused connection, DNS or TLS failure that caused it
-            if isinstance(getattr(exc, "reason", None), BaseException):
-                name += f"({type(exc.reason).__name__})"
-            raise BackendError("network", f"request failed: {name}") from exc
+            raise BackendError("network", f"request failed: {type(exc).__name__}") from exc
 
         if status != 200:
             err = _classify_http_error(status, raw)
@@ -210,6 +286,20 @@ class HttpBackend:
         if finish not in FINISH_REASONS:
             finish = "other"
         return text, finish
+
+    def close(self) -> None:
+        """Close every connection the backend has opened; a later send opens new ones."""
+        with self._lock:
+            connections, self._connections = self._connections, []
+            self._local = threading.local()
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> HttpBackend:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def _classify_http_error(status: int, raw: bytes) -> BackendError:

@@ -445,18 +445,24 @@ def retrieve_cap2mol(
 # ranked by one thread, where no fork costs more than their ranking.
 RANK_BLOCK = 32
 
-# What forked ranking workers inherit: the store, the task, and each item's query
-# and fingerprint. Set only while the workers fork.
+# What forked ranking workers inherit: the store, the task, each item's query and
+# fingerprint, and the stop flag. Set only while the workers fork.
 _fork_state: tuple = ()
 
 
 def _rank_block(strategy: RetrievalStrategy, depth: int, items: list[int],
                 state: tuple = ()) -> list[list[int]]:
     """The record positions of each of ``items``, ranked by ``strategy`` at ``depth``,
-    with ``state`` or else the ``_fork_state`` a forked worker inherited."""
-    store, task, queries, fingerprints = state or _fork_state
-    return [ranked_positions(store, task, queries[i], depth, strategy, query_fp=fingerprints[i])
-            for i in items]
+    with ``state`` or else the ``_fork_state`` a forked worker inherited; only those of
+    the items ranked before the stop flag was set."""
+    store, task, queries, fingerprints, stop = state or _fork_state
+    ranked = []
+    for i in items:
+        if stop.is_set():
+            break
+        ranked.append(ranked_positions(store, task, queries[i], depth, strategy,
+                                       query_fp=fingerprints[i]))
+    return ranked
 
 
 @contextmanager
@@ -464,8 +470,10 @@ def ranked_ahead(store: Store, task: str, queries: list[str],
                  fingerprints: list[MorganFingerprint],
                  jobs: dict[RetrievalStrategy, tuple[int, list[int]]]):
     """Rank the items of ``jobs`` ahead, for as long as the block runs, and yield
-    ``ranked(strategy, item)``: it waits for the item's block and returns the item's
-    record positions, best first.
+    ``(ranked, stop)``. ``ranked(strategy, item)`` waits for the item's block and
+    returns the item's record positions, best first, or None when ``stop`` was set
+    before the item was ranked. ``stop`` is an event: once it is set, each worker
+    ranks no further item.
 
     ``jobs`` maps each strategy to ``(depth, items)``, the sorted items to rank at
     ``depth``. Item i's query is ``queries[i]``, and ``fingerprints[i]`` is the
@@ -474,9 +482,9 @@ def ranked_ahead(store: Store, task: str, queries: list[str],
     go to ``min(CPUs, blocks)`` forked worker processes when some strategy has more
     than one block and :func:`_fork_capacity` allows a fork, and to one ranking
     thread otherwise. Either way they rank through :func:`ranked_positions`, so the
-    positions are the same. When the block is left the blocks no worker has
-    started are cancelled and every worker has ended; a worker process that dies
-    is a :class:`StoreError`.
+    positions are the same. When the block is left ``stop`` is set, the blocks no
+    worker has started are cancelled and every worker has ended; a worker process
+    that dies is a :class:`StoreError`.
     """
     global _fork_state
     blocks = [(strategy, depth, items[start:start + RANK_BLOCK])
@@ -484,9 +492,15 @@ def ranked_ahead(store: Store, task: str, queries: list[str],
               for start in range(0, len(items), RANK_BLOCK)]
     workers = min(_fork_capacity(), len(blocks))
     fork = bool(workers) and any(len(items) > RANK_BLOCK for _, items in jobs.values())
+    if fork:
+        import multiprocessing
+
+        stop = multiprocessing.get_context("fork").Event()
+    else:
+        stop = threading.Event()
     # (strategy, item) -> the future of its block and its place in the block
     ahead: dict[tuple[RetrievalStrategy, int], tuple] = {}
-    state = (store, task, queries, fingerprints)
+    state = (store, task, queries, fingerprints, stop)
     with _worker_pool(workers if fork else 1, "ranking items", fork=fork) as pool:
         # forked workers inherit the state, as they fork on the first submit; the
         # ranking thread is handed it
@@ -499,11 +513,15 @@ def ranked_ahead(store: Store, task: str, queries: list[str],
         finally:
             _fork_state = ()
 
-        def ranked(strategy: RetrievalStrategy, item: int) -> list[int]:
+        def ranked(strategy: RetrievalStrategy, item: int) -> list[int] | None:
             future, offset = ahead[strategy, item]
-            return future.result()[offset]
+            positions = future.result()
+            return positions[offset] if offset < len(positions) else None
 
-        yield ranked
+        try:
+            yield ranked, stop
+        finally:
+            stop.set()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Run one ``molrag`` command once in a fresh interpreter and print what it did.
 
     python tests/cli_probe.py [--cpus N] [--block N] [--echo] [--auth-after K]
-        [--exit-on QUERY] [--meet N] -- MOLRAG ARGUMENTS...
+        [--exit-on QUERY] [--meet N] [--rank-delay S] -- MOLRAG ARGUMENTS...
 
 A fresh interpreter runs no thread that a test runner may have started, so an
 ``evaluate`` or ``ablate`` ranks its items in forked workers whenever the items
@@ -13,11 +13,13 @@ backend raises an ``auth`` error from its K+1st call on. ``--exit-on`` makes the
 process that ranks that query end at once. With ``--meet`` the first ranking of
 each forked worker waits, for at most ``MEET_TIMEOUT`` seconds, until N processes
 have begun ranking: a worker that starts late then still finds a block queued,
-which the worker that started first would otherwise have taken.
+which the worker that started first would otherwise have taken. ``--rank-delay``
+makes each ranking take S seconds longer, so that the ranking keeps pace with the
+sends instead of running far ahead of them.
 
 The one JSON line printed holds the exit code and output of the command, each
-ranking as ``[pid, strategy kind, query]``, the id of this process, how many
-times it forked, whether ``multiprocessing`` had been imported, and the threads
+ranking as ``[pid, strategy kind, query]``, the calls the ``--echo`` backend took,
+the id of this process, how many times it forked, whether ``multiprocessing`` had been imported, and the threads
 and child processes left after the command.
 """
 
@@ -39,6 +41,7 @@ from molrag.llm import BackendError, ChatClient, prompt_digest  # noqa: E402
 from cli_runner import invoke  # noqa: E402
 
 MEET_TIMEOUT = 10.0
+SENDS: list[int] = []  # one entry per call any EchoBackend took
 
 
 class EchoBackend:
@@ -53,6 +56,7 @@ class EchoBackend:
     def send(self, prompt) -> tuple[str, str]:
         with self._lock:
             self.calls += 1
+            SENDS.append(1)
             if self.auth_after is not None and self.calls > self.auth_after:
                 raise BackendError("auth", "scripted auth")
         digest = prompt_digest(prompt)
@@ -69,6 +73,7 @@ def main() -> None:
     parser.add_argument("--auth-after", type=int)
     parser.add_argument("--exit-on")
     parser.add_argument("--meet", type=int)
+    parser.add_argument("--rank-delay", type=float)
     parser.add_argument("command", nargs=argparse.REMAINDER)
     args = parser.parse_args()
     argv = args.command[1:] if args.command[:1] == ["--"] else args.command
@@ -109,7 +114,7 @@ def probe(args, argv: list[str], rank_file: Path) -> dict:
     if args.block:
         store.RANK_BLOCK = args.block
     if args.echo:
-        cli._make_client = lambda config: ChatClient(
+        cli._make_client = lambda config, http: ChatClient(
             EchoBackend(config.task, args.auth_after), max_retries=0, backoff_base=0.0)
     ranked_positions = store.ranked_positions
 
@@ -121,6 +126,8 @@ def probe(args, argv: list[str], rank_file: Path) -> dict:
         if args.meet and os.getpid() != here and not waited:
             waited.append(1)  # a forked worker holds its own copy
             meet(rank_file, args.meet)
+        if args.rank_delay:
+            time.sleep(args.rank_delay)
         return ranked_positions(db, task, query, n, strategy, **kwargs)
 
     store.ranked_positions = recorded
@@ -131,6 +138,7 @@ def probe(args, argv: list[str], rank_file: Path) -> dict:
         "output": result.output,
         "traceback": not isinstance(result.exception, (SystemExit, type(None))),
         "rankings": [json.loads(line) for line in lines],
+        "sends": len(SENDS),
         "pid": os.getpid(),
         "forks": len(forks),
         "threads": threading.active_count(),

@@ -371,5 +371,13 @@ class TestLoop:
         assert err.value.kind == "auth"
 
     def test_server_exhaustion_is_item_failure(self, corpus_store):
+        # an exhausted transport error ends the run as auth does; only a malformed
+        # reply is still the item's own failure
+        for kind in ("rate_limited", "network", "server"):
+            client = make_client([kind])
+            with pytest.raises(BackendError) as err:
+                calibrated_query(client, default_template("mol2cap"), "CCO", [], ALLOWANCE)
+            assert err.value.kind == kind
+            assert client.backend.calls == client.max_retries + 1
         with pytest.raises(CalibrationFailure):
-            run(["server"], n=1, store=corpus_store)
+            run(["malformed_response"], n=1, store=corpus_store)

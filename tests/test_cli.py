@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from molrag import calibration, cli
 from molrag import store as store_module
 from molrag.bm25 import tokenize
 from molrag.calibration import rank_examples
-from molrag.cli import run_evaluation, RunConfig, _comparison_table, _process_item
+from molrag.cli import run_evaluation, RunConfig, _comparison_table, _process_item, _start_cell
 from molrag.fingerprint import morgan_fingerprint
 from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend
 from molrag.metrics import build_report, render_table
@@ -297,7 +298,7 @@ class TestQuery:
             self, data_dir, store_dir, monkeypatch, smiles, n_shots):
         # at 0 shots such an input once went to the backend unread
         backend = ScriptedBackend(['{"caption": "A molecule."}'])
-        monkeypatch.setattr(cli, "_make_client", lambda config: ChatClient(
+        monkeypatch.setattr(cli, "_make_client", lambda config, http: ChatClient(
             backend, max_retries=0, backoff_base=0.0))
         result = invoke([
             "query", smiles, "--store", str(store_dir), "--task", "mol2cap",
@@ -632,17 +633,22 @@ class TestEvaluate:
         )
         records, fingerprints, _ = load_chebi_tsv(data_dir / "test_items.tsv", config.limit)
         store = load_store(store_dir)
-        report = run_evaluation(
-            config,
-            store,
-            default_template("mol2cap"),
-            records,
-            {},
-            tmp_path / "offline",
-            lambda i: rank_examples(store, "mol2cap", records[i].smiles, 2, config.strategy,
-                                    query_fp=fingerprints[i]),
-            {},
-        )
+        template, out, done = default_template("mol2cap"), tmp_path / "offline", {}
+        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+            futures = _start_cell(
+                config,
+                template,
+                records,
+                {},
+                out,
+                lambda i: rank_examples(store, "mol2cap", records[i].smiles, 2, config.strategy,
+                                        query_fp=fingerprints[i]),
+                done,
+                pool,
+                threading.Event(),
+                None,
+            )
+            report = run_evaluation(config, store, template, out, done, futures)
         assert report["counts"]["items"] == 10
 
 
@@ -856,11 +862,12 @@ class TestEvaluate:
         del args[args.index("--replay") : args.index("--replay") + 2]
         result = invoke(
             [*args, "--backend", str(backend), "--config", str(config), "--limit", "1", *flag])
-        assert result.exit_code == 0, result.output
+        # the exhausted network error ends the run before it writes a report
+        assert_one_line_error(result, "Error: [network] unreachable")
         assert len(attempts) == expected + 1
-        for name in ("manifest.json", "report.json"):
-            payload = json.loads((out / name).read_text(encoding="utf-8"))
-            assert payload.get("config", payload)["max_retries"] == expected
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["max_retries"] == expected
+        assert not (out / "report.json").exists()
 
     def test_item_rows(self, corpus_store, test_records):
         config = RunConfig(
@@ -912,7 +919,7 @@ class TestAblate:
     def test_default_grid_fits_the_task(self, data_dir, store_dir, tmp_path,
                                         monkeypatch, task, answer, cells):
         monkeypatch.setattr(
-            cli, "_make_client", lambda config: ChatClient(ScriptedBackend([answer]))
+            cli, "_make_client", lambda config, http: ChatClient(ScriptedBackend([answer]))
         )
         out = tmp_path / "grid"
         result = invoke(
@@ -1093,6 +1100,27 @@ class TestAblate:
         assert result.exit_code == 0
         assert (cell / "report.json").read_bytes() == before
 
+    def test_a_later_stale_cell_is_refused_before_any_item_runs(self, data_dir, store_dir,
+                                                               tmp_path, monkeypatch):
+        # every cell's checkpoint is checked against its manifest before the first cell's
+        # items are sent, so no backend call is spent on a command that will be refused
+        backend = ScriptedBackend(['{"caption": "x"}'])
+        monkeypatch.setattr(cli, "_make_client", lambda config, http: ChatClient(backend))
+        out = tmp_path / "grid"
+        stale = out / "cell_mol2cap_n1_random"
+        stale.mkdir(parents=True)
+        (stale / "manifest.json").write_text('{"n_shots": 7}', encoding="utf-8")
+        (stale / "items.jsonl").write_text(
+            '{"index": 0, "prediction": "", "reference": "", "status": "ok"}\n',
+            encoding="utf-8")
+        result = invoke([
+            "ablate", str(data_dir / "test_items.tsv"), "--store", str(store_dir),
+            "--task", "mol2cap", "--grid-shots", "0,1", "--grid-strategies", "random",
+            "--limit", "5", "--replay", "unused.jsonl", "--out", str(out)])
+        assert_one_line_error(result, "holds rows of a run with a different")
+        assert backend.calls == 0
+        assert not (out / "cell_mol2cap_n0_random").exists()
+
     def test_random_rows_reproducible_under_seed(self, data_dir, store_dir, tmp_path):
         outputs = []
         for name in ("s1", "s2"):
@@ -1153,7 +1181,7 @@ class TestBadPaths:
             args = command_args(command, data_dir, store_dir, out)
             message = f"cannot create directory {out}"
         # query writes under --out only the transcript of a failed calibration
-        monkeypatch.setattr(cli, "_make_client", lambda config: ChatClient(
+        monkeypatch.setattr(cli, "_make_client", lambda config, http: ChatClient(
             ScriptedBackend(["no answer here"]), max_retries=0, backoff_base=0.0))
         result = invoke(args)
         assert_one_line_error(result, message)
@@ -1292,13 +1320,18 @@ class TestRankingWorkers:
         assert probed["forks"] == 0 and not probed["multiprocessing_imported"]
         assert ranking_pids(probed) == {probed["pid"]} and len(probed["rankings"]) == 60
 
-    # on one CPU the 2 blocks of 50 items go to the ranking thread, which also ends
+    # on one CPU the 2 blocks of 50 items go to the ranking thread, which also ends. In
+    # the auth cases each item is a block and each ranking takes 50 ms, so the ranking
+    # keeps pace with the sends: once the error sets the stop flag, each worker ranks
+    # at most the item it has begun.
     @pytest.mark.parametrize("cpus, flags, error", [
         ("2", ["--echo"], None),
-        ("2", ["--echo", "--auth-after", "10"], "Error: [auth] scripted auth"),
+        ("2", ["--echo", "--auth-after", "10", "--block", "1", "--rank-delay", "0.05"],
+         "Error: [auth] scripted auth"),
         ("2", ["--echo", "--exit-on", "CCO"], "Error: a worker process ranking items ended abruptly"),
         ("1", ["--echo"], None),
-        ("1", ["--echo", "--auth-after", "10"], "Error: [auth] scripted auth"),
+        ("1", ["--echo", "--auth-after", "10", "--block", "1", "--rank-delay", "0.05"],
+         "Error: [auth] scripted auth"),
     ], ids=["finished", "auth-error-mid-run", "worker-dies", "finished-one-cpu",
             "auth-error-one-cpu"])
     def test_no_worker_outlives_the_command(self, data_dir, store_dir, tmp_path, cpus, flags,
@@ -1313,6 +1346,8 @@ class TestRankingWorkers:
         else:
             assert probed["exit_code"] == 1 and not probed["traceback"]
             assert probed["output"].startswith(error) and probed["output"].count("\n") == 1
+        if "--auth-after" in flags:
+            assert len(probed["rankings"]) <= probed["sends"] + int(cpus)
 
     def test_a_resumed_run_ranks_only_the_items_it_runs(self, data_dir, store_dir, test_records,
                                                        tmp_path):

@@ -320,7 +320,7 @@ class TestHttpBackend:
         with pytest.raises(BackendError) as err:
             HttpBackend(config).send(make_prompt())
         assert err.value.kind == "network"
-        assert err.value.message == "request failed: URLError(ConnectionRefusedError)"
+        assert err.value.message == "request failed: ConnectionRefusedError"
 
     @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
     def test_redirect_is_not_followed(self, chat_server, monkeypatch, status):
@@ -344,9 +344,10 @@ class TestHttpBackend:
         ids=["no-scheme", "bad-port", "data", "file"],
     )
     def test_unusable_url_is_a_network_error(self, url):
-        with pytest.raises(BackendError) as err:
-            HttpBackend(BackendConfig(endpoint_url=url)).send(make_prompt())
-        assert err.value.kind == "network"
+        # no request could ever reach such a URL: the config refuses it before a backend
+        # is built, where a send would fail as network on every attempt
+        with pytest.raises(ValueError, match="endpoint_url"):
+            BackendConfig(endpoint_url=url)
 
     def test_stall_past_the_timeout_is_a_network_error(self, chat_server):
         chat_server.reset((200, completion("too late")))
