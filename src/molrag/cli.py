@@ -3,11 +3,12 @@
 Every run writes a manifest echoing the fully resolved configuration so the
 experiment can be re-run identically. evaluate runs as the one-cell case of
 ablate, and query, evaluate and ablate rank every item through one path, which
-each hands a Mol2Cap query's fingerprint. evaluate and ablate rank every item
-ahead through :func:`molrag.store.ranked_ahead`, while their threads drive the
-backend. Evaluation checkpoints per item and resumes from the checkpoint after
-an interruption, ranking only the items it still runs. Reports contain no
-timestamps: a run against the replay backend is bit-reproducible.
+each hands a Mol2Cap query's fingerprint. evaluate and ablate tell
+:func:`molrag.store.ranked_ahead` which items each cell runs and take each
+cell's examples from it, while their threads drive the backend through the
+command's one chat client. Evaluation checkpoints per item and resumes from the
+checkpoint after an interruption, ranking only the items it still runs. Reports
+contain no timestamps: a run against the replay backend is bit-reproducible.
 
 Configuration precedence: command-line flags > --config file > defaults;
 max_retries takes the backend JSON's value before its default.
@@ -26,8 +27,9 @@ import dataclasses
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, product
 from pathlib import Path
 from typing import Callable
@@ -39,10 +41,9 @@ from molrag.llm import (
     BackendConfig,
     BackendError,
     ChatClient,
-    FixtureParseError,
     HttpBackend,
-    MissingFixture,
     ReplayBackend,
+    ReplayError,
     check_field_types,
 )
 from molrag.metrics import (
@@ -125,11 +126,19 @@ def _load_config_file(path: str | None) -> dict:
 
 # Settings with a default other than None; flags and the --config file override them.
 _DEFAULTS = {"n_shots": 2, "seed": 0, "concurrency": 4, "max_error_allowance": 5}
+# The keys a --config file may hold
+_FILE_SETTINGS = frozenset({
+    "store", "task", "n_shots", "strategy", "seed", "backend", "replay", "template", "out",
+    "concurrency", "max_retries", "max_error_allowance", "limit"})
 
 
 def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
     """Layer the command's flags over the --config file over the defaults."""
-    settings = {**_DEFAULTS, **_load_config_file(cfg_file)}
+    file_settings = _load_config_file(cfg_file)
+    unknown = sorted(file_settings.keys() - _FILE_SETTINGS)
+    if unknown:
+        raise CliError(f"config file {cfg_file} holds unknown setting(s): {', '.join(unknown)}")
+    settings = {**_DEFAULTS, **file_settings}
     settings.update((key, value) for key, value in flags.items() if value is not None)
     task = settings.get("task")
     if not isinstance(task, str) or task not in TASKS:
@@ -162,20 +171,17 @@ def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
         raise CliError(str(exc))
 
 
-def _http_backend(config: RunConfig):
-    """The command's :class:`HttpBackend`, closed when the block is left; None, and no
-    backend, when it replays a fixture."""
-    return nullcontext() if config.replay_path else HttpBackend(config.backend)
-
-
-def _make_client(config: RunConfig, http: HttpBackend | None) -> ChatClient:
-    """A client over ``http``, or over a fresh replay of the fixture, whose call
-    counts then start at zero."""
+@contextmanager
+def _make_client(config: RunConfig):
+    """The command's one :class:`ChatClient`, which every thread and cell shares: over
+    a replay of the fixture, read here, or over an :class:`HttpBackend` that is closed
+    when the block is left."""
     if config.replay_path:
-        backend, backoff = ReplayBackend(config.replay_path), 0.0
+        backend, backoff = nullcontext(ReplayBackend(config.replay_path)), 0.0
     else:
-        backend, backoff = http, config.backend.retry_backoff_base
-    return ChatClient(backend, max_retries=config.max_retries, backoff_base=backoff)
+        backend, backoff = HttpBackend(config.backend), config.backend.retry_backoff_base
+    with backend as backend:
+        yield ChatClient(backend, max_retries=config.max_retries, backoff_base=backoff)
 
 
 def _load_prompt_template(config: RunConfig) -> PromptTemplate:
@@ -276,8 +282,7 @@ def _cmd_query(args: argparse.Namespace) -> None:
     examples = rank_examples(db, config.task, user_input, config.n_shots, config.strategy,
                              query_fp=query_fp)
     try:
-        with _http_backend(config) as http:
-            client = _make_client(config, http)
+        with _make_client(config) as client:
             result = calibrated_query(client, tmpl, user_input, examples,
                                       config.max_error_allowance)
     except CalibrationFailure as fail:
@@ -349,7 +354,7 @@ def _process_item(index, record, config, tmpl, client, stop, rank: Ranking) -> d
             attempts=fail.attempts,
             last_raw_text=fail.last_raw_text,
         )
-    except (BackendError, MissingFixture):
+    except (BackendError, ReplayError):
         # every later item would fail the same way: start no more of them
         stop.set()
         raise
@@ -408,16 +413,15 @@ def _check_resumable(path: Path, manifest: dict) -> None:
 
 def _start_cell(config: RunConfig, tmpl: PromptTemplate, records: list[MoleculeRecord],
                 manifest: dict, out_dir: Path, rank: Ranking, done: dict[int, dict], pool,
-                stop, http: HttpBackend | None) -> list:
+                stop, client: ChatClient) -> list:
     """Write one cell's manifest and checkpoint rows, and submit the items it still
     runs to ``pool``; returns their futures.
 
     Each item's examples are ``rank(index)``. ``done`` holds the rows of
     ``out_dir/items.jsonl`` as :func:`_read_checkpoint` reads them, which are kept,
-    not re-queried. The items send through ``http``, the command's backend (a
-    replay run reads its fixture anew instead), and none starts once ``stop`` is set.
+    not re-queried. The items send through ``client``, the command's, and none
+    starts once ``stop`` is set.
     """
-    client = _make_client(config, http)  # a bad replay fixture fails here, before any file is written
     _make_dir(out_dir)
     _dump_json(out_dir / "manifest.json", manifest)
     _write_rows(out_dir / "items.jsonl", done.values())  # no new row is glued onto a torn last line
@@ -473,18 +477,15 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
     The store, template and test records (the first ``base.limit`` kept rows, each
     with its fingerprint) are loaded once, before any file is written. Before any
     thread starts, each cell's checkpoint is read to find the items it will run, and
-    refused when the manifest beside it is not this run's.
-    Each (strategy, item) is ranked once, ahead, by :func:`~molrag.store.ranked_ahead`:
-    at the largest n any cell asks of that strategy, for the items some cell of that
-    strategy that takes examples will run. A cell of n shots takes the first n;
-    retrieval is prefix-stable in n, so that is the ranking at n. A cell of 0 shots
-    takes none and waits for nothing. Every cell runs its items on one thread pool
-    of ``base.concurrency`` threads, started once the ranking workers have forked,
-    and sends through one :class:`HttpBackend`, so each thread keeps its connection
-    from the first cell to the last; the backend closes them when the command ends.
-    Each cell's items are queued while the cell before it finishes, so the threads
-    do not wait for a cell's report. A fatal error stops the command: no item
-    starts after it.
+    refused when the manifest beside it is not this run's. Each cell takes its
+    examples from :func:`~molrag.store.ranked_ahead`, told which items each cell
+    runs. Every cell runs its items on one thread pool of ``base.concurrency``
+    threads, started once the ranking workers have forked, and sends through the
+    command's one :class:`ChatClient`, so over HTTP each thread keeps its connection
+    from the first cell to the last; they are closed when the command ends. Each
+    cell's items are queued while the cell before it finishes, so the threads do not
+    wait for a cell's report. A fatal error stops the command: no item starts after
+    it.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -507,34 +508,18 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
     for cell, rows, manifest in zip(cells, done, manifests):
         if rows:
             _check_resumable(Path(cell.out_path) / "manifest.json", manifest)
-    depth: dict[RetrievalStrategy, int] = {}
-    todo: dict[RetrievalStrategy, set[int]] = {}
-    for cell, rows in zip(cells, done):
-        depth[cell.strategy] = max(depth.get(cell.strategy, 0), cell.n_shots)
-        if cell.n_shots:
-            todo.setdefault(cell.strategy, set()).update(
-                i for i in range(len(records)) if i not in rows)
-    jobs = {strategy: (depth[strategy], sorted(items)) for strategy, items in todo.items()}
-    queries = [getattr(rec, TASKS[base.task].input_field) for rec in records]
-    with _http_backend(base) as http, \
-            ranked_ahead(db, base.task, queries, fingerprints, jobs) as (ranked, stop), \
+    needs = [(cell.strategy, cell.n_shots, [i for i in range(len(records)) if i not in rows])
+             for cell, rows in zip(cells, done)]
+    # a bad replay fixture is refused here, before any file is written or worker forks
+    with _make_client(base) as client, \
+            ranked_ahead(db, base.task, records, fingerprints, needs) as (examples, stop), \
             ThreadPoolExecutor(max_workers=base.concurrency) as pool:
-
-        def for_cell(cell: RunConfig) -> Ranking:
-            strategy, n = cell.strategy, cell.n_shots
-
-            def rank(index: int) -> list[MoleculeRecord] | None:
-                if n == 0:  # no wait on a block ranked ahead
-                    return []
-                positions = ranked(strategy, index)
-                return None if positions is None else [db.records[pos] for pos in positions[:n]]
-
-            return rank
 
         def start(k: int) -> list:
             cell = cells[k]
             return _start_cell(cell, tmpl, records, manifests[k], Path(cell.out_path),
-                               for_cell(cell), done[k], pool, stop, http)
+                               partial(examples, cell.strategy, cell.n_shots), done[k], pool,
+                               stop, client)
 
         started = [start(0)]
         try:
@@ -722,8 +707,7 @@ def main(args: list[str] | None = None, prog_name: str = "molrag") -> None:
             parsed.run(parsed)
         finally:
             sys.stdout.flush()  # so that a closed stdout pipe fails here, not at exit
-    except (CliError, StoreError, PromptError, BackendError, MissingFixture,
-            FixtureParseError) as exc:
+    except (CliError, StoreError, PromptError, BackendError, ReplayError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         sys.exit(1)
     except KeyboardInterrupt:

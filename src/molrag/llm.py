@@ -56,12 +56,8 @@ class BackendError(Exception):
         self.retry_after: float | None = None
 
 
-class MissingFixture(Exception):
-    """Replay fixture has no entry for a prompt digest."""
-
-
-class FixtureParseError(Exception):
-    pass
+class ReplayError(Exception):
+    """A replay fixture cannot be read, or holds no answer for a prompt."""
 
 
 # What a config field of each annotated type accepts, and its name in an error
@@ -347,35 +343,35 @@ class ReplayBackend:
         try:
             raw = self.path.read_text(encoding="utf-8")
         except OSError as exc:
-            raise FixtureParseError(f"cannot read fixture {self.path}: {exc}") from exc
+            raise ReplayError(f"cannot read fixture {self.path}: {exc}") from exc
         for line_no, line in enumerate(raw.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
                 entry = json.loads(line)
             except ValueError as exc:
-                raise FixtureParseError(f"{self.path}:{line_no}: bad JSON: {exc}") from exc
+                raise ReplayError(f"{self.path}:{line_no}: bad JSON: {exc}") from exc
             if not isinstance(entry, dict):
-                raise FixtureParseError(f"{self.path}:{line_no}: entry is not a JSON object")
+                raise ReplayError(f"{self.path}:{line_no}: entry is not a JSON object")
             if "digest" not in entry:
-                raise FixtureParseError(f"{self.path}:{line_no}: entry lacks a digest")
+                raise ReplayError(f"{self.path}:{line_no}: entry lacks a digest")
             if not isinstance(entry["digest"], str):
-                raise FixtureParseError(f"{self.path}:{line_no}: digest is not a string")
+                raise ReplayError(f"{self.path}:{line_no}: digest is not a string")
             if not isinstance(entry.get("error_script", []), list):
-                raise FixtureParseError(f"{self.path}:{line_no}: error_script is not a list")
+                raise ReplayError(f"{self.path}:{line_no}: error_script is not a list")
             for kind in entry.get("error_script", []):
                 if kind not in ERROR_KINDS:
-                    raise FixtureParseError(f"{self.path}:{line_no}: bad error kind {kind!r}")
+                    raise ReplayError(f"{self.path}:{line_no}: bad error kind {kind!r}")
             response = entry.get("response")
             if response is not None and not isinstance(response, str):
-                raise FixtureParseError(f"{self.path}:{line_no}: response is not a string")
+                raise ReplayError(f"{self.path}:{line_no}: response is not a string")
             self._entries[entry["digest"]] = entry
 
     def send(self, prompt: ChatPrompt) -> tuple[str, str]:
         digest = prompt_digest(prompt)
         entry = self._entries.get(digest)
         if entry is None:
-            raise MissingFixture(f"no fixture entry for prompt digest {digest}")
+            raise ReplayError(f"no fixture entry for prompt digest {digest}")
         with self._lock:
             call_index = self._calls.get(digest, 0)
             self._calls[digest] = call_index + 1
@@ -386,7 +382,7 @@ class ReplayBackend:
         if entry.get("response") is None:
             if script:
                 raise BackendError(script[-1], "scripted error (script exhausted)")
-            raise MissingFixture(f"fixture entry for {digest} has no response")
+            raise ReplayError(f"fixture entry for {digest} has no response")
         return entry["response"], entry.get("finish_reason", "stop")
 
 

@@ -9,10 +9,12 @@ the default ``FingerprintParams()`` (radius 2, 2,048 bits) and ranks with
 ``bm25.K1`` and ``bm25.B``, so neither the store nor its files carry those
 parameters.
 
-The store also decides where bulk work runs. A whole TSV is parsed, and the
-items of an evaluate or ablate are ranked ahead (:func:`ranked_ahead`), in
-blocks: in forked worker processes when there is more than one block and a
-fork is allowed, in this process otherwise, with the same output either way.
+The store also decides where bulk work runs, and what an evaluate or ablate
+ranks. A whole TSV is parsed, and each (strategy, item) that some cell takes
+examples for is ranked ahead once, at the largest n a cell asks
+(:func:`ranked_ahead`), in blocks: in forked worker processes when there is
+more than one block and a fork is allowed, in this process otherwise, with the
+same output either way.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -163,16 +165,16 @@ def _read_rows(path: Path, fh, limit: int | None):
                desc_idx == len(header) - 1)
 
     rows = ((line_no, line) for line_no, line in enumerate(lines, start=2) if line.strip())
+    state = (columns, {})  # each worker process fills its own copy of the identifier memo
     cpus = _fork_capacity()
     if limit is None and cpus:
-        blocks = _blocks(rows)
+        blocks = _blocks(rows, BLOCK_ROWS)
         first = list(islice(blocks, cpus))
         if len(first) > 1:
-            with _worker_pool(len(first), f"reading {path}") as pool:
-                return _collect(_in_order(pool, columns, first, blocks), None)
+            with _worker_pool(len(first), f"reading {path}", state) as submit:
+                return _collect(_in_order(submit, first, blocks), None)
         rows = chain.from_iterable(first)  # the whole file: one block, or none
-    memo: dict = {}
-    return _collect((_parse_row(columns, line_no, line, memo) for line_no, line in rows), limit)
+    return _collect((_parse_row(*state, line_no, line) for line_no, line in rows), limit)
 
 
 def _usable_cpus() -> int:
@@ -191,13 +193,25 @@ def _fork_capacity() -> int:
     return cpus if cpus > 1 and threading.active_count() == 1 and hasattr(os, "fork") else 0
 
 
+# The state of the open worker pool, which its forked workers inherit.
+_fork_state: tuple = ()
+
+
+def _with_fork_state(fn, *args):
+    return fn(*_fork_state, *args)
+
+
 @contextmanager
-def _worker_pool(workers: int, doing: str, *, fork: bool = True):
-    """A pool of ``workers`` forked worker processes, which start on its first
-    ``submit``, or of threads when ``fork`` is false. A worker process that dies
-    ends the block with a :class:`StoreError` that says what the pool was
-    ``doing``. When the block is left, however it is left, the tasks no worker has
-    started are cancelled and every worker has ended."""
+def _worker_pool(workers: int, doing: str, state: tuple, *, fork: bool = True):
+    """A pool of ``workers`` forked worker processes, or of threads when ``fork`` is
+    false, that yields ``submit(fn, *args)``: it runs ``fn(*state, *args)`` in a
+    worker and returns the future. Threads are handed ``state``; forked workers
+    inherit it in ``_fork_state``, set while the pool is open (a fork-context pool
+    forks every worker on its first submit). A worker process that dies ends the
+    block with a :class:`StoreError` that says what the pool was ``doing``. When the
+    block is left, however it is left, the tasks no worker has started are
+    cancelled, every worker has ended and ``_fork_state`` is restored."""
+    global _fork_state
     from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
     if fork:
@@ -208,23 +222,30 @@ def _worker_pool(workers: int, doing: str, *, fork: bool = True):
         # would import molrag anew
         pool = ProcessPoolExecutor(max_workers=workers,
                                    mp_context=multiprocessing.get_context("fork"))
+        submit = partial(pool.submit, _with_fork_state)
     else:
         pool = ThreadPoolExecutor(max_workers=workers)
+
+        def submit(fn, *args):
+            return pool.submit(fn, *state, *args)
+    previous, _fork_state = _fork_state, state
     try:
-        yield pool
+        yield submit
     except BrokenExecutor as exc:  # a thread pool without initializer never breaks
         raise StoreError(f"a worker process {doing} ended abruptly: {exc}") from exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        _fork_state = previous
 
 
-def _blocks(rows):
-    """``rows`` in lists of ``BLOCK_ROWS`` (the last one may be shorter)."""
-    while block := list(islice(rows, BLOCK_ROWS)):
+def _blocks(rows, size: int):
+    """``rows`` in lists of ``size`` (the last one may be shorter)."""
+    rows = iter(rows)
+    while block := list(islice(rows, size)):
         yield block
 
 
-def _parse_row(columns, line_no: int, line: str, memo: dict) -> tuple:
+def _parse_row(columns, memo: dict, line_no: int, line: str) -> tuple:
     """One non-blank TSV row: ``(cid, smiles, caption, fingerprint bitmap)`` when it is
     kept, ``(line_no, reason)`` when it is quarantined."""
     cid_idx, smi_idx, desc_idx, width, desc_last = columns
@@ -242,21 +263,16 @@ def _parse_row(columns, line_no: int, line: str, memo: dict) -> tuple:
     return parts[cid_idx].strip(), smiles, caption, morgan_fingerprint(mol, memo=memo).bitmap
 
 
-# The identifier memo of a worker process. This process never fills it, so each
-# forked worker starts from an empty one and keeps it for its life.
-_worker_memo: dict = {}
-
-
-def _parse_block(columns, block: list[tuple[int, str]]) -> list[tuple]:
+def _parse_block(columns, memo: dict, block: list[tuple[int, str]]) -> list[tuple]:
     """:func:`_parse_row` over each row of ``block``, run in a worker process."""
-    return [_parse_row(columns, line_no, line, _worker_memo) for line_no, line in block]
+    return [_parse_row(columns, memo, line_no, line) for line_no, line in block]
 
 
-def _in_order(pool, columns, first: list, blocks):
+def _in_order(submit, first: list, blocks):
     """The rows' results in file order, while ``len(first) + 1`` blocks are in flight."""
-    pending = deque(pool.submit(_parse_block, columns, block) for block in first)
+    pending = deque(submit(_parse_block, block) for block in first)
     for block in blocks:
-        pending.append(pool.submit(_parse_block, columns, block))
+        pending.append(submit(_parse_block, block))
         yield from pending.popleft().result()
     while pending:
         yield from pending.popleft().result()
@@ -445,17 +461,12 @@ def retrieve_cap2mol(
 # ranked by one thread, where no fork costs more than their ranking.
 RANK_BLOCK = 32
 
-# What forked ranking workers inherit: the store, the task, each item's query and
-# fingerprint, and the stop flag. Set only while the workers fork.
-_fork_state: tuple = ()
 
-
-def _rank_block(strategy: RetrievalStrategy, depth: int, items: list[int],
-                state: tuple = ()) -> list[list[int]]:
-    """The record positions of each of ``items``, ranked by ``strategy`` at ``depth``,
-    with ``state`` or else the ``_fork_state`` a forked worker inherited; only those of
-    the items ranked before the stop flag was set."""
-    store, task, queries, fingerprints, stop = state or _fork_state
+def _rank_block(store: Store, task: str, queries: list[str],
+                fingerprints: list[MorganFingerprint], stop, strategy: RetrievalStrategy,
+                depth: int, items: list[int]) -> list[list[int]]:
+    """The record positions of each of ``items``, ranked by ``strategy`` at ``depth``;
+    only those of the items ranked before ``stop`` was set."""
     ranked = []
     for i in items:
         if stop.is_set():
@@ -466,60 +477,68 @@ def _rank_block(strategy: RetrievalStrategy, depth: int, items: list[int],
 
 
 @contextmanager
-def ranked_ahead(store: Store, task: str, queries: list[str],
+def ranked_ahead(store: Store, task: str, items: list[MoleculeRecord],
                  fingerprints: list[MorganFingerprint],
-                 jobs: dict[RetrievalStrategy, tuple[int, list[int]]]):
-    """Rank the items of ``jobs`` ahead, for as long as the block runs, and yield
-    ``(ranked, stop)``. ``ranked(strategy, item)`` waits for the item's block and
-    returns the item's record positions, best first, or None when ``stop`` was set
-    before the item was ranked. ``stop`` is an event: once it is set, each worker
-    ranks no further item.
+                 needs: list[tuple[RetrievalStrategy, int, list[int]]]):
+    """Rank ahead, for as long as the block runs, what ``needs`` asks of the test
+    records ``items``, and yield ``(examples, stop)``.
 
-    ``jobs`` maps each strategy to ``(depth, items)``, the sorted items to rank at
-    ``depth``. Item i's query is ``queries[i]``, and ``fingerprints[i]`` is the
-    fingerprint a Mol2Cap ranking takes as its query's. Each strategy's items are
-    cut into blocks of ``RANK_BLOCK``, ranked in the order of ``jobs``. The blocks
-    go to ``min(CPUs, blocks)`` forked worker processes when some strategy has more
-    than one block and :func:`_fork_capacity` allows a fork, and to one ranking
-    thread otherwise. Either way they rank through :func:`ranked_positions`, so the
-    positions are the same. When the block is left ``stop`` is set, the blocks no
+    ``needs`` holds one ``(strategy, n, indices)`` per cell: the cell takes the first n
+    examples of ``strategy`` for each item index in ``indices``. Each (strategy, item)
+    is ranked once, at the largest n of the strategy's needs, if some need with n > 0
+    holds the item; retrieval is prefix-stable in n. ``examples(strategy, n, item)``
+    returns ``[]`` at once at n = 0. Otherwise it waits for the item's block and
+    returns the first n records, or None when ``stop`` was set before the item was
+    ranked. Once ``stop`` is set, each worker ranks no further item.
+
+    Item i's query is its ``TASKS[task].input_field`` and its fingerprint, which a
+    Mol2Cap ranking reads, ``fingerprints[i]``. Each strategy's sorted items are cut
+    into blocks of ``RANK_BLOCK``, strategies in the order a need with n > 0 first
+    names them. The blocks go to ``min(CPUs, blocks)`` forked worker processes when
+    some strategy has more than one block and :func:`_fork_capacity` allows a fork,
+    and to one ranking thread otherwise; either way they rank through
+    :func:`ranked_positions`. When the block is left ``stop`` is set, the blocks no
     worker has started are cancelled and every worker has ended; a worker process
     that dies is a :class:`StoreError`.
     """
-    global _fork_state
-    blocks = [(strategy, depth, items[start:start + RANK_BLOCK])
-              for strategy, (depth, items) in jobs.items()
-              for start in range(0, len(items), RANK_BLOCK)]
+    depth: dict[RetrievalStrategy, int] = {}
+    todo: dict[RetrievalStrategy, set[int]] = {}
+    for strategy, n, indices in needs:
+        if n:
+            depth[strategy] = max(depth.get(strategy, 0), n)
+            todo.setdefault(strategy, set()).update(indices)
+    blocks = [(strategy, block) for strategy, indices in todo.items()
+              for block in _blocks(sorted(indices), RANK_BLOCK)]
     workers = min(_fork_capacity(), len(blocks))
-    fork = bool(workers) and any(len(items) > RANK_BLOCK for _, items in jobs.values())
+    fork = bool(workers) and any(len(indices) > RANK_BLOCK for indices in todo.values())
     if fork:
         import multiprocessing
 
         stop = multiprocessing.get_context("fork").Event()
     else:
         stop = threading.Event()
+    queries = [getattr(rec, TASKS[task].input_field) for rec in items]
     # (strategy, item) -> the future of its block and its place in the block
     ahead: dict[tuple[RetrievalStrategy, int], tuple] = {}
-    state = (store, task, queries, fingerprints, stop)
-    with _worker_pool(workers if fork else 1, "ranking items", fork=fork) as pool:
-        # forked workers inherit the state, as they fork on the first submit; the
-        # ranking thread is handed it
-        _fork_state, handed = (state, ()) if fork else ((), (state,))
-        try:
-            for strategy, depth, items in blocks:
-                future = pool.submit(_rank_block, strategy, depth, items, *handed)
-                ahead.update(((strategy, item), (future, offset))
-                             for offset, item in enumerate(items))
-        finally:
-            _fork_state = ()
+    with _worker_pool(workers if fork else 1, "ranking items",
+                      (store, task, queries, fingerprints, stop), fork=fork) as submit:
+        for strategy, block in blocks:
+            future = submit(_rank_block, strategy, depth[strategy], block)
+            ahead.update(((strategy, item), (future, offset))
+                         for offset, item in enumerate(block))
 
-        def ranked(strategy: RetrievalStrategy, item: int) -> list[int] | None:
+        def examples(strategy: RetrievalStrategy, n: int,
+                     item: int) -> list[MoleculeRecord] | None:
+            if n == 0:  # no wait on a block ranked ahead
+                return []
             future, offset = ahead[strategy, item]
-            positions = future.result()
-            return positions[offset] if offset < len(positions) else None
+            ranked = future.result()
+            if offset >= len(ranked):  # the worker stopped before it ranked the item
+                return None
+            return [store.records[pos] for pos in ranked[offset][:n]]
 
         try:
-            yield ranked, stop
+            yield examples, stop
         finally:
             stop.set()
 

@@ -26,12 +26,15 @@ and child processes left after the command.
 from __future__ import annotations
 
 import argparse
+import faulthandler
 import json
 import os
+import signal
 import sys
 import tempfile
 import threading
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -66,6 +69,9 @@ class EchoBackend:
 
 
 def main() -> None:
+    # SIGUSR1 writes every thread's stack to stderr: a probe that hangs says where. The
+    # handler starts no thread, so the command still forks its workers.
+    faulthandler.register(signal.SIGUSR1, all_threads=True)
     parser = argparse.ArgumentParser()
     parser.add_argument("--cpus", type=int)
     parser.add_argument("--block", type=int)
@@ -114,8 +120,8 @@ def probe(args, argv: list[str], rank_file: Path) -> dict:
     if args.block:
         store.RANK_BLOCK = args.block
     if args.echo:
-        cli._make_client = lambda config, http: ChatClient(
-            EchoBackend(config.task, args.auth_after), max_retries=0, backoff_base=0.0)
+        cli._make_client = lambda config: nullcontext(ChatClient(
+            EchoBackend(config.task, args.auth_after), max_retries=0, backoff_base=0.0))
     ranked_positions = store.ranked_positions
 
     def recorded(db, task, query, n, strategy, **kwargs):

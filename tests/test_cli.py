@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import signal
 import socket
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext, suppress
 from pathlib import Path
 
 import pytest
@@ -298,8 +300,8 @@ class TestQuery:
             self, data_dir, store_dir, monkeypatch, smiles, n_shots):
         # at 0 shots such an input once went to the backend unread
         backend = ScriptedBackend(['{"caption": "A molecule."}'])
-        monkeypatch.setattr(cli, "_make_client", lambda config, http: ChatClient(
-            backend, max_retries=0, backoff_base=0.0))
+        monkeypatch.setattr(cli, "_make_client", lambda config: nullcontext(ChatClient(
+            backend, max_retries=0, backoff_base=0.0)))
         result = invoke([
             "query", smiles, "--store", str(store_dir), "--task", "mol2cap",
             "--n-shots", n_shots, "--replay", str(data_dir / REPLAY_M2C),
@@ -634,7 +636,8 @@ class TestEvaluate:
         records, fingerprints, _ = load_chebi_tsv(data_dir / "test_items.tsv", config.limit)
         store = load_store(store_dir)
         template, out, done = default_template("mol2cap"), tmp_path / "offline", {}
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+        with ThreadPoolExecutor(max_workers=config.concurrency) as pool, \
+                cli._make_client(config) as client:
             futures = _start_cell(
                 config,
                 template,
@@ -646,7 +649,7 @@ class TestEvaluate:
                 done,
                 pool,
                 threading.Event(),
-                None,
+                client,
             )
             report = run_evaluation(config, store, template, out, done, futures)
         assert report["counts"]["items"] == 10
@@ -729,15 +732,21 @@ class TestEvaluate:
             ("--n-shots", "11", "n_shots must lie in 0..10"),
             ("--config", "missing.json", "cannot read config file"),
             ("--config", "list.json", "list.json must hold a JSON object"),
+            ("--config", "misspelt.json",
+             "misspelt.json holds unknown setting(s): concurency, nshots"),
         ],
         ids=["allowance", "concurrency", "retries", "missing-replay", "backend-key",
              "limit-zero", "limit-negative", "empty-grid-shots", "empty-grid-strategies",
-             "bad-grid-shots", "n-shots-eleven", "missing-config", "list-config"],
+             "bad-grid-shots", "n-shots-eleven", "missing-config", "list-config",
+             "unknown-config-key"],
     )
     def test_bad_setting_is_a_one_line_error(self, data_dir, store_dir, tmp_path,
                                              flag, value, message):
         (tmp_path / "unknown_key.json").write_text('{"bogus": 1}', encoding="utf-8")
         (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
+        # these two keys once ran with exit 0 under n_shots 2 and concurrency 4
+        (tmp_path / "misspelt.json").write_text('{"nshots": 5, "concurency": 9}',
+                                                encoding="utf-8")
         out = tmp_path / "out"
         args = eval_args(data_dir, store_dir, out)
         if flag == "--backend":
@@ -919,7 +928,7 @@ class TestAblate:
     def test_default_grid_fits_the_task(self, data_dir, store_dir, tmp_path,
                                         monkeypatch, task, answer, cells):
         monkeypatch.setattr(
-            cli, "_make_client", lambda config, http: ChatClient(ScriptedBackend([answer]))
+            cli, "_make_client", lambda config: nullcontext(ChatClient(ScriptedBackend([answer])))
         )
         out = tmp_path / "grid"
         result = invoke(
@@ -1105,7 +1114,7 @@ class TestAblate:
         # every cell's checkpoint is checked against its manifest before the first cell's
         # items are sent, so no backend call is spent on a command that will be refused
         backend = ScriptedBackend(['{"caption": "x"}'])
-        monkeypatch.setattr(cli, "_make_client", lambda config, http: ChatClient(backend))
+        monkeypatch.setattr(cli, "_make_client", lambda config: nullcontext(ChatClient(backend)))
         out = tmp_path / "grid"
         stale = out / "cell_mol2cap_n1_random"
         stale.mkdir(parents=True)
@@ -1181,8 +1190,8 @@ class TestBadPaths:
             args = command_args(command, data_dir, store_dir, out)
             message = f"cannot create directory {out}"
         # query writes under --out only the transcript of a failed calibration
-        monkeypatch.setattr(cli, "_make_client", lambda config, http: ChatClient(
-            ScriptedBackend(["no answer here"]), max_retries=0, backoff_base=0.0))
+        monkeypatch.setattr(cli, "_make_client", lambda config: nullcontext(ChatClient(
+            ScriptedBackend(["no answer here"]), max_retries=0, backoff_base=0.0)))
         result = invoke(args)
         assert_one_line_error(result, message)
         assert blocker.read_text(encoding="utf-8") == "x"
@@ -1251,11 +1260,23 @@ class TestCommandLine:
 
 
 def probe_command(*flags, command) -> dict:
-    """What tests/cli_probe.py reports of one molrag command in a fresh interpreter."""
-    result = subprocess.run(
+    """What tests/cli_probe.py reports of one molrag command in a fresh interpreter. A
+    probe that outlasts 120 s is asked to dump its threads' stacks (SIGUSR1), then
+    killed, and the test fails with its stderr."""
+    probe = subprocess.Popen(
         [sys.executable, str(Path(__file__).parent / "cli_probe.py"), *flags, "--", *command],
-        capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(result.stdout)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        stdout, stderr = probe.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        probe.send_signal(signal.SIGUSR1)
+        with suppress(subprocess.TimeoutExpired):  # a hung probe runs on once it has dumped
+            probe.wait(timeout=1)
+        probe.kill()
+        _, stderr = probe.communicate()
+        pytest.fail(f"probe still running after 120 s; its stderr:\n{stderr}")
+    assert probe.returncode == 0, stderr
+    return json.loads(stdout)
 
 
 def run_outputs(out: Path) -> dict[str, bytes]:

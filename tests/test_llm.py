@@ -14,10 +14,9 @@ from molrag.llm import (
     BackendConfig,
     BackendError,
     ChatClient,
-    FixtureParseError,
     HttpBackend,
-    MissingFixture,
     ReplayBackend,
+    ReplayError,
     prompt_digest,
 )
 from molrag.prompt import ChatPrompt
@@ -119,7 +118,7 @@ class TestReplayBackend:
 
     def test_missing_digest(self, tmp_path):
         path = self.write_fixture(tmp_path, [])
-        with pytest.raises(MissingFixture) as err:
+        with pytest.raises(ReplayError, match="^no fixture entry for prompt digest ") as err:
             make_client(ReplayBackend(path)).complete(make_prompt())
         assert prompt_digest(make_prompt()) in str(err.value)
 
@@ -167,7 +166,7 @@ class TestReplayBackend:
     def test_bad_fixture_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json at all\n", encoding="utf-8")
-        with pytest.raises(FixtureParseError):
+        with pytest.raises(ReplayError, match="bad.jsonl:1: bad JSON: "):
             ReplayBackend(path)
 
     @pytest.mark.parametrize("line, message", [
@@ -179,26 +178,26 @@ class TestReplayBackend:
     def test_fixture_line_of_the_wrong_shape(self, tmp_path, line, message):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"digest": "ok", "response": "x"}\n' + line + "\n", encoding="utf-8")
-        with pytest.raises(FixtureParseError, match=f":2: {message}"):
+        with pytest.raises(ReplayError, match=f":2: {message}"):
             ReplayBackend(path)
 
     def test_fixture_missing_digest_field(self, tmp_path):
         path = self.write_fixture(tmp_path, [{"response": "x"}])
-        with pytest.raises(FixtureParseError):
+        with pytest.raises(ReplayError, match="fixture.jsonl:1: entry lacks a digest$"):
             ReplayBackend(path)
 
     def test_fixture_bad_error_kind(self, tmp_path):
         path = self.write_fixture(
             tmp_path, [{"digest": "d", "error_script": ["quota_blown"]}]
         )
-        with pytest.raises(FixtureParseError):
+        with pytest.raises(ReplayError, match="fixture.jsonl:1: bad error kind 'quota_blown'$"):
             ReplayBackend(path)
 
     @pytest.mark.parametrize("response", [42, ["text"], {"caption": "x"}],
                              ids=["number", "list", "object"])
     def test_fixture_non_string_response(self, tmp_path, response):
         path = self.write_fixture(tmp_path, [{"digest": "d", "response": response}])
-        with pytest.raises(FixtureParseError, match="response is not a string"):
+        with pytest.raises(ReplayError, match="fixture.jsonl:1: response is not a string$"):
             ReplayBackend(path)
 
 

@@ -770,3 +770,71 @@ class TestPrefixStability:
         ranked = retrieve(store, query, depth, strategy)
         for n in range(1, depth + 1):
             assert retrieve(store, query, n, strategy) == ranked[:n], n
+
+
+class TestRankedAhead:
+    """ranked_ahead ranks each (strategy, item) once, at the largest n asked of the
+    strategy, and hands each cell the first n, on either executor."""
+
+    # (kind, n, items) per cell: morgan_fts and bm25_caption at two depths over
+    # overlapping items, and random asked for no examples of most items
+    NEEDS = {
+        "mol2cap": [("morgan_fts", 2, range(0, 20)), ("morgan_fts", 5, range(10, 30)),
+                    ("random", 0, range(50)), ("bm25_smiles_chargram", 1, range(40, 50)),
+                    ("random", 3, [5, 6])],
+        "cap2mol": [("bm25_caption", 4, range(0, 25)), ("random", 0, range(50)),
+                    ("bm25_caption", 1, range(20, 35)), ("random", 2, range(45, 50))],
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["thread", "fork"])
+    @pytest.mark.parametrize("task", ["mol2cap", "cap2mol"])
+    def test_each_item_is_ranked_once_at_its_depth(self, corpus_store, data_dir, tmp_path,
+                                                   monkeypatch, task, cpus):
+        items, fingerprints, _ = load_chebi_tsv(data_dir / "test_items.tsv")
+        assert len(items) == 50
+        needs = [(RetrievalStrategy(kind, seed=0 if kind == "random" else None), n, list(idx))
+                 for kind, n, idx in self.NEEDS[task]]
+        field = store_module.TASKS[task].input_field
+        # forked workers inherit the patches, and append their rankings to the file
+        rank_file, pools = tmp_path / "rankings", []
+        monkeypatch.setattr(store_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(store_module, "RANK_BLOCK", 8)  # more than one block each
+        worker_pool, ranked_positions = store_module._worker_pool, store_module.ranked_positions
+
+        def recording_pool(workers, doing, state, *, fork=True):
+            pools.append(fork)
+            return worker_pool(workers, doing, state, fork=fork)
+
+        def recorded(db, ranked_task, query, n, strategy, **kwargs):
+            with open(rank_file, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([strategy.kind, query, n]) + "\n")
+            return ranked_positions(db, ranked_task, query, n, strategy, **kwargs)
+
+        monkeypatch.setattr(store_module, "_worker_pool", recording_pool)
+        monkeypatch.setattr(store_module, "ranked_positions", recorded)
+        assert threading.active_count() == 1  # else no executor forks
+        with store_module.ranked_ahead(corpus_store, task, items, fingerprints,
+                                       needs) as (examples, stop):
+            got = {(strategy, n, i): examples(strategy, n, i)
+                   for strategy, n, idx in needs for i in idx}
+        assert stop.is_set()
+        assert pools == [cpus > 1]
+        depth, ranked = {}, {}
+        for strategy, n, idx in needs:
+            if n:  # a need of 0 shots ranks none of its items
+                depth[strategy.kind] = max(depth.get(strategy.kind, 0), n)
+                ranked.setdefault(strategy.kind, set()).update(idx)
+        expected = sorted([kind, getattr(items[i], field), depth[kind]]
+                          for kind, idx in ranked.items() for i in idx)
+        lines = rank_file.read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line) for line in lines) == expected
+
+        monkeypatch.undo()
+        for (strategy, n, i), records in got.items():
+            if n == 0:
+                assert records == []
+            elif task == "mol2cap":
+                assert records == retrieve_mol2cap(corpus_store, items[i].smiles, n, strategy,
+                                                   query_fp=fingerprints[i])
+            else:
+                assert records == retrieve_cap2mol(corpus_store, items[i].caption, n, strategy)
