@@ -14,10 +14,18 @@ Configuration precedence: command-line flags > --config file > defaults;
 max_retries takes the backend JSON's value before its default.
 
 The command line is parsed by ``argparse``, so the package needs nothing beyond
-the standard library. Exit codes: 0 on success; 1 for a one-line
-``Error: <message>`` on stderr (a backend outage among them, after which a
-rerun resumes), a calibration failure of ``query``, Ctrl-C (``Aborted!``) or a
-closed stdout pipe (no message); 2 for a usage error.
+the standard library. A command loads only the code it runs: ``ingest``,
+``inspect-store``, ``--help`` and ``--version`` load the store's modules and
+:mod:`molrag.metrics` (whose ``build_report`` is bound here), while
+:mod:`molrag.calibration`, :mod:`molrag.llm` and :mod:`molrag.prompt` are
+imported inside the functions of ``query``, ``evaluate`` and ``ablate`` that use
+them. The known errors share one base, :class:`molrag.errors.MolragError`, so
+``main`` maps them to an ``Error:`` line without importing their modules.
+
+Exit codes: 0 on success; 1 for a one-line ``Error: <message>`` on stderr (a
+backend outage among them, after which a rerun resumes), a calibration failure
+of ``query``, Ctrl-C (``Aborted!``) or a closed stdout pipe (no message); 2 for
+a usage error.
 """
 
 from __future__ import annotations
@@ -32,20 +40,11 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from molrag import __version__, bm25
-from molrag.calibration import CalibrationFailure, calibrated_query, rank_examples
+from molrag.errors import MolragError
 from molrag.fingerprint import FingerprintParams, morgan_fingerprint
-from molrag.llm import (
-    BackendConfig,
-    BackendError,
-    ChatClient,
-    HttpBackend,
-    ReplayBackend,
-    ReplayError,
-    check_field_types,
-)
 from molrag.metrics import (
     STATUS_FAILED,
     STATUS_OK,
@@ -54,7 +53,6 @@ from molrag.metrics import (
     format_columns,
     render_table,
 )
-from molrag.prompt import PromptError, PromptTemplate, default_template, load_template
 from molrag.smiles import SmilesError, is_valid_smiles, parse_smiles
 from molrag.store import (
     STRATEGY_KINDS,
@@ -62,7 +60,6 @@ from molrag.store import (
     MoleculeRecord,
     RetrievalStrategy,
     Store,
-    StoreError,
     build_store,
     file_sha256,
     load_chebi_tsv,
@@ -72,11 +69,15 @@ from molrag.store import (
     save_store,
 )
 
+if TYPE_CHECKING:  # the run path imports these where it needs them
+    from molrag.llm import BackendConfig, ChatClient
+    from molrag.prompt import PromptTemplate
+
 DEFAULT_GRID_SHOTS = (0, 1, 2, 5, 10)
 DEFAULT_GRID_STRATEGIES = ("random", "bm25", "morgan_fts")
 
 
-class CliError(Exception):
+class CliError(MolragError):
     """A setting, path or checkpoint the command refuses; printed as one ``Error:`` line."""
 
 
@@ -97,6 +98,8 @@ class RunConfig:
     limit: int | None = None
 
     def __post_init__(self) -> None:
+        from molrag.llm import check_field_types
+
         check_field_types(self)
         if not 0 <= self.n_shots <= 10:
             raise ValueError("n_shots must lie in 0..10")
@@ -112,15 +115,20 @@ class RunConfig:
             raise ValueError("either a replay fixture or a backend config is required")
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_settings(path: str | None, what: str, known: frozenset[str]) -> dict:
+    """The JSON object of the ``what`` file at ``path`` ({} when there is none), each of
+    whose keys must be in ``known``."""
     if not path:
         return {}
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read config file {path}: {exc}")
+        raise CliError(f"cannot read {what} {path}: {exc}")
     if not isinstance(data, dict):
-        raise CliError(f"config file {path} must hold a JSON object")
+        raise CliError(f"{what} {path} must hold a JSON object")
+    unknown = sorted(data.keys() - known)
+    if unknown:
+        raise CliError(f"{what} {path} holds unknown setting(s): {', '.join(unknown)}")
     return data
 
 
@@ -134,11 +142,9 @@ _FILE_SETTINGS = frozenset({
 
 def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
     """Layer the command's flags over the --config file over the defaults."""
-    file_settings = _load_config_file(cfg_file)
-    unknown = sorted(file_settings.keys() - _FILE_SETTINGS)
-    if unknown:
-        raise CliError(f"config file {cfg_file} holds unknown setting(s): {', '.join(unknown)}")
-    settings = {**_DEFAULTS, **file_settings}
+    from molrag.llm import BackendConfig
+
+    settings = {**_DEFAULTS, **_load_settings(cfg_file, "config file", _FILE_SETTINGS)}
     settings.update((key, value) for key, value in flags.items() if value is not None)
     task = settings.get("task")
     if not isinstance(task, str) or task not in TASKS:
@@ -148,9 +154,11 @@ def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
     for key in ("strategy", "backend"):  # the two settings that are no RunConfig field
         if not isinstance(settings.get(key), (str, type(None))):
             raise CliError(f"{key} must be a string, not {settings[key]!r}")
+    backend = settings.get("backend")
+    backend_keys = frozenset(spec.name for spec in dataclasses.fields(BackendConfig))
+    backend_settings = _load_settings(backend, "backend file", backend_keys)
     try:
-        backend = settings.get("backend")
-        backend = BackendConfig(**_load_config_file(backend)) if backend else None
+        backend = BackendConfig(**backend_settings) if backend else None
         return RunConfig(
             store_path=settings["store"],
             task=task,
@@ -166,8 +174,7 @@ def _make_run_config(cfg_file: str | None, flags: dict) -> RunConfig:
             backend=backend,
             limit=settings.get("limit"),
         )
-    # TypeError: a backend JSON key BackendConfig does not have, or a value of the wrong type
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc))
 
 
@@ -176,6 +183,8 @@ def _make_client(config: RunConfig):
     """The command's one :class:`ChatClient`, which every thread and cell shares: over
     a replay of the fixture, read here, or over an :class:`HttpBackend` that is closed
     when the block is left."""
+    from molrag.llm import ChatClient, HttpBackend, ReplayBackend
+
     if config.replay_path:
         backend, backoff = nullcontext(ReplayBackend(config.replay_path)), 0.0
     else:
@@ -185,6 +194,8 @@ def _make_client(config: RunConfig):
 
 
 def _load_prompt_template(config: RunConfig) -> PromptTemplate:
+    from molrag.prompt import default_template, load_template
+
     if config.template_path:
         return load_template(config.template_path, config.task)
     return default_template(config.task)
@@ -268,6 +279,8 @@ def _cmd_ingest(args: argparse.Namespace) -> None:
 
 def _cmd_query(args: argparse.Namespace) -> None:
     """Run one retrieval-prompt-calibrate round trip and print the result."""
+    from molrag.calibration import CalibrationFailure, calibrated_query, rank_examples
+
     config = _make_run_config(args.config, vars(args))
     user_input = args.user_input
     db = load_store(config.store_path)
@@ -322,6 +335,9 @@ Ranking = Callable[[int], list[MoleculeRecord] | None]
 def _process_item(index, record, config, tmpl, client, stop, rank: Ranking) -> dict | None:
     """One checkpoint row, the item ranked by ``rank``; None when a fatal error has
     stopped the run."""
+    from molrag.calibration import CalibrationFailure, calibrated_query
+    from molrag.llm import BackendError, ReplayError
+
     if stop.is_set():
         return None
     spec = TASKS[config.task]
@@ -707,7 +723,7 @@ def main(args: list[str] | None = None, prog_name: str = "molrag") -> None:
             parsed.run(parsed)
         finally:
             sys.stdout.flush()  # so that a closed stdout pipe fails here, not at exit
-    except (CliError, StoreError, PromptError, BackendError, ReplayError) as exc:
+    except MolragError as exc:
         print(f"Error: {exc}", file=sys.stderr)
         sys.exit(1)
     except KeyboardInterrupt:

@@ -23,6 +23,7 @@ import urllib.parse
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from molrag.errors import MolragError
 from molrag.prompt import ChatPrompt
 
 log = logging.getLogger("molrag.llm")
@@ -44,7 +45,7 @@ _DELTA_SECONDS = re.compile(r"\s*([0-9]+)\s*")
 _URL_UNSAFE = re.compile(r"[\x00-\x20\x7f]")
 
 
-class BackendError(Exception):
+class BackendError(MolragError):
     """A failed backend call; ``retry_after`` is the server's requested wait in seconds."""
 
     def __init__(self, kind: str, message: str) -> None:
@@ -56,7 +57,7 @@ class BackendError(Exception):
         self.retry_after: float | None = None
 
 
-class ReplayError(Exception):
+class ReplayError(MolragError):
     """A replay fixture cannot be read, or holds no answer for a prompt."""
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from molrag.errors import MolragError
 from molrag.store import TASKS, MoleculeRecord
 
 MOLECULE_MASK = "[MOLECULE_MASK]"
@@ -29,7 +30,7 @@ _MASKED = MoleculeRecord(id="", smiles=MOLECULE_MASK, caption=CAPTION_MASK)
 _SECTIONS = ("role", "task", "example_format", "output_instruction", "user")
 
 
-class PromptError(Exception):
+class PromptError(MolragError):
     """A template lacks a section or placeholder, or there is no example left to evict."""
 
 

@@ -33,6 +33,7 @@ from itertools import chain, islice, repeat
 from pathlib import Path
 
 from molrag import bm25
+from molrag.errors import MolragError
 from molrag.fingerprint import MorganFingerprint, dice_similarity, morgan_fingerprint
 from molrag.smiles import SmilesError, molecules_equal, parse_smiles
 
@@ -40,7 +41,7 @@ STORE_FORMAT_VERSION = 3
 _REQUIRED_COLUMNS = ("CID", "SMILES", "description")
 
 
-class StoreError(Exception):
+class StoreError(MolragError):
     """A TSV or a persisted store cannot be read, or holds nothing to build from."""
 
 

@@ -17,15 +17,17 @@ from molrag import calibration, cli
 from molrag import store as store_module
 from molrag.bm25 import tokenize
 from molrag.calibration import rank_examples
-from molrag.cli import run_evaluation, RunConfig, _comparison_table, _process_item, _start_cell
+from molrag.cli import (
+    CliError, RunConfig, _comparison_table, _process_item, _start_cell, run_evaluation)
 from molrag.fingerprint import morgan_fingerprint
-from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend
+from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend, ReplayError
 from molrag.metrics import build_report, render_table
-from molrag.prompt import default_template
+from molrag.prompt import PromptError, default_template
 from molrag.smiles import parse_smiles
 from molrag.store import (
     STRATEGY_KINDS,
     TASKS,
+    StoreError,
     build_store,
     load_chebi_tsv,
     load_store,
@@ -40,6 +42,10 @@ REPLAY_M2C = "replay_eval_mol2cap.jsonl"
 REPLAY_C2M = "replay_eval_cap2mol.jsonl"
 REPLAY_GRID = "replay_ablate_mol2cap.jsonl"
 LOCAL_URL = "http://127.0.0.1:9/"  # the discard port: nothing answers
+# the modules ingest, inspect-store and an import of molrag.cli leave unloaded
+RUN_PATH_MODULES = frozenset({
+    "molrag.calibration", "molrag.llm", "molrag.prompt", "logging", "http.client",
+    "urllib.request", "concurrent.futures"})
 
 
 @pytest.fixture(scope="session")
@@ -213,10 +219,24 @@ class TestIngest:
                 if name.split(".")[0] not in {"molrag", *sys.stdlib_module_names}} == set()
 
     def test_import_loads_no_http_client(self):
-        # only HttpBackend sends requests, so only building one loads the client modules
-        # and only evaluate and ablate load the pools that run their items and rankings
-        assert self._loaded_by_cli_import() & {
-            "http.client", "urllib.request", "concurrent.futures"} == set()
+        # only HttpBackend sends requests, so only building one loads the client modules;
+        # only evaluate and ablate load the pools that run their items and rankings; and
+        # only query, evaluate and ablate load the chat, prompt and calibration code
+        assert self._loaded_by_cli_import() & RUN_PATH_MODULES == set()
+
+    def test_ingest_and_inspect_load_no_run_path_module(self, data_dir, tmp_path):
+        # the fixture corpus's 112 rows are parsed in this process, with no worker pool
+        check = "import sys; from molrag import cli; cli.main(sys.argv[1:4]); " \
+                "cli.main(sys.argv[4:]); print(*sys.modules, file=sys.stderr)"
+        store = str(tmp_path / "store")
+        result = subprocess.run(
+            [sys.executable, "-c", check, "ingest", str(data_dir / "corpus.tsv"), store,
+             "inspect-store", "--store", store],
+            env=src_env(), check=True, capture_output=True, text=True, timeout=60)
+        assert '"ingested": 112' in result.stdout and '"record_count": 112' in result.stdout
+        loaded = set(result.stderr.split())
+        assert "molrag.store" in loaded
+        assert loaded & (RUN_PATH_MODULES | {"multiprocessing"}) == set()
 
     def test_corrupt_file_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -723,7 +743,10 @@ class TestEvaluate:
             ("--concurrency", "0", "concurrency must be positive"),
             ("--max-retries", "-1", "max_retries must be non-negative"),
             ("--replay", "missing.jsonl", "cannot read fixture"),
-            ("--backend", "unknown_key.json", "'bogus'"),
+            ("--backend", "unknown_key.json", "unknown_key.json holds unknown setting(s): bogus"),
+            ("--backend", "misspelt_keys.json",
+             "backend file {tmp}/misspelt_keys.json holds unknown setting(s): bogus, modle_name"),
+            ("--backend", "list.json", "backend file {tmp}/list.json must hold a JSON object"),
             ("--limit", "0", "limit must be positive"),
             ("--limit", "-1", "limit must be positive"),
             ("--grid-shots", "", "must each name a value"),
@@ -736,13 +759,16 @@ class TestEvaluate:
              "misspelt.json holds unknown setting(s): concurency, nshots"),
         ],
         ids=["allowance", "concurrency", "retries", "missing-replay", "backend-key",
-             "limit-zero", "limit-negative", "empty-grid-shots", "empty-grid-strategies",
-             "bad-grid-shots", "n-shots-eleven", "missing-config", "list-config",
-             "unknown-config-key"],
+             "backend-keys", "list-backend", "limit-zero", "limit-negative",
+             "empty-grid-shots", "empty-grid-strategies", "bad-grid-shots", "n-shots-eleven",
+             "missing-config", "list-config", "unknown-config-key"],
     )
     def test_bad_setting_is_a_one_line_error(self, data_dir, store_dir, tmp_path,
                                              flag, value, message):
         (tmp_path / "unknown_key.json").write_text('{"bogus": 1}', encoding="utf-8")
+        # once refused with Python's TypeError text, which named only the first key
+        (tmp_path / "misspelt_keys.json").write_text('{"bogus": 1, "modle_name": "x"}',
+                                                     encoding="utf-8")
         (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
         # these two keys once ran with exit 0 under n_shots 2 and concurrency 4
         (tmp_path / "misspelt.json").write_text('{"nshots": 5, "concurency": 9}',
@@ -759,7 +785,7 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # an Error: line, no traceback
         assert result.output.startswith("Error: ") and result.output.count("\n") == 1
-        assert message in result.output
+        assert message.format(tmp=tmp_path) in result.output
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -1233,6 +1259,32 @@ class TestCommandLine:
         result = invoke(command)
         assert_one_line_error(result, str(tmp_path / "absent"), message)
         assert [path.name for path in tmp_path.iterdir()] == []
+
+    @pytest.mark.parametrize("error, message", [
+        (CliError("a refused setting"), "a refused setting"),
+        (StoreError("a store that cannot be read"), "a store that cannot be read"),
+        (PromptError("a template without a section"), "a template without a section"),
+        (BackendError("auth", "a refused key"), "[auth] a refused key"),
+        (ReplayError("no fixture entry"), "no fixture entry"),
+    ], ids=["CliError", "StoreError", "PromptError", "BackendError", "ReplayError"])
+    def test_known_error_is_one_line(self, store_dir, monkeypatch, error, message):
+        # main maps each through their one base class, which it imports without them
+        def failing(directory):
+            raise error
+
+        monkeypatch.setattr(cli, "load_store", failing)
+        result = invoke(["inspect-store", "--store", str(store_dir)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert (result.stdout, result.stderr) == ("", f"Error: {message}\n")
+
+    def test_unknown_error_escapes(self, store_dir, monkeypatch):
+        def failing(directory):
+            raise RuntimeError("a fault in molrag")
+
+        monkeypatch.setattr(cli, "load_store", failing)
+        result = invoke(["inspect-store", "--store", str(store_dir)])
+        assert isinstance(result.exception, RuntimeError)  # a traceback, not an Error: line
+        assert result.output == ""
 
     def test_ctrl_c_is_aborted(self, store_dir, monkeypatch):
         def interrupted(directory):
