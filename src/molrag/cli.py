@@ -70,7 +70,7 @@ from molrag.store import (
 )
 
 if TYPE_CHECKING:  # the run path imports these where it needs them
-    from molrag.llm import BackendConfig, ChatClient
+    from molrag.llm import BackendConfig
     from molrag.prompt import PromptTemplate
 
 DEFAULT_GRID_SHOTS = (0, 1, 2, 5, 10)
@@ -427,33 +427,20 @@ def _check_resumable(path: Path, manifest: dict) -> None:
         )
 
 
-def _start_cell(config: RunConfig, tmpl: PromptTemplate, records: list[MoleculeRecord],
-                manifest: dict, out_dir: Path, rank: Ranking, done: dict[int, dict], pool,
-                stop, client: ChatClient) -> list:
-    """Write one cell's manifest and checkpoint rows, and submit the items it still
-    runs to ``pool``; returns their futures.
-
-    Each item's examples are ``rank(index)``. ``done`` holds the rows of
-    ``out_dir/items.jsonl`` as :func:`_read_checkpoint` reads them, which are kept,
-    not re-queried. The items send through ``client``, the command's, and none
-    starts once ``stop`` is set.
-    """
-    _make_dir(out_dir)
-    _dump_json(out_dir / "manifest.json", manifest)
-    _write_rows(out_dir / "items.jsonl", done.values())  # no new row is glued onto a torn last line
-    return [pool.submit(_process_item, i, records[i], config, tmpl, client, stop, rank)
-            for i in range(len(records)) if i not in done]
-
-
-def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate, out_dir: Path,
-                   done: dict[int, dict], futures: list) -> dict:
-    """Finish one cell that :func:`_start_cell` started: append each row to
-    ``out_dir/items.jsonl`` as its item ends, then write the report; returns the
-    report dict."""
+def run_evaluation(config: RunConfig, echo: dict, done: dict[int, dict],
+                   futures: list) -> dict:
+    """Finish one cell of :func:`_run_cells` into ``config.out_path``: rewrite
+    ``items.jsonl`` from ``done``, the rows :func:`_read_checkpoint` read there, and
+    append each new row as its future ends; then write the report, whose config is
+    ``echo``. Returns the report dict."""
     from concurrent.futures import as_completed
 
+    out_dir = Path(config.out_path)
     items_path = out_dir / "items.jsonl"
-    with open(items_path, "a", encoding="utf-8") as sink:
+    with open(items_path, "w", encoding="utf-8") as sink:
+        # the kept rows first, so that no new row is glued onto a torn last line
+        sink.writelines(map(_row_line, done.values()))
+        sink.flush()
 
         def keep(row: dict | None) -> None:
             if row is not None and row["index"] not in done:
@@ -480,7 +467,7 @@ def run_evaluation(config: RunConfig, db: Store, tmpl: PromptTemplate, out_dir: 
         EvalPair(prediction=row["prediction"], reference=row["reference"], status=row["status"])
         for row in rows
     ]
-    report = build_report(pairs, config.task, _config_echo(config, db, tmpl))
+    report = build_report(pairs, config.task, echo)
     _dump_json(out_dir / "report.json", report)
     (out_dir / "report.txt").write_text(render_table(report), encoding="utf-8")
     return report
@@ -495,13 +482,15 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
     thread starts, each cell's checkpoint is read to find the items it will run, and
     refused when the manifest beside it is not this run's. Each cell takes its
     examples from :func:`~molrag.store.ranked_ahead`, told which items each cell
-    runs. Every cell runs its items on one thread pool of ``base.concurrency``
-    threads, started once the ranking workers have forked, and sends through the
-    command's one :class:`ChatClient`, so over HTTP each thread keeps its connection
-    from the first cell to the last; they are closed when the command ends. Each
-    cell's items are queued while the cell before it finishes, so the threads do not
-    wait for a cell's report. A fatal error stops the command: no item starts after
-    it.
+    runs. Every cell's directory and manifest are written before any item is sent, so
+    a directory that cannot be made costs no backend call. Then every cell's items
+    are queued, cells in grid order and each cell's items in index order, on one
+    thread pool of ``base.concurrency`` threads, started once the ranking workers
+    have forked. They send through the command's one :class:`ChatClient`, so over
+    HTTP each thread keeps its connection from the first cell to the last; they are
+    closed when the command ends. :func:`run_evaluation` then finishes the cells in
+    order while the threads run on into later cells. A fatal error stops the
+    command: no item starts after it.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -519,36 +508,31 @@ def _run_cells(base: RunConfig, test_tsv: str, cells: list[RunConfig]) -> list[d
     }
     done = [_read_checkpoint(Path(cell.out_path) / "items.jsonl", len(records))
             for cell in cells]
-    manifests = [{**_config_echo(cell, db, tmpl), **sources, "items": len(records)}
-                 for cell in cells]
+    echoes = [_config_echo(cell, db, tmpl) for cell in cells]
+    manifests = [{**echo, **sources, "items": len(records)} for echo in echoes]
     for cell, rows, manifest in zip(cells, done, manifests):
         if rows:
             _check_resumable(Path(cell.out_path) / "manifest.json", manifest)
-    needs = [(cell.strategy, cell.n_shots, [i for i in range(len(records)) if i not in rows])
-             for cell, rows in zip(cells, done)]
+    todo = [[i for i in range(len(records)) if i not in rows] for rows in done]
+    needs = [(cell.strategy, cell.n_shots, items) for cell, items in zip(cells, todo)]
     # a bad replay fixture is refused here, before any file is written or worker forks
     with _make_client(base) as client, \
             ranked_ahead(db, base.task, records, fingerprints, needs) as (examples, stop), \
             ThreadPoolExecutor(max_workers=base.concurrency) as pool:
-
-        def start(k: int) -> list:
-            cell = cells[k]
-            return _start_cell(cell, tmpl, records, manifests[k], Path(cell.out_path),
-                               partial(examples, cell.strategy, cell.n_shots), done[k], pool,
-                               stop, client)
-
-        started = [start(0)]
+        futures: list[list] = []
         try:
-            reports = []
-            for k, cell in enumerate(cells):
-                if k + 1 < len(cells):
-                    started.append(start(k + 1))
-                reports.append(run_evaluation(cell, db, tmpl, Path(cell.out_path), done[k],
-                                              started[k]))
-            return reports
+            for cell, manifest in zip(cells, manifests):
+                _make_dir(Path(cell.out_path))
+                _dump_json(Path(cell.out_path) / "manifest.json", manifest)
+            for cell, items in zip(cells, todo):
+                rank = partial(examples, cell.strategy, cell.n_shots)
+                futures.append([pool.submit(_process_item, i, records[i], cell, tmpl, client,
+                                            stop, rank) for i in items])
+            return [run_evaluation(cell, echo, rows, cell_futures)
+                    for cell, echo, rows, cell_futures in zip(cells, echoes, done, futures)]
         except BaseException:
             stop.set()
-            for future in chain.from_iterable(started):
+            for future in chain.from_iterable(futures):
                 future.cancel()
             raise
 

@@ -95,7 +95,7 @@ def parse_template(text: str, task: str, source: str = "<memory>") -> PromptTemp
 def load_template(path, task: str) -> PromptTemplate:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # an editor's byte-order mark is no text
     except (OSError, UnicodeDecodeError) as exc:
         raise PromptError(f"cannot read template {path}: {exc}") from exc
     return parse_template(text, task, source=str(path))

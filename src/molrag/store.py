@@ -134,11 +134,12 @@ def load_chebi_tsv(
     have been in this process, and a worker that dies is a :class:`StoreError`.
     Otherwise rows are parsed here, one at a time, with one identifier memo that
     is dropped on return. With a ``limit`` reading stops after that many kept
-    rows, before the next row is parsed, and the report covers the rows read.
+    rows, before the next row is parsed, and the report covers the rows read. A
+    UTF-8 byte-order mark, which spreadsheets often write, is no part of the header.
     """
     path = Path(path)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return _read_rows(path, fh, limit)
     except (OSError, UnicodeDecodeError) as exc:
         raise StoreError(f"cannot read {path}: {exc}") from exc

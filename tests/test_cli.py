@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import os
@@ -6,8 +7,8 @@ import socket
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext, suppress
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,11 @@ from molrag import calibration, cli
 from molrag import store as store_module
 from molrag.bm25 import tokenize
 from molrag.calibration import rank_examples
-from molrag.cli import (
-    CliError, RunConfig, _comparison_table, _process_item, _start_cell, run_evaluation)
+from molrag.cli import CliError, RunConfig, _comparison_table, _process_item
 from molrag.fingerprint import morgan_fingerprint
 from molrag.llm import BackendError, ChatClient, HttpBackend, ReplayBackend, ReplayError
 from molrag.metrics import build_report, render_table
-from molrag.prompt import PromptError, default_template
+from molrag.prompt import PromptError, build_prompt, default_template
 from molrag.smiles import parse_smiles
 from molrag.store import (
     STRATEGY_KINDS,
@@ -30,7 +30,6 @@ from molrag.store import (
     StoreError,
     build_store,
     load_chebi_tsv,
-    load_store,
     resolve_strategy,
     save_store,
 )
@@ -158,6 +157,16 @@ class TestIngest:
         # the manifest's checksums cover every data file, so this pins the store's bytes
         out = tmp_path / "store"
         result = invoke(["ingest", str(data_dir / "corpus.tsv"), str(out)])
+        assert result.exit_code == 0, result.output
+        golden = data_dir / "golden" / "store_manifest.json"
+        assert (out / "manifest.json").read_bytes() == golden.read_bytes()
+
+    def test_byte_order_mark_is_no_part_of_the_header(self, data_dir, tmp_path):
+        # spreadsheets often start a TSV export with one
+        tsv = tmp_path / "corpus.tsv"
+        tsv.write_bytes(codecs.BOM_UTF8 + (data_dir / "corpus.tsv").read_bytes())
+        out = tmp_path / "store"
+        result = invoke(["ingest", str(tsv), str(out)])
         assert result.exit_code == 0, result.output
         golden = data_dir / "golden" / "store_manifest.json"
         assert (out / "manifest.json").read_bytes() == golden.read_bytes()
@@ -638,40 +647,10 @@ class TestEvaluate:
             raise AssertionError("network access attempted during replay run")
 
         monkeypatch.setattr(socket, "socket", refuse)
-        config = RunConfig(
-            store_path=str(store_dir),
-            task="mol2cap",
-            n_shots=2,
-            strategy=resolve_strategy("mol2cap", "morgan_fts", 0),
-            template_path=None,
-            out_path=None,
-            seed=0,
-            concurrency=4,
-            max_retries=3,
-            max_error_allowance=5,
-            replay_path=str(data_dir / REPLAY_M2C),
-            backend=None,
-            limit=10,
-        )
-        records, fingerprints, _ = load_chebi_tsv(data_dir / "test_items.tsv", config.limit)
-        store = load_store(store_dir)
-        template, out, done = default_template("mol2cap"), tmp_path / "offline", {}
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool, \
-                cli._make_client(config) as client:
-            futures = _start_cell(
-                config,
-                template,
-                records,
-                {},
-                out,
-                lambda i: rank_examples(store, "mol2cap", records[i].smiles, 2, config.strategy,
-                                        query_fp=fingerprints[i]),
-                done,
-                pool,
-                threading.Event(),
-                client,
-            )
-            report = run_evaluation(config, store, template, out, done, futures)
+        out = tmp_path / "offline"
+        result = invoke(eval_args(data_dir, store_dir, out, extra=("--limit", "10")))
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["counts"]["items"] == 10
 
 
@@ -1155,6 +1134,50 @@ class TestAblate:
         assert_one_line_error(result, "holds rows of a run with a different")
         assert backend.calls == 0
         assert not (out / "cell_mol2cap_n0_random").exists()
+
+    def test_a_cell_directory_that_cannot_be_made_is_refused_before_any_item_runs(
+            self, data_dir, store_dir, tmp_path, monkeypatch):
+        # every cell's directory and manifest are written before the first item is sent
+        backend = ScriptedBackend(['{"caption": "x"}'])
+        monkeypatch.setattr(cli, "_make_client", lambda config: nullcontext(ChatClient(backend)))
+        out = tmp_path / "grid"
+        out.mkdir()
+        (out / "cell_mol2cap_n2_random").write_text("a file, not a directory", encoding="utf-8")
+        result = invoke([
+            "ablate", str(data_dir / "test_items.tsv"), "--store", str(store_dir),
+            "--task", "mol2cap", "--grid-shots", "0,1,2", "--grid-strategies", "random",
+            "--limit", "5", "--replay", "unused.jsonl", "--out", str(out)])
+        assert_one_line_error(result, "cannot create directory", "cell_mol2cap_n2_random")
+        assert backend.calls == 0
+        assert not list(out.glob("*/report.json"))
+
+    def test_items_reach_the_backend_cell_by_cell_in_grid_order(
+            self, data_dir, store_dir, corpus_store, tmp_path, monkeypatch):
+        # perfbench's ranking check takes an item's k-th prompt to be the k-th cell's
+        prompts = []
+
+        class Recording(ScriptedBackend):
+            def send(self, prompt):
+                prompts.append(prompt)
+                return super().send(prompt)
+
+        monkeypatch.setattr(cli, "_make_client", lambda config: nullcontext(
+            ChatClient(Recording(['{"caption": "x"}']))))
+        result = invoke([
+            "ablate", str(data_dir / "test_items.tsv"), "--store", str(store_dir),
+            "--task", "mol2cap", "--grid-shots", "1,2", "--grid-strategies", "random,morgan_fts",
+            "--limit", "3", "--concurrency", "1", "--replay", "unused.jsonl",
+            "--out", str(tmp_path / "grid")])
+        assert result.exit_code == 0, result.output
+        records, fingerprints, _ = load_chebi_tsv(data_dir / "test_items.tsv", 3)
+        tmpl = default_template("mol2cap")
+        expected = [
+            build_prompt(tmpl, record.smiles, rank_examples(
+                corpus_store, "mol2cap", record.smiles, n, resolve_strategy("mol2cap", name, 0),
+                query_fp=fingerprint))
+            for n, name in product((1, 2), ("random", "morgan_fts"))
+            for record, fingerprint in zip(records, fingerprints)]
+        assert prompts == expected
 
     def test_random_rows_reproducible_under_seed(self, data_dir, store_dir, tmp_path):
         outputs = []

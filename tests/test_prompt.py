@@ -1,4 +1,7 @@
+import codecs
+import dataclasses
 import re
+from importlib import resources
 
 import pytest
 
@@ -70,6 +73,15 @@ class TestTemplateParsing:
         path = tmp_path / "t.tmpl"
         path.write_text(MINIMAL_TEMPLATE, encoding="utf-8")
         assert load_template(path, "mol2cap").source == str(path)
+
+    @pytest.mark.parametrize("task", ["mol2cap", "cap2mol"])
+    def test_byte_order_mark_is_no_part_of_the_first_section(self, tmp_path, task):
+        # some editors start a UTF-8 file with one
+        builtin = default_template(task)
+        text = resources.files("molrag").joinpath(f"templates/{task}.tmpl").read_bytes()
+        path = tmp_path / "t.tmpl"
+        path.write_bytes(codecs.BOM_UTF8 + text)
+        assert dataclasses.replace(load_template(path, task), source=builtin.source) == builtin
 
     def test_defaults_load(self):
         assert default_template("mol2cap").task == "mol2cap"
